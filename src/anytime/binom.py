@@ -14,6 +14,11 @@ Conventions (they differ from scipy.stats.binom, mind the inequality):
 
 * ``binom_sf(x, n, p)``  is the inclusive upper tail  P(B >= x)
 * ``binom_cdf(x, n, p)`` is the inclusive lower tail  P(B <= x)
+
+The module also holds the root finders: scalar :func:`bisect_monotone`,
+the vectorized fixed-count :func:`halve` that defines every confidence
+endpoint, and :func:`halve_with_guess`, which reaches the same final cell
+from a guess of the root and two predicate evaluations.
 """
 
 from __future__ import annotations
@@ -196,3 +201,47 @@ def bisect_monotone(
 
 def _bisect_iters(lo: float, hi: float, tol: float) -> int:
     return max(1, math.ceil(math.log2((hi - lo) / tol)))
+
+
+def halve(lo, hi, above: Callable, iters: int):
+    """``iters`` halvings of the brackets ``[lo, hi]``, elementwise.
+
+    ``above(mid)`` says per element whether the sought point lies at or
+    below ``mid``: the bracket keeps ``[lo, mid]`` where it holds and
+    ``[mid, hi]`` elsewhere.  ``lo`` and ``hi`` are 1-d arrays (they are
+    not modified) and ``above`` returns a boolean array of the same shape.
+    Returns the final ``(lo, hi)`` arrays.
+    """
+    cells = np.stack([lo, hi])  # row 0: lower ends, row 1: upper ends
+    lo_row, hi_row = cells
+    col = np.arange(cells.shape[1])
+    for _ in range(iters):
+        mid = 0.5 * (lo_row + hi_row)
+        # mid replaces the upper end where ``above`` holds, the lower elsewhere
+        cells[above(mid).view(np.int8), col] = mid
+    return lo_row, hi_row
+
+
+def halve_with_guess(lo, hi, guess, above: Callable, params: tuple, iters: int, settled):
+    """``halve(lo, hi, lambda mid: above(mid, *params), iters)`` in two predicate calls.
+
+    The halvings are replayed with the decision ``mid > guess`` in place
+    of ``above(mid, *params)``, and the predicate is then evaluated only
+    at the two ends of each final cell, in one vector call.  For a
+    predicate that is monotone in ``mid`` exactly one leaf cell has
+    ``above`` false at its left end and true at its right end, so a cell
+    that passes is the one the plain halving ends in.  Elements that fail
+    (a guess in the wrong cell) rerun the plain halving, on that subset
+    only; elements flagged ``settled`` (answer fixed by the caller) are
+    not checked.  ``params`` are 1-d arrays aligned with ``lo``, or
+    scalars, passed on to ``above``.
+    """
+    lo_f, hi_f = halve(lo, hi, lambda mid: mid > guess, iters)
+    ends = above(np.stack([lo_f, hi_f]), *params)
+    failed = np.flatnonzero(~settled & (ends[0] | ~ends[1]))
+    if failed.size:
+        sub = tuple(a[failed] if np.ndim(a) else a for a in params)
+        lo_f[failed], hi_f[failed] = halve(
+            lo[failed], hi[failed], lambda mid: above(mid, *sub), iters
+        )
+    return lo_f, hi_f

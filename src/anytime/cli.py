@@ -227,8 +227,8 @@ def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
 
 def run_thresholds(cfg: ThresholdsConfig) -> str:
     table = dp_thresholds(cfg.n_max, cfg.p, cfg.alpha)
-    rows = [(t, int(table[t])) for t in range(1, cfg.n_max + 1)]
-    return _csv("t,H_t", rows)
+    # all-integer rows: format them directly, the same bytes as _csv
+    return "t,H_t\n" + "".join(f"{t},{h}\n" for t, h in enumerate(table[1:].tolist(), start=1))
 
 
 # ---------------------------------------------------------------------------

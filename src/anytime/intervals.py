@@ -14,7 +14,10 @@ convex combination of two nondecreasing functions of ``p`` - so it is
 provably monotone and the endpoint search by bisection always brackets.
 The only non-bracketing cases are the clamped endpoints handled explicitly
 below (mixture never exceeds ``alpha``: empty improvement, endpoint pinned
-to the degenerate side).
+to the degenerate side).  The endpoint is defined as the midpoint of the
+cell a fixed number of halvings ends in; it is computed by steering those
+halvings with a Newton estimate of the crossing and checking the final
+cell with two evaluations of the mixture, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -25,9 +28,13 @@ import math
 
 import numpy as np
 
-from .binom import binom_cdf, binom_sf, log_binom_pmf
+from scipy import special
+
+from .binom import binom_cdf, binom_sf, halve_with_guess, log_binom_pmf
 
 _ENDPOINT_TOL = 1e-10
+_NEWTON_CAP = 40
+_RCP_NEWTON_TOL = 1e-12  # last Newton step; the next error is ~ its square
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,32 +80,79 @@ def rcp_upper_lo(x, n, alpha, w, tol: float = _ENDPOINT_TOL):
 
     Returns the leftmost ``p`` with ``upper_tail_mix(x, n, p, w) > alpha``
     (the interval is ``[that point, 1]``), or the clamped endpoint when the
-    mixture never crosses ``alpha``.  Accepts arrays for ``x`` and ``w``;
-    this same kernel backs the scalar API and the Monte Carlo harness so
-    the two can never drift apart.
+    mixture never crosses ``alpha``.  The answer is the midpoint of the
+    cell that ``ceil(log2(1/tol))`` halvings of ``[0, 1]`` end in, bit for
+    bit; :func:`~anytime.binom.halve_with_guess` reaches that cell from a
+    Newton estimate of the root and checks it with two evaluations of the
+    mixture.  Accepts arrays for ``x``, ``n``, ``alpha`` and ``w``; this
+    same kernel backs the scalar API and the Monte Carlo harness so the
+    two can never drift apart.
     """
-    x = np.asarray(x, dtype=float)
-    w_arr = np.broadcast_to(np.asarray(w, dtype=float), x.shape).copy()
+    x, n, alpha, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, n, alpha, w)))
+    shape = x.shape
+    x, n, alpha, w = (v.ravel() for v in (x, n, alpha, w))
     # Mixture at the endpoints of [0, 1]:  F(1) = 1 unless x = n (then w),
     # F(0) = w for x = 0 and 0 otherwise.
-    f_one = np.where(x >= n, w_arr, 1.0)
-    f_zero = np.where(x <= 0, w_arr, 0.0)
+    f_one = np.where(x >= n, w, 1.0)
+    f_zero = np.where(x <= 0, w, 0.0)
     never = f_one <= alpha  # no p is ever excluded-from-below: clamp to 1
     always = f_zero > alpha  # even p = 0 is retained: endpoint 0
-    lo = np.zeros_like(x)
-    hi = np.ones_like(x)
-    for _ in range(_n_iters(tol)):
-        mid = 0.5 * (lo + hi)
-        above = upper_tail_mix(x, n, mid, w_arr) > alpha
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+    settled = never | always
+    guess = _rcp_root(x, n, alpha, w, settled)
+    lo, hi = halve_with_guess(
+        np.zeros_like(x), np.ones_like(x), guess, _rcp_above, (x, n, alpha, w),
+        _n_iters(tol), settled,
+    )
     out = 0.5 * (lo + hi)
     out = np.where(never, 1.0, np.where(always, 0.0, out))
-    return out
+    return out.reshape(shape)
 
 
 def _n_iters(tol: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / tol)))
+
+
+def _rcp_above(p, x, n, alpha, w):
+    return upper_tail_mix(x, n, p, w) > alpha
+
+
+def _rcp_root(x, n, alpha, w, settled):
+    """Newton estimate of the crossing ``upper_tail_mix(x, n, p, w) = alpha``.
+
+    The mixture ``F = w I_p(x, n-x+1) + (1-w) I_p(x+1, n-x)`` crosses
+    between the two Clopper-Pearson quantiles where each tail alone equals
+    ``alpha``.  Newton steps on ``log F``, clipped to that bracket, use
+    ``dI_p(a, b)/dp = p^(a-1) (1-p)^(b-1) / B(a, b)``; both tails of all
+    elements go through each ``scipy.special`` call as one ``(2, m)``
+    array.  Settled elements are skipped and keep 0.
+    """
+    guess = np.zeros_like(x)
+    act = np.flatnonzero(~settled)
+    if act.size == 0:
+        return guess
+    x, n, alpha, w = x[act], n[act], alpha[act], w[act]
+    has_lo = x >= 1  # I_p(x, n-x+1) is a real tail; x = 0 gives the constant 1
+    has_up = x < n  # I_p(x+1, n-x) is a real tail; x = n gives the constant 0
+    a = np.stack([np.where(has_lo, x, 1.0), np.where(has_up, x + 1.0, n)])
+    b = n - a + 1.0
+    c = np.stack([np.where(has_lo, w, 0.0), np.where(has_up, 1.0 - w, 0.0)])
+    c0 = np.where(has_lo, 0.0, w)
+    quantile = special.betaincinv(a, b, alpha)
+    lo = np.where(has_lo, quantile[0], 0.0)
+    hi = np.where(has_up, quantile[1], 1.0)
+    log_alpha = np.log(alpha)
+    p = lo + (1.0 - w) * (hi - lo)
+    with np.errstate(all="ignore"):
+        log_c = np.log(c) - special.betaln(a, b)  # -inf for a zero weight
+        for _ in range(_NEWTON_CAP):
+            f = c0 + (c * special.betainc(a, b, p)).sum(axis=0)
+            df = np.exp(special.xlogy(a - 1.0, p) + special.xlog1py(b - 1.0, -p) + log_c).sum(axis=0)
+            step = (log_alpha - np.log(f)) * f / df
+            p = np.fmin(np.fmax(p + step, lo), hi)
+            if np.all(np.abs(step) <= _RCP_NEWTON_TOL):
+                break
+    guess[act] = p
+    return guess
 
 
 def rcp_upper(x: int, n: int, alpha: float, w: float) -> Interval:

@@ -63,12 +63,24 @@ class BernoulliSource:
         return (self._rng.random(k) < self.p).astype(np.uint8)
 
 
+def _as_bits(values) -> np.ndarray:
+    """``values`` as a uint8 array, checked to be 0/1 *before* the cast.
+
+    Casting first would turn 0.9 into 0 and 257 into 1 and hand a
+    silently different stream to the deciders.
+    """
+    arr = np.asarray(values)
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("bits must be 0 or 1")
+    return arr.astype(np.uint8)
+
+
 class ArraySource:
     """Bit stream backed by a fixed array; raises when exhausted."""
 
     def __init__(self, bits):
-        self._bits = np.asarray(bits, dtype=np.uint8)
-        if self._bits.ndim != 1 or np.any(self._bits > 1):
+        self._bits = _as_bits(bits)
+        if self._bits.ndim != 1:
             raise ValueError("bits must be a 1-d array of 0/1")
         self._pos = 0
 
@@ -85,7 +97,7 @@ class ArraySource:
 
 
 class IterSource:
-    """Adapter for plain Python iterables of 0/1 values."""
+    """Adapter for plain Python iterables of 0/1 values (checked per chunk)."""
 
     def __init__(self, it: Iterable[int]):
         self._it: Iterator[int] = iter(it)
@@ -94,7 +106,7 @@ class IterSource:
         chunk = list(islice(self._it, k))
         if len(chunk) < k:
             raise RuntimeError("bit stream exhausted")
-        return np.asarray(chunk, dtype=np.uint8)
+        return _as_bits(chunk)
 
 
 def as_bit_source(stream) -> BitSource:

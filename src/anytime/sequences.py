@@ -14,7 +14,9 @@ Two constructions:
   inequality the set ``{p : wealth_t(p) < 1/alpha}`` is a level-``alpha``
   confidence sequence, uniformly over time.  The log-wealth is convex in
   ``p`` with its minimum at the sample mean, so the set is an interval
-  whose endpoints are found by bisection.
+  whose endpoints are defined by a fixed bisection on each side of the
+  mean and computed by a Newton-steered replay of it (same bits, two
+  log-wealth evaluations per endpoint instead of 34).
 
 Both classes expose ``update(bit) -> Interval`` returning the *running*
 intersection (nested by construction).
@@ -29,11 +31,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .binom import Counts
+from .binom import Counts, halve_with_guess
 from .intervals import Interval, rcp_upper_lo
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _ENDPOINT_ITERS = 34  # halvings of [0, 1]: final bracket below 1e-10
+_NEWTON_CAP = 40
+_KT_NEWTON_TOL = 1e-10  # last Newton step in log p; the next error is ~ its square
+_BLOCK = 8192  # elements per betting_endpoints block
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +261,92 @@ def betting_endpoints(heads, trials, alpha):
     arrays ``(lo, up)`` with the endpoints of
     ``{p : kt_log_wealth(heads, trials, p) <= log(1/alpha)}``.
     The log-wealth is convex in ``p``, minimized at the sample mean, so
-    each endpoint is bracketed on one side of the mean and found with a
-    fixed number of halvings (endpoint error below 1e-10).  ``heads = 0``
-    pins the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
+    each endpoint is bracketed on one side of the mean: the answer is the
+    midpoint of the cell that 34 halvings of ``[0, mean]`` (lower) or
+    ``[mean, 1]`` (upper) end in, bit for bit (endpoint error below
+    1e-10).  :func:`~anytime.binom.halve_with_guess` reaches that cell
+    from a Newton estimate of each root and checks it with two log-wealth
+    evaluations; both sides run as one stacked array.  ``heads = 0`` pins
+    the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
     """
-    heads = np.asarray(heads, dtype=float)
-    trials = np.asarray(trials, dtype=float)
+    heads, trials = np.broadcast_arrays(np.asarray(heads, dtype=float), np.asarray(trials, dtype=float))
+    shape = heads.shape
+    heads, trials = heads.ravel(), trials.ravel()
     threshold = math.log(1.0 / alpha)
+    lo, up = np.empty_like(heads), np.empty_like(heads)
+    for start in range(0, heads.size, _BLOCK):  # blocks keep the temporaries small
+        part = slice(start, start + _BLOCK)
+        lo[part], up[part] = _betting_block(heads[part], trials[part], threshold)
+    return lo.reshape(shape), up.reshape(shape)
+
+
+def _betting_block(heads, trials, threshold):
     log_mix = kt_log_mixture(heads, trials)
     mean = heads / trials
     tails = trials - heads
+    has_lo = heads >= 1
+    has_up = heads <= trials - 1
+    # Rows [0, m) solve the lower endpoint, rows [m, 2m) the upper one, in
+    # one array so each numpy call serves both.  For the Newton guess the
+    # upper problem is the lower one with heads and tails swapped, p -> 1 - p.
+    m = heads.size
+    pair = lambda a, b: np.concatenate([a, b])  # noqa: E731
+    upper = np.repeat([False, True], m)
+    active = pair(has_lo, has_up)
+    root = _kt_lower_root(pair(heads, tails), pair(tails, heads), pair(log_mix, log_mix), threshold, active)
+    lo_b, hi_b = halve_with_guess(
+        pair(np.zeros_like(mean), mean),
+        pair(mean, np.ones_like(mean)),
+        np.where(upper, 1.0 - root, root),
+        _kt_above,
+        (pair(log_mix, log_mix), pair(heads, heads), pair(tails, tails), threshold, upper),
+        _ENDPOINT_ITERS,
+        ~active,
+    )
+    mid = 0.5 * (lo_b + hi_b)
+    return np.where(has_lo, mid[:m], 0.0), np.where(has_up, mid[m:], 1.0)
 
-    def log_wealth(p):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return log_mix - special.xlogy(heads, p) - special.xlog1py(tails, -p)
 
-    lo_b, hi_b = np.zeros_like(mean), mean.copy()
-    for _ in range(_ENDPOINT_ITERS):
-        mid = 0.5 * (lo_b + hi_b)
-        inside = log_wealth(mid) <= threshold
-        hi_b = np.where(inside, mid, hi_b)
-        lo_b = np.where(inside, lo_b, mid)
-    lo = np.where(heads >= 1, 0.5 * (lo_b + hi_b), 0.0)
+def _kt_above(p, log_mix, heads, tails, threshold, upper):
+    """Halving predicate of :func:`betting_endpoints`: is the endpoint at or below ``p``?"""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = log_mix - special.xlogy(heads, p) - special.xlog1py(tails, -p) <= threshold
+    return inside != upper
 
-    lo_b, hi_b = mean.copy(), np.ones_like(mean)
-    for _ in range(_ENDPOINT_ITERS):
-        mid = 0.5 * (lo_b + hi_b)
-        inside = log_wealth(mid) <= threshold
-        lo_b = np.where(inside, mid, lo_b)
-        hi_b = np.where(inside, hi_b, mid)
-    up = np.where(heads <= trials - 1, 0.5 * (lo_b + hi_b), 1.0)
-    return lo, up
+
+def _kt_lower_root(heads, tails, log_mix, threshold, active):
+    """Newton estimate of the lower crossing of the log-wealth with ``threshold``.
+
+    In ``u = log p`` the log-wealth ``log_mix - heads u - tails log(1 - e^u)``
+    is convex and decreasing left of the mean.  Newton started at
+    ``u = (log_mix - threshold) / heads``, where the wealth is at or above
+    the threshold, so moves right monotonically and cannot overshoot.
+    Inactive elements (``heads = 0``: no lower crossing) are skipped and
+    keep 0.
+    """
+    root = np.zeros_like(heads)
+    act = np.flatnonzero(active)
+    if act.size == 0:
+        return root
+    h, s, c = heads[act], tails[act], log_mix[act] - threshold
+    safe = c / h
+    with np.errstate(all="ignore"):
+        # Start nearer: the Gaussian approximation of the crossing.  From
+        # the inner side one Newton step crosses to the outer side (the
+        # tangent of a convex function lies below it); the clamp to the
+        # safe start keeps every iterate on the outer side from then on.
+        t = h + s
+        m = h / t
+        excess = special.xlogy(h, m) + special.xlog1py(s, -m) - c  # threshold - log W(mean)
+        u = np.fmax(safe, np.log(m - np.sqrt(2.0 * excess * m * (1.0 - m) / t)))
+        for _ in range(_NEWTON_CAP):
+            e = np.exp(u)
+            step = (c - h * u - s * np.log1p(-e)) / (h - s * e / (1.0 - e))
+            u = np.fmax(safe, u + step)
+            if np.all(np.abs(step) <= _KT_NEWTON_TOL):
+                break
+    root[act] = np.exp(u)
+    return root
 
 
 class BettingCS:

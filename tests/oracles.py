@@ -6,6 +6,11 @@ rational sums via :mod:`fractions`, the Gaussian cdf comes from
 mixture from exact double-factorial products.  All of it is O(n) or
 worse per call; the point is to pin the fast code paths against
 arithmetic that cannot share their bugs.
+
+The one exception is the last section: the plain fixed-count endpoint
+bisections, written with the same float expressions and ``scipy.special``
+calls as the library's predicates, so the fast solvers can be required
+to return the very same bits.
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
+from scipy import special
 
 
 # ---------------------------------------------------------------------------
@@ -111,3 +119,72 @@ def brute_halting_heads(t: int, p: Fraction, alpha: Fraction) -> int:
 
 def exact_hoeffding_halfwidth(t: int, alpha: float) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * t))
+
+
+# ---------------------------------------------------------------------------
+# Plain endpoint bisections (bit-exact references for the fast solvers)
+
+ENDPOINT_ITERS = 34  # halvings of [0, 1]: final bracket below 1e-10
+
+
+def _float_sf(x, n, p):
+    """``P(B(n, p) >= x)`` with the float arithmetic of ``anytime.binom.binom_sf``."""
+    x, n, p = np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(n, dtype=float), np.asarray(p, dtype=float)
+    )
+    interior = (x >= 1) & (x <= n)
+    xs = np.where(interior, x, 1.0)
+    ns = np.where(n >= 1, n, 1.0)
+    out = special.betainc(xs, ns - xs + 1.0, p)
+    return np.where(x <= 0, 1.0, np.where(x > n, 0.0, out))
+
+
+def bisect_rcp_upper_lo(x, n, alpha, w, iters: int = ENDPOINT_ITERS):
+    """Randomized-CP lower endpoint by ``iters`` plain halvings of [0, 1]."""
+    x = np.asarray(x, dtype=float)
+    w = np.broadcast_to(np.asarray(w, dtype=float), x.shape).copy()
+    never = np.where(x >= n, w, 1.0) <= alpha
+    always = np.where(x <= 0, w, 0.0) > alpha
+    lo, hi = np.zeros_like(x), np.ones_like(x)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        above = w * _float_sf(x, n, mid) + (1.0 - w) * _float_sf(x + 1, n, mid) > alpha
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.where(never, 1.0, np.where(always, 0.0, 0.5 * (lo + hi)))
+
+
+def bisect_betting_endpoints(heads, trials, alpha, iters: int = ENDPOINT_ITERS):
+    """Betting-CS endpoints by ``iters`` plain halvings on each side of the mean."""
+    heads = np.asarray(heads, dtype=float)
+    trials = np.asarray(trials, dtype=float)
+    threshold = math.log(1.0 / alpha)
+    log_mix = (
+        special.gammaln(heads + 0.5)
+        + special.gammaln(trials - heads + 0.5)
+        - 2.0 * (0.5 * math.log(math.pi))
+        - special.gammaln(trials + 1.0)
+    )
+    mean = heads / trials
+    tails = trials - heads
+
+    def inside(p):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return log_mix - special.xlogy(heads, p) - special.xlog1py(tails, -p) <= threshold
+
+    lo_b, hi_b = np.zeros_like(mean), mean.copy()
+    for _ in range(iters):
+        mid = 0.5 * (lo_b + hi_b)
+        keep = inside(mid)
+        hi_b = np.where(keep, mid, hi_b)
+        lo_b = np.where(keep, lo_b, mid)
+    lo = np.where(heads >= 1, 0.5 * (lo_b + hi_b), 0.0)
+
+    lo_b, hi_b = mean.copy(), np.ones_like(mean)
+    for _ in range(iters):
+        mid = 0.5 * (lo_b + hi_b)
+        keep = inside(mid)
+        lo_b = np.where(keep, mid, lo_b)
+        hi_b = np.where(keep, hi_b, mid)
+    up = np.where(heads <= trials - 1, 0.5 * (lo_b + hi_b), 1.0)
+    return lo, up

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from anytime.certify import width_target_run
+from anytime.decision import Verdict, decide_with_cs
 from anytime.sampling import (
     ArraySource,
     BernoulliSource,
@@ -88,6 +90,46 @@ class TestSources:
     def test_as_bit_source_passthrough(self):
         src = ArraySource([1])
         assert as_bit_source(src) is src
+
+
+class TestRejectNonBits:
+    """Values other than 0/1 must raise, never be cast into a verdict."""
+
+    @pytest.mark.parametrize("bits", [[0.9, 0.0], [2, 1], [1, -1], [np.nan], [257]])
+    def test_array_source_checks_before_cast(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ArraySource(np.array(bits))
+
+    def test_iter_source_checks_each_chunk(self):
+        src = IterSource(iter([1, 0, 2, 1]))
+        np.testing.assert_array_equal(src.take(2), [1, 0])
+        with pytest.raises(ValueError, match="0 or 1"):
+            src.take(2)
+
+    def test_bools_and_float_bits_pass(self):
+        np.testing.assert_array_equal(ArraySource(np.array([True, False])).take(2), [1, 0])
+        np.testing.assert_array_equal(IterSource([1.0, 0.0]).take(2), [1, 0])
+
+    def test_fractional_array_is_no_betting_verdict(self):
+        # cast first, 0.9 became 0 and this returned GREATER at t = 7
+        with pytest.raises(ValueError, match="0 or 1"):
+            decide_with_cs("betting", 0.5, np.array([0.9] * 200), 0.05, cap=200)
+
+    @pytest.mark.parametrize("kind", ["betting", "union"])
+    def test_stream_of_twos_is_no_verdict(self, kind):
+        # cast first, this returned LESS (betting at t = 3, union at t = 1)
+        with pytest.raises(ValueError, match="0 or 1"):
+            decide_with_cs(kind, 0.5, iter([2] * 200), 0.05, cap=200)
+
+    @pytest.mark.parametrize("kind", ["betting", "union"])
+    @pytest.mark.parametrize("wrap", [list, np.array])
+    def test_width_target_rejects_sevens_at_the_input(self, kind, wrap):
+        with pytest.raises(ValueError, match="0 or 1"):
+            width_target_run(wrap([7] * 100), 0.1, 0.05, cs_kind=kind, cap=100)
+
+    def test_valid_stream_still_decides(self):
+        verdict, _ = decide_with_cs("betting", 0.5, np.ones(200), 0.05, cap=200)
+        assert verdict is Verdict.LESS
 
 
 class TestClampTake:
