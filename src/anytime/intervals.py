@@ -146,7 +146,8 @@ def _rcp_root(x, n, alpha, w, settled):
         log_c = np.log(c) - special.betaln(a, b)  # -inf for a zero weight
         for _ in range(_NEWTON_CAP):
             f = c0 + (c * special.betainc(a, b, p)).sum(axis=0)
-            df = np.exp(special.xlogy(a - 1.0, p) + special.xlog1py(b - 1.0, -p) + log_c).sum(axis=0)
+            log_df = special.xlogy(a - 1.0, p) + special.xlog1py(b - 1.0, -p) + log_c
+            df = np.exp(log_df).sum(axis=0)
             step = (log_alpha - np.log(f)) * f / df
             p = np.fmin(np.fmax(p + step, lo), hi)
             if np.all(np.abs(step) <= _RCP_NEWTON_TOL):

@@ -269,7 +269,9 @@ def betting_endpoints(heads, trials, alpha):
     evaluations; both sides run as one stacked array.  ``heads = 0`` pins
     the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
     """
-    heads, trials = np.broadcast_arrays(np.asarray(heads, dtype=float), np.asarray(trials, dtype=float))
+    heads, trials = np.broadcast_arrays(
+        np.asarray(heads, dtype=float), np.asarray(trials, dtype=float)
+    )
     shape = heads.shape
     heads, trials = heads.ravel(), trials.ravel()
     threshold = math.log(1.0 / alpha)
@@ -290,16 +292,17 @@ def _betting_block(heads, trials, threshold):
     # one array so each numpy call serves both.  For the Newton guess the
     # upper problem is the lower one with heads and tails swapped, p -> 1 - p.
     m = heads.size
-    pair = lambda a, b: np.concatenate([a, b])  # noqa: E731
+    cat = np.concatenate
     upper = np.repeat([False, True], m)
-    active = pair(has_lo, has_up)
-    root = _kt_lower_root(pair(heads, tails), pair(tails, heads), pair(log_mix, log_mix), threshold, active)
+    active = cat([has_lo, has_up])
+    log_mix2 = cat([log_mix, log_mix])
+    root = _kt_lower_root(cat([heads, tails]), cat([tails, heads]), log_mix2, threshold, active)
     lo_b, hi_b = halve_with_guess(
-        pair(np.zeros_like(mean), mean),
-        pair(mean, np.ones_like(mean)),
+        cat([np.zeros_like(mean), mean]),
+        cat([mean, np.ones_like(mean)]),
         np.where(upper, 1.0 - root, root),
         _kt_above,
-        (pair(log_mix, log_mix), pair(heads, heads), pair(tails, tails), threshold, upper),
+        (log_mix2, cat([heads, heads]), cat([tails, tails]), threshold, upper),
         _ENDPOINT_ITERS,
         ~active,
     )
@@ -318,11 +321,15 @@ def _kt_lower_root(heads, tails, log_mix, threshold, active):
     """Newton estimate of the lower crossing of the log-wealth with ``threshold``.
 
     In ``u = log p`` the log-wealth ``log_mix - heads u - tails log(1 - e^u)``
-    is convex and decreasing left of the mean.  Newton started at
-    ``u = (log_mix - threshold) / heads``, where the wealth is at or above
-    the threshold, so moves right monotonically and cannot overshoot.
-    Inactive elements (``heads = 0``: no lower crossing) are skipped and
-    keep 0.
+    is convex and decreasing left of the mean, and at or above the
+    threshold at the safe point ``u = (log_mix - threshold) / heads``.
+    Newton starts at the larger of that point and the Gaussian
+    approximation of the crossing, and no iterate goes below the safe
+    point.  On the outer side (wealth above the threshold) the tangent of
+    the convex function lies below it, so the iterates move right
+    monotonically and cannot overshoot; a start on the inner side crosses
+    to the outer side in one step.  Inactive elements (``heads = 0``: no
+    lower crossing) are skipped and keep 0.
     """
     root = np.zeros_like(heads)
     act = np.flatnonzero(active)
@@ -331,10 +338,6 @@ def _kt_lower_root(heads, tails, log_mix, threshold, active):
     h, s, c = heads[act], tails[act], log_mix[act] - threshold
     safe = c / h
     with np.errstate(all="ignore"):
-        # Start nearer: the Gaussian approximation of the crossing.  From
-        # the inner side one Newton step crosses to the outer side (the
-        # tangent of a convex function lies below it); the clamp to the
-        # safe start keeps every iterate on the outer side from then on.
         t = h + s
         m = h / t
         excess = special.xlogy(h, m) + special.xlog1py(s, -m) - c  # threshold - log W(mean)
