@@ -236,7 +236,14 @@ def halve_with_guess(lo, hi, guess, above: Callable, params: tuple, iters: int, 
     not checked.  ``params`` are 1-d arrays aligned with ``lo``, or
     scalars, passed on to ``above``.
     """
-    lo_f, hi_f = halve(lo, hi, lambda mid: mid > guess, iters)
+    if iters <= 52 and not lo.any() and (hi == 1.0).all():
+        # From [0, 1] every midpoint is an exact dyadic rational, so the
+        # replay ends in the level-``iters`` dyadic cell holding the guess.
+        scale = 2.0**iters
+        lo_f = np.clip(np.floor(guess * scale), 0.0, scale - 1.0) / scale
+        hi_f = lo_f + 1.0 / scale
+    else:
+        lo_f, hi_f = halve(lo, hi, guess.__lt__, iters)
     ends = above(np.stack([lo_f, hi_f]), *params)
     failed = np.flatnonzero(~settled & (ends[0] | ~ends[1]))
     if failed.size:

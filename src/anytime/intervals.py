@@ -34,7 +34,7 @@ from .binom import binom_cdf, binom_sf, halve_with_guess, log_binom_pmf
 
 _ENDPOINT_TOL = 1e-10
 _NEWTON_CAP = 40
-_RCP_NEWTON_TOL = 1e-12  # last Newton step; the next error is ~ its square
+_RCP_NEWTON_TOL = 1e-9  # last Newton step; the next error is ~ its square
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,9 +144,10 @@ def _rcp_root(x, n, alpha, w, settled):
     p = lo + (1.0 - w) * (hi - lo)
     with np.errstate(all="ignore"):
         log_c = np.log(c) - special.betaln(a, b)  # -inf for a zero weight
+        a1, b1 = a - 1.0, b - 1.0
         for _ in range(_NEWTON_CAP):
             f = c0 + (c * special.betainc(a, b, p)).sum(axis=0)
-            log_df = special.xlogy(a - 1.0, p) + special.xlog1py(b - 1.0, -p) + log_c
+            log_df = special.xlogy(a1, p) + special.xlog1py(b1, -p) + log_c
             df = np.exp(log_df).sum(axis=0)
             step = (log_alpha - np.log(f)) * f / df
             p = np.fmin(np.fmax(p + step, lo), hi)
