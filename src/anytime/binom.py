@@ -223,7 +223,7 @@ def halve(lo, hi, above: Callable, iters: int):
 
 
 def halve_with_guess(lo, hi, guess, above: Callable, params: tuple, iters: int, settled):
-    """``halve(lo, hi, lambda mid: above(mid, *params), iters)`` in two predicate calls.
+    """``halve(lo, hi, lambda mid: above(mid, *params), iters)``, two predicate values each.
 
     The halvings are replayed with the decision ``mid > guess`` in place
     of ``above(mid, *params)``, and the predicate is then evaluated only

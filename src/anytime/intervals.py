@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-
 from scipy import special
 
 from .binom import binom_cdf, binom_sf, halve_with_guess, log_binom_pmf
