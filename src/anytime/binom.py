@@ -9,6 +9,9 @@ incomplete beta identity
 
 which stays accurate (~1e-13 relative) for tails far below the 1e-9
 absolute accuracy the callers need, and broadcasts over numpy arrays.
+Calls whose arguments are all Python numbers (the per-stage checks of
+the deciders) skip the array machinery and make one ``special.betainc``
+call on floats, which gives the same value as a one-element array.
 
 Conventions (they differ from scipy.stats.binom, mind the inequality):
 
@@ -46,12 +49,34 @@ class Counts(NamedTuple):
         return self.heads / self.trials if self.trials else 0.5
 
 
+_N_ERROR = "n must be nonnegative"
+_P_ERROR = "p must lie in [0, 1]"
+_NUMBER = (int, float)
+
+
 def _check_n_p(n, p) -> None:
-    if np.any(np.asarray(n) < 0):
-        raise ValueError("n must be nonnegative")
+    # ``not all(in range)`` rather than ``any(out of range)``: NaN fails too
+    if not (np.asarray(n) >= 0).all():
+        raise ValueError(_N_ERROR)
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise ValueError("p must lie in [0, 1]")
+    if not ((p_arr >= 0.0).all() and (p_arr <= 1.0).all()):
+        raise ValueError(_P_ERROR)
+
+
+def _scalar_args(x, n, p) -> bool:
+    """Whether ``x``, ``n``, ``p`` are all Python numbers; validates ``n`` and ``p`` if so.
+
+    Such calls (one tail per decision stage) take the float path of the
+    tails below: plain comparisons and one ``special.betainc`` call, the
+    same value the array path gives, without its array conversions.
+    """
+    if not (isinstance(x, _NUMBER) and isinstance(n, _NUMBER) and isinstance(p, _NUMBER)):
+        return False
+    if not n >= 0.0:
+        raise ValueError(_N_ERROR)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(_P_ERROR)
+    return True
 
 
 def _as_result(value: np.ndarray, scalar: bool) -> float | np.ndarray:
@@ -102,6 +127,15 @@ def binom_sf(x, n, p):
     regularized incomplete beta identity ``I_p(x, n - x + 1)`` is used.
     Broadcasts over array inputs.
     """
+    if _scalar_args(x, n, p):
+        x, n = float(x), float(n)
+        if x <= 0.0:
+            return 1.0
+        if x > n:
+            return 0.0
+        if not x >= 1.0:  # fractional x in (0, 1), or NaN: the array path's placeholders
+            x, n = 1.0, max(n, 1.0)
+        return float(special.betainc(x, n - x + 1.0, p))
     _check_n_p(n, p)
     scalar = np.isscalar(x) and np.isscalar(n) and np.isscalar(p)
     x, n, p = np.broadcast_arrays(
@@ -122,6 +156,15 @@ def binom_cdf(x, n, p):
     ``I_{1-p}(n - x, x + 1)``, which keeps tiny lower tails accurate
     instead of computing ``1 - binom_sf``.
     """
+    if _scalar_args(x, n, p):
+        x, n = float(x), float(n)
+        if x < 0.0:
+            return 0.0
+        if x >= n:
+            return 1.0
+        if not x <= n - 1.0:  # fractional x in (n - 1, n), or NaN: the array path's placeholders
+            x, n = 0.0, max(n, 1.0)
+        return float(special.betainc(n - x, x + 1.0, 1.0 - p))
     _check_n_p(n, p)
     scalar = np.isscalar(x) and np.isscalar(n) and np.isscalar(p)
     x, n, p = np.broadcast_arrays(

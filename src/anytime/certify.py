@@ -28,7 +28,7 @@ import numpy as np
 from .binom import bisect_monotone, gauss_quantile
 from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo
-from .sampling import as_bit_source, clamp_take
+from .sampling import ZeroOneSource, as_bit_source, clamp_take
 from .sequences import Schedule, betting_endpoints
 
 DEFAULT_WARMUP = 100
@@ -99,7 +99,7 @@ def sample_oracle(oracle: ClassOracle) -> int:
     return int(oracle.sample(1)[0])
 
 
-class _IndicatorSource:
+class _IndicatorSource(ZeroOneSource):
     """Bit stream "the oracle emitted the target class"."""
 
     def __init__(self, oracle: ClassOracle, target: int):

@@ -48,7 +48,7 @@ from .config import (
 from .decision import DEFAULT_CAP, METHODS, benchmark_sweep
 from .intervals import enumeration_coverage
 from .mc import betting_trace, mc_coverage, union_trace
-from .sampling import substream, substream_id
+from .sampling import seed_sequence, substream, substream_id
 from .sequences import Schedule, dp_thresholds
 
 
@@ -176,8 +176,8 @@ def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
         spec = CertSpec(cfg.sigma, radius, cfg.alpha, cfg.mode, cfg.lam)
         out = []
         for trial in range(cfg.trials):
-            rng = substream(cfg.seed, "certify", cs, ri, trial)
-            sid = substream_id(cfg.seed, "certify", cs, ri, trial)
+            seq = seed_sequence(cfg.seed, "certify", cs, ri, trial)
+            rng, sid = substream(seq), substream_id(seq)
             oracle_rng, w_rng = rng.spawn(2)
             oracle = ClassOracle(cfg.probs, oracle_rng)
             if cs == "adaptive":

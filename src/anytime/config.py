@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .certify import CERT_MODES
-from .decision import METHODS
+from .decision import METHODS, _check_alpha
 
 SEED_ENV = "ANYTIME_SEED"
 THREADS_ENV = "ANYTIME_THREADS"
@@ -36,11 +36,6 @@ def env_int(name: str, fallback: int) -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _check_probs(name: str, values) -> None:

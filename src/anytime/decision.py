@@ -32,12 +32,20 @@ from .intervals import (
     lower_tail_mix,
     upper_tail_mix,
 )
-from .sampling import BernoulliSource, as_bit_source, clamp_take, substream, substream_id
+from .sampling import (
+    BernoulliSource,
+    as_bit_source,
+    clamp_take,
+    seed_sequence,
+    substream,
+    substream_id,
+)
 from .sequences import Schedule, kt_log_wealth
 
 DEFAULT_STAGES = (100, 1_000, 10_000, 120_000)
 DEFAULT_CAP = 1_000_000
 _BLOCK = 4096
+_FIRST_BLOCK = 64  # block-mode deciders start here and double up to ``block``
 
 METHODS = ("sprt", "betting", "union", "adaptive")
 
@@ -115,6 +123,10 @@ def decide_with_cs(
     rng : Generator, optional
         Randomization draws for the union kind's randomized CP pairs
         (``None`` uses the deterministic pairs).
+    block : int
+        Largest number of bits the betting kind draws and scores at once;
+        blocks start at 64 and double up to it.  The verdict is the first
+        crossing, so it does not depend on ``block``.
 
     Returns
     -------
@@ -140,8 +152,10 @@ def decide_with_cs(
 def _decide_betting(p, source, alpha, cap, block):
     threshold = math.log(1.0 / alpha)
     heads, t = 0, 0
+    size = min(_FIRST_BLOCK, block)
     while t < cap:
-        k = clamp_take(source, min(block, cap - t))
+        k = clamp_take(source, min(size, cap - t))
+        size = min(2 * size, block)
         bits = source.take(k)
         h_cum = heads + np.cumsum(bits, dtype=np.int64)
         t_cum = t + np.arange(1, k + 1, dtype=np.int64)
@@ -188,7 +202,9 @@ def sprt_ideal(
     ``q - p``), or ``-log(1/alpha)`` -> declare for ``p`` (mirrored
     verdict).  Wrong-verdict probability is at most ``alpha`` by the
     classical SPRT bound; this is the per-instance yardstick the
-    threshold-agnostic methods are measured against.
+    threshold-agnostic methods are measured against.  Bits are drawn in
+    blocks that start at 64 and double up to ``block``; the log likelihood
+    ratio is one running sum, so the verdict does not depend on ``block``.
     """
     _check_threshold(p)
     _check_threshold(q)
@@ -203,11 +219,16 @@ def sprt_ideal(
     for_p = Verdict.GREATER if q > p else Verdict.LESS
     llr = 0.0
     t = 0
+    size = min(_FIRST_BLOCK, block)
     while t < cap:
-        k = clamp_take(source, min(block, cap - t))
+        k = clamp_take(source, min(size, cap - t))
+        size = min(2 * size, block)
         bits = source.take(k)
         steps = np.where(bits == 1, head_step, tail_step)
-        path = llr + np.cumsum(steps)
+        # carried into the first step, so the path is one running sum
+        # whatever the block sizes (cumsum adds in order)
+        steps[0] += llr
+        path = np.cumsum(steps)
         hit = (path >= threshold) | (path <= -threshold)
         if hit.any():
             i = int(np.argmax(hit))
@@ -396,8 +417,8 @@ def benchmark_sweep(
         p = grid[gi]
         records = []
         for trial in range(trials):
-            rng = substream(seed, method, gi, trial)
-            sid = substream_id(seed, method, gi, trial)
+            seq = seed_sequence(seed, method, gi, trial)
+            rng, sid = substream(seq), substream_id(seq)
             start = time.perf_counter_ns()
             verdict, samples = run_trial(
                 method, p, q, alpha, cap, rng, schedule=schedule, stages=stages

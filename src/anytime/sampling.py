@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import islice
-from typing import Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -26,19 +26,37 @@ def _key_int(part) -> int:
     raise TypeError(f"substream path parts must be int or str, got {type(part)!r}")
 
 
-def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+def _seed_sequence(seed, path: tuple) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.SeedSequence) and not path:
+        return seed
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_key_int(p) for p in path))
 
 
-def substream(seed: int, *path) -> np.random.Generator:
-    """Independent generator for the substream addressed by ``(seed, *path)``."""
+def seed_sequence(seed: int, *path) -> np.random.SeedSequence:
+    """The ``SeedSequence`` addressed by ``(seed, *path)``.
+
+    :func:`substream` and :func:`substream_id` accept it in place of
+    ``(seed, *path)``, so a trial that needs both its generator and its
+    recorded id derives the path once.
+    """
+    return _seed_sequence(seed, path)
+
+
+def substream(seed, *path) -> np.random.Generator:
+    """Independent generator for the substream addressed by ``(seed, *path)``.
+
+    ``seed`` may instead be a :func:`seed_sequence` (and ``path`` empty).
+    """
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
-def substream_id(seed: int, *path) -> int:
-    """Stable 64-bit fingerprint of a substream (recorded in output rows)."""
+def substream_id(seed, *path) -> int:
+    """Stable 64-bit fingerprint of a substream (recorded in output rows).
+
+    ``seed`` may instead be a :func:`seed_sequence` (and ``path`` empty).
+    """
     return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
@@ -50,7 +68,15 @@ class BitSource(Protocol):
         ...
 
 
-class BernoulliSource:
+class ZeroOneSource:
+    """Base of sources whose blocks are 0/1 ``uint8`` arrays by construction.
+
+    :func:`as_bit_source` passes these through; any other object with a
+    ``take`` method gets each block checked.
+    """
+
+
+class BernoulliSource(ZeroOneSource):
     """I.i.d. Bernoulli(p) bits drawn from a generator."""
 
     def __init__(self, rng: np.random.Generator, p: float):
@@ -75,7 +101,7 @@ def _as_bits(values) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-class ArraySource:
+class ArraySource(ZeroOneSource):
     """Bit stream backed by a fixed array; raises when exhausted."""
 
     def __init__(self, bits):
@@ -96,7 +122,7 @@ class ArraySource:
         return self._bits.size - self._pos
 
 
-class IterSource:
+class IterSource(ZeroOneSource):
     """Adapter for plain Python iterables of 0/1 values (checked per chunk)."""
 
     def __init__(self, it: Iterable[int]):
@@ -109,12 +135,32 @@ class IterSource:
         return _as_bits(chunk)
 
 
+class _CheckedSource(ZeroOneSource):
+    """A caller's source with every block checked to be 0/1."""
+
+    def __init__(self, source):
+        self._source = source
+
+    def take(self, k: int) -> np.ndarray:
+        return _as_bits(self._source.take(k))
+
+    @property
+    def remaining(self) -> Optional[int]:
+        return getattr(self._source, "remaining", None)
+
+
 def as_bit_source(stream) -> BitSource:
-    """Coerce a stream argument (source, array, or iterable) to a BitSource."""
+    """Coerce a stream argument (source, array, or iterable) to a BitSource.
+
+    A source that is not a :class:`ZeroOneSource` is wrapped so that a
+    block of 0.9s or 7s raises instead of being read as bits.
+    """
+    if isinstance(stream, ZeroOneSource):
+        return stream
     if isinstance(stream, np.ndarray):  # before the duck check: ndarray has .take
         return ArraySource(stream)
     if hasattr(stream, "take"):
-        return stream
+        return _CheckedSource(stream)
     return IterSource(stream)
 
 

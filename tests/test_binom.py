@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anytime.binom import Counts, binom_cdf, binom_sf, bisect_monotone, gauss_quantile, log_binom_pmf
@@ -71,6 +71,55 @@ class TestTails:
     def test_log_pmf(self, x, n, p):
         exact = float(exact_binom_pmf(x, n, Fraction(p).limit_denominator(10**9)))
         np.testing.assert_allclose(math.exp(float(log_binom_pmf(x, n, p))), exact, rtol=1e-12)
+
+
+class TestScalarPath:
+    """Python-number arguments take the float path; it must return the array path's bits."""
+
+    @given(
+        x=st.integers(-3, 60),
+        n=st.integers(0, 50),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @example(x=0, n=0, p=0.5)
+    @example(x=1, n=0, p=0.5)
+    @example(x=-1, n=0, p=0.0)
+    @example(x=0, n=5, p=1.0)
+    @example(x=5, n=5, p=0.0)
+    @example(x=6, n=5, p=0.3)
+    @example(x=-2, n=5, p=0.3)
+    def test_scalar_equals_one_element_array(self, x, n, p):
+        for tail in (binom_sf, binom_cdf):
+            scalar = tail(x, n, p)
+            vector = tail(np.array([x]), np.array([n]), np.array([p]))
+            assert type(scalar) is float
+            assert scalar == vector[0]
+
+    @pytest.mark.parametrize("x,n", [(0.5, 3), (0.5, 0.25), (2.5, 3), (float("nan"), 3)])
+    def test_fractional_counts_match_too(self, x, n):
+        for tail in (binom_sf, binom_cdf):
+            assert tail(x, n, 0.3) == tail(np.array([x]), np.array([n]), np.array([0.3]))[0]
+
+
+class TestRejectsBadParameters:
+    """NaN and out-of-range ``n`` or ``p`` raise on the scalar and the array path alike."""
+
+    @pytest.mark.parametrize("fn", [binom_sf, binom_cdf, log_binom_pmf])
+    @pytest.mark.parametrize(
+        "n,p,match",
+        [
+            (10, math.nan, "p must"),
+            (math.nan, 0.3, "n must"),
+            (10, 1.5, "p must"),
+            (10, -0.1, "p must"),
+            (-1, 0.3, "n must"),
+        ],
+    )
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: np.array([v])], ids=["scalar", "array"])
+    def test_raises(self, fn, n, p, match, wrap):
+        # before the check, binom_sf(3, 10, nan) gave nan and binom_sf(3, nan, 0.3) gave 0.3
+        with pytest.raises(ValueError, match=match):
+            fn(wrap(3), wrap(n), wrap(p))
 
 
 class TestGaussQuantile:

@@ -133,6 +133,34 @@ class TestDecideWithCs:
             decide_with_cs("mystery", 0.5, ones(4), 0.05, cap=4)
 
 
+class TestBlockSizes:
+    """Verdicts are first crossings, so the block cap must not change them.
+
+    The first ``p`` of each test decides after 8,128 bits, where blocks
+    growing from 64 have reached the 4,096 cap.
+    """
+
+    BITS = (substream(17, "blocks").random(30_000) < 0.6).astype(np.int64)
+
+    @pytest.mark.parametrize("p", [0.58, 0.63, 0.3])
+    def test_betting_verdict_independent_of_block(self, p):
+        outcomes = {
+            block: decide_with_cs("betting", p, ArraySource(self.BITS), 0.01, cap=30_000, block=block)
+            for block in (1, 7, 4096)
+        }
+        assert len(set(outcomes.values())) == 1, outcomes
+        assert outcomes[4096][0] is not Verdict.UNDECIDED
+
+    @pytest.mark.parametrize("p", [0.585, 0.65, 0.3])
+    def test_sprt_verdict_independent_of_block(self, p):
+        outcomes = {
+            block: sprt_ideal(p, 0.6, 0.001, ArraySource(self.BITS), cap=30_000, block=block)
+            for block in (1, 7, 4096)
+        }
+        assert len(set(outcomes.values())) == 1, outcomes
+        assert outcomes[4096][0] is not Verdict.UNDECIDED
+
+
 class TestStagedAdaptive:
     def test_far_gap_decides_at_first_stage(self):
         hits = 0

@@ -10,14 +10,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from anytime.certify import width_target_run
-from anytime.decision import Verdict, decide_with_cs
+from anytime.certify import ClassOracle, _IndicatorSource, width_target_run
+from anytime.decision import Verdict, decide_with_cs, sprt_ideal, staged_adaptive
 from anytime.sampling import (
     ArraySource,
     BernoulliSource,
     IterSource,
     as_bit_source,
     clamp_take,
+    seed_sequence,
     substream,
     substream_id,
 )
@@ -44,6 +45,18 @@ class TestSubstream:
         assert substream_id(42, "decide", 0, 0) == substream_id(42, "decide", 0, 0)
         assert substream_id(42, "a") != substream_id(42, "b")
         assert 0 <= substream_id(42, "a") < 2**64
+
+    @pytest.mark.parametrize("path", [("decide", 3, 17), ("union", 0, 0), ()])
+    def test_one_derivation_gives_both(self, path):
+        seq = seed_sequence(42, *path)
+        rng, sid = substream(seq), substream_id(seq)
+        reference = substream(42, *path)
+        assert sid == substream_id(42, *path)
+        np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
+        np.testing.assert_array_equal(rng.random(16), reference.random(16))
+        # the union decider spawns its bit and draw streams from the trial's generator
+        for child, ref_child in zip(rng.spawn(2), reference.spawn(2)):
+            np.testing.assert_array_equal(child.random(8), ref_child.random(8))
 
     def test_block_draws_equal_single_draws(self):
         block = substream(11, "bits").random(32)
@@ -88,8 +101,15 @@ class TestSources:
         np.testing.assert_array_equal(src.take(3), [1, 0, 1])
 
     def test_as_bit_source_passthrough(self):
-        src = ArraySource([1])
-        assert as_bit_source(src) is src
+        # the package's own sources are 0/1 by construction and not wrapped
+        sources = [
+            ArraySource([1]),
+            BernoulliSource(substream(1, "own"), 0.5),
+            IterSource([1, 0]),
+            _IndicatorSource(ClassOracle((0.5, 0.5), substream(1, "own-oracle")), 0),
+        ]
+        for src in sources:
+            assert as_bit_source(src) is src
 
 
 class TestRejectNonBits:
@@ -130,6 +150,43 @@ class TestRejectNonBits:
     def test_valid_stream_still_decides(self):
         verdict, _ = decide_with_cs("betting", 0.5, np.ones(200), 0.05, cap=200)
         assert verdict is Verdict.LESS
+
+
+class _Constant:
+    """A caller's source with a ``take`` method that hands out one fixed value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def take(self, k: int) -> np.ndarray:
+        return np.full(k, self.value)
+
+
+class TestCustomSources:
+    """Blocks from a caller's ``take`` are checked before any decider reads them."""
+
+    def test_sevens_are_no_betting_verdict(self):
+        # unchecked, this returned LESS after 2 bits
+        with pytest.raises(ValueError, match="0 or 1"):
+            decide_with_cs("betting", 0.5, _Constant(7), 0.05, cap=200)
+
+    def test_fractions_are_no_sprt_or_staged_verdict(self):
+        # unchecked, sprt_ideal returned GREATER at t = 6 and staged_adaptive LESS at t = 100
+        with pytest.raises(ValueError, match="0 or 1"):
+            sprt_ideal(0.5, 0.7, 0.05, _Constant(0.9), cap=200)
+        with pytest.raises(ValueError, match="0 or 1"):
+            staged_adaptive(0.5, _Constant(0.9), 0.05)
+
+    def test_valid_custom_source_decides(self):
+        verdict, samples = decide_with_cs("betting", 0.5, _Constant(1), 0.05, cap=200)
+        assert verdict is Verdict.LESS and samples == 7  # as for an all-ones array
+
+    def test_wrapper_keeps_remaining(self):
+        class Finite(_Constant):
+            remaining = 3
+
+        assert clamp_take(as_bit_source(Finite(1)), 10) == 3
+        assert clamp_take(as_bit_source(_Constant(1)), 10) == 10
 
 
 class TestClampTake:
