@@ -28,7 +28,7 @@ import numpy as np
 from .binom import bisect_monotone, gauss_quantile
 from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo
-from .sampling import ZeroOneSource, as_bit_source, clamp_take
+from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
 from .sequences import Schedule, betting_endpoints
 
 DEFAULT_WARMUP = 100
@@ -349,7 +349,7 @@ def certify_staged(
     source = _IndicatorSource(oracle, target_class)
     heads, t = 0, 0
     for n_i in stages:
-        heads += int(source.take(n_i - t).sum())
+        heads += count_ones(source, n_i - t)
         t = n_i
         if cp_upper(heads, t, per_stage).lo > p_star:
             return Verdict.GREATER, t
@@ -420,7 +420,7 @@ def _width_target_union(source, eps, cap, sched, rng):
     heads, t = 0, 0
     for k_idx, t_k in enumerate(sched.boundaries(cap), start=1):
         t_k = int(t_k)
-        heads += int(source.take(t_k - t).sum())
+        heads += count_ones(source, t_k - t)
         t = t_k
         per_side = sched.budget(k_idx) / 2.0
         w_lo = 1.0 if rng is None else float(rng.random())

@@ -36,6 +36,7 @@ from .sampling import (
     BernoulliSource,
     as_bit_source,
     clamp_take,
+    count_ones,
     seed_sequence,
     substream,
     substream_id,
@@ -171,7 +172,7 @@ def _decide_betting(p, source, alpha, cap, block):
 def _decide_union(p, source, schedule, cap, rng):
     heads, t = 0, 0
     for k, t_k in enumerate(schedule.boundaries(cap), start=1):
-        heads += int(source.take(int(t_k) - t).sum())
+        heads += count_ones(source, int(t_k) - t)
         t = int(t_k)
         per_side = schedule.budget(k) / 2.0
         w_up = 1.0 if rng is None else float(rng.random())
@@ -275,7 +276,7 @@ def staged_adaptive(
     per_side = alpha / (2.0 * len(stages))
     heads, t = 0, 0
     for n_i in stages:
-        heads += int(source.take(n_i - t).sum())
+        heads += count_ones(source, n_i - t)
         t = n_i
         if float(binom_sf(heads, t, p)) < per_side:
             return Verdict.LESS, t  # lower bound above the threshold
@@ -311,7 +312,7 @@ def nonadaptive_hoeffding(
     _check_threshold(q_hyp)
     n = hoeffding_sample_size(eps, gamma)
     source = as_bit_source(stream)
-    heads = int(source.take(n).sum())
+    heads = count_ones(source, n)
     interval = hoeffding_interval(heads, n, gamma)
     if interval.contains(q_hyp):
         return EqualityOutcome(Verdict.UNDECIDED, True, n)

@@ -164,6 +164,25 @@ def as_bit_source(stream) -> BitSource:
     return IterSource(stream)
 
 
+_COUNT_BLOCK = 4096
+
+
+def count_ones(source: BitSource, k: int) -> int:
+    """Number of ones among the next ``k`` bits of ``source``.
+
+    The bits are drawn at most 4,096 at a time, so a large stage (the
+    staged and union deciders reach 10^5 bits and more) never holds its
+    whole draw in memory; the sources' blocks concatenate to the same
+    stream whatever their sizes.
+    """
+    ones = 0
+    while k > 0:
+        step = min(k, _COUNT_BLOCK)
+        ones += int(source.take(step).sum())
+        k -= step
+    return ones
+
+
 def clamp_take(source: BitSource, want: int) -> int:
     """Largest block size <= ``want`` that a finite source can still satisfy.
 

@@ -18,6 +18,7 @@ from anytime.sampling import (
     IterSource,
     as_bit_source,
     clamp_take,
+    count_ones,
     seed_sequence,
     substream,
     substream_id,
@@ -187,6 +188,21 @@ class TestCustomSources:
 
         assert clamp_take(as_bit_source(Finite(1)), 10) == 3
         assert clamp_take(as_bit_source(_Constant(1)), 10) == 10
+
+
+class TestCountOnes:
+    def test_blocked_count_equals_one_draw(self):
+        # 10,001 bits are drawn as three blocks; the stream must not notice
+        blocked = BernoulliSource(substream(3, "count"), 0.4)
+        whole = BernoulliSource(substream(3, "count"), 0.4)
+        assert count_ones(blocked, 10_001) == int(whole.take(10_001).sum())
+        np.testing.assert_array_equal(blocked.take(16), whole.take(16))
+
+    def test_array_source_and_empty_count(self):
+        src = ArraySource(np.arange(9000) % 3 == 0)
+        assert count_ones(src, 0) == 0
+        assert count_ones(src, 9000) == 3000
+        assert src.remaining == 0
 
 
 class TestClampTake:
