@@ -29,7 +29,7 @@ from .binom import bisect_monotone, gauss_quantile
 from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo
 from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
-from .sequences import Schedule, betting_endpoints
+from .sequences import Schedule, betting_running
 
 DEFAULT_WARMUP = 100
 _BLOCK = 4096
@@ -255,57 +255,39 @@ def _runner_up(counts: np.ndarray, a_cls: int) -> int:
 
 
 def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
-    alpha_a = spec.lam * spec.alpha
-    alpha_b = (1.0 - spec.lam) * spec.alpha
-    k_classes = oracle.n_classes
-    # running bounds: pessimistic pair (la, ub) certifies, optimistic
-    # pair (ua, lb) refutes
-    la = lb = 0.0
-    ua = ub = 1.0
-
-    def scan(h_a, m_b, t_arr):
-        nonlocal la, ua, lb, ub
-        lo_a, up_a = betting_endpoints(h_a, t_arr, alpha_a)
-        lo_b, up_b = betting_endpoints(m_b, t_arr, alpha_b)
-        la_r = np.maximum.accumulate(np.concatenate(([la], lo_a)))[1:]
-        ua_r = np.minimum.accumulate(np.concatenate(([ua], up_a)))[1:]
-        lb_r = np.maximum.accumulate(np.concatenate(([lb], lo_b)))[1:]
-        ub_r = np.minimum.accumulate(np.concatenate(([ub], up_b)))[1:]
-        cert = _guarded_radius(la_r, ub_r, spec.sigma) >= spec.radius
-        refute = _guarded_radius(ua_r, lb_r, spec.sigma) < spec.radius
+    # row 0 bounds class A with budget lam * alpha, row 1 the runner-up
+    # with (1 - lam) * alpha; the pessimistic pair (lo A, up B) certifies,
+    # the optimistic pair (up A, lo B) refutes
+    alpha = np.array([spec.lam * spec.alpha, (1.0 - spec.lam) * spec.alpha])
+    lo_run, up_run = np.zeros(2), np.ones(2)
+    eye = np.eye(oracle.n_classes, dtype=np.int64)
+    others = np.arange(oracle.n_classes) != a_cls
+    pending = counts[None, :]  # the warmup step rides in the first block
+    t = warmup
+    while t < cap:
+        k = min(_BLOCK, cap - t)
+        cum = np.concatenate([pending, counts + np.cumsum(eye[oracle.sample(k)], axis=0)])
+        t_arr = np.arange(t + 1 - len(pending), t + k + 1)
+        counts, pending, t = cum[-1], cum[:0], t + k
+        lo, up = betting_running(
+            np.stack([cum[:, a_cls], cum[:, others].max(axis=1)]), t_arr, alpha, lo_run, up_run
+        )
+        cert = _guarded_radius(lo[0], up[1], spec.sigma) >= spec.radius
+        refute = _guarded_radius(up[0], lo[1], spec.sigma) < spec.radius
         hit = cert | refute
         if hit.any():
             i = int(np.argmax(hit))
-            verdict = Verdict.GREATER if cert[i] else Verdict.LESS
-            return verdict, int(t_arr[i])
-        la, ua, lb, ub = la_r[-1], ua_r[-1], lb_r[-1], ub_r[-1]
-        return None
-
-    t = warmup
-    out = scan(np.array([counts[a_cls]]), np.array([_runner_up(counts, a_cls)]), np.array([t]))
-    if out is not None:
-        return out
-    eye = np.eye(k_classes, dtype=np.int64)
-    while t < cap:
-        k = min(_BLOCK, cap - t)
-        labels = oracle.sample(k)
-        cum = counts[None, :] + np.cumsum(eye[labels], axis=0)
-        h_a = cum[:, a_cls].copy()
-        cum[:, a_cls] = -1
-        m_b = cum.max(axis=1)
-        t_arr = t + np.arange(1, k + 1, dtype=np.int64)
-        counts += np.bincount(labels, minlength=k_classes)
-        out = scan(h_a, m_b, t_arr)
-        if out is not None:
-            return out
-        t += k
+            return (Verdict.GREATER if cert[i] else Verdict.LESS), int(t_arr[i])
+        lo_run, up_run = lo[:, -1], up[:, -1]
     return Verdict.UNDECIDED, cap
 
 
 def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
     # one-sided updates: the whole per-stage share goes to the single
     # bound each stream needs, so there is no upper bound on A (and no
-    # lower bound on B) - the refute branch can never fire
+    # lower bound on B) - the refute branch can never fire.  Each stage
+    # solves both streams in one call: A's lower bound and the lower
+    # bound of the runner-up's complement, drawing A's uniform first.
     la, ub = 0.0, 1.0
     t = warmup
     for k_idx, t_k in enumerate(sched.boundaries(cap), start=1):
@@ -315,11 +297,11 @@ def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
         counts += np.bincount(oracle.sample(t_k - t), minlength=oracle.n_classes)
         t = t_k
         budget = sched.budget(k_idx)
-        w_a = 1.0 if rng is None else float(rng.random())
-        la = max(la, float(rcp_upper_lo(counts[a_cls], t, spec.lam * budget, w_a)))
-        w_b = 1.0 if rng is None else float(rng.random())
-        m = _runner_up(counts, a_cls)
-        ub = min(ub, 1.0 - float(rcp_upper_lo(t - m, t, (1.0 - spec.lam) * budget, w_b)))
+        w = 1.0 if rng is None else rng.random(2)
+        x = np.array([counts[a_cls], t - _runner_up(counts, a_cls)])
+        lo = rcp_upper_lo(x, t, np.array([spec.lam * budget, (1.0 - spec.lam) * budget]), w)
+        la = max(la, float(lo[0]))
+        ub = min(ub, 1.0 - float(lo[1]))
         if float(_guarded_radius(la, ub, spec.sigma)) >= spec.radius:
             return Verdict.GREATER, t
     return Verdict.UNDECIDED, cap
@@ -403,9 +385,8 @@ def _width_target_betting(source, eps, alpha, cap, block):
         bits = source.take(k)
         h = heads + np.cumsum(bits, dtype=np.int64)
         t_arr = t + np.arange(1, k + 1, dtype=np.int64)
-        lo, up = betting_endpoints(h, t_arr, alpha)
-        lo_r = np.maximum.accumulate(np.concatenate(([lo_run], lo)))[1:]
-        up_r = np.minimum.accumulate(np.concatenate(([up_run], up)))[1:]
+        lo, up = betting_running(h[None, :], t_arr, alpha, lo_run, up_run)
+        lo_r, up_r = lo[0], up[0]
         hit = (up_r - lo_r) < eps
         if hit.any():
             i = int(np.argmax(hit))

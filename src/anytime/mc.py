@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .intervals import lower_tail_mix, rcp_upper_lo, upper_tail_mix
-from .sequences import Schedule, betting_endpoints, kt_log_wealth
+from .sequences import Schedule, betting_running, kt_log_wealth
 
 
 def bernoulli_matrix(rng: np.random.Generator, streams: int, horizon: int, p: float) -> np.ndarray:
@@ -79,9 +79,7 @@ def betting_trace(bits: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     arr = np.atleast_2d(np.asarray(bits))
     heads = np.cumsum(arr, axis=1, dtype=np.float64)
     trials = np.arange(1, arr.shape[1] + 1, dtype=np.float64)
-    lo, up = betting_endpoints(heads, trials, alpha)
-    run_lo = np.maximum.accumulate(lo, axis=1)
-    run_up = np.minimum.accumulate(up, axis=1)
+    run_lo, run_up = betting_running(heads, trials, alpha, 0.0, 1.0)
     if np.asarray(bits).ndim == 1:
         return run_lo[0], run_up[0]
     return run_lo, run_up

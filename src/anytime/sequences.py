@@ -19,7 +19,9 @@ Two constructions:
   log-wealth evaluations per endpoint instead of 34).
 
 Both classes expose ``update(bit) -> Interval`` returning the *running*
-intersection (nested by construction).
+intersection (nested by construction).  For whole streams at once,
+:func:`betting_running` returns the running betting bounds and solves
+only the endpoints that can move them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .binom import Counts, halve_with_guess
+from .binom import halve_with_guess
 from .intervals import Interval, rcp_upper_lo
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -157,10 +159,6 @@ class Schedule:
             exponent += 1
         return np.asarray(out, dtype=np.int64)
 
-    def boundary_count(self, t: int) -> int:
-        """Number of stage updates performed by time ``t``."""
-        return int(self.boundaries(t).size)
-
 
 # ---------------------------------------------------------------------------
 # Union-bound confidence sequence
@@ -201,10 +199,6 @@ class UnionCS:
         self._next_boundary = 1
         self.lo = 0.0
         self.up = 1.0
-
-    @property
-    def counts(self) -> Counts:
-        return Counts(self.heads, self.trials)
 
     @property
     def interval(self) -> Interval:
@@ -260,6 +254,8 @@ def betting_endpoints(heads, trials, alpha):
     For arrays ``heads`` (successes so far) and ``trials >= 1``, returns
     arrays ``(lo, up)`` with the endpoints of
     ``{p : kt_log_wealth(heads, trials, p) <= log(1/alpha)}``.
+    ``alpha`` may be an array broadcast against the counts; each element's
+    threshold is ``math.log(1.0 / alpha)`` of its own value.
     The log-wealth is convex in ``p``, minimized at the sample mean, so
     each endpoint is bracketed on one side of the mean: the answer is the
     midpoint of the cell that 34 halvings of ``[0, mean]`` (lower) or
@@ -269,17 +265,32 @@ def betting_endpoints(heads, trials, alpha):
     evaluations; both sides run as one stacked array.  ``heads = 0`` pins
     the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
     """
-    heads, trials = np.broadcast_arrays(
-        np.asarray(heads, dtype=float), np.asarray(trials, dtype=float)
-    )
+    if np.ndim(alpha) == 0:  # the per-bit path: keep it lean
+        heads, trials = np.broadcast_arrays(
+            np.asarray(heads, dtype=float), np.asarray(trials, dtype=float)
+        )
+        threshold = math.log(1.0 / alpha)
+    else:
+        heads, trials, alpha = np.broadcast_arrays(
+            np.asarray(heads, dtype=float),
+            np.asarray(trials, dtype=float),
+            np.asarray(alpha, dtype=float),
+        )
+        threshold = _thresholds(alpha.ravel())
     shape = heads.shape
     heads, trials = heads.ravel(), trials.ravel()
-    threshold = math.log(1.0 / alpha)
     lo, up = np.empty_like(heads), np.empty_like(heads)
     for start in range(0, heads.size, _BLOCK):  # blocks keep the temporaries small
         part = slice(start, start + _BLOCK)
-        lo[part], up[part] = _betting_block(heads[part], trials[part], threshold)
+        thr = threshold[part] if isinstance(threshold, np.ndarray) else threshold
+        lo[part], up[part] = _betting_block(heads[part], trials[part], thr)
     return lo.reshape(shape), up.reshape(shape)
+
+
+def _thresholds(alpha):
+    """``math.log(1.0 / alpha)`` of each element of a 1-d array, as for a scalar ``alpha``."""
+    values, index = np.unique(alpha, return_inverse=True)
+    return np.array([math.log(1.0 / a) for a in values.tolist()])[index.ravel()]
 
 
 def _betting_block(heads, trials, threshold):
@@ -296,13 +307,14 @@ def _betting_block(heads, trials, threshold):
     upper = np.repeat([False, True], m)
     active = cat([has_lo, has_up])
     log_mix2 = cat([log_mix, log_mix])
-    root = _kt_lower_root(cat([heads, tails]), cat([tails, heads]), log_mix2, threshold, active)
+    threshold2 = cat([threshold, threshold]) if isinstance(threshold, np.ndarray) else threshold
+    root = _kt_lower_root(cat([heads, tails]), cat([tails, heads]), log_mix2, threshold2, active)
     lo_b, hi_b = halve_with_guess(
         cat([np.zeros_like(mean), mean]),
         cat([mean, np.ones_like(mean)]),
         np.where(upper, 1.0 - root, root),
         _kt_above,
-        (log_mix2, cat([heads, heads]), cat([tails, tails]), threshold, upper),
+        (log_mix2, cat([heads, heads]), cat([tails, tails]), threshold2, upper),
         _ENDPOINT_ITERS,
         ~active,
     )
@@ -335,21 +347,168 @@ def _kt_lower_root(heads, tails, log_mix, threshold, active):
     act = np.flatnonzero(active)
     if act.size == 0:
         return root
-    h, s, c = heads[act], tails[act], log_mix[act] - threshold
-    safe = c / h
+    h, s = heads[act], tails[act]
+    c = log_mix[act] - (threshold[act] if isinstance(threshold, np.ndarray) else threshold)
     with np.errstate(all="ignore"):
-        t = h + s
-        m = h / t
-        excess = special.xlogy(h, m) + special.xlog1py(s, -m) - c  # threshold - log W(mean)
-        u = np.fmax(safe, np.log(m - np.sqrt(2.0 * excess * m * (1.0 - m) / t)))
+        safe, u = _kt_newton_start(h, s, c)
         for _ in range(_NEWTON_CAP):
-            e = np.exp(u)
-            step = (c - h * u - s * np.log1p(-e)) / (h - s * e / (1.0 - e))
-            u = np.fmax(safe, u + step)
+            u, step = _kt_newton_step(h, s, c, safe, u)
             if np.all(np.abs(step) <= _KT_NEWTON_TOL):
                 break
     root[act] = np.exp(u)
     return root
+
+
+def _kt_newton_start(h, s, c):
+    """Safe point and start of :func:`_kt_lower_root`'s Newton iteration, in ``u = log p``."""
+    safe = c / h
+    t = h + s
+    m = h / t
+    excess = special.xlogy(h, m) + special.xlog1py(s, -m) - c  # threshold - log W(mean)
+    return safe, np.fmax(safe, np.log(m - np.sqrt(2.0 * excess * m * (1.0 - m) / t)))
+
+
+def _kt_newton_step(h, s, c, safe, u):
+    """One step of :func:`_kt_lower_root`'s Newton iteration: ``(u, step)``, ``u >= safe``."""
+    e = np.exp(u)
+    step = (c - h * u - s * np.log1p(-e)) / (h - s * e / (1.0 - e))
+    return np.fmax(safe, u + step), step
+
+
+# ---------------------------------------------------------------------------
+# Running betting bounds
+
+# The screen trusts a log-wealth value only where it clears the threshold
+# by more than ``_EVAL_SLACK * (2 |log_mix| + |xlogy(h, p)| + |xlog1py(s, -p)|)``.
+# That bounds the rounding error of the halving predicate at ``p`` and at
+# every point the conclusion covers: toward the mean the growing term is
+# at most ``|log_mix|`` (the mixture is at most the maximum likelihood),
+# and away from it the log-wealth rises faster than its error.  A few
+# ulps would do; 2^-40 leaves a factor of ~2,000.
+_EVAL_SLACK = 2.0**-40
+# Final cell of the 34 halvings, as a share of its bracket's length.
+_CELL = 2.0**-_ENDPOINT_ITERS
+
+
+def betting_running(heads, trials, alpha, lo0, up0):
+    """Running betting-CS bounds of several streams, carried in from ``lo0`` and ``up0``.
+
+    ``heads`` is 2-d with one row per stream; ``trials`` broadcasts
+    against it (one row shared by all streams, or one per stream);
+    ``alpha``, ``lo0`` and ``up0`` hold one value per row.  Returns
+    ``(lo, up)`` shaped like ``heads`` and equal, bit for bit, to
+    ``np.maximum.accumulate`` / ``np.minimum.accumulate`` along each row of
+    :func:`betting_endpoints`, starting from the carried-in bounds.
+
+    Most steps cannot move a running bound, and their endpoints are never
+    solved.  A screen finds them, one vector pass per side:
+
+    * One Newton step of :func:`_kt_lower_root` from its start, backed
+      off past rounding (:func:`_kt_outer_point`), gives a point ``y_j``
+      left of step ``j``'s root.  If one log-wealth evaluation puts
+      ``y_j`` outside the set by more than its rounding error, every
+      point left of ``y_j`` is outside too, so endpoint ``j`` is at least
+      ``L_j = y_j - 2 cell`` (the endpoint is the midpoint of a
+      34-halving cell of ``[0, mean]``, ``cell = mean 2^-34`` wide).
+    * Let ``x_t`` be the largest of ``lo0`` and the ``L_j`` with
+      ``j < t``: the running bound before step ``t`` is at least
+      ``x_t``.  If ``x_t - 2 cell`` is at or above the mean, or inside
+      the set at ``t`` by more than its rounding error, endpoint ``t`` is
+      below ``x_t`` and cannot raise the running bound.
+
+    The upper side is the mirror image.  Steps that pass neither screen
+    go to :func:`betting_endpoints` (both sides at once); the screened
+    ones enter the running max as ``-inf`` (``+inf`` in the running min).
+    At most ``_BLOCK`` elements are screened at a time, with the bounds
+    carried from block to block.
+    """
+    heads = np.asarray(heads, dtype=float)
+    if heads.ndim != 2:
+        raise ValueError(f"heads must be 2-d (streams x time), got shape {heads.shape}")
+    rows, cols = heads.shape
+    trials = np.broadcast_to(np.asarray(trials, dtype=float), heads.shape)
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (rows,))
+    lo_run = np.broadcast_to(np.asarray(lo0, dtype=float), (rows,))
+    up_run = np.broadcast_to(np.asarray(up0, dtype=float), (rows,))
+    threshold = _thresholds(alpha)[:, None]
+    lo, up = np.empty_like(heads), np.empty_like(heads)
+    width = max(1, _BLOCK // max(rows, 1))
+    for start in range(0, cols, width):
+        part = slice(start, min(start + width, cols))
+        lo[:, part], up[:, part] = _running_block(
+            heads[:, part], trials[:, part], alpha, threshold, lo_run, up_run
+        )
+        lo_run, up_run = lo[:, part.stop - 1], up[:, part.stop - 1]
+    return lo, up
+
+
+def _running_block(heads, trials, alpha, threshold, lo0, up0):
+    log_mix = kt_log_mixture(heads, trials)
+    tails = trials - heads
+    mean = heads / trials
+    cell_lo = mean * _CELL
+    cell_up = (1.0 - mean) * _CELL
+    with np.errstate(all="ignore"):
+        # certified bounds on each step's endpoints (-inf / +inf: none)
+        margin = 4.0 * _EVAL_SLACK * (np.abs(log_mix) + threshold)
+        y_lo = _kt_outer_point(heads, tails, log_mix - threshold, margin)
+        y_up = 1.0 - _kt_outer_point(tails, heads, log_mix - threshold, margin)
+        ok_lo = (y_lo < mean) & _kt_outside(y_lo, log_mix, heads, tails, threshold)
+        ok_up = (y_up > mean) & _kt_outside(y_up, log_mix, heads, tails, threshold)
+        bound_lo = np.where(ok_lo, y_lo - 2.0 * cell_lo, -np.inf)
+        bound_up = np.where(ok_up, y_up + 2.0 * cell_up, np.inf)
+        # the running bounds before each step are at least as tight as these
+        x_lo = np.maximum.accumulate(np.column_stack([lo0, bound_lo[:, :-1]]), axis=1)
+        x_up = np.minimum.accumulate(np.column_stack([up0, bound_up[:, :-1]]), axis=1)
+        q_lo = x_lo - 2.0 * cell_lo
+        q_up = x_up + 2.0 * cell_up
+        keep_lo = (q_lo >= mean) | (q_lo > 0.0) & _kt_inside(
+            q_lo, log_mix, heads, tails, threshold
+        )
+        keep_up = (q_up <= mean) | (q_up < 1.0) & _kt_inside(
+            q_up, log_mix, heads, tails, threshold
+        )
+    solve = ~(keep_lo & keep_up)
+    lo_i = np.full_like(heads, -np.inf)
+    up_i = np.full_like(heads, np.inf)
+    if solve.any():
+        lo_i[solve], up_i[solve] = betting_endpoints(
+            heads[solve], trials[solve], np.broadcast_to(alpha[:, None], heads.shape)[solve]
+        )
+    lo = np.maximum.accumulate(np.column_stack([lo0, lo_i]), axis=1)[:, 1:]
+    up = np.minimum.accumulate(np.column_stack([up0, up_i]), axis=1)[:, 1:]
+    return lo, up
+
+
+def _kt_outer_point(heads, tails, c, margin):
+    """A ``p`` left of the lower root where the log-wealth clears the threshold by ``margin``.
+
+    One Newton step of :func:`_kt_lower_root` from its start lands left of
+    the root, often closer to it than rounding can resolve.  The log-wealth
+    is convex in ``u = log p``, so a further step left by ``margin`` over
+    its slope at that point raises it by at least ``margin``.
+    """
+    safe, u = _kt_newton_start(heads, tails, c)
+    u = _kt_newton_step(heads, tails, c, safe, u)[0]
+    e = np.exp(u)
+    return np.exp(u - margin / (heads - tails * e / (1.0 - e)))
+
+
+def _kt_wealth_and_slack(p, log_mix, heads, tails):
+    a, b = special.xlogy(heads, p), special.xlog1py(tails, -p)
+    return log_mix - a - b, _EVAL_SLACK * (2.0 * np.abs(log_mix) + np.abs(a) + np.abs(b))
+
+
+def _kt_outside(p, log_mix, heads, tails, threshold):
+    """Is ``p`` outside the set by more than the rounding error of the halving predicate?"""
+    wealth, slack = _kt_wealth_and_slack(p, log_mix, heads, tails)
+    return wealth > threshold + slack
+
+
+def _kt_inside(p, log_mix, heads, tails, threshold):
+    """Is ``p`` inside the set by more than the rounding error of the halving predicate?"""
+    wealth, slack = _kt_wealth_and_slack(p, log_mix, heads, tails)
+    return wealth <= threshold - slack
 
 
 class BettingCS:
@@ -364,10 +523,6 @@ class BettingCS:
         self.log_mixture = 0.0
         self.lo = 0.0
         self.up = 1.0
-
-    @property
-    def counts(self) -> Counts:
-        return Counts(self.heads, self.trials)
 
     @property
     def interval(self) -> Interval:

@@ -7,10 +7,13 @@ mixture from exact double-factorial products.  All of it is O(n) or
 worse per call; the point is to pin the fast code paths against
 arithmetic that cannot share their bugs.
 
-The one exception is the last section: the plain fixed-count endpoint
-bisections, written with the same float expressions and ``scipy.special``
-calls as the library's predicates, so the fast solvers can be required
-to return the very same bits.
+The exceptions are the last two sections: the plain fixed-count
+endpoint bisections, written with the same float expressions and
+``scipy.special`` calls as the library's predicates, so the fast solvers
+can be required to return the very same bits; and the multiclass betting
+certifier as a plain scan over those bisections, so the screened
+running bounds can be required to give the same verdicts and sample
+counts.
 """
 
 from __future__ import annotations
@@ -188,3 +191,76 @@ def bisect_betting_endpoints(heads, trials, alpha, iters: int = ENDPOINT_ITERS):
         hi_b = np.where(keep, hi_b, mid)
     up = np.where(heads <= trials - 1, 0.5 * (lo_b + hi_b), 1.0)
     return lo, up
+
+
+# ---------------------------------------------------------------------------
+# Multiclass betting certification as a plain scan (reference for the
+# screened running bounds)
+
+
+def _guarded_radius(lo_a, up_b, sigma):
+    """Radius ``(sigma/2)(Phi^-1(lo_a) - Phi^-1(up_b))`` with the library's boundary conventions."""
+    lo_a = np.asarray(lo_a, dtype=float)
+    up_b = np.asarray(up_b, dtype=float)
+    tiny = 1e-15
+    gap = special.ndtri(np.clip(lo_a, tiny, 1.0 - tiny)) - special.ndtri(
+        np.clip(up_b, tiny, 1.0 - tiny)
+    )
+    r = 0.5 * sigma * gap
+    r = np.where((lo_a >= 1.0) | (up_b <= 0.0), np.inf, r)
+    return np.where((lo_a <= 0.0) | (up_b >= 1.0), -np.inf, r)
+
+
+def multiclass_betting_scan(sample, n_classes, sigma, radius, alpha, lam, cap, warmup, block=4096):
+    """``(verdict, samples)`` of multiclass betting certification, every step solved.
+
+    Class A is the most frequent label of the first ``warmup`` labels
+    from ``sample(k)``; the runner-up is the most frequent other class at
+    each step.  The warmup step is scanned alone, then blocks of
+    ``block`` labels.  Every step's endpoints come from the plain
+    bisection, and the running bounds are ``np.maximum.accumulate`` /
+    ``np.minimum.accumulate`` of them.  The pessimistic pair certifies
+    (``"greater"``), the optimistic pair refutes (``"less"``).
+    """
+    if cap <= warmup:
+        sample(cap)
+        return "undecided", cap
+    counts = np.bincount(sample(warmup), minlength=n_classes).astype(np.int64)
+    a_cls = int(np.argmax(counts))
+    run = [0.0, 1.0, 0.0, 1.0]  # lo A, up A, lo B, up B
+
+    def scan(cum, t_arr):
+        h_a = cum[:, a_cls].copy()
+        cum = cum.copy()
+        cum[:, a_cls] = -1
+        m_b = cum.max(axis=1)
+        lo_a, up_a = bisect_betting_endpoints(h_a, t_arr, lam * alpha)
+        lo_b, up_b = bisect_betting_endpoints(m_b, t_arr, (1.0 - lam) * alpha)
+        la = np.maximum.accumulate(np.concatenate(([run[0]], lo_a)))[1:]
+        ua = np.minimum.accumulate(np.concatenate(([run[1]], up_a)))[1:]
+        lb = np.maximum.accumulate(np.concatenate(([run[2]], lo_b)))[1:]
+        ub = np.minimum.accumulate(np.concatenate(([run[3]], up_b)))[1:]
+        cert = _guarded_radius(la, ub, sigma) >= radius
+        refute = _guarded_radius(ua, lb, sigma) < radius
+        hit = cert | refute
+        if hit.any():
+            i = int(np.argmax(hit))
+            return ("greater" if cert[i] else "less"), int(t_arr[i])
+        run[:] = la[-1], ua[-1], lb[-1], ub[-1]
+        return None
+
+    t = warmup
+    out = scan(counts[None, :], np.array([t]))
+    if out is not None:
+        return out
+    eye = np.eye(n_classes, dtype=np.int64)
+    while t < cap:
+        k = min(block, cap - t)
+        cum = counts[None, :] + np.cumsum(eye[sample(k)], axis=0)
+        t_arr = t + np.arange(1, k + 1, dtype=np.int64)
+        counts = cum[-1].copy()
+        out = scan(cum, t_arr)
+        if out is not None:
+            return out
+        t += k
+    return "undecided", cap

@@ -16,6 +16,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
+
+import anytime.certify
 
 from anytime.binom import gauss_quantile
 from anytime.certify import (
@@ -36,7 +39,7 @@ from anytime.mc import bernoulli_matrix, betting_ever_excluded, union_ever_exclu
 from anytime.sampling import substream
 from anytime.sequences import Schedule, kt_log_wealth
 
-from oracles import gauss_cdf, gauss_quantile_by_bisection
+from oracles import gauss_cdf, gauss_quantile_by_bisection, multiclass_betting_scan
 
 PHI_ONE = 0.8413447460685429  # standard normal CDF at 1
 # binary certification threshold for radius 1/2 at unit noise: Phi(1/2)
@@ -304,6 +307,60 @@ class TestCertifyMulticlass:
         oracle = ClassOracle(self.PROBS, substream(23, "und-warm"))
         assert certify_multiclass(oracle, self.SPEC, cap=50) == (Verdict.UNDECIDED, 50)
 
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_union_stage_is_one_call_a_first(self, monkeypatch, seeded):
+        # both streams' bounds come from one rcp_upper_lo call per stage,
+        # with budgets (lam b, (1 - lam) b) and class A's uniform drawn first
+        calls = []
+        real = anytime.certify.rcp_upper_lo
+
+        def recording(x, n, alpha, w):
+            calls.append((n, np.asarray(alpha).tolist(), np.asarray(w).tolist()))
+            return real(x, n, alpha, w)
+
+        monkeypatch.setattr(anytime.certify, "rcp_upper_lo", recording)
+        spec = CertSpec(sigma=1.0, radius=5.0, alpha=0.01, mode="multiclass", lam=0.3)
+        rng = substream(24, "stage-draws") if seeded else None
+        oracle = ClassOracle(self.PROBS, substream(24, "stage-labels"))
+        assert certify_multiclass(oracle, spec, "union", cap=4096, rng=rng)[0] is Verdict.UNDECIDED
+        draws = substream(24, "stage-draws")
+        sched = Schedule.doubling(0.01)
+        stages = [
+            (k, int(b)) for k, b in enumerate(sched.boundaries(4096), 1) if b > DEFAULT_WARMUP
+        ]
+        assert len(calls) == len(stages)
+        for (n, alpha, w), (k, b) in zip(calls, stages):
+            assert n == b
+            assert alpha == [0.3 * sched.budget(k), (1.0 - 0.3) * sched.budget(k)]
+            assert w == ([draws.random(), draws.random()] if seeded else 1.0)
+
+    # (probs, radius): certified, refuted, certified at the warmup step
+    SCAN_CASES = (
+        ((0.4, 0.2, 0.2, 0.2), 0.1),
+        ((0.4, 0.2, 0.2, 0.2), 0.6),
+        ((0.55, 0.45), 0.3),
+        ((0.97, 0.01, 0.01, 0.01), 0.1),
+    )
+
+    @pytest.mark.parametrize("cap", [DEFAULT_WARMUP + 1, 6_000, 100_000])
+    def test_betting_matches_the_plain_scan(self, cap):
+        # the screened running bounds stop at the same step with the same
+        # verdict as a scan that solves and accumulates every endpoint
+        verdicts = set()
+        for seed in range(50):
+            probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
+            lam = 0.5 if seed % 2 else 0.3
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            oracle = ClassOracle(probs, substream(31, "scan", seed))
+            verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=cap)
+            oracle = ClassOracle(probs, substream(31, "scan", seed))
+            want = multiclass_betting_scan(
+                oracle.sample, len(probs), 1.0, radius, 0.01, lam, cap, DEFAULT_WARMUP
+            )
+            assert (verdict.value, used) == want, seed
+            verdicts.add(want[0])
+        assert "undecided" in verdicts if cap < 4096 else {"greater", "less"} <= verdicts
+
     def test_validation(self):
         oracle = ClassOracle(self.PROBS, substream(0, "mcv"))
         binary = CertSpec(sigma=1.0, radius=0.2, alpha=0.01)
@@ -373,6 +430,35 @@ class TestWidthTarget:
             width_target_run(bits, 0.5, 0.05, cs_kind="mystery")
         with pytest.raises(ValueError):
             width_target_run(bits, 0.5, 0.05, cs_kind="union", schedule=Schedule.doubling(0.5))
+
+
+class TestMulticlassNearTies:
+    """Many uniform classes: the warmup's pick of class A is a coin toss.
+
+    Class A is chosen from warmup samples that then count in its own
+    confidence sequence, so its count starts high by selection.  With K
+    equal classes the true radius is 0 and every certificate at a
+    positive radius is wrong; the rate must stay within ``alpha``.
+    """
+
+    ALPHA = 0.2
+    CAP = 2000
+    TRIALS = 250
+
+    @pytest.mark.parametrize("cs_kind", ["betting", "union"])
+    @pytest.mark.parametrize("warmup", [20, 100])
+    @pytest.mark.parametrize("k", [10, 50])
+    def test_false_certification_rate(self, k, warmup, cs_kind):
+        spec = CertSpec(sigma=1.0, radius=0.05, alpha=self.ALPHA, mode="multiclass")
+        wrong = 0
+        for trial in range(self.TRIALS):
+            path = ("near-tie", k, warmup, cs_kind, trial)
+            oracle = ClassOracle(np.full(k, 1.0 / k), substream(41, *path))
+            verdict, _ = certify_multiclass(
+                oracle, spec, cs_kind, self.CAP, rng=substream(42, *path), warmup=warmup
+            )
+            wrong += verdict is Verdict.GREATER
+        assert wrong <= stats.binom.ppf(0.999, self.TRIALS, self.ALPHA), wrong
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,19 @@ class TestBettingEndpoints:
         for g, r in zip(betting_endpoints(h, t, alpha), bisect_betting_endpoints(h, t, alpha)):
             assert_same_bits(g, r)
 
+    @given(st.data(), SIZES)
+    def test_alpha_array(self, data, t):
+        # one threshold per element, each the scalar call's math.log(1 / alpha)
+        k = data.draw(st.integers(1, 12))
+        h = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0, t]), st.integers(0, t)),
+                                        min_size=k, max_size=k)))
+        alpha = np.array(data.draw(st.lists(ALPHAS, min_size=k, max_size=k)))
+        got = betting_endpoints(h, t, alpha)
+        for i in range(k):
+            want = betting_endpoints(np.asarray(h[i]), np.asarray(t), float(alpha[i]))
+            for g, r in zip(got, want):
+                assert_same_bits(g[i], r)
+
     def test_stream_matrix_and_long_vector(self):
         rng = np.random.default_rng(7)
         bits = rng.random((3, 6000)) < np.array([[0.01], [0.5], [0.97]])

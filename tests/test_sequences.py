@@ -13,8 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+import anytime.sequences
 
 from anytime.sequences import (
     BettingCS,
@@ -22,6 +24,7 @@ from anytime.sequences import (
     UnionCS,
     bet_cs_width_envelope,
     betting_endpoints,
+    betting_running,
     dp_thresholds,
     kt_log_mixture,
     kt_log_wealth,
@@ -219,6 +222,110 @@ class TestBettingCS:
         run = np.maximum.accumulate(lo), np.minimum.accumulate(up)
         np.testing.assert_allclose([a for a, _ in inst], run[0], atol=1e-9)
         np.testing.assert_allclose([b for _, b in inst], run[1], atol=1e-9)
+
+
+ALPHAS = st.one_of(st.sampled_from([1e-12, 1e-6, 0.001, 0.05, 0.5]), st.floats(1e-12, 0.999))
+STREAMS = st.sampled_from(["random", "zeros", "ones"])
+
+
+def accumulated_endpoints(heads, trials, alpha, lo0, up0):
+    """The running bounds by definition: accumulate every step's endpoints, row by row."""
+    lo, up = [], []
+    for r in range(heads.shape[0]):
+        lo_r, up_r = betting_endpoints(heads[r], trials, float(alpha[r]))
+        lo.append(np.maximum.accumulate(np.concatenate(([lo0[r]], lo_r)))[1:])
+        up.append(np.minimum.accumulate(np.concatenate(([up0[r]], up_r)))[1:])
+    return np.array(lo), np.array(up)
+
+
+def stream_rows(seed, kinds, start, cols):
+    """Heads counts after each of ``cols`` steps past ``start`` trials, one row per kind."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        if kind == "zeros":  # heads = 0 throughout
+            h0, bits = 0, np.zeros(cols)
+        elif kind == "ones":  # heads = t throughout
+            h0, bits = start, np.ones(cols)
+        else:
+            p = rng.uniform(0.001, 0.999)
+            h0, bits = rng.binomial(start, p), rng.random(cols) < p
+        rows.append(h0 + np.cumsum(bits))
+    return np.array(rows, dtype=float)
+
+
+class TestBettingRunning:
+    """``betting_running`` returns the accumulate of ``betting_endpoints``, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(STREAMS, min_size=1, max_size=3),
+        start=st.one_of(st.integers(0, 60), st.integers(0, 10**9), st.just(10**9)),
+        cols=st.one_of(st.just(1), st.integers(1, 3000)),
+        alphas=st.lists(ALPHAS, min_size=3, max_size=3),
+        carry=st.sampled_from(["none", "near", "any"]),
+    )
+    @example(0, ["zeros", "ones", "random"], 10**9, 1, [1e-12, 1e-12, 0.5], "near")
+    @example(1, ["random", "random"], 0, 3000, [1e-12, 0.05, 0.05], "none")
+    def test_equals_accumulated_endpoints(self, seed, kinds, start, cols, alphas, carry):
+        heads = stream_rows(seed, kinds, start, cols)
+        trials = start + np.arange(1, cols + 1, dtype=float)
+        alpha = np.array(alphas[: len(kinds)])
+        rows = len(kinds)
+        lo0, up0 = np.zeros(rows), np.ones(rows)
+        if carry != "none":
+            # near: just around the first step's endpoints, where a carry
+            # decides whether a step moves the bound; any: anywhere in [0, 1]
+            rng = np.random.default_rng(seed + 1)
+            first = accumulated_endpoints(heads[:, :1], trials[:1], alpha, lo0, up0)
+            if carry == "near":
+                lo0 = np.clip(first[0][:, 0] * rng.uniform(0.99, 1.01, rows), 0.0, 1.0)
+                up0 = np.clip(first[1][:, 0] * rng.uniform(0.99, 1.01, rows), 0.0, 1.0)
+            else:
+                lo0 = rng.uniform(0.0, 1.0, rows)
+                up0 = rng.uniform(lo0, 1.0)
+        got = betting_running(heads, trials, alpha, lo0, up0)
+        want = accumulated_endpoints(heads, trials, alpha, lo0, up0)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("start", [100, 10**6])
+    def test_screen_solves_few_more_steps_than_move(self, monkeypatch, start):
+        # the point of the kernel: only steps that move a running bound,
+        # plus a few near misses, are solved.  Past ~6e4 trials one Newton
+        # step lands within rounding of the root, so the screen's outer
+        # points must be backed off to count.
+        solved = []
+        real = anytime.sequences.betting_endpoints
+
+        def counting(heads, trials, alpha):
+            solved.append(np.size(heads))
+            return real(heads, trials, alpha)
+
+        monkeypatch.setattr(anytime.sequences, "betting_endpoints", counting)
+        bits = np.random.default_rng(3).random(20_000) < 0.5
+        heads = (start // 2 + np.cumsum(bits))[None, :].astype(float)
+        trials = start + np.arange(1, 20_001, dtype=float)
+        lo, up = betting_running(heads, trials, [0.001], [0.0], [1.0])
+        monkeypatch.setattr(anytime.sequences, "betting_endpoints", real)
+        want = accumulated_endpoints(heads, trials, [0.001], [0.0], [1.0])
+        assert lo.tobytes() == want[0].tobytes() and up.tobytes() == want[1].tobytes()
+        moves = np.count_nonzero((np.diff(lo, prepend=0.0) > 0) | (np.diff(up, prepend=1.0) < 0))
+        assert sum(solved) <= 2 * moves, (sum(solved), moves)
+
+    def test_blocks_carry_the_bounds(self, monkeypatch):
+        # a tiny block size puts every block boundary through the carry
+        monkeypatch.setattr(anytime.sequences, "_BLOCK", 8)
+        heads = stream_rows(4, ["random", "random", "ones"], 5, 300)
+        trials = 5 + np.arange(1, 301, dtype=float)
+        alpha = np.array([0.01, 0.2, 0.01])
+        got = betting_running(heads, trials, alpha, np.zeros(3), np.ones(3))
+        want = accumulated_endpoints(heads, trials, alpha, np.zeros(3), np.ones(3))
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_rejects_one_dimensional_heads(self):
+        with pytest.raises(ValueError):
+            betting_running(np.arange(5.0), np.arange(1.0, 6.0), 0.05, 0.0, 1.0)
 
 
 class TestFixedFractionBetting:
