@@ -265,7 +265,7 @@ def betting_endpoints(heads, trials, alpha):
     evaluations; both sides run as one stacked array.  ``heads = 0`` pins
     the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
     """
-    if np.ndim(alpha) == 0:  # the per-bit path: keep it lean
+    if isinstance(alpha, float) or np.ndim(alpha) == 0:  # the per-bit path: keep it lean
         heads, trials = np.broadcast_arrays(
             np.asarray(heads, dtype=float), np.asarray(trials, dtype=float)
         )
@@ -351,8 +351,10 @@ def _kt_lower_root(heads, tails, log_mix, threshold, active):
     c = log_mix[act] - (threshold[act] if isinstance(threshold, np.ndarray) else threshold)
     with np.errstate(all="ignore"):
         safe, u = _kt_newton_start(h, s, c)
-        for _ in range(_NEWTON_CAP):
-            u, step = _kt_newton_step(h, s, c, safe, u)
+        for _ in range(_NEWTON_CAP):  # inline steps: this loop runs on every BettingCS bit
+            e = np.exp(u)
+            step = (c - h * u - s * np.log1p(-e)) / (h - s * e / (1.0 - e))
+            u = np.fmax(safe, u + step)
             if np.all(np.abs(step) <= _KT_NEWTON_TOL):
                 break
     root[act] = np.exp(u)
@@ -366,13 +368,6 @@ def _kt_newton_start(h, s, c):
     m = h / t
     excess = special.xlogy(h, m) + special.xlog1py(s, -m) - c  # threshold - log W(mean)
     return safe, np.fmax(safe, np.log(m - np.sqrt(2.0 * excess * m * (1.0 - m) / t)))
-
-
-def _kt_newton_step(h, s, c, safe, u):
-    """One step of :func:`_kt_lower_root`'s Newton iteration: ``(u, step)``, ``u >= safe``."""
-    e = np.exp(u)
-    step = (c - h * u - s * np.log1p(-e)) / (h - s * e / (1.0 - e))
-    return np.fmax(safe, u + step), step
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +484,8 @@ def _kt_outer_point(heads, tails, c, margin):
     its slope at that point raises it by at least ``margin``.
     """
     safe, u = _kt_newton_start(heads, tails, c)
-    u = _kt_newton_step(heads, tails, c, safe, u)[0]
+    e = np.exp(u)
+    u = np.fmax(safe, u + (c - heads * u - tails * np.log1p(-e)) / (heads - tails * e / (1.0 - e)))
     e = np.exp(u)
     return np.exp(u - margin / (heads - tails * e / (1.0 - e)))
 
