@@ -29,7 +29,9 @@ from .binom import bisect_monotone, gauss_quantile
 from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo
 from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
-from .sequences import Schedule, betting_running
+# betting_endpoints stays bound here: perfbench/selftest.py checks that the
+# tracer wraps it in every module that held it
+from .sequences import Schedule, betting_endpoints, betting_running  # noqa: F401
 
 DEFAULT_WARMUP = 100
 _BLOCK = 4096

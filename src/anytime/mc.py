@@ -14,7 +14,9 @@ import math
 import numpy as np
 
 from .intervals import lower_tail_mix, rcp_upper_lo, upper_tail_mix
-from .sequences import Schedule, betting_running, kt_log_wealth
+# betting_endpoints stays bound here: perfbench/selftest.py checks that the
+# tracer wraps it in every module that held it
+from .sequences import Schedule, betting_endpoints, betting_running, kt_log_wealth  # noqa: F401
 
 
 def bernoulli_matrix(rng: np.random.Generator, streams: int, horizon: int, p: float) -> np.ndarray:

@@ -457,12 +457,11 @@ def _running_block(heads, trials, alpha, threshold, lo0, up0):
         x_up = np.minimum.accumulate(np.column_stack([up0, bound_up[:, :-1]]), axis=1)
         q_lo = x_lo - 2.0 * cell_lo
         q_up = x_up + 2.0 * cell_up
-        keep_lo = (q_lo >= mean) | (q_lo > 0.0) & _kt_inside(
-            q_lo, log_mix, heads, tails, threshold
-        )
-        keep_up = (q_up <= mean) | (q_up < 1.0) & _kt_inside(
-            q_up, log_mix, heads, tails, threshold
-        )
+        # steps whose endpoint cannot move the running bound
+        inside_lo = (q_lo > 0.0) & _kt_inside(q_lo, log_mix, heads, tails, threshold)
+        inside_up = (q_up < 1.0) & _kt_inside(q_up, log_mix, heads, tails, threshold)
+        keep_lo = (q_lo >= mean) | inside_lo
+        keep_up = (q_up <= mean) | inside_up
     solve = ~(keep_lo & keep_up)
     lo_i = np.full_like(heads, -np.inf)
     up_i = np.full_like(heads, np.inf)
