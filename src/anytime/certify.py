@@ -24,17 +24,19 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import special
 
 from .binom import bisect_monotone, gauss_quantile
 from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, decide_with_cs
-from .intervals import Interval, cp_upper, rcp_upper_lo
+from .intervals import Interval, cp_upper, rcp_upper_lo, rcp_upper_lo_bound
 from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
 # betting_endpoints stays bound here: perfbench/selftest.py checks that the
 # tracer wraps it in every module that held it
-from .sequences import Schedule, betting_endpoints, betting_running  # noqa: F401
+from .sequences import Schedule, betting_certified, betting_endpoints, betting_running  # noqa: F401
 
 DEFAULT_WARMUP = 100
 _BLOCK = 4096
+_STRIDE = 64  # columns of a betting block between two certified-bound checks
 
 CERT_MODES = ("binary", "multiclass")
 
@@ -55,9 +57,9 @@ class CertSpec:
     lam: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
@@ -123,7 +125,7 @@ def radius_gauss_l2(p_a: float, p_b: float, sigma: float) -> float:
     probabilities must be interior - the degenerate endpoints have
     infinite quantiles and are handled by the callers' guards.
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
         raise ValueError("radius_gauss_l2 needs interior probabilities")
@@ -137,9 +139,9 @@ def binary_threshold(radius: float, sigma: float) -> float:
     path for the forward and inverse maps), to absolute tolerance 1e-10.
     Equals ``Phi(radius/sigma)``.
     """
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     lim = 1e-12  # quantile gap spans ~14 sigma across this bracket
     return bisect_monotone(
@@ -157,7 +159,10 @@ def _guarded_radius(lo_a, up_b, sigma: float):
     lo_a = np.asarray(lo_a, dtype=float)
     up_b = np.asarray(up_b, dtype=float)
     tiny = 1e-15
-    gap = gauss_quantile(np.clip(lo_a, tiny, 1.0 - tiny)) - gauss_quantile(
+    # the clip keeps both inside gauss_quantile's domain; ndtri (the same
+    # quantile) skips its domain checks, which cost more than the quantile
+    # on the scalar bounds the drivers test at every stage
+    gap = special.ndtri(np.clip(lo_a, tiny, 1.0 - tiny)) - special.ndtri(
         np.clip(up_b, tiny, 1.0 - tiny)
     )
     r = 0.5 * sigma * gap
@@ -256,12 +261,28 @@ def _runner_up(counts: np.ndarray, a_cls: int) -> int:
     return int(others.max()) if others.size else 0
 
 
+def _verdicts(lo, up, spec):
+    """Certify and refute tests on running bounds (row 0 class A, row 1 the runner-up).
+
+    The pessimistic pair (lo A, up B) certifies, the optimistic pair
+    (up A, lo B) refutes.  Both tests are monotone in the bounds, so
+    bounds that are looser outward (lower ones lower, upper ones higher)
+    pass a test only where the exact bounds pass it too.
+    """
+    cert = _guarded_radius(lo[0], up[1], spec.sigma) >= spec.radius
+    refute = _guarded_radius(up[0], lo[1], spec.sigma) < spec.radius
+    return cert, refute
+
+
 def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
     # row 0 bounds class A with budget lam * alpha, row 1 the runner-up
-    # with (1 - lam) * alpha; the pessimistic pair (lo A, up B) certifies,
-    # the optimistic pair (up A, lo B) refutes
+    # with (1 - lam) * alpha.  Running bounds only tighten, so once a test
+    # passes it keeps passing: a block holds a verdict iff its last step
+    # does.  Certified bounds on every _STRIDE-th step find a column the
+    # verdict cannot come after, and the exact bounds are solved up to it
+    # first; verdicts always come from the exact bounds.
     alpha = np.array([spec.lam * spec.alpha, (1.0 - spec.lam) * spec.alpha])
-    lo_run, up_run = np.zeros(2), np.ones(2)
+    run = np.zeros(2), np.ones(2)
     eye = np.eye(oracle.n_classes, dtype=np.int64)
     others = np.arange(oracle.n_classes) != a_cls
     pending = counts[None, :]  # the warmup step rides in the first block
@@ -271,26 +292,54 @@ def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
         cum = np.concatenate([pending, counts + np.cumsum(eye[oracle.sample(k)], axis=0)])
         t_arr = np.arange(t + 1 - len(pending), t + k + 1)
         counts, pending, t = cum[-1], cum[:0], t + k
-        lo, up = betting_running(
-            np.stack([cum[:, a_cls], cum[:, others].max(axis=1)]), t_arr, alpha, lo_run, up_run
-        )
-        cert = _guarded_radius(lo[0], up[1], spec.sigma) >= spec.radius
-        refute = _guarded_radius(up[0], lo[1], spec.sigma) < spec.radius
-        hit = cert | refute
-        if hit.any():
-            i = int(np.argmax(hit))
-            return (Verdict.GREATER if cert[i] else Verdict.LESS), int(t_arr[i])
-        lo_run, up_run = lo[:, -1], up[:, -1]
+        heads = np.stack([cum[:, a_cls], cum[:, others].max(axis=1)])
+        stop = _certified_stop(heads, t_arr, alpha, run, spec)
+        for part in (slice(0, stop + 1), slice(stop + 1, t_arr.size)):
+            if part.start == part.stop:
+                continue
+            lo, up = betting_running(heads[:, part], t_arr[part], alpha, *run)
+            run = lo[:, -1], up[:, -1]
+            cert, refute = _verdicts(lo[:, -1:], up[:, -1:], spec)
+            if cert[0] or refute[0]:
+                cert, refute = _verdicts(lo, up, spec)
+                i = int(np.argmax(cert | refute))
+                return (Verdict.GREATER if cert[i] else Verdict.LESS), int(t_arr[part][i])
     return Verdict.UNDECIDED, cap
+
+
+def _certified_stop(heads, t_arr, alpha, run, spec):
+    """A column at or after the block's first verdict, or the last column.
+
+    Tests the running max / min of :func:`~anytime.sequences.betting_certified`
+    bounds on every ``_STRIDE``-th column and the last, carried in from
+    ``run``.
+    """
+    n = t_arr.size
+    cols = np.r_[np.arange(_STRIDE - 1, n - 1, _STRIDE), n - 1]
+    lo, up = betting_certified(heads[:, cols], t_arr[cols], alpha[:, None])
+    lo = np.maximum.accumulate(np.column_stack([run[0], lo]), axis=1)[:, 1:]
+    up = np.minimum.accumulate(np.column_stack([run[1], up]), axis=1)[:, 1:]
+    cert, refute = _verdicts(lo, up, spec)
+    hit = cert | refute
+    return int(cols[np.argmax(hit)]) if hit.any() else n - 1
 
 
 def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
     # one-sided updates: the whole per-stage share goes to the single
     # bound each stream needs, so there is no upper bound on A (and no
     # lower bound on B) - the refute branch can never fire.  Each stage
-    # solves both streams in one call: A's lower bound and the lower
-    # bound of the runner-up's complement, drawing A's uniform first.
+    # bounds both streams, A's lower bound and the lower bound of the
+    # runner-up's complement, drawing A's uniform first.
+    #
+    # rcp_upper_lo_bound bounds each endpoint from above, so the running
+    # bounds reach at most (la_opt, ub_opt).  While that optimistic pair
+    # cannot certify, the stage's endpoints wait; at the first stage that
+    # could, every waiting endpoint whose bound can still move the exact
+    # running bounds (la, ub) is solved, in one rcp_upper_lo call.
+    # Waiting stages could not certify, so only the current stage is tested.
     la, ub = 0.0, 1.0
+    la_opt, ub_opt = la, ub
+    waiting = []  # per stage, one entry per stream: t, x, budget, draw, bound
     t = warmup
     for k_idx, t_k in enumerate(sched.boundaries(cap), start=1):
         t_k = int(t_k)
@@ -301,12 +350,41 @@ def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
         budget = sched.budget(k_idx)
         w = 1.0 if rng is None else rng.random(2)
         x = np.array([counts[a_cls], t - _runner_up(counts, a_cls)])
-        lo = rcp_upper_lo(x, t, np.array([spec.lam * budget, (1.0 - spec.lam) * budget]), w)
-        la = max(la, float(lo[0]))
-        ub = min(ub, 1.0 - float(lo[1]))
+        alpha = np.array([spec.lam * budget, (1.0 - spec.lam) * budget])
+        bound = rcp_upper_lo_bound(x, t, alpha, w)
+        waiting.append((np.full(2, t), x, alpha, np.broadcast_to(w, (2,)), bound))
+        la_opt, ub_opt = max(la_opt, float(bound[0])), min(ub_opt, 1.0 - float(bound[1]))
+        if float(_guarded_radius(la_opt, ub_opt, spec.sigma)) < spec.radius:
+            continue
+        la, ub = _solve_waiting(waiting, la, ub, rng is None)
+        waiting.clear()
+        la_opt, ub_opt = la, ub
         if float(_guarded_radius(la, ub, spec.sigma)) >= spec.radius:
             return Verdict.GREATER, t
     return Verdict.UNDECIDED, cap
+
+
+def _solve_waiting(waiting, la, ub, unseeded):
+    """Running bounds ``(la, ub)`` moved by the waiting endpoints that can move them.
+
+    Elements alternate A, runner-up per stage.  A call that solves one
+    stage passes its ``t`` and (unseeded) ``w = 1`` as scalars, like a
+    per-stage call.
+    """
+    n, x, alpha, w, bound = (np.concatenate(col) for col in zip(*waiting))
+    side_b = np.arange(n.size) % 2 == 1
+    solve = np.where(side_b, 1.0 - bound < ub, bound > la)
+    n, side_b = n[solve], side_b[solve]
+    if n.size == 0:
+        return la, ub
+    lo = rcp_upper_lo(
+        x[solve], n[0] if n.min() == n.max() else n, alpha[solve], 1.0 if unseeded else w[solve]
+    )
+    if not side_b.all():
+        la = max(la, float(lo[~side_b].max()))
+    if side_b.any():
+        ub = min(ub, float((1.0 - lo[side_b]).min()))
+    return la, ub
 
 
 def certify_staged(
@@ -362,7 +440,7 @@ def width_target_run(
     and the sample count at termination - width < ``eps`` whenever that
     is before ``cap``.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -165,9 +165,9 @@ class CertifyConfig:
         _check_probs("probs", self.probs)
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError(f"probs must sum to 1, got {sum(self.probs)!r}")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.radii or any(r < 0.0 for r in self.radii):
+        if not self.radii or not all(r >= 0.0 for r in self.radii):
             raise ValueError("radii must be a nonempty list of nonnegative reals")
         _check_alpha(self.alpha)
         if not 0.0 < self.lam < 1.0:

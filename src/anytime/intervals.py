@@ -107,6 +107,28 @@ def rcp_upper_lo(x, n, alpha, w, tol: float = _ENDPOINT_TOL):
     return out.reshape(shape)
 
 
+def rcp_upper_lo_bound(x, n, alpha, w):
+    """Upper bound on :func:`rcp_upper_lo` (default ``tol``), found without solving it.
+
+    The mixture is at least ``P(B(n, p) > x)``, whose ``alpha``-quantile
+    ``betaincinv(x + 1, n - x, alpha)`` is the CP bound for ``x + 1``
+    successes, so for every ``w`` the crossing lies at or below that
+    quantile.  One evaluation of the mixture checks that the halving
+    predicate holds at ``q = min(1, quantile + 2^-34)``, one halving cell
+    further out.  The mixture is nondecreasing, so the halvings' final
+    cell then starts below ``q`` and the endpoint, its midpoint, is below
+    ``q + 2^-34``.  Where the check fails, or ``x = n`` (no such tail),
+    the bound is 1.  Arrays broadcast like :func:`rcp_upper_lo`'s.
+    """
+    x, n, alpha, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, n, alpha, w)))
+    cell = 2.0 ** -_n_iters(_ENDPOINT_TOL)
+    has_tail = x < n
+    q = np.where(has_tail, special.betaincinv(x + 1.0, np.where(has_tail, n - x, 1.0), alpha), 1.0)
+    q = np.fmin(q + cell, 1.0)
+    ok = has_tail & (upper_tail_mix(x, n, q, w) > alpha)
+    return np.where(ok, np.fmin(q + cell, 1.0), 1.0)
+
+
 def _n_iters(tol: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / tol)))
 
@@ -233,7 +255,7 @@ def hoeffding_interval(heads: int, trials: int, alpha: float) -> Interval:
 
 def hoeffding_sample_size(eps: float, gamma: float) -> int:
     """Samples needed for the fixed-width Hoeffding test: ``ceil(2 ln(1/gamma) / eps^2)``."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")

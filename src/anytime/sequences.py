@@ -117,9 +117,9 @@ class Schedule:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.growth <= 1.0:
+        if not self.growth > 1.0:
             raise ValueError(f"growth must exceed 1, got {self.growth}")
-        if self.poly <= 1.0:
+        if not self.poly > 1.0:
             raise ValueError(f"poly must exceed 1, got {self.poly}")
         if self.offset < 0 or int(self.offset) != self.offset:
             raise ValueError(f"offset must be a nonnegative integer, got {self.offset}")
@@ -374,12 +374,15 @@ def _kt_newton_start(h, s, c):
 # Running betting bounds
 
 # The screen trusts a log-wealth value only where it clears the threshold
-# by more than ``_EVAL_SLACK * (2 |log_mix| + |xlogy(h, p)| + |xlog1py(s, -p)|)``.
-# That bounds the rounding error of the halving predicate at ``p`` and at
-# every point the conclusion covers: toward the mean the growing term is
-# at most ``|log_mix|`` (the mixture is at most the maximum likelihood),
-# and away from it the log-wealth rises faster than its error.  A few
-# ulps would do; 2^-40 leaves a factor of ~2,000.
+# by more than ``_EVAL_SLACK * (2 |log_mix| + |h log p| + |s log1p(-p)|)``.
+# That bounds the rounding error of the halving predicate (``xlogy`` /
+# ``xlog1py``) at ``p`` and at every point the conclusion covers: toward
+# the mean the growing term is at most ``|log_mix|`` (the mixture is at
+# most the maximum likelihood), and away from it the log-wealth rises
+# faster than its error.  The screen itself forms the plain products
+# ``h log p`` and ``s log1p(-p)``, which differ from ``xlogy`` / ``xlog1py``
+# by a few ulps of the same terms.  A few ulps would do; 2^-40 leaves a
+# factor of ~2,000.
 _EVAL_SLACK = 2.0**-40
 # Final cell of the 34 halvings, as a share of its bracket's length.
 _CELL = 2.0**-_ENDPOINT_ITERS
@@ -405,6 +408,7 @@ def betting_running(heads, trials, alpha, lo0, up0):
       point left of ``y_j`` is outside too, so endpoint ``j`` is at least
       ``L_j = y_j - 2 cell`` (the endpoint is the midpoint of a
       34-halving cell of ``[0, mean]``, ``cell = mean 2^-34`` wide).
+      These are the bounds of :func:`betting_certified`.
     * Let ``x_t`` be the largest of ``lo0`` and the ``L_j`` with
       ``j < t``: the running bound before step ``t`` is at least
       ``x_t``.  If ``x_t - 2 cell`` is at or above the mean, or inside
@@ -444,14 +448,7 @@ def _running_block(heads, trials, alpha, threshold, lo0, up0):
     cell_lo = mean * _CELL
     cell_up = (1.0 - mean) * _CELL
     with np.errstate(all="ignore"):
-        # certified bounds on each step's endpoints (-inf / +inf: none)
-        margin = 4.0 * _EVAL_SLACK * (np.abs(log_mix) + threshold)
-        y_lo = _kt_outer_point(heads, tails, log_mix - threshold, margin)
-        y_up = 1.0 - _kt_outer_point(tails, heads, log_mix - threshold, margin)
-        ok_lo = (y_lo < mean) & _kt_outside(y_lo, log_mix, heads, tails, threshold)
-        ok_up = (y_up > mean) & _kt_outside(y_up, log_mix, heads, tails, threshold)
-        bound_lo = np.where(ok_lo, y_lo - 2.0 * cell_lo, -np.inf)
-        bound_up = np.where(ok_up, y_up + 2.0 * cell_up, np.inf)
+        bound_lo, bound_up = _certified(heads, tails, mean, log_mix, threshold)
         # the running bounds before each step are at least as tight as these
         x_lo = np.maximum.accumulate(np.column_stack([lo0, bound_lo[:, :-1]]), axis=1)
         x_up = np.minimum.accumulate(np.column_stack([up0, bound_up[:, :-1]]), axis=1)
@@ -474,6 +471,40 @@ def _running_block(heads, trials, alpha, threshold, lo0, up0):
     return lo, up
 
 
+def betting_certified(heads, trials, alpha):
+    """Certified bounds ``(L, U)`` on the betting-CS endpoints, without solving them.
+
+    For arrays ``heads``, ``trials >= 1`` and ``alpha`` (broadcast
+    together), ``L <= lo`` and ``U >= up`` element by element, where
+    ``(lo, up) = betting_endpoints(heads, trials, alpha)``; ``L = -inf``
+    (``U = +inf``) where nothing is certified.  Each bound costs one
+    backed-off Newton point (:func:`_kt_outer_point`) and one log-wealth
+    evaluation; see :func:`betting_running`, whose screen starts from
+    them.  A running max of ``L`` (min of ``U``) is thus a lower bound on
+    the running lower bound (upper bound on the running upper bound).
+    """
+    heads, trials, alpha = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (heads, trials, alpha))
+    )
+    threshold = _thresholds(alpha.ravel()).reshape(alpha.shape)
+    log_mix = np.asarray(kt_log_mixture(heads, trials))
+    with np.errstate(all="ignore"):
+        return _certified(heads, trials - heads, heads / trials, log_mix, threshold)
+
+
+def _certified(heads, tails, mean, log_mix, threshold):
+    """:func:`betting_certified` from the counts' shared terms (caller silences numpy)."""
+    margin = 4.0 * _EVAL_SLACK * (np.abs(log_mix) + threshold)
+    y_lo = _kt_outer_point(heads, tails, log_mix - threshold, margin)
+    y_up = 1.0 - _kt_outer_point(tails, heads, log_mix - threshold, margin)
+    ok_lo = (y_lo < mean) & _kt_outside(y_lo, log_mix, heads, tails, threshold)
+    ok_up = (y_up > mean) & _kt_outside(y_up, log_mix, heads, tails, threshold)
+    return (
+        np.where(ok_lo, y_lo - 2.0 * mean * _CELL, -np.inf),
+        np.where(ok_up, y_up + 2.0 * (1.0 - mean) * _CELL, np.inf),
+    )
+
+
 def _kt_outer_point(heads, tails, c, margin):
     """A ``p`` left of the lower root where the log-wealth clears the threshold by ``margin``.
 
@@ -490,7 +521,7 @@ def _kt_outer_point(heads, tails, c, margin):
 
 
 def _kt_wealth_and_slack(p, log_mix, heads, tails):
-    a, b = special.xlogy(heads, p), special.xlog1py(tails, -p)
+    a, b = heads * np.log(p), tails * np.log1p(-p)
     return log_mix - a - b, _EVAL_SLACK * (2.0 * np.abs(log_mix) + np.abs(a) + np.abs(b))
 
 

@@ -11,9 +11,9 @@ The exceptions are the last two sections: the plain fixed-count
 endpoint bisections, written with the same float expressions and
 ``scipy.special`` calls as the library's predicates, so the fast solvers
 can be required to return the very same bits; and the multiclass betting
-certifier as a plain scan over those bisections, so the screened
-running bounds can be required to give the same verdicts and sample
-counts.
+and union certifiers as plain scans over those bisections, so the
+screened running bounds and the certified stopping can be required to
+give the same verdicts and sample counts.
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def bisect_betting_endpoints(heads, trials, alpha, iters: int = ENDPOINT_ITERS):
 
 
 # ---------------------------------------------------------------------------
-# Multiclass betting certification as a plain scan (reference for the
-# screened running bounds)
+# Multiclass certification as plain scans (references for the screened
+# running bounds and the certified stopping)
 
 
 def _guarded_radius(lo_a, up_b, sigma):
@@ -263,4 +263,43 @@ def multiclass_betting_scan(sample, n_classes, sigma, radius, alpha, lam, cap, w
         if out is not None:
             return out
         t += k
+    return "undecided", cap
+
+
+def multiclass_union_scan(
+    sample, n_classes, sigma, radius, lam, cap, warmup, boundaries, budget, rng=None
+):
+    """``(verdict, samples)`` of multiclass union certification, every stage solved.
+
+    ``boundaries`` are the schedule's stage boundaries up to ``cap`` and
+    ``budget(k)`` the budget of the k-th (1-indexed, counted from the
+    first boundary even inside the warmup).  At each boundary past the
+    warmup, class A's lower bound gets ``lam * budget(k)`` and the
+    runner-up complement's lower bound ``(1 - lam) * budget(k)``, with
+    ``rng.random(2)`` drawing A's uniform first (``w = 1`` without
+    ``rng``).  Certifies (``"greater"``) at the first stage whose running
+    pair reaches ``radius``; never refutes.
+    """
+    if cap <= warmup:
+        sample(cap)
+        return "undecided", cap
+    counts = np.bincount(sample(warmup), minlength=n_classes).astype(np.int64)
+    a_cls = int(np.argmax(counts))
+    la, ub = 0.0, 1.0
+    t = warmup
+    for k, t_k in enumerate(boundaries, start=1):
+        t_k = int(t_k)
+        if t_k <= warmup:
+            continue
+        counts += np.bincount(sample(t_k - t), minlength=n_classes)
+        t = t_k
+        b = budget(k)
+        w = 1.0 if rng is None else rng.random(2)
+        runner_up = max(int(c) for i, c in enumerate(counts) if i != a_cls)
+        x = np.array([counts[a_cls], t - runner_up])
+        lo = bisect_rcp_upper_lo(x, t, np.array([lam * b, (1.0 - lam) * b]), w)
+        la = max(la, float(lo[0]))
+        ub = min(ub, 1.0 - float(lo[1]))
+        if float(_guarded_radius(la, ub, sigma)) >= radius:
+            return "greater", t
     return "undecided", cap

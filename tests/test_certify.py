@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import anytime.certify
@@ -39,7 +39,12 @@ from anytime.mc import bernoulli_matrix, betting_ever_excluded, union_ever_exclu
 from anytime.sampling import substream
 from anytime.sequences import Schedule, kt_log_wealth
 
-from oracles import gauss_cdf, gauss_quantile_by_bisection, multiclass_betting_scan
+from oracles import (
+    gauss_cdf,
+    gauss_quantile_by_bisection,
+    multiclass_betting_scan,
+    multiclass_union_scan,
+)
 
 PHI_ONE = 0.8413447460685429  # standard normal CDF at 1
 # binary certification threshold for radius 1/2 at unit noise: Phi(1/2)
@@ -99,6 +104,8 @@ class TestRadiusGeometry:
             radius_gauss_l2(0.8, 0.0, 1.0)
         with pytest.raises(ValueError):
             radius_gauss_l2(0.8, 0.2, 0.0)
+        with pytest.raises(ValueError):
+            radius_gauss_l2(0.8, 0.2, math.nan)
 
 
 class TestBinaryThreshold:
@@ -129,6 +136,11 @@ class TestBinaryThreshold:
             binary_threshold(-0.1, 1.0)
         with pytest.raises(ValueError):
             binary_threshold(0.5, 0.0)
+        # NaN used to slip through every comparison (nan, 1.0 gave 3e-11)
+        with pytest.raises(ValueError):
+            binary_threshold(math.nan, 1.0)
+        with pytest.raises(ValueError):
+            binary_threshold(0.5, math.nan)
 
 
 class TestClassOracle:
@@ -175,6 +187,10 @@ class TestCertSpec:
             CertSpec(sigma=0.0, radius=0.5, alpha=0.01)
         with pytest.raises(ValueError):
             CertSpec(sigma=1.0, radius=-0.5, alpha=0.01)
+        with pytest.raises(ValueError):
+            CertSpec(sigma=math.nan, radius=0.5, alpha=0.01)
+        with pytest.raises(ValueError):
+            CertSpec(sigma=1.0, radius=math.nan, alpha=0.01, mode="multiclass")
         with pytest.raises(ValueError):
             CertSpec(sigma=1.0, radius=0.5, alpha=1.0)
         with pytest.raises(ValueError):
@@ -309,8 +325,10 @@ class TestCertifyMulticlass:
 
     @pytest.mark.parametrize("seeded", [True, False])
     def test_union_stage_is_one_call_a_first(self, monkeypatch, seeded):
-        # both streams' bounds come from one rcp_upper_lo call per stage,
-        # with budgets (lam b, (1 - lam) b) and class A's uniform drawn first
+        # with the certified stopping forced open (every endpoint capped only
+        # by 1, so every stage could certify) both streams' bounds come from
+        # one rcp_upper_lo call per stage, with budgets (lam b, (1 - lam) b)
+        # and class A's uniform drawn first
         calls = []
         real = anytime.certify.rcp_upper_lo
 
@@ -319,6 +337,7 @@ class TestCertifyMulticlass:
             return real(x, n, alpha, w)
 
         monkeypatch.setattr(anytime.certify, "rcp_upper_lo", recording)
+        monkeypatch.setattr(anytime.certify, "rcp_upper_lo_bound", lambda x, n, a, w: np.ones(2))
         spec = CertSpec(sigma=1.0, radius=5.0, alpha=0.01, mode="multiclass", lam=0.3)
         rng = substream(24, "stage-draws") if seeded else None
         oracle = ClassOracle(self.PROBS, substream(24, "stage-labels"))
@@ -333,6 +352,148 @@ class TestCertifyMulticlass:
             assert n == b
             assert alpha == [0.3 * sched.budget(k), (1.0 - 0.3) * sched.budget(k)]
             assert w == ([draws.random(), draws.random()] if seeded else 1.0)
+
+    @pytest.mark.parametrize("seeded", [True, False])
+    def test_union_solved_elements_keep_their_stage(self, monkeypatch, seeded):
+        # with the certified stopping on, the stages that wait are solved
+        # later, several to a call; each solved element must still carry its
+        # own stage's t, budget share and draw
+        calls = []
+        real = anytime.certify.rcp_upper_lo
+
+        def recording(x, n, alpha, w):
+            size = np.size(x)
+            calls.append([np.broadcast_to(v, (size,)).tolist() for v in (n, alpha, w)])
+            return real(x, n, alpha, w)
+
+        monkeypatch.setattr(anytime.certify, "rcp_upper_lo", recording)
+        sched = Schedule.doubling(0.001)
+        draws = substream(25, "stage-draws")
+        boundaries = sched.boundaries(100_000)
+        stage_draws = {int(b): (draws.random(), draws.random()) if seeded else (1.0, 1.0)
+                       for b in boundaries if b > DEFAULT_WARMUP}
+        stage_budgets = {int(b): sched.budget(k) for k, b in enumerate(boundaries, 1)}
+        waited = 0
+        for i, radius in enumerate((0.1, 0.2)):
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.001, mode="multiclass", lam=0.3)
+            rng = substream(25, "stage-draws") if seeded else None
+            oracle = ClassOracle(self.PROBS, substream(25, "stage-labels", i))
+            verdict, used = certify_multiclass(oracle, spec, "union", cap=100_000, rng=rng)
+            assert verdict is Verdict.GREATER
+            solved = [e for call in calls for e in zip(*call)]
+            waited += len({n for n, _, _ in solved}) > len(calls)
+            for n, alpha, w in solved:
+                b = stage_budgets[n]
+                side = [0.3 * b, 0.7 * b].index(alpha)
+                assert w == stage_draws[n][side]
+            assert max(n for n, _, _ in solved) == used
+            calls.clear()
+        assert waited  # some call solved more than one stage
+
+    @pytest.mark.parametrize("cap", [DEFAULT_WARMUP + 1, 6_000, 100_000])
+    def test_union_matches_the_plain_scan(self, cap):
+        # certified stopping gives the verdict and sample count of a scan
+        # that solves every stage
+        verdicts = set()
+        for seed in range(50):
+            probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
+            lam = 0.5 if seed % 2 else 0.3
+            sched = Schedule.doubling(0.01)
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            seeded = seed % 3 != 0
+            oracle = ClassOracle(probs, substream(33, "scan", seed))
+            rng = substream(33, "draws", seed) if seeded else None
+            verdict, used = certify_multiclass(oracle, spec, "union", cap, rng=rng)
+            oracle = ClassOracle(probs, substream(33, "scan", seed))
+            rng = substream(33, "draws", seed) if seeded else None
+            want = multiclass_union_scan(
+                oracle.sample, len(probs), 1.0, radius, lam, cap, DEFAULT_WARMUP,
+                sched.boundaries(cap), sched.budget, rng,
+            )
+            assert (verdict.value, used) == want, seed
+            verdicts.add(want[0])
+        assert verdicts == ({"undecided"} if cap < 4096 else {"greater", "undecided"})
+
+    def test_union_waits_on_the_bounds_of_waiting_stages(self, monkeypatch):
+        # with the tightest valid bound (each endpoint itself) A's best
+        # bound and B's may come from different waiting stages; a stage may
+        # wait only if the pair built from all of them cannot certify
+        monkeypatch.setattr(anytime.certify, "rcp_upper_lo_bound", rcp_upper_lo)
+        sched = Schedule.geometric(0.01)
+        certified = 0
+        for seed in range(40):
+            probs = ((0.8, 0.2), (0.6, 0.15, 0.15, 0.1))[seed % 2]
+            radius = (0.02, 0.1, 0.2, 0.3)[seed % 4]
+            lam = (0.3, 0.7)[seed // 2 % 2]
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            oracle = ClassOracle(probs, substream(37, "tight", seed))
+            verdict, used = certify_multiclass(
+                oracle, spec, "union", 20_000, schedule=sched, rng=substream(38, seed), warmup=10
+            )
+            oracle = ClassOracle(probs, substream(37, "tight", seed))
+            want = multiclass_union_scan(
+                oracle.sample, len(probs), 1.0, radius, lam, 20_000, 10,
+                sched.boundaries(20_000), sched.budget, substream(38, seed),
+            )
+            assert (verdict.value, used) == want, seed
+            certified += want[0] == "greater"
+        assert certified >= 30
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case=st.integers(0, 3),
+        lam=st.sampled_from([0.5, 0.3]),
+        cap=st.sampled_from([DEFAULT_WARMUP + 1, 700, 6_000]),
+        claim=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=20)
+    def test_betting_verdict_ignores_a_false_certified_stop(self, seed, case, lam, cap, claim):
+        # certified bounds that wrongly claim everything settled from some
+        # step on only move where the exact bounds are solved first; the
+        # verdict and sample count still come from the exact bounds
+        probs, radius = self.SCAN_CASES[case]
+        claim_t = DEFAULT_WARMUP + claim * (cap - DEFAULT_WARMUP)
+
+        def claiming(heads, trials, alpha):
+            settled = np.broadcast_to(trials >= claim_t, np.shape(heads))
+            return np.where(settled, 1.0, -np.inf), np.where(settled, 0.0, np.inf)
+
+        spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anytime.certify, "betting_certified", claiming)
+            oracle = ClassOracle(probs, substream(34, "false-stop", seed))
+            verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=cap)
+        oracle = ClassOracle(probs, substream(34, "false-stop", seed))
+        want = multiclass_betting_scan(
+            oracle.sample, len(probs), 1.0, radius, 0.01, lam, cap, DEFAULT_WARMUP
+        )
+        assert (verdict.value, used) == want
+
+    # degenerate class probabilities, warmup 1: the runner-up never shows
+    # up, or the two classes tie exactly
+    @pytest.mark.parametrize("probs", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("cs_kind", ["betting", "union"])
+    def test_degenerate_probabilities_match_the_scans(self, probs, cs_kind):
+        sched = Schedule.doubling(0.01)
+        for i, radius in enumerate((0.0, 0.2, 1.0, 5.0)):
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass")
+            for cap in (2, 1_000, 20_000):
+                oracle = ClassOracle(probs, substream(35, "degenerate", i, cap))
+                with np.errstate(all="raise"):
+                    verdict, used = certify_multiclass(
+                        oracle, spec, cs_kind, cap, rng=substream(36, "draws"), warmup=1
+                    )
+                oracle = ClassOracle(probs, substream(35, "degenerate", i, cap))
+                if cs_kind == "betting":
+                    want = multiclass_betting_scan(
+                        oracle.sample, len(probs), 1.0, radius, 0.01, 0.5, cap, 1
+                    )
+                else:
+                    want = multiclass_union_scan(
+                        oracle.sample, len(probs), 1.0, radius, 0.5, cap, 1,
+                        sched.boundaries(cap), sched.budget, substream(36, "draws"),
+                    )
+                assert (verdict.value, used) == want, (radius, cap)
 
     # (probs, radius): certified, refuted, certified at the warmup step
     SCAN_CASES = (
@@ -422,6 +583,8 @@ class TestWidthTarget:
         bits = np.ones(8, dtype=np.uint8)
         with pytest.raises(ValueError):
             width_target_run(bits, 0.0, 0.05)
+        with pytest.raises(ValueError):  # NaN would run to the end of the stream
+            width_target_run(bits, math.nan, 0.05)
         with pytest.raises(ValueError):
             width_target_run(bits, 0.5, 1.5)
         with pytest.raises(ValueError):

@@ -277,6 +277,9 @@ class TestConfigErrors:
         ("certify", "--probs", "0.5,0.4"),
         ("certify", "--lam", "1.0"),
         ("certify", "--target-class", "5"),
+        ("certify", "--sigma", "nan"),
+        ("certify", "--mode", "multiclass", "--cs", "betting", "--probs", "0.5,0.5",
+         "--radii", "nan"),
         ("thresholds", "--p", "1.5"),
         ("thresholds", "--n-max", "0"),
     ]

@@ -5,6 +5,9 @@ fixed 34-halving bisection from a Newton guess, check it with two
 predicate evaluations and rerun the plain halving where the check fails.
 Every test here compares with ``==`` against the plain bisections in
 ``oracles.py``: the fast path may not move an endpoint by a single ulp.
+The last class checks the certified bounds that let callers skip the
+solvers: ``betting_certified`` and ``rcp_upper_lo_bound`` must lie on the
+outer side of the endpoints they bound.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from hypothesis import strategies as st
 import anytime.binom
 import anytime.intervals
 import anytime.sequences
-from anytime.intervals import rcp_upper_lo
-from anytime.sequences import betting_endpoints
+from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound
+from anytime.sequences import betting_certified, betting_endpoints
 
 from oracles import bisect_betting_endpoints, bisect_rcp_upper_lo
 
@@ -170,3 +173,57 @@ def test_pinned_ends(alpha):
     # x = 0 with w > alpha: even p = 0 is kept
     assert rcp_upper_lo(np.asarray(10), 10, alpha, alpha) == 1.0
     assert rcp_upper_lo(np.asarray(0), 10, alpha, min(1.0, 2 * alpha)) == 0.0
+
+
+class TestCertifiedBounds:
+    """Bounds computed without solving: never on the inner side of the endpoint."""
+
+    @given(counts(), ALPHAS)
+    def test_betting_certified_brackets_the_endpoints(self, ht, alpha):
+        h, t = ht
+        lo, up = betting_endpoints(np.asarray(h), t, alpha)
+        bound_lo, bound_up = betting_certified(h, t, alpha)
+        assert bound_lo <= lo and bound_up >= up, (bound_lo, lo, bound_up, up)
+
+    @given(st.data(), SIZES)
+    def test_betting_certified_vector(self, data, t):
+        k = data.draw(st.integers(1, 12))
+        h = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0, t]), st.integers(0, t)),
+                                        min_size=k, max_size=k)))
+        alpha = np.array(data.draw(st.lists(ALPHAS, min_size=k, max_size=k)))
+        lo, up = betting_endpoints(h, t, alpha)
+        bound_lo, bound_up = betting_certified(h, t, alpha)
+        assert np.all(bound_lo <= lo) and np.all(bound_up >= up)
+
+    def test_betting_certified_is_tight_off_the_edges(self):
+        # the bounds are one backed-off Newton point away from the root, far
+        # closer than the steps between endpoints they are meant to screen
+        t = np.array([100.0, 1e4, 1e6, 1e9])
+        lo, up = betting_endpoints(np.floor(0.5 * t), t, 0.001)
+        bound_lo, bound_up = betting_certified(np.floor(0.5 * t), t, 0.001)
+        assert np.all(lo - bound_lo <= 1e-3 * lo) and np.all(bound_up - up <= 1e-3 * (1.0 - up))
+
+    @given(counts(), ALPHAS, DRAWS)
+    def test_rcp_bound_is_above_the_endpoint(self, xn, alpha, w):
+        x, n = xn
+        lo = rcp_upper_lo(np.asarray(x), n, alpha, w)
+        assert rcp_upper_lo_bound(x, n, alpha, w) >= lo
+
+    @given(st.data(), SIZES, ALPHAS)
+    def test_rcp_bound_vector(self, data, n, alpha):
+        k = data.draw(st.integers(1, 12))
+        x = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0, n]), st.integers(0, n)),
+                                        min_size=k, max_size=k)))
+        w = np.array(data.draw(st.lists(DRAWS, min_size=k, max_size=k)))
+        assert np.all(rcp_upper_lo_bound(x, n, alpha, w) >= rcp_upper_lo(x, n, alpha, w))
+
+    def test_rcp_bound_is_the_next_cp_bound(self):
+        # at w = 0 the mixture is the CP tail for x + 1 successes itself, so
+        # the bound sits a few halving cells above the endpoint; x = n has no
+        # such tail and gets the trivial bound 1
+        n = np.array([10, 1000, 10**6, 10**9])
+        x = np.floor(0.3 * n)
+        gap = rcp_upper_lo_bound(x, n, 1e-6, 0.0) - rcp_upper_lo(x, n, 1e-6, 0.0)
+        assert np.all(gap >= 0.0) and np.all(gap <= 3.0 * 2.0**-34)
+        at_n = rcp_upper_lo_bound(np.array([7, 7]), 7, 0.01, np.array([0.0, 1.0]))
+        assert at_n.tolist() == [1.0, 1.0]

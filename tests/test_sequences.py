@@ -133,6 +133,10 @@ class TestSchedule:
             Schedule(0.05, growth=1.0)
         with pytest.raises(ValueError):
             Schedule(0.05, poly=0.5)
+        with pytest.raises(ValueError):
+            Schedule(0.05, growth=math.nan)
+        with pytest.raises(ValueError):
+            Schedule(0.05, poly=math.nan)
 
 
 class TestUnionCS:
