@@ -5,8 +5,10 @@ against sha256 digests recorded once, so any drift between versions -
 an endpoint that moves by one ulp, a changed draw order, a reformatted
 number - fails here.  The configs are small but reach every command and
 every path the benchmark skips: binary certification with all three
-sequences, multiclass union certification, ``width`` with both
-sequence kinds, two-sided ``coverage`` and ``thresholds``.
+sequences, multiclass certification with both sequences (betting also
+with both budget splits, at radii that certify, refute and reach the
+cap), ``width`` with both sequence kinds, two-sided ``coverage`` and
+``thresholds``.
 
 The CSVs round endpoints to ten significant digits, so a last test pins
 the raw float64 bytes of the endpoint solvers and running sequences as
@@ -48,6 +50,17 @@ CASES = {
          "--seed", "13"],
         True,
     ),
+    "certify-multiclass-betting": (
+        ["certify", "--mode", "multiclass", "--probs", "0.55,0.45", "--radii", "0.02,0.12,0.4",
+         "--cs", "betting", "--alpha", "0.01", "--trials", "3", "--cap", "20000", "--seed", "17"],
+        True,
+    ),
+    "certify-multiclass-betting-lam": (
+        ["certify", "--mode", "multiclass", "--probs", "0.55,0.45", "--radii", "0.02,0.12,0.4",
+         "--cs", "betting", "--alpha", "0.01", "--lam", "0.3", "--trials", "3", "--cap", "20000",
+         "--seed", "17"],
+        True,
+    ),
     "width": (
         ["width", "--horizon", "4096", "--p", "0.3", "--alpha", "0.01",
          "--kinds", "betting,union", "--seed", "14"],
@@ -81,6 +94,14 @@ GOLDEN = {
     "certify-multiclass": (
         "d40b5575a33ddfe845cfd200a66606aac243c95f576f7f0003c96c987fdeb807",
         "92cc1f9c182481e280b93982553794d8a778e6c79b181f0439863628fd8f6eb8",
+    ),
+    "certify-multiclass-betting": (
+        "3b4a88aa17c9e6b8bfab93b2ab42356a972408190cf116de616385dc6a8bc858",
+        "ba7b60bd66ad6cf9ef9810da50c1eee2de18f8990053f1585384fa7664189b22",
+    ),
+    "certify-multiclass-betting-lam": (
+        "805e121596cbeb28a2cb752448534f4e413b245884aab37f2d1bd681f0eb9c0c",
+        "dfc0fc952c67fa573e8cbb2035fb7780e6f56655c98237b7915be757d2738cee",
     ),
     "width": ("6e873d0180fd5ea3bbb87cfe0a2a8c36052628567c11430a67ff3fa6c2284bd4",),
     "coverage-two": ("53b3cf836140a86d1a02bfef87eb87f7b071b9a114410ba3f1e2525a79e1c17a",),
