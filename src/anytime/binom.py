@@ -54,6 +54,11 @@ _P_ERROR = "p must lie in [0, 1]"
 _NUMBER = (int, float)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def _check_n_p(n, p) -> None:
     # ``not all(in range)`` rather than ``any(out of range)``: NaN fails too
     if not (np.asarray(n) >= 0).all():
@@ -246,15 +251,23 @@ def _bisect_iters(lo: float, hi: float, tol: float) -> int:
     return max(1, math.ceil(math.log2((hi - lo) / tol)))
 
 
-def halve(lo, hi, above: Callable, iters: int):
+def halve(lo, hi, above, iters: int):
     """``iters`` halvings of the brackets ``[lo, hi]``, elementwise.
 
     ``above(mid)`` says per element whether the sought point lies at or
     below ``mid``: the bracket keeps ``[lo, mid]`` where it holds and
     ``[mid, hi]`` elsewhere.  ``lo`` and ``hi`` are 1-d arrays (they are
     not modified) and ``above`` returns a boolean array of the same shape.
+    ``above`` may instead be an array of guesses, which steers each
+    halving by ``guess < mid``; batches of up to ``_FLOAT_REPLAY`` such
+    elements are replayed on Python floats, whose ``0.5 * (lo + hi)`` and
+    ``<`` are the same IEEE operations, so the cells are the same bits.
     Returns the final ``(lo, hi)`` arrays.
     """
+    if not callable(above):
+        if lo.size <= _FLOAT_REPLAY:
+            return _float_replay(lo, hi, above, iters)
+        above = above.__lt__
     cells = np.stack([lo, hi])  # row 0: lower ends, row 1: upper ends
     lo_row, hi_row = cells
     col = np.arange(cells.shape[1])
@@ -265,33 +278,86 @@ def halve(lo, hi, above: Callable, iters: int):
     return lo_row, hi_row
 
 
+# Largest batch that :func:`halve` replays on Python floats: below it the
+# ~4 numpy calls per halving cost more than ~34 float steps per element.
+_FLOAT_REPLAY = 64
+
+
+def _float_replay(lo, hi, guess, iters: int):
+    lo_out, hi_out = [], []
+    for a, b, g in zip(lo.tolist(), hi.tolist(), guess.tolist()):
+        for _ in range(iters):
+            mid = 0.5 * (a + b)
+            if g < mid:
+                b = mid
+            else:
+                a = mid
+        lo_out.append(a)
+        hi_out.append(b)
+    return np.array(lo_out, dtype=float), np.array(hi_out, dtype=float)
+
+
 def halve_with_guess(lo, hi, guess, above: Callable, params: tuple, iters: int, settled):
     """``halve(lo, hi, lambda mid: above(mid, *params), iters)``, two predicate values each.
 
     The halvings are replayed with the decision ``mid > guess`` in place
-    of ``above(mid, *params)``, and the predicate is then evaluated only
-    at the two ends of each final cell, in one vector call.  For a
+    of ``above(mid, *params)`` (on Python floats for small batches, see
+    :func:`halve`), and the predicate is then evaluated only at the two
+    ends of each final cell, in one vector call.  For a
     predicate that is monotone in ``mid`` exactly one leaf cell has
     ``above`` false at its left end and true at its right end, so a cell
-    that passes is the one the plain halving ends in.  Elements that fail
-    (a guess in the wrong cell) rerun the plain halving, on that subset
-    only; elements flagged ``settled`` (answer fixed by the caller) are
-    not checked.  ``params`` are 1-d arrays aligned with ``lo``, or
-    scalars, passed on to ``above``.
+    that passes is the one the plain halving ends in.  The predicate is
+    rounded, so a guess within ``_EDGE`` of a cell of the edge it fails
+    on can be one cell off: those elements are replayed once more from
+    the middle of the neighbouring cell and checked again.  Elements that
+    still fail (a guess in the wrong cell) rerun the plain halving, on
+    that subset only; elements flagged ``settled`` (answer fixed by the
+    caller) are not checked.  ``params`` are 1-d arrays aligned with
+    ``lo``, or scalars, passed on to ``above``.
     """
+    lo_f, hi_f = _replay(lo, hi, guess, iters)
+    ends = above(np.stack([lo_f, hi_f]), *params)
+    failed = np.flatnonzero(~settled & (ends[0] | ~ends[1]))
+    if failed.size:
+        left = ends[0, failed]  # the answer lies left of the cell
+        width = hi_f[failed] - lo_f[failed]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pos = (guess[failed] - lo_f[failed]) / width
+        near = np.flatnonzero(
+            np.where(left, (pos >= 0.0) & (pos < _EDGE), (pos <= 1.0) & (pos > 1.0 - _EDGE))
+        )
+        if near.size:
+            k = failed[near]
+            step = np.where(left[near], -0.5, 1.5) * width[near]
+            lo_n, hi_n = _replay(lo[k], hi[k], lo_f[k] + step, iters)
+            ends = above(np.stack([lo_n, hi_n]), *_subset(params, k))
+            ok = ~(ends[0] | ~ends[1])
+            lo_f[k[ok]], hi_f[k[ok]] = lo_n[ok], hi_n[ok]
+            failed = np.setdiff1d(failed, k[ok])
+    if failed.size:
+        sub = _subset(params, failed)
+        lo_f[failed], hi_f[failed] = halve(
+            lo[failed], hi[failed], lambda mid: above(mid, *sub), iters
+        )
+    return lo_f, hi_f
+
+
+# Share of a cell within which a guess may lie on the wrong side of the
+# cell's edge through rounding: the Newton guesses are within ~1e-3 of a
+# cell of where the rounded predicate flips.
+_EDGE = 2.0**-8
+
+
+def _replay(lo, hi, guess, iters: int):
+    """The final cells of ``iters`` halvings of ``[lo, hi]`` steered by ``guess < mid``."""
     if iters <= 52 and not lo.any() and (hi == 1.0).all():
         # From [0, 1] every midpoint is an exact dyadic rational, so the
         # replay ends in the level-``iters`` dyadic cell holding the guess.
         scale = 2.0**iters
         lo_f = np.clip(np.floor(guess * scale), 0.0, scale - 1.0) / scale
-        hi_f = lo_f + 1.0 / scale
-    else:
-        lo_f, hi_f = halve(lo, hi, guess.__lt__, iters)
-    ends = above(np.stack([lo_f, hi_f]), *params)
-    failed = np.flatnonzero(~settled & (ends[0] | ~ends[1]))
-    if failed.size:
-        sub = tuple(a[failed] if np.ndim(a) else a for a in params)
-        lo_f[failed], hi_f[failed] = halve(
-            lo[failed], hi[failed], lambda mid: above(mid, *sub), iters
-        )
-    return lo_f, hi_f
+        return lo_f, lo_f + 1.0 / scale
+    return halve(lo, hi, guess, iters)
+
+
+def _subset(params: tuple, index) -> tuple:
+    return tuple(a[index] if np.ndim(a) else a for a in params)

@@ -20,23 +20,31 @@ in another noise distribution means swapping ``radius_gauss_l2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import special
 
-from .binom import bisect_monotone, gauss_quantile
+from .binom import _check_alpha, bisect_monotone, gauss_quantile
 from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo, rcp_upper_lo_bound
 from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
 # betting_endpoints stays bound here: perfbench/selftest.py checks that the
 # tracer wraps it in every module that held it
-from .sequences import Schedule, betting_certified, betting_endpoints, betting_running  # noqa: F401
+from .sequences import (  # noqa: F401
+    Schedule,
+    betting_certified,
+    betting_endpoints,
+    betting_candidates,
+    betting_running,
+    betting_running_at,
+)
 
 DEFAULT_WARMUP = 100
 _BLOCK = 4096
-_STRIDE = 64  # columns of a betting block between two certified-bound checks
+_STRIDE = 64  # columns of a betting search window, and between two marks
 
 CERT_MODES = ("binary", "multiclass")
 
@@ -61,8 +69,7 @@ class CertSpec:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not self.radius >= 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.mode not in CERT_MODES:
             raise ValueError(f"mode must be one of {CERT_MODES}, got {self.mode!r}")
         if not 0.0 < self.lam < 1.0:
@@ -154,14 +161,24 @@ def _guarded_radius(lo_a, up_b, sigma: float):
 
     ``lo_a = 0`` or ``up_b = 1`` carries no certification evidence:
     radius ``-inf``.  ``lo_a = 1`` or ``up_b = 0`` is infinitely strong:
-    ``+inf``.  The uninformative branch wins when both apply.
+    ``+inf``.  The uninformative branch wins when both apply.  Two floats
+    (the running bounds the drivers test at every stage) take a float
+    path with the same clip and quantile, so the same value.
     """
-    lo_a = np.asarray(lo_a, dtype=float)
-    up_b = np.asarray(up_b, dtype=float)
-    tiny = 1e-15
     # the clip keeps both inside gauss_quantile's domain; ndtri (the same
     # quantile) skips its domain checks, which cost more than the quantile
-    # on the scalar bounds the drivers test at every stage
+    tiny = 1e-15
+    if isinstance(lo_a, float) and isinstance(up_b, float):
+        if lo_a <= 0.0 or up_b >= 1.0:
+            return -math.inf
+        if lo_a >= 1.0 or up_b <= 0.0:
+            return math.inf
+        gap = special.ndtri(min(max(lo_a, tiny), 1.0 - tiny)) - special.ndtri(
+            min(max(up_b, tiny), 1.0 - tiny)
+        )
+        return 0.5 * sigma * gap
+    lo_a = np.asarray(lo_a, dtype=float)
+    up_b = np.asarray(up_b, dtype=float)
     gap = special.ndtri(np.clip(lo_a, tiny, 1.0 - tiny)) - special.ndtri(
         np.clip(up_b, tiny, 1.0 - tiny)
     )
@@ -256,11 +273,6 @@ def certify_multiclass(
     return _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng)
 
 
-def _runner_up(counts: np.ndarray, a_cls: int) -> int:
-    others = np.delete(counts, a_cls)
-    return int(others.max()) if others.size else 0
-
-
 def _verdicts(lo, up, spec):
     """Certify and refute tests on running bounds (row 0 class A, row 1 the runner-up).
 
@@ -277,10 +289,9 @@ def _verdicts(lo, up, spec):
 def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
     # row 0 bounds class A with budget lam * alpha, row 1 the runner-up
     # with (1 - lam) * alpha.  Running bounds only tighten, so once a test
-    # passes it keeps passing: a block holds a verdict iff its last step
-    # does.  Certified bounds on every _STRIDE-th step find a column the
-    # verdict cannot come after, and the exact bounds are solved up to it
-    # first; verdicts always come from the exact bounds.
+    # passes it keeps passing: a block holds a verdict iff its last column
+    # does, and the first passing column can be found from exact bounds at
+    # a few columns (_block_verdict).
     alpha = np.array([spec.lam * spec.alpha, (1.0 - spec.lam) * spec.alpha])
     run = np.zeros(2), np.ones(2)
     eye = np.eye(oracle.n_classes, dtype=np.int64)
@@ -288,40 +299,98 @@ def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
     pending = counts[None, :]  # the warmup step rides in the first block
     t = warmup
     while t < cap:
-        k = min(_BLOCK, cap - t)
+        k = min(_BLOCK - len(pending), cap - t)
         cum = np.concatenate([pending, counts + np.cumsum(eye[oracle.sample(k)], axis=0)])
         t_arr = np.arange(t + 1 - len(pending), t + k + 1)
         counts, pending, t = cum[-1], cum[:0], t + k
         heads = np.stack([cum[:, a_cls], cum[:, others].max(axis=1)])
-        stop = _certified_stop(heads, t_arr, alpha, run, spec)
-        for part in (slice(0, stop + 1), slice(stop + 1, t_arr.size)):
-            if part.start == part.stop:
-                continue
-            lo, up = betting_running(heads[:, part], t_arr[part], alpha, *run)
-            run = lo[:, -1], up[:, -1]
-            cert, refute = _verdicts(lo[:, -1:], up[:, -1:], spec)
-            if cert[0] or refute[0]:
-                cert, refute = _verdicts(lo, up, spec)
-                i = int(np.argmax(cert | refute))
-                return (Verdict.GREATER if cert[i] else Verdict.LESS), int(t_arr[part][i])
+        found, run = _block_verdict(heads, t_arr, alpha, run, spec)
+        if found is not None:
+            return found[0], int(t_arr[found[1]])
     return Verdict.UNDECIDED, cap
 
 
-def _certified_stop(heads, t_arr, alpha, run, spec):
-    """A column at or after the block's first verdict, or the last column.
+def _block_verdict(heads, t_arr, alpha, run, spec):
+    """``((verdict, column) or None, exact running bounds at the last column)`` of one block.
 
-    Tests the running max / min of :func:`~anytime.sequences.betting_certified`
-    bounds on every ``_STRIDE``-th column and the last, carried in from
-    ``run``.
+    ``run`` holds the exact bounds before the block, which pass neither
+    test.  Certified bounds (:func:`_certified_stop`) only hint at the
+    column where the first pass lies: the exact bounds of the window that
+    ends there, and at the column before it, come from one
+    :func:`~anytime.sequences.betting_running_at` call.  Without a hint
+    only the block's last column is solved, and a block that does not
+    pass there carries its bounds.  Every verdict is read off exact bounds.
+    """
+    right = _certified_stop(heads, t_arr, alpha, run, spec)
+    if right is not None:
+        marks = [right - _STRIDE] if right >= _STRIDE else []
+        part = slice(0, right + 1)
+        found, run = _first_pass(heads[:, part], t_arr[part], alpha, run, spec, marks)
+        if found is not None or part.stop == t_arr.size:
+            return found, run
+    # no hint, or one from bounds that were not certified after all
+    start = 0 if right is None else right + 1
+    heads, t_arr = heads[:, start:], t_arr[start:]
+    lo, up = betting_running_at(heads, t_arr, alpha, *run, [t_arr.size - 1])
+    last = lo[:, 0], up[:, 0]
+    cert, refute = _verdicts(*last, spec)
+    if not (cert or refute):
+        return None, last
+    found, _ = _first_pass(heads, t_arr, alpha, run, spec, _stride_marks(t_arr.size))
+    return (found[0], start + found[1]), last
+
+
+def _stride_marks(n):
+    """Every ``_STRIDE``-th column before the last window of ``n`` columns."""
+    return np.arange(_STRIDE - 1, n - 1, _STRIDE)
+
+
+def _first_pass(heads, t_arr, alpha, run, spec, marks):
+    """``((verdict, column) or None, exact bounds at the last column)``, searched from ``marks``.
+
+    One :func:`~anytime.sequences.betting_running_at` call gives the
+    exact bounds at the columns ``marks`` and at every column of the
+    window after the last mark.  Where a mark already passes, the first
+    pass lies after the mark before it (or the carry), and that stretch
+    is searched again with stride marks, carried in from its left end;
+    a stretch of at most ``_STRIDE`` columns is one window.
     """
     n = t_arr.size
-    cols = np.r_[np.arange(_STRIDE - 1, n - 1, _STRIDE), n - 1]
+    start = int(marks[-1]) + 1 if len(marks) else 0
+    cols = np.r_[np.asarray(marks, dtype=np.intp), start:n]
+    lo, up = betting_running_at(heads, t_arr, alpha, *run, cols)
+    last = lo[:, -1], up[:, -1]
+    cert, refute = _verdicts(lo, up, spec)
+    hit = cert | refute
+    if not hit.any():
+        return None, last
+    i = int(np.argmax(hit))
+    if i >= len(marks):
+        return ((Verdict.GREATER if cert[i] else Verdict.LESS), int(cols[i])), last
+    begin = int(cols[i - 1]) + 1 if i else 0
+    part = slice(begin, int(cols[i]) + 1)
+    carry = (lo[:, i - 1], up[:, i - 1]) if i else run
+    found, _ = _first_pass(
+        heads[:, part], t_arr[part], alpha, carry, spec, _stride_marks(part.stop - begin)
+    )
+    return (found[0], begin + found[1]), last
+
+
+def _certified_stop(heads, t_arr, alpha, run, spec):
+    """The first column whose certified running bounds pass a test, or ``None``.
+
+    The certified bounds are :func:`~anytime.sequences.betting_certified`
+    at the steps :func:`~anytime.sequences.betting_candidates` expects to
+    hold the running bounds, carried in from ``run``.  Where these bounds
+    are certified, the exact bounds pass at that column too.
+    """
+    cols = np.flatnonzero(betting_candidates(heads, t_arr, alpha).any(axis=0))
     lo, up = betting_certified(heads[:, cols], t_arr[cols], alpha[:, None])
     lo = np.maximum.accumulate(np.column_stack([run[0], lo]), axis=1)[:, 1:]
     up = np.minimum.accumulate(np.column_stack([run[1], up]), axis=1)[:, 1:]
     cert, refute = _verdicts(lo, up, spec)
     hit = cert | refute
-    return int(cols[np.argmax(hit)]) if hit.any() else n - 1
+    return int(cols[np.argmax(hit)]) if hit.any() else None
 
 
 def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
@@ -340,6 +409,7 @@ def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
     la, ub = 0.0, 1.0
     la_opt, ub_opt = la, ub
     waiting = []  # per stage, one entry per stream: t, x, budget, draw, bound
+    others = np.arange(oracle.n_classes) != a_cls
     t = warmup
     for k_idx, t_k in enumerate(sched.boundaries(cap), start=1):
         t_k = int(t_k)
@@ -349,7 +419,7 @@ def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
         t = t_k
         budget = sched.budget(k_idx)
         w = 1.0 if rng is None else rng.random(2)
-        x = np.array([counts[a_cls], t - _runner_up(counts, a_cls)])
+        x = np.array([counts[a_cls], t - counts[others].max()])
         alpha = np.array([spec.lam * budget, (1.0 - spec.lam) * budget])
         bound = rcp_upper_lo_bound(x, t, alpha, w)
         waiting.append((np.full(2, t), x, alpha, np.broadcast_to(w, (2,)), bound))
@@ -442,8 +512,7 @@ def width_target_run(
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     source = as_bit_source(stream)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .certify import CERT_MODES
-from .decision import METHODS, _check_alpha
+from .binom import _check_alpha
+from .decision import METHODS
 
 SEED_ENV = "ANYTIME_SEED"
 THREADS_ENV = "ANYTIME_THREADS"

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .binom import binom_cdf, binom_sf
+from .binom import _check_alpha, binom_cdf, binom_sf
 from .intervals import (
     hoeffding_interval,
     hoeffding_sample_size,
@@ -78,11 +78,6 @@ class TrialRecord:
         if self.verdict is Verdict.LESS:
             return self.p >= self.q
         return False
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 def _check_threshold(p: float) -> None:

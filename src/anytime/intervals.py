@@ -29,7 +29,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .binom import binom_cdf, binom_sf, halve_with_guess, log_binom_pmf
+from .binom import _check_alpha, binom_cdf, binom_sf, halve_with_guess, log_binom_pmf
 
 _ENDPOINT_TOL = 1e-10
 _NEWTON_CAP = 40
@@ -58,8 +58,7 @@ class Interval:
 def _check_interval_args(x: int, n: int, alpha: float, w: float = 1.0) -> None:
     if n < 1 or not 0 <= x <= n:
         raise ValueError(f"need 0 <= x <= n with n >= 1, got x={x} n={n}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must be in [0, 1], got {w}")
 
@@ -118,15 +117,32 @@ def rcp_upper_lo_bound(x, n, alpha, w):
     further out.  The mixture is nondecreasing, so the halvings' final
     cell then starts below ``q`` and the endpoint, its midpoint, is below
     ``q + 2^-34``.  Where the check fails, or ``x = n`` (no such tail),
-    the bound is 1.  Arrays broadcast like :func:`rcp_upper_lo`'s.
+    the bound is 1.  Arrays broadcast like :func:`rcp_upper_lo`'s; each
+    element is checked on scalars, which take the float path of the
+    binomial tails (the same values as the array path, without its
+    validation cost).
     """
-    x, n, alpha, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, n, alpha, w)))
     cell = 2.0 ** -_n_iters(_ENDPOINT_TOL)
-    has_tail = x < n
-    q = np.where(has_tail, special.betaincinv(x + 1.0, np.where(has_tail, n - x, 1.0), alpha), 1.0)
-    q = np.fmin(q + cell, 1.0)
-    ok = has_tail & (upper_tail_mix(x, n, q, w) > alpha)
-    return np.where(ok, np.fmin(q + cell, 1.0), 1.0)
+    elements = _elements(x, n, alpha, w)
+    out = np.ones(elements.shape)
+    flat = out.reshape(-1)
+    for i, (xi, ni, ai, wi) in enumerate(elements):
+        if not xi < ni:
+            continue
+        q = float(special.betaincinv(xi + 1.0, ni - xi, ai)) + cell
+        q = q if q < 1.0 else 1.0  # NaN as well, like np.fmin
+        if upper_tail_mix(xi, ni, q, wi) > ai:
+            flat[i] = q + cell if q + cell < 1.0 else 1.0
+    return out
+
+
+# Largest cell check of :func:`rcp_upper_lo` made element by element.
+_FLOAT_CHECK = 8
+
+
+def _elements(*arrays):
+    """Iterator over the broadcast elements of ``arrays``, as tuples of float64 scalars."""
+    return np.broadcast(*(np.asarray(a, dtype=float) for a in arrays))
 
 
 def _n_iters(tol: float) -> int:
@@ -134,6 +150,12 @@ def _n_iters(tol: float) -> int:
 
 
 def _rcp_above(p, x, n, alpha, w):
+    if p.size <= _FLOAT_CHECK:
+        # element by element, the tails take their float path: the same
+        # values without the array path's validation, which costs more here
+        elements = _elements(x, n, p, w, alpha)
+        mix = [upper_tail_mix(xi, ni, pi, wi) > ai for xi, ni, pi, wi, ai in elements]
+        return np.array(mix, dtype=bool).reshape(p.shape)
     return upper_tail_mix(x, n, p, w) > alpha
 
 
@@ -246,8 +268,7 @@ def hoeffding_interval(heads: int, trials: int, alpha: float) -> Interval:
     """Two-sided Hoeffding interval ``mean +/- sqrt(ln(2/alpha) / (2 t))``."""
     if trials < 1 or not 0 <= heads <= trials:
         raise ValueError("need 0 <= heads <= trials with trials >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     mean = heads / trials
     half = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
     return Interval(max(0.0, mean - half), min(1.0, mean + half))

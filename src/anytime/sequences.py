@@ -21,7 +21,9 @@ Two constructions:
 Both classes expose ``update(bit) -> Interval`` returning the *running*
 intersection (nested by construction).  For whole streams at once,
 :func:`betting_running` returns the running betting bounds and solves
-only the endpoints that can move them.
+only the endpoints that can move them; :func:`betting_running_at`
+returns them at chosen columns only and solves only the endpoints that
+can be the running bound there.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .binom import halve_with_guess
+from .binom import _check_alpha, halve_with_guess
 from .intervals import Interval, rcp_upper_lo
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -115,8 +117,7 @@ class Schedule:
     offset: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not self.growth > 1.0:
             raise ValueError(f"growth must exceed 1, got {self.growth}")
         if not self.poly > 1.0:
@@ -289,6 +290,8 @@ def betting_endpoints(heads, trials, alpha):
 
 def _thresholds(alpha):
     """``math.log(1.0 / alpha)`` of each element of a 1-d array, as for a scalar ``alpha``."""
+    if alpha.size and (alpha == alpha[0]).all():
+        return np.full(alpha.shape, math.log(1.0 / float(alpha[0])))
     values, index = np.unique(alpha, return_inverse=True)
     return np.array([math.log(1.0 / a) for a in values.tolist()])[index.ravel()]
 
@@ -386,6 +389,8 @@ def _kt_newton_start(h, s, c):
 _EVAL_SLACK = 2.0**-40
 # Final cell of the 34 halvings, as a share of its bracket's length.
 _CELL = 2.0**-_ENDPOINT_ITERS
+# Longest run of steps that share one candidate for the running bounds.
+_RUN = 64
 
 
 def betting_running(heads, trials, alpha, lo0, up0):
@@ -396,10 +401,27 @@ def betting_running(heads, trials, alpha, lo0, up0):
     ``alpha``, ``lo0`` and ``up0`` hold one value per row.  Returns
     ``(lo, up)`` shaped like ``heads`` and equal, bit for bit, to
     ``np.maximum.accumulate`` / ``np.minimum.accumulate`` along each row of
-    :func:`betting_endpoints`, starting from the carried-in bounds.
+    :func:`betting_endpoints`, starting from the carried-in bounds.  This
+    is :func:`betting_running_at` at every column, so a step's endpoints
+    are solved only where they can move the running bound at that step.
+    """
+    heads = np.asarray(heads, dtype=float)
+    return betting_running_at(heads, trials, alpha, lo0, up0, np.arange(heads.shape[-1]))
 
-    Most steps cannot move a running bound, and their endpoints are never
-    solved.  A screen finds them, one vector pass per side:
+
+def betting_running_at(heads, trials, alpha, lo0, up0, cols):
+    """Running betting-CS bounds at the columns ``cols`` only, carried in from ``lo0`` and ``up0``.
+
+    Arguments as for :func:`betting_running`, plus ``cols``: increasing
+    column indices of ``heads``.  Returns ``(lo, up)`` of shape
+    ``(rows, len(cols))``, equal (``==``) to ``betting_running(...)[:, cols]``.
+    Steps after ``cols[-1]`` are not looked at, and each step is solved
+    at most once, in one :func:`betting_endpoints` call per ``_BLOCK``
+    elements.
+
+    The running lower bound at column ``c`` is the largest of ``lo0`` and
+    the endpoints ``lo_j``, ``j <= c``, and most of those endpoints cannot
+    be the largest.  A screen finds them without solving them:
 
     * One Newton step of :func:`_kt_lower_root` from its start, backed
       off past rounding (:func:`_kt_outer_point`), gives a point ``y_j``
@@ -408,53 +430,84 @@ def betting_running(heads, trials, alpha, lo0, up0):
       point left of ``y_j`` is outside too, so endpoint ``j`` is at least
       ``L_j = y_j - 2 cell`` (the endpoint is the midpoint of a
       34-halving cell of ``[0, mean]``, ``cell = mean 2^-34`` wide).
-      These are the bounds of :func:`betting_certified`.
-    * Let ``x_t`` be the largest of ``lo0`` and the ``L_j`` with
-      ``j < t``: the running bound before step ``t`` is at least
-      ``x_t``.  If ``x_t - 2 cell`` is at or above the mean, or inside
-      the set at ``t`` by more than its rounding error, endpoint ``t`` is
-      below ``x_t`` and cannot raise the running bound.
+      These are the bounds of :func:`betting_certified`.  They are
+      computed at the steps :func:`_candidates` expects to hold the
+      running bound (every step when every column is requested); any
+      subset gives valid bounds, a good one gives tight ones.
+    * ``P_c``, the largest of ``lo0`` and those ``L_j`` with ``j <= c``,
+      is at most the running bound at ``c``.  Step ``j`` is checked
+      against ``P`` of the first requested column at or after it: if
+      ``P - 2 cell`` is at or above the mean, or inside the set at ``j`` by
+      more than its rounding error, endpoint ``j`` is below ``P`` and is
+      not the running bound there or at any later column.
 
     The upper side is the mirror image.  Steps that pass neither screen
     go to :func:`betting_endpoints` (both sides at once); the screened
     ones enter the running max as ``-inf`` (``+inf`` in the running min).
-    At most ``_BLOCK`` elements are screened at a time, with the bounds
-    carried from block to block.
+    At most ``_BLOCK`` elements are screened at a time, with the exact
+    bounds at each block's last column carried to the next.
     """
     heads = np.asarray(heads, dtype=float)
     if heads.ndim != 2:
         raise ValueError(f"heads must be 2-d (streams x time), got shape {heads.shape}")
-    rows, cols = heads.shape
-    trials = np.broadcast_to(np.asarray(trials, dtype=float), heads.shape)
+    rows, n = heads.shape
+    cols = np.asarray(cols, dtype=np.intp)
+    if cols.ndim != 1 or (
+        cols.size and (cols[0] < 0 or cols[-1] >= n or (np.diff(cols) <= 0).any())
+    ):
+        raise ValueError("cols must be increasing column indices of heads")
+    trials = np.asarray(trials, dtype=float)
+    # a row shared by all streams stays one row (one gammaln pass for it)
+    trials = np.broadcast_to(trials, heads.shape if trials.ndim == 2 else (1, n))
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (rows,))
     lo_run = np.broadcast_to(np.asarray(lo0, dtype=float), (rows,))
     up_run = np.broadcast_to(np.asarray(up0, dtype=float), (rows,))
     threshold = _thresholds(alpha)[:, None]
-    lo, up = np.empty_like(heads), np.empty_like(heads)
+    lo, up = np.empty((rows, cols.size)), np.empty((rows, cols.size))
     width = max(1, _BLOCK // max(rows, 1))
-    for start in range(0, cols, width):
-        part = slice(start, min(start + width, cols))
-        lo[:, part], up[:, part] = _running_block(
-            heads[:, part], trials[:, part], alpha, threshold, lo_run, up_run
+    start = done = 0
+    while done < cols.size:
+        stop = min(start + width, int(cols[-1]) + 1)
+        upto = int(np.searchsorted(cols, stop))
+        # the block's last column rides along so its bounds can be carried
+        at = cols[done:upto] - start
+        if not at.size or at[-1] != stop - start - 1:
+            at = np.append(at, stop - start - 1)
+        lo_b, up_b = _running_at(
+            heads[:, start:stop], trials[:, start:stop], alpha, threshold, lo_run, up_run, at
         )
-        lo_run, up_run = lo[:, part.stop - 1], up[:, part.stop - 1]
+        lo[:, done:upto], up[:, done:upto] = lo_b[:, : upto - done], up_b[:, : upto - done]
+        lo_run, up_run = lo_b[:, -1], up_b[:, -1]
+        start, done = stop, upto
     return lo, up
 
 
-def _running_block(heads, trials, alpha, threshold, lo0, up0):
+def _running_at(heads, trials, alpha, threshold, lo0, up0, at):
+    """:func:`betting_running_at` on one block whose last column is ``at[-1]``."""
     log_mix = kt_log_mixture(heads, trials)
     tails = trials - heads
     mean = heads / trials
-    cell_lo = mean * _CELL
-    cell_up = (1.0 - mean) * _CELL
+    dense = at.size == heads.shape[1]  # every column asked: each step is its own run
     with np.errstate(all="ignore"):
-        bound_lo, bound_up = _certified(heads, tails, mean, log_mix, threshold)
-        # the running bounds before each step are at least as tight as these
-        x_lo = np.maximum.accumulate(np.column_stack([lo0, bound_lo[:, :-1]]), axis=1)
-        x_up = np.minimum.accumulate(np.column_stack([up0, bound_up[:, :-1]]), axis=1)
-        q_lo = x_lo - 2.0 * cell_lo
-        q_up = x_up + 2.0 * cell_up
-        # steps whose endpoint cannot move the running bound
+        if dense:
+            bound_lo, bound_up = _certified(heads, tails, mean, log_mix, threshold)
+        else:
+            pick = _candidates(mean, trials, threshold, at)
+            bound_lo = np.full_like(heads, -np.inf)
+            bound_up = np.full_like(heads, np.inf)
+            bound_lo[pick], bound_up[pick] = _certified(
+                heads[pick], tails[pick], mean[pick], log_mix[pick],
+                np.broadcast_to(threshold, heads.shape)[pick],
+            )
+        p_lo = np.maximum.accumulate(np.column_stack([lo0, bound_lo]), axis=1)[:, 1:]
+        p_up = np.minimum.accumulate(np.column_stack([up0, bound_up]), axis=1)[:, 1:]
+        if not dense:  # each step meets P of the first asked column at or after it
+            span = np.diff(at, prepend=-1)
+            p_lo = np.repeat(p_lo[:, at], span, axis=1)
+            p_up = np.repeat(p_up[:, at], span, axis=1)
+        q_lo = p_lo - 2.0 * mean * _CELL
+        q_up = p_up + 2.0 * (1.0 - mean) * _CELL
+        # steps whose endpoint cannot be the running bound at their column
         inside_lo = (q_lo > 0.0) & _kt_inside(q_lo, log_mix, heads, tails, threshold)
         inside_up = (q_up < 1.0) & _kt_inside(q_up, log_mix, heads, tails, threshold)
         keep_lo = (q_lo >= mean) | inside_lo
@@ -464,11 +517,48 @@ def _running_block(heads, trials, alpha, threshold, lo0, up0):
     up_i = np.full_like(heads, np.inf)
     if solve.any():
         lo_i[solve], up_i[solve] = betting_endpoints(
-            heads[solve], trials[solve], np.broadcast_to(alpha[:, None], heads.shape)[solve]
+            heads[solve],
+            np.broadcast_to(trials, heads.shape)[solve],
+            np.broadcast_to(alpha[:, None], heads.shape)[solve],
         )
     lo = np.maximum.accumulate(np.column_stack([lo0, lo_i]), axis=1)[:, 1:]
     up = np.minimum.accumulate(np.column_stack([up0, up_i]), axis=1)[:, 1:]
-    return lo, up
+    return (lo, up) if dense else (lo[:, at], up[:, at])
+
+
+def betting_candidates(heads, trials, alpha):
+    """Steps likely to hold the largest lower (smallest upper) betting endpoint of their run.
+
+    ``heads`` 2-d, ``trials`` and ``alpha`` as for :func:`betting_running`;
+    runs are ``_RUN`` columns long.  Returns a boolean mask shaped like
+    ``heads``.  No endpoint is evaluated: the steps are ranked by the
+    Gaussian approximation of the endpoints, so certified bounds there
+    (:func:`betting_certified`) are tight bounds on the running ones.
+    """
+    heads = np.asarray(heads, dtype=float)
+    trials = np.asarray(trials, dtype=float)
+    threshold = _thresholds(np.broadcast_to(np.asarray(alpha, dtype=float), heads.shape[:1]))
+    with np.errstate(all="ignore"):
+        last = np.array([heads.shape[1] - 1])
+        return _candidates(heads / trials, trials, threshold[:, None], last)
+
+
+def _candidates(mean, trials, threshold, at):
+    """:func:`betting_candidates` for runs that also end at the columns ``at``.
+
+    Each run's steps are ranked by ``mean -/+ sqrt(mean (1 - mean) (2
+    log(1/alpha) + log t) / t)``; ties are all kept.
+    """
+    n = mean.shape[1]
+    starts = np.arange(0, n, _RUN)
+    if at.size > 1:
+        starts = np.union1d(starts, at[:-1] + 1)
+    lengths = np.diff(starts, append=n)
+    half = np.sqrt(mean * (1.0 - mean) * (2.0 * threshold + np.log(trials)) / trials)
+    near_lo, near_up = mean - half, mean + half
+    best_lo = np.repeat(np.maximum.reduceat(near_lo, starts, axis=1), lengths, axis=1)
+    best_up = np.repeat(np.minimum.reduceat(near_up, starts, axis=1), lengths, axis=1)
+    return (near_lo == best_lo) | (near_up == best_up)
 
 
 def betting_certified(heads, trials, alpha):
@@ -541,8 +631,7 @@ class BettingCS:
     """Betting confidence sequence (KT mixture + Ville's inequality)."""
 
     def __init__(self, alpha: float):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         self.alpha = alpha
         self.heads = 0
         self.trials = 0
@@ -598,8 +687,7 @@ def dp_thresholds(n_max: int, p: float, alpha: float) -> np.ndarray:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     log = math.log
     threshold = log(1.0 / alpha)
     ln_odds = log(1.0 - p) - log(p)

@@ -15,7 +15,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from anytime.binom import Counts, binom_cdf, binom_sf, bisect_monotone, gauss_quantile, log_binom_pmf
+import anytime.binom
+from anytime.binom import (
+    Counts,
+    binom_cdf,
+    binom_sf,
+    bisect_monotone,
+    gauss_quantile,
+    halve,
+    log_binom_pmf,
+)
 
 from oracles import exact_binom_cdf, exact_binom_pmf, exact_binom_sf, gauss_quantile_by_bisection
 
@@ -155,6 +164,35 @@ class TestBisectMonotone:
         f = lambda x: x**3
         root = bisect_monotone(f, target, 0.0, 1.0, tol=1e-12)
         assert abs(f(root) - target) < 1e-10
+
+
+CUTOFF = anytime.binom._FLOAT_REPLAY
+
+
+class TestHalveReplay:
+    """Guess-steered halving on Python floats gives the vector replay's bits."""
+
+    @given(
+        st.data(),
+        st.sampled_from([1, 2, 5, CUTOFF, CUTOFF + 1, 150]),
+        st.sampled_from([1, 34, 60]),
+    )
+    def test_float_replay_equals_vector_replay(self, data, size, iters):
+        unit = st.floats(0.0, 1.0)
+        ends = np.sort(np.array(data.draw(st.lists(st.tuples(unit, unit), min_size=size,
+                                                   max_size=size))), axis=1)
+        lo, hi = ends[:, 0].copy(), ends[:, 1].copy()
+        # guesses in and around the brackets, on their ends, and NaN
+        guess = np.array(data.draw(st.lists(
+            st.one_of(st.floats(-0.5, 1.5), st.just(float("nan")), st.sampled_from([0.0, 1.0])),
+            min_size=size, max_size=size,
+        )))
+        lo_v, hi_v = halve(lo, hi, guess.__lt__, iters)
+        lo_f, hi_f = anytime.binom._float_replay(lo, hi, guess, iters)
+        assert lo_f.tobytes() == lo_v.tobytes() and hi_f.tobytes() == hi_v.tobytes()
+        lo_d, hi_d = halve(lo, hi, guess, iters)  # either replay, by batch size
+        assert lo_d.tobytes() == lo_v.tobytes() and hi_d.tobytes() == hi_v.tobytes()
+        assert (lo == ends[:, 0]).all() and (hi == ends[:, 1]).all()
 
 
 class TestCounts:

@@ -108,6 +108,19 @@ class TestRadiusGeometry:
             radius_gauss_l2(0.8, 0.2, math.nan)
 
 
+class TestGuardedRadius:
+    PROBS = st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, 1e-300, 1e-16, 1.0 - 1e-16, float("nan")]),
+    )
+
+    @given(PROBS, PROBS, st.sampled_from([0.25, 1.0, 3.0]))
+    def test_float_path_equals_array_path(self, lo_a, up_b, sigma):
+        got = anytime.certify._guarded_radius(lo_a, up_b, sigma)
+        want = anytime.certify._guarded_radius(np.array([lo_a]), np.array([up_b]), sigma)
+        assert np.array([got], dtype=float).tobytes() == want.tobytes()
+
+
 class TestBinaryThreshold:
     def test_zero_radius_needs_majority_only(self):
         for sigma in (0.25, 1.0, 4.0):
@@ -468,6 +481,71 @@ class TestCertifyMulticlass:
             oracle.sample, len(probs), 1.0, radius, 0.01, lam, cap, DEFAULT_WARMUP
         )
         assert (verdict.value, used) == want
+
+    @pytest.mark.parametrize("hint", ["none", "late"])
+    def test_betting_verdict_survives_a_poor_hint(self, hint):
+        # valid but uninformative certified bounds (none at all, or only
+        # from some step on) hint at the verdict late or never: the exact
+        # bounds at the hinted column, or at the block's last, still pass,
+        # and the search backs up to the first exact pass
+        real = anytime.certify.betting_certified
+
+        def poor(heads, trials, alpha):
+            lo, up = real(heads, trials, alpha)
+            late = np.broadcast_to(trials >= (np.inf if hint == "none" else 2_500), np.shape(lo))
+            return np.where(late, lo, -np.inf), np.where(late, up, np.inf)
+
+        verdicts = set()
+        for seed in range(12):
+            probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
+            lam = 0.5 if seed % 2 else 0.3
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(anytime.certify, "betting_certified", poor)
+                oracle = ClassOracle(probs, substream(39, "poor-hint", seed))
+                verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=9_000)
+            oracle = ClassOracle(probs, substream(39, "poor-hint", seed))
+            want = multiclass_betting_scan(
+                oracle.sample, len(probs), 1.0, radius, 0.01, lam, 9_000, DEFAULT_WARMUP
+            )
+            assert (verdict.value, used) == want, seed
+            verdicts.add(want[0])
+        assert {"greater", "less"} <= verdicts
+
+    # (probs, radius, alpha, cap): a tiny alpha, and 50 near-tied classes
+    EXTREME_CASES = (
+        ((0.4, 0.2, 0.2, 0.2), 0.1, 1e-9, 20_000),
+        ((0.4, 0.2, 0.2, 0.2), 0.6, 1e-9, 20_000),
+        ((0.55, 0.45), 0.3, 1e-9, 20_000),
+        ((0.02,) * 50, 0.02, 0.2, 6_000),
+        ((0.02,) * 50, 0.5, 0.2, 6_000),
+    )
+
+    @pytest.mark.parametrize("cs_kind", ["betting", "union"])
+    def test_extreme_alpha_and_many_near_ties_match_the_scans(self, cs_kind):
+        verdicts = set()
+        for seed in range(10):
+            probs, radius, alpha, cap = self.EXTREME_CASES[seed % len(self.EXTREME_CASES)]
+            lam = 0.5 if seed % 2 else 0.3
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=alpha, mode="multiclass", lam=lam)
+            sched = Schedule.doubling(alpha)
+            oracle = ClassOracle(probs, substream(40, "extreme", seed))
+            verdict, used = certify_multiclass(
+                oracle, spec, cs_kind, cap, rng=substream(41, seed) if seed % 3 else None
+            )
+            oracle = ClassOracle(probs, substream(40, "extreme", seed))
+            if cs_kind == "betting":
+                want = multiclass_betting_scan(
+                    oracle.sample, len(probs), 1.0, radius, alpha, lam, cap, DEFAULT_WARMUP
+                )
+            else:
+                want = multiclass_union_scan(
+                    oracle.sample, len(probs), 1.0, radius, lam, cap, DEFAULT_WARMUP,
+                    sched.boundaries(cap), sched.budget, substream(41, seed) if seed % 3 else None,
+                )
+            assert (verdict.value, used) == want, seed
+            verdicts.add(want[0])
+        assert len(verdicts) >= 2, verdicts
 
     # degenerate class probabilities, warmup 1: the runner-up never shows
     # up, or the two classes tie exactly

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import special
 from hypothesis import given
 from hypothesis import strategies as st
 
 import anytime.binom
 import anytime.intervals
 import anytime.sequences
-from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound
+from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound, upper_tail_mix
 from anytime.sequences import betting_certified, betting_endpoints
 
 from oracles import bisect_betting_endpoints, bisect_rcp_upper_lo
@@ -140,14 +141,43 @@ class TestBettingEndpoints:
             assert_same_bits(g, r)
 
     def test_natural_fallback(self, monkeypatch):
-        # the Newton guess for the lower endpoint at 3 heads in 3 lands in
-        # the neighbouring cell; the check catches it and the plain
-        # halving of that one element gives the answer
+        # the lower endpoint at 3 heads in 3 is 1/4, a cell edge, and the
+        # Newton guess lands in the cell right of it where the rounded
+        # predicate puts the answer in the cell to the left; the check
+        # catches it and one replay from the neighbouring cell (of [0, 1],
+        # so dyadic, no halving) gives the answer, with no plain halving
         halvings = CountHalvings(monkeypatch)
         got = betting_endpoints(np.asarray(3), np.asarray(3), 0.05)
-        assert halvings.sizes == [2, 1]
+        assert halvings.sizes == [2]
         for g, r in zip(got, bisect_betting_endpoints(np.asarray(3), np.asarray(3), 0.05)):
             assert_same_bits(g, r)
+
+    @pytest.mark.parametrize("case", ["random", "stream"])
+    def test_no_plain_halving(self, monkeypatch, case):
+        # guesses near a cell edge can land one cell off through rounding;
+        # the neighbour replay catches them, so no element reruns the plain
+        # halving: random counts up to 2^24 trials, and a p = 0.4 stream
+        # (before the neighbour replay 148 of 400,000 and 4 of 65,536
+        # endpoints fell back)
+        plain = []
+        real = anytime.binom.halve
+
+        def spy(lo, hi, above, iters):
+            if callable(above):
+                plain.append(np.size(lo))
+            return real(lo, hi, above, iters)
+
+        monkeypatch.setattr(anytime.binom, "halve", spy)
+        if case == "random":
+            rng = np.random.default_rng(2024)
+            t = rng.integers(1, 2**24, 200_000).astype(float)
+            h = np.floor(rng.random(t.size) * (t + 1))
+        else:
+            bits = np.random.default_rng(7).random(32_768) < 0.4
+            h = np.cumsum(bits).astype(float)
+            t = np.arange(1.0, bits.size + 1.0)
+        betting_endpoints(h, t, 0.001)
+        assert plain == []
 
     def test_bad_guess_takes_the_fallback(self, monkeypatch):
         h = np.arange(0, 301, 10)
@@ -216,6 +246,34 @@ class TestCertifiedBounds:
                                         min_size=k, max_size=k)))
         w = np.array(data.draw(st.lists(DRAWS, min_size=k, max_size=k)))
         assert np.all(rcp_upper_lo_bound(x, n, alpha, w) >= rcp_upper_lo(x, n, alpha, w))
+
+    @staticmethod
+    def rcp_bound_on_arrays(x, n, alpha, w):
+        """The bound's expression on whole arrays (the tails' array path)."""
+        x, n, a, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, n, alpha, w)))
+        has_tail = x < n
+        q = np.where(has_tail, special.betaincinv(x + 1.0, np.where(has_tail, n - x, 1.0), a), 1.0)
+        q = np.fmin(q + 2.0**-34, 1.0)
+        ok = has_tail & (upper_tail_mix(x, n, q, w) > a)
+        return np.where(ok, np.fmin(q + 2.0**-34, 1.0), 1.0)
+
+    @given(st.data(), SIZES, ALPHAS)
+    def test_rcp_bound_matches_the_array_expression(self, data, n, alpha):
+        # the bound checks each element on scalars: the same bits
+        k = data.draw(st.integers(1, 12))
+        x = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0, n]), st.integers(0, n)),
+                                        min_size=k, max_size=k)))
+        w = np.array(data.draw(st.lists(DRAWS, min_size=k, max_size=k)))
+        want = self.rcp_bound_on_arrays(x, n, alpha, w)
+        assert_same_bits(rcp_upper_lo_bound(x, n, alpha, w), want)
+
+    @pytest.mark.parametrize("n", [1, 10**6, 10**9])
+    def test_rcp_bound_near_one_matches_the_array_expression(self, n):
+        # one success short of n, the CP quantile can sit within a cell of 1
+        x = np.array([n - 1, n - 1, n - 1, max(n - 2, 0)])
+        alpha, w = np.array([1e-12, 0.5, 0.999, 0.5]), np.array([0.0, 0.3, 1.0, 0.5])
+        want = self.rcp_bound_on_arrays(x, n, alpha, w)
+        assert_same_bits(rcp_upper_lo_bound(x, n, alpha, w), want)
 
     def test_rcp_bound_is_the_next_cp_bound(self):
         # at w = 0 the mixture is the CP tail for x + 1 successes itself, so
