@@ -303,10 +303,10 @@ def halve_with_guess(lo, hi, guess, above: Callable, params: tuple, iters: int, 
     The halvings are replayed with the decision ``mid > guess`` in place
     of ``above(mid, *params)`` (on Python floats for small batches, see
     :func:`halve`), and the predicate is then evaluated only at the two
-    ends of each final cell, in one vector call.  For a
-    predicate that is monotone in ``mid`` exactly one leaf cell has
-    ``above`` false at its left end and true at its right end, so a cell
-    that passes is the one the plain halving ends in.  The predicate is
+    ends of each final cell, in one vector call.  For a predicate that
+    is monotone in ``mid`` exactly one leaf cell has ``above`` false at
+    its left end and true at its right end, so a cell that passes is the
+    one the plain halving ends in.  The predicate is
     rounded, so a guess within ``_EDGE`` of a cell of the edge it fails
     on can be one cell off: those elements are replayed once more from
     the middle of the neighbouring cell and checked again.  Elements that
