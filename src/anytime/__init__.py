@@ -24,7 +24,6 @@ from .binom import (
     Counts,
     binom_cdf,
     binom_sf,
-    bisect_monotone,
     gauss_quantile,
     log_binom_pmf,
 )
@@ -36,7 +35,6 @@ from .certify import (
     certify_multiclass,
     certify_staged,
     radius_gauss_l2,
-    sample_oracle,
     width_target_run,
 )
 from .decision import (
@@ -91,7 +89,6 @@ __all__ = [
     "binary_threshold",
     "binom_cdf",
     "binom_sf",
-    "bisect_monotone",
     "certify_binary",
     "certify_multiclass",
     "certify_staged",
@@ -111,7 +108,6 @@ __all__ = [
     "rcp_lower",
     "rcp_two_sided",
     "rcp_upper",
-    "sample_oracle",
     "sprt_ideal",
     "staged_adaptive",
     "substream",

@@ -18,10 +18,10 @@ Conventions (they differ from scipy.stats.binom, mind the inequality):
 * ``binom_sf(x, n, p)``  is the inclusive upper tail  P(B >= x)
 * ``binom_cdf(x, n, p)`` is the inclusive lower tail  P(B <= x)
 
-The module also holds the root finders: scalar :func:`bisect_monotone`,
-the vectorized fixed-count :func:`halve` that defines every confidence
-endpoint, and :func:`halve_with_guess`, which reaches the same final cell
-from a guess of the root and two predicate evaluations.
+The module also holds the root finders: the vectorized fixed-count
+:func:`halve` that defines every confidence endpoint, and
+:func:`halve_with_guess`, which reaches the same final cell from a guess
+of the root and two predicate evaluations.
 """
 
 from __future__ import annotations
@@ -194,61 +194,6 @@ def gauss_quantile(u):
         raise ValueError("gauss_quantile requires 0 < u < 1")
     out = special.ndtri(u_arr)
     return float(out) if np.isscalar(u) else out
-
-
-def bisect_monotone(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> float:
-    """Locate ``x`` with ``f(x) = target`` for monotone ``f`` on ``[lo, hi]``.
-
-    Runs a fixed ``ceil(log2((hi - lo) / tol))`` halvings, so the call count
-    and the returned value are deterministic.  For step functions the
-    returned point is the jump location to within ``tol``.  If ``target``
-    is not bracketed by ``f(lo)`` and ``f(hi)`` the nearer endpoint is
-    returned and the caller interprets (that convention is what the
-    interval constructions use for clamped endpoints).
-
-    Parameters
-    ----------
-    f : callable
-        Monotone function of one float.
-    target : float
-        Level to invert at.
-    lo, hi : float
-        Bracket with ``lo < hi``.
-    tol : float
-        Final bracket width; the answer is the bracket midpoint.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    f_lo, f_hi = f(lo), f(hi)
-    increasing = f_hi >= f_lo
-    if increasing:
-        if target <= min(f_lo, f_hi):
-            return lo
-        if target >= max(f_lo, f_hi):
-            return hi
-    else:
-        if target >= max(f_lo, f_hi):
-            return lo
-        if target <= min(f_lo, f_hi):
-            return hi
-    for _ in range(_bisect_iters(lo, hi, tol)):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) <= target
-        if below == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_iters(lo: float, hi: float, tol: float) -> int:
-    return max(1, math.ceil(math.log2((hi - lo) / tol)))
 
 
 def halve(lo, hi, above, iters: int):

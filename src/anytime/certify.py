@@ -27,12 +27,13 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .binom import _check_alpha, bisect_monotone, gauss_quantile
-from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, decide_with_cs
-from .intervals import Interval, cp_upper, rcp_upper_lo, rcp_upper_lo_bound
+from .binom import _check_alpha, gauss_quantile
+from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _check_stages, decide_with_cs
+from .intervals import Interval, cp_upper, rcp_upper_lo_bound
 from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
-# betting_endpoints stays bound here: perfbench/selftest.py checks that the
-# tracer wraps it in every module that held it
+# betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
+# checks that the tracer wraps them in every module that held them
+from .intervals import rcp_upper_lo  # noqa: F401
 from .sequences import (  # noqa: F401
     Schedule,
     betting_certified,
@@ -41,6 +42,7 @@ from .sequences import (  # noqa: F401
     betting_running,
     betting_running_at,
 )
+from .sequences import _complement_carry, union_draws, union_running, union_stages
 
 DEFAULT_WARMUP = 100
 _BLOCK = 4096
@@ -105,11 +107,6 @@ class ClassOracle:
         return np.searchsorted(self._cum, self._rng.random(k), side="right").astype(np.int64)
 
 
-def sample_oracle(oracle: ClassOracle) -> int:
-    """Draw a single class label (one simulated forward pass)."""
-    return int(oracle.sample(1)[0])
-
-
 class _IndicatorSource(ZeroOneSource):
     """Bit stream "the oracle emitted the target class"."""
 
@@ -140,20 +137,12 @@ def radius_gauss_l2(p_a: float, p_b: float, sigma: float) -> float:
 
 
 def binary_threshold(radius: float, sigma: float) -> float:
-    """The ``p*`` with ``radius_gauss_l2(p*, 1-p*, sigma) == radius``.
-
-    Inverted by bisection against the radius function itself (one code
-    path for the forward and inverse maps), to absolute tolerance 1e-10.
-    Equals ``Phi(radius/sigma)``.
-    """
+    """The ``p*`` with ``radius_gauss_l2(p*, 1-p*, sigma) == radius``: ``Phi(radius/sigma)``."""
     if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    lim = 1e-12  # quantile gap spans ~14 sigma across this bracket
-    return bisect_monotone(
-        lambda p: radius_gauss_l2(p, 1.0 - p, sigma), radius, lo=lim, hi=1.0 - lim
-    )
+    return float(special.ndtr(radius / sigma))
 
 
 def _guarded_radius(lo_a, up_b, sigma: float):
@@ -395,66 +384,45 @@ def _certified_stop(heads, t_arr, alpha, run, spec):
 
 def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
     # one-sided updates: the whole per-stage share goes to the single
-    # bound each stream needs, so there is no upper bound on A (and no
-    # lower bound on B) - the refute branch can never fire.  Each stage
-    # bounds both streams, A's lower bound and the lower bound of the
-    # runner-up's complement, drawing A's uniform first.
+    # bound each stream needs, so the refute branch can never fire.  Row 0
+    # bounds A from below, row 1 the runner-up's complement; A draws first.
     #
     # rcp_upper_lo_bound bounds each endpoint from above, so the running
     # bounds reach at most (la_opt, ub_opt).  While that optimistic pair
     # cannot certify, the stage's endpoints wait; at the first stage that
-    # could, every waiting endpoint whose bound can still move the exact
-    # running bounds (la, ub) is solved, in one rcp_upper_lo call.
-    # Waiting stages could not certify, so only the current stage is tested.
+    # could, one union_running call solves the waiting endpoints that can
+    # still move (la, ub).  Waiting stages could not certify, so only the
+    # current stage is tested.
     la, ub = 0.0, 1.0
     la_opt, ub_opt = la, ub
-    waiting = []  # per stage, one entry per stream: t, x, budget, draw, bound
+    waiting = []  # per stage: t, x, budget, draw, bound (one column each)
     others = np.arange(oracle.n_classes) != a_cls
     t = warmup
-    for k_idx, t_k in enumerate(sched.boundaries(cap), start=1):
-        t_k = int(t_k)
+    for k_idx, t_k in enumerate(sched.boundaries(cap).tolist(), start=1):
         if t_k <= warmup:  # budget stays indexed by the global stage count
             continue
         counts += np.bincount(oracle.sample(t_k - t), minlength=oracle.n_classes)
         t = t_k
         budget = sched.budget(k_idx)
-        w = 1.0 if rng is None else rng.random(2)
+        w = 1.0 if rng is None else union_draws(rng, 1)[0]
         x = np.array([counts[a_cls], t - counts[others].max()])
         alpha = np.array([spec.lam * budget, (1.0 - spec.lam) * budget])
         bound = rcp_upper_lo_bound(x, t, alpha, w)
-        waiting.append((np.full(2, t), x, alpha, np.broadcast_to(w, (2,)), bound))
+        waiting.append((t, x, alpha, w, bound))
         la_opt, ub_opt = max(la_opt, float(bound[0])), min(ub_opt, 1.0 - float(bound[1]))
         if float(_guarded_radius(la_opt, ub_opt, spec.sigma)) < spec.radius:
             continue
-        la, ub = _solve_waiting(waiting, la, ub, rng is None)
+        n, x, alpha, w, bound = (np.array(col).T for col in zip(*waiting))
         waiting.clear()
+        run = union_running(
+            x, t if n.size == 1 else n, alpha, 1.0 if rng is None else w, bound,
+            [la, _complement_carry(ub)],
+        )
+        la, ub = float(run[0, -1]), min(ub, 1.0 - float(run[1, -1]))
         la_opt, ub_opt = la, ub
         if float(_guarded_radius(la, ub, spec.sigma)) >= spec.radius:
             return Verdict.GREATER, t
     return Verdict.UNDECIDED, cap
-
-
-def _solve_waiting(waiting, la, ub, unseeded):
-    """Running bounds ``(la, ub)`` moved by the waiting endpoints that can move them.
-
-    Elements alternate A, runner-up per stage.  A call that solves one
-    stage passes its ``t`` and (unseeded) ``w = 1`` as scalars, like a
-    per-stage call.
-    """
-    n, x, alpha, w, bound = (np.concatenate(col) for col in zip(*waiting))
-    side_b = np.arange(n.size) % 2 == 1
-    solve = np.where(side_b, 1.0 - bound < ub, bound > la)
-    n, side_b = n[solve], side_b[solve]
-    if n.size == 0:
-        return la, ub
-    lo = rcp_upper_lo(
-        x[solve], n[0] if n.min() == n.max() else n, alpha[solve], 1.0 if unseeded else w[solve]
-    )
-    if not side_b.all():
-        la = max(la, float(lo[~side_b].max()))
-    if side_b.any():
-        ub = min(ub, float((1.0 - lo[side_b]).min()))
-    return la, ub
 
 
 def certify_staged(
@@ -473,9 +441,7 @@ def certify_staged(
     """
     if spec.mode != "binary":
         raise ValueError(f"certify_staged needs mode='binary', got {spec.mode!r}")
-    stages = tuple(int(n) for n in stages)
-    if not stages or stages[0] < 1 or any(b <= a for a, b in zip(stages, stages[1:])):
-        raise ValueError("stages must be strictly increasing positive sizes")
+    stages = _check_stages(stages)
     p_star = binary_threshold(spec.radius, spec.sigma)
     per_stage = spec.alpha / len(stages)
     source = _IndicatorSource(oracle, target_class)
@@ -548,18 +514,12 @@ def _width_target_betting(source, eps, alpha, cap, block):
 def _width_target_union(source, eps, cap, sched, rng):
     lo_run, up_run = 0.0, 1.0
     heads, t = 0, 0
-    for k_idx, t_k in enumerate(sched.boundaries(cap), start=1):
-        t_k = int(t_k)
+    for k_idx, t_k in enumerate(sched.boundaries(cap).tolist(), start=1):
         heads += count_ones(source, t_k - t)
         t = t_k
-        per_side = sched.budget(k_idx) / 2.0
-        w_lo = 1.0 if rng is None else float(rng.random())
-        lo = float(rcp_upper_lo(heads, t, per_side, w_lo))
-        w_up = 1.0 if rng is None else float(rng.random())
-        up = 1.0 - float(rcp_upper_lo(t - heads, t, per_side, w_up))
-        lo_run, up_run = max(lo_run, lo), min(up_run, up)
-        if lo_run > up_run:  # crossed: collapse to the sample mean
-            lo_run = up_run = heads / t
+        w = union_draws(rng, 1)
+        lo, up = union_stages([heads], [t], [sched.budget(k_idx)], w, lo_run, up_run)
+        lo_run, up_run = float(lo[0]), float(up[0])
         if up_run - lo_run < eps:
             return Interval(lo_run, up_run), t
     return Interval(lo_run, up_run), cap

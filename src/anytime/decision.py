@@ -41,7 +41,7 @@ from .sampling import (
     substream,
     substream_id,
 )
-from .sequences import Schedule, kt_log_wealth
+from .sequences import Schedule, kt_log_wealth, union_draws
 
 DEFAULT_STAGES = (100, 1_000, 10_000, 120_000)
 DEFAULT_CAP = 1_000_000
@@ -165,16 +165,17 @@ def _decide_betting(p, source, alpha, cap, block):
 
 
 def _decide_union(p, source, schedule, cap, rng):
+    # one draw per trial: each array draw releases the GIL (a thread switch in sweeps)
+    bounds = schedule.boundaries(cap).tolist()
+    draws = [(1.0, 1.0)] * len(bounds) if rng is None else union_draws(rng, len(bounds)).tolist()
     heads, t = 0, 0
-    for k, t_k in enumerate(schedule.boundaries(cap), start=1):
-        heads += count_ones(source, int(t_k) - t)
-        t = int(t_k)
+    for k, (t_k, (w_lo, w_up)) in enumerate(zip(bounds, draws), start=1):
+        heads += count_ones(source, t_k - t)
+        t = t_k
         per_side = schedule.budget(k) / 2.0
-        w_up = 1.0 if rng is None else float(rng.random())
-        if float(upper_tail_mix(heads, t, p, w_up)) <= per_side:
+        if float(upper_tail_mix(heads, t, p, w_lo)) <= per_side:
             return Verdict.LESS, t  # running lower bound rose above p
-        w_lo = 1.0 if rng is None else float(rng.random())
-        if float(lower_tail_mix(heads, t, p, w_lo)) <= per_side:
+        if float(lower_tail_mix(heads, t, p, w_up)) <= per_side:
             return Verdict.GREATER, t  # running upper bound fell below p
     return Verdict.UNDECIDED, cap
 
@@ -247,6 +248,14 @@ def _log_ratio(num: float, den: float) -> float:
 # Staged-adaptive baseline (fixed ladder of sample sizes, Bonferroni budgets)
 
 
+def _check_stages(stages: Sequence[int]) -> tuple[int, ...]:
+    """A stage ladder as a tuple of ints; it must be strictly increasing and positive."""
+    stages = tuple(int(n) for n in stages)
+    if not stages or stages[0] < 1 or any(b <= a for a, b in zip(stages, stages[1:])):
+        raise ValueError("stages must be strictly increasing positive sizes")
+    return stages
+
+
 def staged_adaptive(
     p: float,
     stream,
@@ -264,9 +273,7 @@ def staged_adaptive(
     """
     _check_threshold(p)
     _check_alpha(alpha)
-    stages = tuple(int(n) for n in stages)
-    if not stages or stages[0] < 1 or any(b <= a for a, b in zip(stages, stages[1:])):
-        raise ValueError("stages must be strictly increasing positive sizes")
+    stages = _check_stages(stages)
     source = as_bit_source(stream)
     per_side = alpha / (2.0 * len(stages))
     heads, t = 0, 0

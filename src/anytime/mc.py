@@ -13,10 +13,12 @@ import math
 
 import numpy as np
 
-from .intervals import lower_tail_mix, rcp_upper_lo, upper_tail_mix
-# betting_endpoints stays bound here: perfbench/selftest.py checks that the
-# tracer wraps it in every module that held it
+from .intervals import lower_tail_mix, upper_tail_mix
+# betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
+# checks that the tracer wraps them in every module that held them
+from .intervals import rcp_upper_lo  # noqa: F401
 from .sequences import Schedule, betting_endpoints, betting_running, kt_log_wealth  # noqa: F401
+from .sequences import union_draws, union_stages
 
 
 def bernoulli_matrix(rng: np.random.Generator, streams: int, horizon: int, p: float) -> np.ndarray:
@@ -51,20 +53,19 @@ def union_ever_excluded(
 
     Exclusion can only happen at stage boundaries, where it is a direct
     tail comparison - no endpoint bisection needed.  ``rng`` provides the
-    per-stage randomization draws (one array per side, lower-endpoint
-    side first); ``None`` runs the deterministic-CP variant.
+    per-stage randomization draws (:func:`~anytime.sequences.union_draws`
+    of each stage, one per stream); ``None`` runs the deterministic-CP
+    variant.
     """
     n_streams, horizon = bits.shape
     bounds = schedule.boundaries(horizon)
     heads = np.cumsum(bits, axis=1, dtype=np.float64)[:, bounds - 1]
     ever = np.zeros(n_streams, dtype=bool)
-    for k, t_k in enumerate(bounds, start=1):
+    for k, (t_k, x) in enumerate(zip(bounds.tolist(), heads.T), start=1):
         per_side = schedule.budget(k) / 2.0
-        x = heads[:, k - 1]
-        w_up = 1.0 if rng is None else rng.random(n_streams)
-        ever |= upper_tail_mix(x, int(t_k), p, w_up) <= per_side
-        w_lo = 1.0 if rng is None else rng.random(n_streams)
-        ever |= lower_tail_mix(x, int(t_k), p, w_lo) <= per_side
+        w_lo, w_up = (1.0, 1.0) if rng is None else union_draws(rng, 1, (n_streams,))[0]
+        ever |= upper_tail_mix(x, t_k, p, w_lo) <= per_side
+        ever |= lower_tail_mix(x, t_k, p, w_up) <= per_side
     return ever
 
 
@@ -92,32 +93,21 @@ def union_trace(
     schedule: Schedule,
     rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Running union-bound CS endpoints after every bit (1-d stream)."""
+    """Running union-bound CS endpoints after every bit (1-d stream).
+
+    The same values as :class:`~anytime.sequences.UnionCS` fed the bits
+    one by one, with the same draws.
+    """
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("union_trace expects a single 1-d stream")
-    horizon = arr.size
-    bounds = schedule.boundaries(horizon)
-    heads_at = np.cumsum(arr, dtype=np.int64)[bounds - 1]
-    lo_b = np.zeros(bounds.size)
-    up_b = np.ones(bounds.size)
-    for k, t_k in enumerate(bounds, start=1):
-        per_side = schedule.budget(k) / 2.0
-        x = int(heads_at[k - 1])
-        w_up = 1.0 if rng is None else float(rng.random())
-        lo_b[k - 1] = float(rcp_upper_lo(np.asarray(x), int(t_k), per_side, w_up))
-        w_lo = 1.0 if rng is None else float(rng.random())
-        up_b[k - 1] = 1.0 - float(rcp_upper_lo(np.asarray(int(t_k) - x), int(t_k), per_side, w_lo))
-    run_lo_b = np.maximum.accumulate(lo_b)
-    run_up_b = np.minimum.accumulate(up_b)
-    # Expand the boundary values into per-t step functions.
-    run_lo = np.zeros(horizon)
-    run_up = np.ones(horizon)
-    segment = np.searchsorted(bounds, np.arange(1, horizon + 1), side="right")
-    touched = segment >= 1
-    run_lo[touched] = run_lo_b[segment[touched] - 1]
-    run_up[touched] = run_up_b[segment[touched] - 1]
-    return run_lo, run_up
+    bounds = schedule.boundaries(arr.size)
+    heads = np.cumsum(arr, dtype=np.int64)[bounds - 1]
+    budget = [schedule.budget(k) for k in range(1, bounds.size + 1)]
+    lo, up = union_stages(heads, bounds, budget, union_draws(rng, bounds.size), 0.0, 1.0)
+    # each bit sees the running interval of the last boundary at or before it
+    stage = np.searchsorted(bounds, np.arange(1, arr.size + 1), side="right") - 1
+    return lo[stage], up[stage]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,11 @@ Two constructions:
   log-wealth evaluations per endpoint instead of 34).
 
 Both classes expose ``update(bit) -> Interval`` returning the *running*
-intersection (nested by construction).  For whole streams at once,
+intersection (nested by construction).  Each construction has one
+running-bound kernel that the classes, deciders, certifiers and traces
+stop on.  :func:`union_running` accumulates stage endpoints and solves
+only those whose cheap bound clears the carried value;
+:func:`union_stages` pairs it into the two-sided interval.
 :func:`betting_running` returns the running betting bounds and solves
 only the endpoints that can move them; :func:`betting_running_at`
 returns them at chosen columns only and solves only the endpoints that
@@ -28,15 +32,16 @@ can be the running bound there.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy import special
 
 from .binom import _check_alpha, halve_with_guess
-from .intervals import Interval, rcp_upper_lo
+from .intervals import Interval, rcp_upper_lo, rcp_upper_lo_bound
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _ENDPOINT_ITERS = 34  # halvings of [0, 1]: final bracket below 1e-10
@@ -143,26 +148,94 @@ class Schedule:
         norm = float(special.zeta(self.poly, self.offset + 1.0))
         return self.alpha * m ** (-self.poly) / norm
 
-    def boundaries(self, limit: int) -> np.ndarray:
-        """All stage boundaries ``<= limit``, sorted, distinct, starting at 1."""
-        if limit < 1:
-            return np.empty(0, dtype=np.int64)
-        out = []
-        exponent = 0
-        previous = 0
+    def walk(self) -> Iterator[int]:
+        """The stage boundaries in increasing order, without end."""
+        exponent = previous = 0
         while True:
             b = math.ceil(self.growth**exponent)
-            if b > limit:
-                break
             if b > previous:
-                out.append(b)
+                yield b
                 previous = b
             exponent += 1
-        return np.asarray(out, dtype=np.int64)
+
+    def boundaries(self, limit: int) -> np.ndarray:
+        """All stage boundaries ``<= limit``, sorted, distinct, starting at 1."""
+        return np.fromiter(itertools.takewhile(limit.__ge__, self.walk()), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Union-bound confidence sequence
+
+
+def union_draws(rng: Optional[np.random.Generator], stages: int, streams: tuple = ()):
+    """Randomization draws of ``stages`` union stages, lower endpoint first.
+
+    ``rng.random((stages, 2, *streams))``: the same values, in the same
+    order, as drawing each stage's lower-endpoint uniforms and then its
+    upper-endpoint ones.  ``None`` gives ``1.0`` (deterministic CP).
+    """
+    return 1.0 if rng is None else rng.random((stages, 2, *streams))
+
+
+def union_running(x, t, alpha, w, bound, lo0):
+    """Running rCP lower endpoints along rows of stages, carried in from ``lo0``.
+
+    ``x`` is 2-d (rows x stages): successes bound a mean from below,
+    failures from above through ``1 - .``.  ``t``, ``alpha`` and ``w``
+    broadcast against ``x`` (scalars stay scalars), ``bound`` is their
+    :func:`~anytime.intervals.rcp_upper_lo_bound` and ``lo0`` holds one
+    carry per row.  Returns ``np.maximum.accumulate`` of the elements'
+    :func:`~anytime.intervals.rcp_upper_lo` along each row from ``lo0``,
+    bit for bit; only elements whose bound clears their row's carry can
+    move it, and those are solved in one call.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x must be 2-d (rows x stages), got shape {x.shape}")
+    lo0 = np.broadcast_to(np.asarray(lo0, dtype=float), x.shape[:1])
+    solve = np.asarray(bound) > lo0[:, None]
+    lo = np.full(x.shape, -np.inf)
+    if solve.any():
+        lo[solve] = rcp_upper_lo(
+            *(v if np.ndim(v) == 0 else np.broadcast_to(v, x.shape)[solve] for v in (x, t, alpha, w))
+        )
+    return np.maximum.accumulate(np.column_stack([lo0, lo]), axis=1)[:, 1:]
+
+
+def union_stages(heads, t, budget, w, lo, up):
+    """Running two-sided union-bound interval after each of several stages.
+
+    Stage ``k`` has ``heads[k]`` successes in ``t[k]`` trials, spends
+    ``budget[k] / 2`` on each endpoint and draws ``w[k]``
+    (:func:`union_draws`).  From the running ``(lo, up)``, returns the
+    running ``(lo, up)`` arrays after each stage, from one
+    :func:`union_running` call.  Where they cross, the interval collapses
+    to that stage's sample mean and the later stages carry on from there.
+    """
+    heads, t, budget = (np.asarray(v, dtype=float) for v in (heads, t, budget))
+    w = np.broadcast_to(w, (t.size, 2))
+    x = np.stack([heads, t - heads])
+    alpha = np.broadcast_to(budget / 2.0, x.shape)
+    bound = rcp_upper_lo_bound(x, t, alpha, w.T)
+    run = union_running(x, t, alpha, w.T, bound, [lo, _complement_carry(up)])
+    lo, up = run[0], np.minimum(up, 1.0 - run[1])
+    crossed = np.flatnonzero(lo > up)
+    if crossed.size:  # crossing pieces live inside a miscovering event
+        k = crossed[0] + 1
+        lo[k - 1] = up[k - 1] = mean = heads[k - 1] / t[k - 1]
+        lo[k:], up[k:] = union_stages(heads[k:], t[k:], budget[k:], w[k:], mean, mean)
+    return lo, up
+
+
+def _complement_carry(up: float) -> float:
+    """Carry ``c`` of a failures row, with ``min(up, 1 - max(c, e)) == min(up, 1 - e)``.
+
+    That needs ``1 - c >= up``.  ``1 - (1 - up)`` is ``up`` unless ``up``
+    is a collapsed mean whose complement rounds; one step down then
+    restores the inequality.
+    """
+    c = 1.0 - up
+    return c if 1.0 - c >= up else math.nextafter(c, 0.0)
 
 
 class UnionCS:
@@ -171,50 +244,28 @@ class UnionCS:
     Parameters
     ----------
     schedule : Schedule
-        Stage boundaries and per-stage budgets.
+        Stage boundaries and per-stage budgets; each stage's budget is
+        split evenly between the two endpoints.
     draws : callable, optional
-        Source of uniform randomization draws ``w``; called once per
-        one-sided update, lower endpoint first.  ``None`` fixes ``w = 1``
-        (plain deterministic Clopper-Pearson, slightly conservative).
-    sides : {"two", "lower", "upper"}
-        ``"two"`` splits each stage budget evenly between the endpoints;
-        the one-sided variants spend it all on one endpoint (used by the
-        certification streams, which only consume one bound).
+        Source of uniform randomization draws ``w``; called twice per
+        stage, lower endpoint first.  ``None`` fixes ``w = 1`` (plain
+        deterministic Clopper-Pearson, slightly conservative).
     """
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        draws: Optional[Callable[[], float]] = None,
-        sides: str = "two",
-    ):
-        if sides not in ("two", "lower", "upper"):
-            raise ValueError(f"unknown sides {sides!r}")
+    def __init__(self, schedule: Schedule, draws: Optional[Callable[[], float]] = None):
         self.schedule = schedule
-        self.sides = sides
         self._draws = draws
         self.heads = 0
         self.trials = 0
         self.stage = 0
-        self._next_exponent = 0
-        self._next_boundary = 1
+        self._walk = schedule.walk()
+        self._next_boundary = next(self._walk)
         self.lo = 0.0
         self.up = 1.0
 
     @property
     def interval(self) -> Interval:
         return Interval(self.lo, self.up)
-
-    def _draw(self) -> float:
-        return 1.0 if self._draws is None else float(self._draws())
-
-    def _advance_boundary(self) -> None:
-        while True:
-            self._next_exponent += 1
-            b = math.ceil(self.schedule.growth**self._next_exponent)
-            if b > self._next_boundary:
-                self._next_boundary = b
-                return
 
     def update(self, bit: int) -> Interval:
         """Feed one bit; returns the running interval (changes only at boundaries)."""
@@ -224,24 +275,12 @@ class UnionCS:
         self.trials += 1
         if self.trials == self._next_boundary:
             self.stage += 1
+            draws = self._draws
+            w = 1.0 if draws is None else np.array([[draws(), draws()]], dtype=float)
             budget = self.schedule.budget(self.stage)
-            per_side = budget / 2.0 if self.sides == "two" else budget
-            if self.sides in ("two", "lower"):
-                w = self._draw()
-                lo_k = float(rcp_upper_lo(np.asarray(self.heads), self.trials, per_side, w))
-                self.lo = max(self.lo, lo_k)
-            if self.sides in ("two", "upper"):
-                w = self._draw()
-                up_k = 1.0 - float(
-                    rcp_upper_lo(np.asarray(self.trials - self.heads), self.trials, per_side, w)
-                )
-                self.up = min(self.up, up_k)
-            if self.lo > self.up:
-                # Crossing one-sided pieces live inside an already
-                # miscovering event; collapse to the sample-mean point.
-                mean = self.heads / self.trials
-                self.lo = self.up = mean
-            self._advance_boundary()
+            lo, up = union_stages([self.heads], [self.trials], [budget], w, self.lo, self.up)
+            self.lo, self.up = float(lo[0]), float(up[0])
+            self._next_boundary = next(self._walk)
         return self.interval
 
 

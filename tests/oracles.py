@@ -157,6 +157,31 @@ def bisect_rcp_upper_lo(x, n, alpha, w, iters: int = ENDPOINT_ITERS):
     return np.where(never, 1.0, np.where(always, 0.0, 0.5 * (lo + hi)))
 
 
+def union_scan(bits, schedule, rng=None):
+    """Running two-sided union-bound interval after each bit, every stage solved plainly.
+
+    At each stage boundary the successes' lower endpoint and one minus
+    the failures' spend half the stage budget each, the lower endpoint
+    drawing its uniform first (``w = 1`` without ``rng``); crossing
+    endpoints collapse to the sample mean.  Returns an ``(n, 2)`` array.
+    """
+    boundaries = set(schedule.boundaries(len(bits)).tolist())
+    lo, up, heads, k = 0.0, 1.0, 0, 0
+    out = []
+    for t, bit in enumerate(bits, start=1):
+        heads += int(bit)
+        if t in boundaries:
+            k += 1
+            half = schedule.budget(k) / 2.0
+            w_lo, w_up = (1.0, 1.0) if rng is None else (rng.random(), rng.random())
+            lo = max(lo, float(bisect_rcp_upper_lo(heads, t, half, w_lo)))
+            up = min(up, 1.0 - float(bisect_rcp_upper_lo(t - heads, t, half, w_up)))
+            if lo > up:
+                lo = up = heads / t
+        out.append((lo, up))
+    return np.array(out)
+
+
 def bisect_betting_endpoints(heads, trials, alpha, iters: int = ENDPOINT_ITERS):
     """Betting-CS endpoints by ``iters`` plain halvings on each side of the mean."""
     heads = np.asarray(heads, dtype=float)

@@ -1,4 +1,4 @@
-"""Binomial tails, the Gaussian quantile, and the bisection primitive.
+"""Binomial tails, the Gaussian quantile, and the halving primitives.
 
 Tail probabilities are checked against exact rational sums; the quantile
 against an erf-based bisection oracle.  Everything downstream (intervals,
@@ -20,7 +20,6 @@ from anytime.binom import (
     Counts,
     binom_cdf,
     binom_sf,
-    bisect_monotone,
     gauss_quantile,
     halve,
     log_binom_pmf,
@@ -144,26 +143,6 @@ class TestGaussQuantile:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 gauss_quantile(bad)
-
-
-class TestBisectMonotone:
-    def test_recovers_sqrt2(self):
-        root = bisect_monotone(lambda x: x * x, 2.0, 0.0, 2.0, tol=1e-12)
-        np.testing.assert_allclose(root, math.sqrt(2.0), atol=1e-11)
-
-    def test_decreasing_function(self):
-        root = bisect_monotone(lambda x: 1.0 - x, 0.25, 0.0, 1.0, tol=1e-12)
-        np.testing.assert_allclose(root, 0.75, atol=1e-11)
-
-    def test_unbracketed_target_clamps_to_endpoint(self):
-        assert bisect_monotone(lambda x: x, 5.0, 0.0, 1.0) == 1.0
-        assert bisect_monotone(lambda x: x, -5.0, 0.0, 1.0) == 0.0
-
-    @given(target=st.floats(0.05, 0.95))
-    def test_inverse_property(self, target):
-        f = lambda x: x**3
-        root = bisect_monotone(f, target, 0.0, 1.0, tol=1e-12)
-        assert abs(f(root) - target) < 1e-10
 
 
 CUTOFF = anytime.binom._FLOAT_REPLAY

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from anytime.intervals import enumeration_coverage
 from anytime.mc import (
@@ -56,25 +57,37 @@ class TestBettingTrace:
             assert not np.any(inside_always & flagged)
 
 
+def stateful_union(bits, sched, draws):
+    cs = UnionCS(sched, draws=None if draws is None else lambda: float(draws.random()))
+    ivs = [cs.update(int(b)) for b in bits]
+    return np.array([iv.lo for iv in ivs]), np.array([iv.up for iv in ivs])
+
+
+def assert_same_bytes(got, want):
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 class TestUnionTrace:
     def test_matches_stateful_updates_deterministic(self, rng):
         bits = (rng.random(300) < 0.4).astype(np.int64)
         sched = Schedule.doubling(0.01)
-        lo, up = union_trace(bits, sched, None)
-        cs = UnionCS(sched)
-        for t, b in enumerate(bits):
-            iv = cs.update(int(b))
-            np.testing.assert_allclose((lo[t], up[t]), (iv.lo, iv.up), atol=1e-9)
+        assert_same_bytes(union_trace(bits, sched, None), stateful_union(bits, sched, None))
 
     def test_matches_stateful_updates_randomized(self):
         bits = (substream(3, "bits").random(150) < 0.6).astype(np.int64)
         sched = Schedule.doubling(0.05)
-        lo, up = union_trace(bits, sched, substream(3, "draws"))
-        draw_rng = substream(3, "draws")
-        cs = UnionCS(sched, draws=lambda: float(draw_rng.random()))
-        for t, b in enumerate(bits):
-            iv = cs.update(int(b))
-            np.testing.assert_allclose((lo[t], up[t]), (iv.lo, iv.up), atol=1e-9)
+        want = stateful_union(bits, sched, substream(3, "draws"))
+        assert_same_bytes(union_trace(bits, sched, substream(3, "draws")), want)
+
+    @pytest.mark.parametrize("seed", [50, 164, 189, 229, 275])
+    def test_crossed_interval_collapses_like_the_stateful_class(self, seed):
+        # these streams cross at a stage boundary; the trace must collapse
+        # to the sample mean there and carry on, as UnionCS does
+        bits = (substream(seed, "b").random(64) < 0.5).astype(np.int64)
+        sched = Schedule.doubling(0.05)
+        lo, up = union_trace(bits, sched, substream(seed, "w"))
+        assert (lo <= up).all()
+        assert_same_bytes((lo, up), stateful_union(bits, sched, substream(seed, "w")))
 
     def test_ever_excluded_matches_trace(self):
         sched = Schedule.doubling(0.05)

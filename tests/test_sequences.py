@@ -17,7 +17,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import anytime.sequences
-
+from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound
+from anytime.sampling import substream
 from anytime.sequences import (
     BettingCS,
     Schedule,
@@ -30,9 +31,10 @@ from anytime.sequences import (
     kt_log_mixture,
     kt_log_wealth,
     ub_cs_width_envelope,
+    union_running,
 )
 
-from oracles import brute_halting_heads, exact_kt_mixture
+from oracles import brute_halting_heads, exact_kt_mixture, union_scan
 
 
 class TestKtMixture:
@@ -181,6 +183,89 @@ class TestUnionCS:
         # documented draw order.
         np.testing.assert_allclose(iv.lo, 0.0125, atol=1e-9)
         np.testing.assert_allclose(iv.up, 0.9875, atol=1e-9)
+
+
+    def test_matches_the_plain_stage_scan_through_collapses(self):
+        # a lax budget makes the endpoints cross often; after a collapse the
+        # upper bound is a sample mean, whose complement can round
+        collapsed = 0
+        for seed in range(30):
+            rng = substream(seed, "collapse")
+            bits = (rng.random(150) < rng.random()).astype(np.int64)
+            sched = Schedule(0.9, growth=1.1)
+            draws = substream(seed, "collapse-w")
+            cs = UnionCS(sched, draws=lambda: float(draws.random()))
+            got = np.array([(iv.lo, iv.up) for iv in map(cs.update, bits.tolist())])
+            assert got.tobytes() == union_scan(bits, sched, substream(seed, "collapse-w")).tobytes()
+            collapsed += bool((got[:, 0] == got[:, 1]).any())
+        assert collapsed >= 10
+
+    @pytest.mark.parametrize("growth", [1.1, 1.5, 2.0, 3.7])
+    def test_stages_end_at_schedule_boundaries(self, growth):
+        sched = Schedule(0.05, growth=growth)
+        cs = UnionCS(sched)
+        ends = []
+        for t in range(1, 10**6 + 1):
+            cs.update(1)
+            if cs.stage > len(ends):
+                ends.append(t)
+        assert ends == sched.boundaries(10**6).tolist()
+
+
+class TestUnionRunning:
+    """The union kernel is the running max of its elements' rCP endpoints, bit for bit."""
+
+    @given(
+        st.data(),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.sampled_from(["none", "near", "anywhere"]),
+        st.sampled_from(["zero", "one", "random"]),
+    )
+    def test_equals_accumulated_endpoints(self, data, rows, stages, carry, draw):
+        def grid(strategy):
+            cells = st.lists(strategy, min_size=stages, max_size=stages)
+            return np.array(data.draw(st.lists(cells, min_size=rows, max_size=rows)))
+
+        t = grid(st.integers(1, 10**9)).astype(float)
+        share = grid(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        x = np.round(share * t)
+        alpha = 10.0 ** -grid(st.floats(0.3, 12.0))
+        w = {"zero": 0.0, "one": 1.0}.get(draw)
+        if w is None:
+            w = grid(st.floats(0.0, 1.0))
+        lo = rcp_upper_lo(x, t, alpha, w)
+        if carry == "none":
+            lo0 = np.zeros(rows)
+        elif carry == "near":
+            pick = lo[np.arange(rows), data.draw(st.integers(0, stages - 1))]
+            lo0 = np.nextafter(pick, data.draw(st.sampled_from([-np.inf, np.inf])))
+            lo0 = np.where(data.draw(st.booleans()), pick, lo0)
+        else:
+            lo0 = grid(st.floats(0.0, 1.0))[:, 0]
+        got = union_running(x, t, alpha, w, rcp_upper_lo_bound(x, t, alpha, w), lo0)
+        want = np.maximum.accumulate(np.column_stack([lo0, lo]), axis=1)[:, 1:]
+        assert got.tobytes() == want.tobytes()
+
+    def test_solves_only_elements_whose_bound_clears_the_carry(self, monkeypatch):
+        solved = []
+        real = anytime.sequences.rcp_upper_lo
+
+        def recording(x, n, alpha, w):
+            solved.append(np.size(x))
+            return real(x, n, alpha, w)
+
+        monkeypatch.setattr(anytime.sequences, "rcp_upper_lo", recording)
+        t = np.array([10.0, 100.0, 1000.0, 10_000.0])
+        x = np.array([[3.0, 40.0, 500.0, 5000.0], [7.0, 60.0, 500.0, 5000.0]])
+        bound = rcp_upper_lo_bound(x, t, 0.01, 1.0)
+        lo0 = np.array([0.3, 0.4])
+        union_running(x, t, 0.01, 1.0, bound, lo0)
+        assert solved == [int((bound > lo0[:, None]).sum())]
+        assert 0 < solved[0] < x.size
+        solved.clear()
+        union_running(x, t, 0.01, 1.0, bound, [1.0, 1.0])
+        assert solved == []
 
 
 class TestBettingCS:
@@ -405,25 +490,6 @@ class TestBettingRunningAt:
     def test_rejects_bad_columns(self, cols):
         with pytest.raises(ValueError):
             betting_running_at(np.ones((1, 5)), np.arange(1.0, 6.0), 0.05, 0.0, 1.0, cols)
-
-
-class TestFixedFractionBetting:
-    @staticmethod
-    def _constant_edge_wealth(heads: int, tails: int, edge: float) -> float:
-        # a bettor that always stakes the same signed edge per toss; the
-        # wealth depends on the stream only through the count difference
-        return (1.0 + edge) ** (heads - tails)
-
-    def test_hundred_tosses_51_heads(self):
-        np.testing.assert_allclose(self._constant_edge_wealth(51, 49, 0.02), 1.02**2, atol=1e-12)
-        assert abs(self._constant_edge_wealth(51, 49, 0.02) - 1.04) < 0.001
-
-    def test_order_invariance_is_trivial(self, rng):
-        bits = (rng.random(100) < 0.5).astype(int)
-        h = int(bits.sum())
-        assert self._constant_edge_wealth(h, 100 - h, 0.02) == self._constant_edge_wealth(
-            int(rng.permutation(bits).sum()), 100 - h, 0.02
-        )
 
 
 class TestDpThresholds:
