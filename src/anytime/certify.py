@@ -34,19 +34,11 @@ from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
 # betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
 # checks that the tracer wraps them in every module that held them
 from .intervals import rcp_upper_lo  # noqa: F401
-from .sequences import (  # noqa: F401
-    Schedule,
-    betting_certified,
-    betting_endpoints,
-    betting_candidates,
-    betting_running,
-    betting_running_at,
-)
+from .sequences import Schedule, betting_endpoints, betting_first_pass  # noqa: F401
 from .sequences import _complement_carry, union_draws, union_running, union_stages
 
 DEFAULT_WARMUP = 100
 _BLOCK = 4096
-_STRIDE = 64  # columns of a betting search window, and between two marks
 
 CERT_MODES = ("binary", "multiclass")
 
@@ -278,13 +270,17 @@ def _verdicts(lo, up, spec):
 def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
     # row 0 bounds class A with budget lam * alpha, row 1 the runner-up
     # with (1 - lam) * alpha.  Running bounds only tighten, so once a test
-    # passes it keeps passing: a block holds a verdict iff its last column
-    # does, and the first passing column can be found from exact bounds at
-    # a few columns (_block_verdict).
+    # passes it keeps passing: the search needs exact bounds at a few
+    # columns of each block only.
     alpha = np.array([spec.lam * spec.alpha, (1.0 - spec.lam) * spec.alpha])
     run = np.zeros(2), np.ones(2)
     eye = np.eye(oracle.n_classes, dtype=np.int64)
     others = np.arange(oracle.n_classes) != a_cls
+
+    def passes(lo, up):
+        cert, refute = _verdicts(lo, up, spec)
+        return cert | refute
+
     pending = counts[None, :]  # the warmup step rides in the first block
     t = warmup
     while t < cap:
@@ -293,93 +289,11 @@ def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
         t_arr = np.arange(t + 1 - len(pending), t + k + 1)
         counts, pending, t = cum[-1], cum[:0], t + k
         heads = np.stack([cum[:, a_cls], cum[:, others].max(axis=1)])
-        found, run = _block_verdict(heads, t_arr, alpha, run, spec)
-        if found is not None:
-            return found[0], int(t_arr[found[1]])
+        col, *run = betting_first_pass(heads, t_arr, alpha, *run, passes)
+        if col is not None:
+            cert, _ = _verdicts(*run, spec)
+            return (Verdict.GREATER if cert else Verdict.LESS), int(t_arr[col])
     return Verdict.UNDECIDED, cap
-
-
-def _block_verdict(heads, t_arr, alpha, run, spec):
-    """``((verdict, column) or None, exact running bounds at the last column)`` of one block.
-
-    ``run`` holds the exact bounds before the block, which pass neither
-    test.  Certified bounds (:func:`_certified_stop`) only hint at the
-    column where the first pass lies: the exact bounds of the window that
-    ends there, and at the column before it, come from one
-    :func:`~anytime.sequences.betting_running_at` call.  Without a hint
-    only the block's last column is solved, and a block that does not
-    pass there carries its bounds.  Every verdict is read off exact bounds.
-    """
-    right = _certified_stop(heads, t_arr, alpha, run, spec)
-    if right is not None:
-        marks = [right - _STRIDE] if right >= _STRIDE else []
-        part = slice(0, right + 1)
-        found, run = _first_pass(heads[:, part], t_arr[part], alpha, run, spec, marks)
-        if found is not None or part.stop == t_arr.size:
-            return found, run
-    # no hint, or one from bounds that were not certified after all
-    start = 0 if right is None else right + 1
-    heads, t_arr = heads[:, start:], t_arr[start:]
-    lo, up = betting_running_at(heads, t_arr, alpha, *run, [t_arr.size - 1])
-    last = lo[:, 0], up[:, 0]
-    cert, refute = _verdicts(*last, spec)
-    if not (cert or refute):
-        return None, last
-    found, _ = _first_pass(heads, t_arr, alpha, run, spec, _stride_marks(t_arr.size))
-    return (found[0], start + found[1]), last
-
-
-def _stride_marks(n):
-    """Every ``_STRIDE``-th column before the last window of ``n`` columns."""
-    return np.arange(_STRIDE - 1, n - 1, _STRIDE)
-
-
-def _first_pass(heads, t_arr, alpha, run, spec, marks):
-    """``((verdict, column) or None, exact bounds at the last column)``, searched from ``marks``.
-
-    One :func:`~anytime.sequences.betting_running_at` call gives the
-    exact bounds at the columns ``marks`` and at every column of the
-    window after the last mark.  Where a mark already passes, the first
-    pass lies after the mark before it (or the carry), and that stretch
-    is searched again with stride marks, carried in from its left end;
-    a stretch of at most ``_STRIDE`` columns is one window.
-    """
-    n = t_arr.size
-    start = int(marks[-1]) + 1 if len(marks) else 0
-    cols = np.r_[np.asarray(marks, dtype=np.intp), start:n]
-    lo, up = betting_running_at(heads, t_arr, alpha, *run, cols)
-    last = lo[:, -1], up[:, -1]
-    cert, refute = _verdicts(lo, up, spec)
-    hit = cert | refute
-    if not hit.any():
-        return None, last
-    i = int(np.argmax(hit))
-    if i >= len(marks):
-        return ((Verdict.GREATER if cert[i] else Verdict.LESS), int(cols[i])), last
-    begin = int(cols[i - 1]) + 1 if i else 0
-    part = slice(begin, int(cols[i]) + 1)
-    carry = (lo[:, i - 1], up[:, i - 1]) if i else run
-    found, _ = _first_pass(
-        heads[:, part], t_arr[part], alpha, carry, spec, _stride_marks(part.stop - begin)
-    )
-    return (found[0], begin + found[1]), last
-
-
-def _certified_stop(heads, t_arr, alpha, run, spec):
-    """The first column whose certified running bounds pass a test, or ``None``.
-
-    The certified bounds are :func:`~anytime.sequences.betting_certified`
-    at the steps :func:`~anytime.sequences.betting_candidates` expects to
-    hold the running bounds, carried in from ``run``.  Where these bounds
-    are certified, the exact bounds pass at that column too.
-    """
-    cols = np.flatnonzero(betting_candidates(heads, t_arr, alpha).any(axis=0))
-    lo, up = betting_certified(heads[:, cols], t_arr[cols], alpha[:, None])
-    lo = np.maximum.accumulate(np.column_stack([run[0], lo]), axis=1)[:, 1:]
-    up = np.minimum.accumulate(np.column_stack([run[1], up]), axis=1)[:, 1:]
-    cert, refute = _verdicts(lo, up, spec)
-    hit = cert | refute
-    return int(cols[np.argmax(hit)]) if hit.any() else None
 
 
 def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
@@ -466,15 +380,14 @@ def width_target_run(
     cap: int = DEFAULT_CAP,
     schedule: Optional[Schedule] = None,
     rng: Optional[np.random.Generator] = None,
-    block: int = _BLOCK,
 ) -> tuple[Interval, int]:
     """Run a confidence sequence until its running width drops below ``eps``.
 
     The width is checked after each update, so the run always consumes
     at least one sample (``eps >= 1`` terminates right there: any single
-    update leaves width strictly below 1).  Returns the running interval
-    and the sample count at termination - width < ``eps`` whenever that
-    is before ``cap``.
+    update leaves width strictly below 1).  Returns the stateful class's
+    running interval and the sample count at termination - width < ``eps``
+    whenever that is before ``cap``.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -483,7 +396,7 @@ def width_target_run(
         raise ValueError(f"cap must be >= 1, got {cap}")
     source = as_bit_source(stream)
     if cs_kind == "betting":
-        return _width_target_betting(source, eps, alpha, cap, block)
+        return _width_target_betting(source, eps, alpha, cap)
     if cs_kind != "union":
         raise ValueError(f"unknown cs_kind {cs_kind!r}")
     sched = schedule if schedule is not None else Schedule.doubling(alpha)
@@ -492,21 +405,22 @@ def width_target_run(
     return _width_target_union(source, eps, cap, sched, rng)
 
 
-def _width_target_betting(source, eps, alpha, cap, block):
+def _width_target_betting(source, eps, alpha, cap):
     lo_run, up_run = 0.0, 1.0
     heads, t = 0, 0
     while t < cap:
-        k = clamp_take(source, min(block, cap - t))
-        bits = source.take(k)
-        h = heads + np.cumsum(bits, dtype=np.int64)
+        k = clamp_take(source, min(_BLOCK, cap - t))
+        h = heads + np.cumsum(source.take(k), dtype=np.int64)
         t_arr = t + np.arange(1, k + 1, dtype=np.int64)
-        lo, up = betting_running(h[None, :], t_arr, alpha, lo_run, up_run)
-        lo_r, up_r = lo[0], up[0]
-        hit = (up_r - lo_r) < eps
-        if hit.any():
-            i = int(np.argmax(hit))
-            return Interval(min(lo_r[i], up_r[i]), max(lo_r[i], up_r[i])), int(t_arr[i])
-        lo_run, up_run = float(lo_r[-1]), float(up_r[-1])
+        col, lo, up = betting_first_pass(
+            h[None, :], t_arr, alpha, lo_run, up_run, lambda lo, up: (up - lo < eps)[0]
+        )
+        if col is not None:
+            lo, up = float(lo[0]), float(up[0])
+            if lo > up:  # the crossing collapses BettingCS to the sample mean
+                lo = up = int(h[col]) / int(t_arr[col])
+            return Interval(lo, up), int(t_arr[col])
+        lo_run, up_run = float(lo[0]), float(up[0])
         heads, t = int(h[-1]), int(t_arr[-1])
     return Interval(lo_run, up_run), cap
 

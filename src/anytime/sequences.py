@@ -27,7 +27,9 @@ only those whose cheap bound clears the carried value;
 :func:`betting_running` returns the running betting bounds and solves
 only the endpoints that can move them; :func:`betting_running_at`
 returns them at chosen columns only and solves only the endpoints that
-can be the running bound there.
+can be the running bound there.  :func:`betting_first_pass` finds the
+first column whose running bounds pass a caller's monotone test, so the
+certifiers and width-target runs are predicates over it.
 """
 
 from __future__ import annotations
@@ -565,28 +567,92 @@ def _running_at(heads, trials, alpha, threshold, lo0, up0, at):
     return (lo, up) if dense else (lo[:, at], up[:, at])
 
 
-def betting_candidates(heads, trials, alpha):
-    """Steps likely to hold the largest lower (smallest upper) betting endpoint of their run.
+def betting_first_pass(heads, trials, alpha, lo0, up0, passes):
+    """The first column whose running betting bounds pass ``passes``, with those bounds.
 
-    ``heads`` 2-d, ``trials`` and ``alpha`` as for :func:`betting_running`;
-    runs are ``_RUN`` columns long.  Returns a boolean mask shaped like
-    ``heads``.  No endpoint is evaluated: the steps are ranked by the
-    Gaussian approximation of the endpoints, so certified bounds there
-    (:func:`betting_certified`) are tight bounds on the running ones.
+    ``heads`` is 2-d with one row per stream, ``trials`` holds one value
+    per column, and ``alpha``, ``lo0`` and ``up0`` one value per row (see
+    :func:`betting_running`).  ``passes(lo, up)`` maps running bounds at
+    some columns (rows x columns) to one bool per column.  It must satisfy:
+
+    * bounds that are looser outward (lower ones lower, upper ones
+      higher) pass only where the exact ones pass;
+    * once a column passes, every later column passes too.
+
+    Returns ``(column, lo, up)``: the first passing column and the exact
+    running bounds there, one per row; or ``None`` and the exact bounds
+    at the last column.
+
+    Certified bounds (:func:`betting_certified` at the steps
+    :func:`_candidates` expects to hold the running bounds, carried in)
+    only hint at the column where the first pass lies, and the search
+    (:func:`_first_pass`) starts from the ``_RUN`` columns that end there.
+    Without a hint, or past one that the exact bounds refute, it starts
+    from the last column alone.
     """
     heads = np.asarray(heads, dtype=float)
     trials = np.asarray(trials, dtype=float)
-    threshold = _thresholds(np.broadcast_to(np.asarray(alpha, dtype=float), heads.shape[:1]))
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), heads.shape[:1])
+    run = tuple(np.broadcast_to(np.asarray(v, dtype=float), heads.shape[:1]) for v in (lo0, up0))
     with np.errstate(all="ignore"):
-        last = np.array([heads.shape[1] - 1])
-        return _candidates(heads / trials, trials, threshold[:, None], last)
+        last = np.array([trials.size - 1])
+        pick = _candidates(heads / trials, trials, _thresholds(alpha)[:, None], last)
+    cols = np.flatnonzero(pick.any(axis=0))
+    lo, up = betting_certified(heads[:, cols], trials[cols], alpha[:, None])
+    lo = np.maximum.accumulate(np.column_stack([run[0], lo]), axis=1)[:, 1:]
+    up = np.minimum.accumulate(np.column_stack([run[1], up]), axis=1)[:, 1:]
+    hint = passes(lo, up)
+    start = 0
+    if hint.any():
+        right = int(cols[np.argmax(hint)])
+        marks = [right - _RUN] if right >= _RUN else []
+        part = slice(0, right + 1)
+        col, *run = _first_pass(heads[:, part], trials[part], alpha, run, passes, marks)
+        if col is not None or part.stop == trials.size:
+            return col, *run
+        start = part.stop
+    heads, trials = heads[:, start:], trials[start:]
+    return _first_pass(heads, trials, alpha, run, passes, [trials.size - 1], start)
+
+
+def _first_pass(heads, trials, alpha, run, passes, marks, offset=0):
+    """:func:`betting_first_pass` searched from the columns ``marks``, numbered from ``offset``.
+
+    One :func:`betting_running_at` call gives the exact bounds at the
+    columns ``marks`` and at every column after the last mark.  Where a
+    mark already passes, the first pass lies after the mark before it (or
+    the carry), and that stretch is searched again, carried in from its
+    left end and marked at every ``_RUN``-th column before its last
+    ``_RUN``; a stretch of at most ``_RUN`` columns is solved whole.
+    """
+    while True:
+        marks = np.asarray(marks, dtype=np.intp)
+        start = int(marks[-1]) + 1 if marks.size else 0
+        cols = np.r_[marks, start : trials.size]
+        lo, up = betting_running_at(heads, trials, alpha, *run, cols)
+        hit = passes(lo, up)
+        if not hit.any():
+            return None, lo[:, -1], up[:, -1]
+        i = int(np.argmax(hit))
+        if i >= marks.size:
+            return offset + int(cols[i]), lo[:, i], up[:, i]
+        begin = int(cols[i - 1]) + 1 if i else 0
+        if i:
+            run = lo[:, i - 1], up[:, i - 1]
+        heads, trials = heads[:, begin : cols[i] + 1], trials[begin : cols[i] + 1]
+        offset += begin
+        marks = np.arange(_RUN - 1, trials.size - 1, _RUN)
 
 
 def _candidates(mean, trials, threshold, at):
-    """:func:`betting_candidates` for runs that also end at the columns ``at``.
+    """Steps likely to hold the largest lower (smallest upper) betting endpoint of their run.
 
-    Each run's steps are ranked by ``mean -/+ sqrt(mean (1 - mean) (2
-    log(1/alpha) + log t) / t)``; ties are all kept.
+    Runs are ``_RUN`` columns long and also end at the columns ``at``.
+    No endpoint is evaluated: each run's steps are ranked by the Gaussian
+    approximation ``mean -/+ sqrt(mean (1 - mean) (2 log(1/alpha) + log t)
+    / t)`` of the endpoints, so certified bounds there
+    (:func:`betting_certified`) are tight bounds on the running ones; ties
+    are all kept.
     """
     n = mean.shape[1]
     starts = np.arange(0, n, _RUN)
@@ -666,6 +732,19 @@ def _kt_inside(p, log_mix, heads, tails, threshold):
     return wealth <= threshold - slack
 
 
+def _betting_step(lo, up, heads, trials, alpha):
+    """:class:`BettingCS`'s running ``(lo, up)`` after a step to ``heads / trials``.
+
+    Where the instantaneous interval misses ``(lo, up)``, both collapse
+    to the sample mean.
+    """
+    inst_lo, inst_up = betting_endpoints(np.asarray(heads), np.asarray(trials), alpha)
+    lo, up = max(lo, float(inst_lo)), min(up, float(inst_up))
+    if lo > up:  # crossing pieces live inside a miscovering event
+        lo = up = heads / trials
+    return lo, up
+
+
 class BettingCS:
     """Betting confidence sequence (KT mixture + Ville's inequality)."""
 
@@ -690,14 +769,7 @@ class BettingCS:
         self.log_mixture += math.log(predict if bit else 1.0 - predict)
         self.heads += bit
         self.trials += 1
-        inst_lo, inst_up = betting_endpoints(
-            np.asarray(self.heads), np.asarray(self.trials), self.alpha
-        )
-        self.lo = max(self.lo, float(inst_lo))
-        self.up = min(self.up, float(inst_up))
-        if self.lo > self.up:
-            mean = self.heads / self.trials
-            self.lo = self.up = mean
+        self.lo, self.up = _betting_step(self.lo, self.up, self.heads, self.trials, self.alpha)
         return self.interval
 
 

@@ -40,6 +40,8 @@ from anytime.sampling import substream
 from anytime.sequences import Schedule, kt_log_wealth
 
 from oracles import (
+    BETTING_CROSSING_SEEDS,
+    betting_scan,
     gauss_cdf,
     gauss_quantile_by_bisection,
     multiclass_betting_scan,
@@ -49,6 +51,15 @@ from oracles import (
 PHI_ONE = 0.8413447460685429  # standard normal CDF at 1
 # binary certification threshold for radius 1/2 at unit noise: Phi(1/2)
 P_STAR_HALF = 0.6914624612740131
+
+
+def assert_width_run_matches_the_scan(run, bits, eps, alpha):
+    """``run`` is BettingCS's interval, as floats, at its first width below ``eps``, or at the end."""
+    (iv, used), scan = run, betting_scan(bits, alpha)
+    hit = np.flatnonzero(scan[:, 1] - scan[:, 0] < eps)
+    want = int(hit[0]) + 1 if hit.size else len(bits)
+    assert type(iv.lo) is float and type(iv.up) is float
+    assert (np.array([iv.lo, iv.up]).tobytes(), used) == (scan[want - 1].tobytes(), want)
 
 
 class _ScriptedOracle:
@@ -471,15 +482,19 @@ class TestCertifyMulticlass:
             return np.where(settled, 1.0, -np.inf), np.where(settled, 0.0, np.inf)
 
         spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+        bits = (substream(34, "false-stop-width", seed).random(cap) < probs[0]).astype(np.uint8)
+        eps = (0.4, 0.2, 0.1, 0.05)[case]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(anytime.certify, "betting_certified", claiming)
+            patch.setattr(anytime.sequences, "betting_certified", claiming)
             oracle = ClassOracle(probs, substream(34, "false-stop", seed))
             verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=cap)
+            width_run = width_target_run(bits, eps, 0.01, cap=cap)
         oracle = ClassOracle(probs, substream(34, "false-stop", seed))
         want = multiclass_betting_scan(
             oracle.sample, len(probs), 1.0, radius, 0.01, lam, cap, DEFAULT_WARMUP
         )
         assert (verdict.value, used) == want
+        assert_width_run_matches_the_scan(width_run, bits, eps, 0.01)
 
     @pytest.mark.parametrize("hint", ["none", "late"])
     def test_betting_verdict_survives_a_poor_hint(self, hint):
@@ -487,7 +502,7 @@ class TestCertifyMulticlass:
         # from some step on) hint at the verdict late or never: the exact
         # bounds at the hinted column, or at the block's last, still pass,
         # and the search backs up to the first exact pass
-        real = anytime.certify.betting_certified
+        real = anytime.sequences.betting_certified
 
         def poor(heads, trials, alpha):
             lo, up = real(heads, trials, alpha)
@@ -499,15 +514,19 @@ class TestCertifyMulticlass:
             probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
             lam = 0.5 if seed % 2 else 0.3
             spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            bits = (substream(39, "poor-hint-width", seed).random(9_000) < probs[0]).astype(np.uint8)
+            eps = (0.2, 0.05)[seed % 2]
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(anytime.certify, "betting_certified", poor)
+                patch.setattr(anytime.sequences, "betting_certified", poor)
                 oracle = ClassOracle(probs, substream(39, "poor-hint", seed))
                 verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=9_000)
+                width_run = width_target_run(bits, eps, 0.01, cap=9_000)
             oracle = ClassOracle(probs, substream(39, "poor-hint", seed))
             want = multiclass_betting_scan(
                 oracle.sample, len(probs), 1.0, radius, 0.01, lam, 9_000, DEFAULT_WARMUP
             )
             assert (verdict.value, used) == want, seed
+            assert_width_run_matches_the_scan(width_run, bits, eps, 0.01)
             verdicts.add(want[0])
         assert {"greater", "less"} <= verdicts
 
@@ -640,6 +659,16 @@ class TestWidthTarget:
         iv, used = width_target_run(bits, 0.005, 0.05, cap=300)
         assert used == 300
         assert iv.up - iv.lo >= 0.005
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.001, 0.05, 0.5, 0.9])
+    def test_betting_matches_the_plain_scan(self, alpha):
+        # certified stopping finds the first column whose width is below
+        # eps; a crossing is one, and stops on BettingCS's collapsed mean
+        for seed in (0, *BETTING_CROSSING_SEEDS):
+            bits = (np.random.default_rng(seed).random(2000) < 0.5).astype(np.uint8)
+            for eps in (0.2, 0.05, 0.01):
+                run = width_target_run(bits, eps, alpha, cap=2000)
+                assert_width_run_matches_the_scan(run, bits, eps, alpha)
 
     def test_union_variant_frozen(self):
         bits = np.tile(np.array([1, 0], dtype=np.uint8), 1024)

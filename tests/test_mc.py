@@ -25,15 +25,32 @@ from anytime.mc import (
 from anytime.sampling import substream
 from anytime.sequences import BettingCS, Schedule, UnionCS
 
+from oracles import BETTING_CROSSING_SEEDS, betting_scan
+
+
+def assert_same_bytes(got, want):
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
 
 class TestBettingTrace:
     def test_matches_stateful_updates(self, rng):
         bits = (rng.random(200) < 0.37).astype(np.int64)
-        lo, up = betting_trace(bits, 0.01)
         cs = BettingCS(0.01)
-        for t, b in enumerate(bits):
-            iv = cs.update(int(b))
-            np.testing.assert_allclose((lo[t], up[t]), (iv.lo, iv.up), atol=1e-9)
+        ivs = [cs.update(int(b)) for b in bits]
+        want = np.array([iv.lo for iv in ivs]), np.array([iv.up for iv in ivs])
+        assert_same_bytes(betting_trace(bits, 0.01), want)
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.001, 0.05, 0.5, 0.9])
+    def test_matches_the_plain_scan_through_collapses(self, alpha):
+        # streams that cross collapse to the sample mean, as BettingCS does,
+        # whether traced alone or as rows of a matrix
+        seeds = (0, *BETTING_CROSSING_SEEDS)
+        bits = np.array([np.random.default_rng(s).random(300) < 0.5 for s in seeds], dtype=np.int64)
+        rows = betting_trace(bits, alpha)
+        for i, row in enumerate(bits):
+            want = betting_scan(row, alpha).T
+            assert_same_bytes(betting_trace(row, alpha), want)
+            assert_same_bytes((rows[0][i], rows[1][i]), want)
 
     def test_matrix_rows_are_independent_streams(self, rng):
         bits = (rng.random((3, 60)) < 0.5).astype(np.int64)
@@ -61,10 +78,6 @@ def stateful_union(bits, sched, draws):
     cs = UnionCS(sched, draws=None if draws is None else lambda: float(draws.random()))
     ivs = [cs.update(int(b)) for b in bits]
     return np.array([iv.lo for iv in ivs]), np.array([iv.up for iv in ivs])
-
-
-def assert_same_bytes(got, want):
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 class TestUnionTrace:

@@ -34,7 +34,13 @@ from anytime.sequences import (
     union_running,
 )
 
-from oracles import brute_halting_heads, exact_kt_mixture, union_scan
+from oracles import (
+    BETTING_CROSSING_SEEDS,
+    betting_scan,
+    brute_halting_heads,
+    exact_kt_mixture,
+    union_scan,
+)
 
 
 class TestKtMixture:
@@ -289,6 +295,16 @@ class TestBettingCS:
         cs = BettingCS(0.05)
         crossed = [cs.update(1).lo > 0.5 for _ in range(10)]
         assert crossed.index(True) == 6  # t = 7, zero-based index 6
+
+    @pytest.mark.parametrize("alpha", [1e-9, 0.001, 0.05, 0.5, 0.9])
+    def test_matches_the_plain_scan_through_collapses(self, alpha):
+        # at a lax alpha the running interval crosses; it collapses to the
+        # sample mean there and can cross again at any later step
+        for seed in (0, *BETTING_CROSSING_SEEDS):
+            bits = (np.random.default_rng(seed).random(300) < 0.5).astype(np.int64)
+            cs = BettingCS(alpha)
+            got = np.array([(iv.lo, iv.up) for iv in map(cs.update, bits.tolist())])
+            assert got.tobytes() == betting_scan(bits, alpha).tobytes(), seed
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=150))
     def test_nesting(self, bits):
