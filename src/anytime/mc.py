@@ -18,7 +18,7 @@ from .intervals import lower_tail_mix, upper_tail_mix
 # checks that the tracer wraps them in every module that held them
 from .intervals import rcp_upper_lo  # noqa: F401
 from .sequences import Schedule, betting_endpoints, betting_running, kt_log_wealth  # noqa: F401
-from .sequences import _betting_step, union_draws, union_stages
+from .sequences import union_draws, union_stages
 
 
 def bernoulli_matrix(rng: np.random.Generator, streams: int, horizon: int, p: float) -> np.ndarray:
@@ -80,8 +80,10 @@ def betting_trace(bits: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     running ``(lo, up)`` arrays of the same shape, the same values as
     :class:`~anytime.sequences.BettingCS` fed each stream bit by bit.  One
     :func:`~anytime.sequences.betting_running` call gives them up to a
-    stream's first crossing; from there the class's own step runs bit by
-    bit, since a collapsed interval can cross again at any step.
+    stream's first crossing, where the interval collapses to the sample
+    mean.  From a collapsed point the running bounds are again a running
+    max and min, carried in from the mean, up to the next crossing: one
+    more call per collapse.
     """
     arr = np.atleast_2d(np.asarray(bits))
     heads = np.cumsum(arr, axis=1, dtype=np.float64)
@@ -89,11 +91,18 @@ def betting_trace(bits: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     run_lo, run_up = betting_running(heads, trials, alpha, 0.0, 1.0)
     for row in np.flatnonzero((run_lo > run_up).any(axis=1)).tolist():
         # never the first bit: a single instantaneous interval cannot cross
-        first = int(np.argmax(run_lo[row] > run_up[row]))
-        lo, up = float(run_lo[row, first - 1]), float(run_up[row, first - 1])
-        for j in range(first, arr.shape[1]):
-            lo, up = _betting_step(lo, up, float(heads[row, j]), j + 1, alpha)
-            run_lo[row, j], run_up[row, j] = lo, up
+        j = int(np.argmax(run_lo[row] > run_up[row]))
+        while True:
+            run_lo[row, j] = run_up[row, j] = mean = float(heads[row, j]) / (j + 1)
+            j += 1
+            if j == arr.shape[1]:
+                break
+            lo, up = betting_running(heads[row : row + 1, j:], trials[j:], alpha, mean, mean)
+            run_lo[row, j:], run_up[row, j:] = lo[0], up[0]
+            crossed = lo[0] > up[0]
+            if not crossed.any():
+                break
+            j += int(np.argmax(crossed))
     if np.asarray(bits).ndim == 1:
         return run_lo[0], run_up[0]
     return run_lo, run_up

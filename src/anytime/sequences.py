@@ -385,8 +385,16 @@ def _kt_lower_root(heads, tails, log_mix, threshold, active):
     the convex function lies below it, so the iterates move right
     monotonically and cannot overshoot; a start on the inner side crosses
     to the outer side in one step.  Inactive elements (``heads = 0``: no
-    lower crossing) are skipped and keep 0.
+    lower crossing) are skipped and keep 0.  Batches of up to
+    ``_FLOAT_NEWTON`` elements iterate on Python floats
+    (:func:`_float_newton`); the result is only the guess that steers the
+    halvings, so ``math``'s last bits, where they differ from numpy's,
+    cannot change an endpoint.
     """
+    if heads.size <= _FLOAT_NEWTON:
+        thr = threshold.tolist() if isinstance(threshold, np.ndarray) else [threshold] * heads.size
+        c = [m - t if a else None for m, t, a in zip(log_mix.tolist(), thr, active.tolist())]
+        return np.array(_float_newton(heads.tolist(), tails.tolist(), c))
     root = np.zeros_like(heads)
     act = np.flatnonzero(active)
     if act.size == 0:
@@ -395,7 +403,7 @@ def _kt_lower_root(heads, tails, log_mix, threshold, active):
     c = log_mix[act] - (threshold[act] if isinstance(threshold, np.ndarray) else threshold)
     with np.errstate(all="ignore"):
         safe, u = _kt_newton_start(h, s, c)
-        for _ in range(_NEWTON_CAP):  # inline steps: this loop runs on every BettingCS bit
+        for _ in range(_NEWTON_CAP):  # inline steps: every large solver batch runs this loop
             e = np.exp(u)
             step = (c - h * u - s * np.log1p(-e)) / (h - s * e / (1.0 - e))
             u = np.fmax(safe, u + step)
@@ -403,6 +411,57 @@ def _kt_lower_root(heads, tails, log_mix, threshold, active):
                 break
     root[act] = np.exp(u)
     return root
+
+
+# Largest batch whose Newton iteration runs on Python floats: below it the
+# ~8 numpy calls per iteration cost more than the float steps of every
+# element (the per-bit BettingCS path has two, one per side).
+_FLOAT_NEWTON = 16
+
+
+def _float_newton(h, s, c):
+    """:func:`_kt_lower_root` on lists, with ``c = log_mix - threshold`` (``None``: inactive).
+
+    The same start, steps and stopping rule as the array loop, all active
+    elements in lockstep; inactive ones give 0.  ``math`` raises where
+    numpy returns NaN or ``-inf`` (``log1p(-1)`` at ``u = 0`` when
+    ``s = 0``, a zero slope); those steps are NaN, which ``np.fmax``
+    turns into the safe point.
+    """
+    exp, log1p, nan = math.exp, math.log1p, math.nan
+    u = [0.0] * len(c)
+    live = []
+    for i, (hi, si, ci) in enumerate(zip(h, s, c)):
+        if ci is not None:
+            safe = ci / hi
+            u[i] = _float_start(hi, si, ci, safe)
+            live.append((i, hi, si, ci, safe))
+    for _ in range(_NEWTON_CAP):
+        done = True
+        for i, hi, si, ci, safe in live:
+            ui = u[i]
+            try:
+                e = exp(ui)
+                step = (ci - hi * ui - si * log1p(-e)) / (hi - si * e / (1.0 - e))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                step = nan
+            ui += step
+            u[i] = ui if ui > safe else safe  # np.fmax(safe, u + step)
+            done = done and abs(step) <= _KT_NEWTON_TOL
+        if done:
+            break
+    return [0.0 if ci is None else exp(ui) for ui, ci in zip(u, c)]
+
+
+def _float_start(h, s, c, safe):
+    """:func:`_kt_newton_start`'s Newton start of one element, on floats."""
+    try:
+        t = h + s
+        m = h / t
+        excess = h * math.log(m) + (s * math.log1p(-m) if s else 0.0) - c
+        return max(safe, math.log(m - math.sqrt(2.0 * excess * m * (1.0 - m) / t)))
+    except ValueError:  # where numpy's start is NaN or -inf, np.fmax keeps the safe point
+        return safe
 
 
 def _kt_newton_start(h, s, c):
@@ -732,19 +791,6 @@ def _kt_inside(p, log_mix, heads, tails, threshold):
     return wealth <= threshold - slack
 
 
-def _betting_step(lo, up, heads, trials, alpha):
-    """:class:`BettingCS`'s running ``(lo, up)`` after a step to ``heads / trials``.
-
-    Where the instantaneous interval misses ``(lo, up)``, both collapse
-    to the sample mean.
-    """
-    inst_lo, inst_up = betting_endpoints(np.asarray(heads), np.asarray(trials), alpha)
-    lo, up = max(lo, float(inst_lo)), min(up, float(inst_up))
-    if lo > up:  # crossing pieces live inside a miscovering event
-        lo = up = heads / trials
-    return lo, up
-
-
 class BettingCS:
     """Betting confidence sequence (KT mixture + Ville's inequality)."""
 
@@ -769,7 +815,12 @@ class BettingCS:
         self.log_mixture += math.log(predict if bit else 1.0 - predict)
         self.heads += bit
         self.trials += 1
-        self.lo, self.up = _betting_step(self.lo, self.up, self.heads, self.trials, self.alpha)
+        inst_lo, inst_up = betting_endpoints(
+            np.asarray(self.heads), np.asarray(self.trials), self.alpha
+        )
+        self.lo, self.up = max(self.lo, float(inst_lo)), min(self.up, float(inst_up))
+        if self.lo > self.up:  # crossing pieces live inside a miscovering event
+            self.lo = self.up = self.heads / self.trials
         return self.interval
 
 

@@ -232,17 +232,23 @@ def betting_scan(bits, alpha):
     endpoints; crossing endpoints collapse to the sample mean, and later
     steps carry on from it.  Returns an ``(n, 2)`` array.
     """
+    return betting_scan_collapses(bits, alpha)[0]
+
+
+def betting_scan_collapses(bits, alpha):
+    """:func:`betting_scan` and the (0-based) steps at which the interval collapsed."""
     bits = np.asarray(bits, dtype=np.int64)
     heads = np.cumsum(bits).tolist()
     inst_lo, inst_up = bisect_betting_endpoints(heads, np.arange(1, bits.size + 1), alpha)
     lo, up = 0.0, 1.0
-    out = []
+    out, collapses = [], []
     for t, (h, i_lo, i_up) in enumerate(zip(heads, inst_lo.tolist(), inst_up.tolist()), start=1):
         lo, up = max(lo, i_lo), min(up, i_up)
         if lo > up:
             lo = up = h / t
+            collapses.append(t - 1)
         out.append((lo, up))
-    return np.array(out).reshape(-1, 2)
+    return np.array(out).reshape(-1, 2), collapses
 
 
 # ---------------------------------------------------------------------------

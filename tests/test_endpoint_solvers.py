@@ -12,19 +12,23 @@ outer side of the endpoints they bound.
 
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import special
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import anytime.binom
 import anytime.intervals
 import anytime.sequences
 from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound, upper_tail_mix
-from anytime.sequences import betting_certified, betting_endpoints
+from anytime.sampling import substream
+from anytime.sequences import BettingCS, betting_certified, betting_endpoints, kt_log_mixture
 
-from oracles import bisect_betting_endpoints, bisect_rcp_upper_lo
+from oracles import betting_scan, bisect_betting_endpoints, bisect_rcp_upper_lo
 
 SIZES = st.one_of(st.integers(1, 60), st.integers(1, 10**9), st.sampled_from([10**9]))
 ALPHAS = st.one_of(
@@ -49,14 +53,21 @@ def assert_same_bits(got, want):
 
 
 class CountHalvings:
-    """Records the size of every ``halve`` call (the replay, then the fallback)."""
+    """Records the size of every ``halve`` call (the replay, then the fallback).
+
+    ``plain`` holds the sizes of the plain halvings alone (a predicate,
+    not guesses, steers them).
+    """
 
     def __init__(self, monkeypatch):
         self.sizes = []
+        self.plain = []
         real = anytime.binom.halve
 
         def spy(lo, hi, above, iters):
             self.sizes.append(np.size(lo))
+            if callable(above):
+                self.plain.append(np.size(lo))
             return real(lo, hi, above, iters)
 
         monkeypatch.setattr(anytime.binom, "halve", spy)
@@ -190,6 +201,90 @@ class TestBettingEndpoints:
         for g, r in zip(betting_endpoints(h, 300, 0.01), want):
             assert_same_bits(g, r)
         assert halvings.sizes[0] == 2 * h.size and len(halvings.sizes) == 2
+
+
+FLOAT_NEWTON = anytime.sequences._FLOAT_NEWTON
+EDGES = np.array([0, 1, 10**9 - 1, 10**9])
+
+
+@st.composite
+def small_batches(draw):
+    """1 to ``_FLOAT_NEWTON + 1`` counts ``(heads, trials)``, with heads 0, 1, t - 1 and t often.
+
+    The solver stacks both sides of each count, so the Newton batch holds
+    two elements per count: the draws fall on both sides of the float path.
+    """
+    k = draw(st.integers(1, FLOAT_NEWTON + 1))
+    pairs = []
+    for _ in range(k):
+        t = draw(SIZES)
+        pairs.append((draw(st.one_of(st.sampled_from([0, 1, t - 1, t]), st.integers(0, t))), t))
+    return tuple(np.array(v) for v in zip(*pairs))
+
+
+# at t = 1e9 the four edge counts alone (8 Newton elements, floats) and
+# repeated past the cutoff (array loop), at both extremes of alpha
+SMALL_BATCH_EXAMPLES = [
+    example(batch=(h, np.full(h.size, 10**9)), alpha=alpha)
+    for h in (EDGES, np.resize(EDGES, FLOAT_NEWTON + 1))
+    for alpha in (1e-12, 0.999)
+]
+
+
+def with_examples(test):
+    for ex in SMALL_BATCH_EXAMPLES:
+        test = ex(test)
+    return test
+
+
+class TestSmallBatches:
+    """Batches of up to ``_FLOAT_NEWTON`` Newton elements take the guess on Python floats."""
+
+    @with_examples
+    @given(batch=small_batches(), alpha=ALPHAS)
+    def test_same_bits_as_the_plain_bisection(self, batch, alpha):
+        heads, trials = batch
+        got = betting_endpoints(heads, trials, alpha)
+        for g, r in zip(got, bisect_betting_endpoints(heads, trials, alpha)):
+            assert_same_bits(g, r)
+
+    @with_examples
+    @given(batch=small_batches(), alpha=ALPHAS)
+    def test_float_guess_matches_the_array_loop(self, batch, alpha):
+        heads, trials = (np.asarray(v, dtype=float) for v in batch)
+        tails = trials - heads
+        log_mix = kt_log_mixture(heads, trials)
+        # the lower and upper problems, stacked as betting_endpoints does
+        h, s = np.concatenate([heads, tails]), np.concatenate([tails, heads])
+        log_mix, active = np.concatenate([log_mix, log_mix]), np.concatenate([heads, tails]) >= 1
+        threshold = math.log(1.0 / alpha)
+        roots = []
+        for cutoff in (0, h.size):  # the array loop, then the float path
+            with mock.patch.object(anytime.sequences, "_FLOAT_NEWTON", cutoff):
+                roots.append(anytime.sequences._kt_lower_root(h, s, log_mix, threshold, active))
+        array, floats = roots
+        assert (array[~active] == 0.0).all() and (floats[~active] == 0.0).all()
+        # Both solve the rounded equation log_mix - h u - s log1p(-e^u) = threshold
+        # for u = log p, with exp and log1p that may differ in the last bit:
+        # the roots may differ by a few ulps of its terms over its slope.
+        r, h, s = array[active], h[active], s[active]
+        u = np.log(r)
+        terms = np.abs(log_mix[active] - threshold) + np.abs(h * u) + np.abs(s * np.log1p(-r))
+        with np.errstate(divide="ignore"):
+            rounding = 4.0 * 2.0**-52 * terms / np.abs(h - s * r / (1.0 - r))
+        assert (np.abs(floats[active] - r) <= (1e-12 + rounding) * r).all()
+
+    @pytest.mark.parametrize("p", [0.3, 0.02])
+    def test_no_plain_halving_bit_by_bit(self, monkeypatch, p):
+        # the online benchmark's stream (2,000 bits, p = 0.3, alpha 0.05) and
+        # a skewed one fed to BettingCS: every per-bit float guess steers its
+        # solve into the right cell, and the intervals are the plain scan's
+        bits = (substream(42, "online", "bits").random(2000) < p).astype(np.int64)
+        halvings = CountHalvings(monkeypatch)
+        cs = BettingCS(0.05)
+        got = np.array([(iv.lo, iv.up) for iv in map(cs.update, bits.tolist())])
+        assert halvings.plain == []
+        assert got.tobytes() == betting_scan(bits, 0.05).tobytes()
 
 
 @pytest.mark.parametrize("alpha", [1e-12, 0.05])

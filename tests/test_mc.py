@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import anytime.mc
 from anytime.intervals import enumeration_coverage
 from anytime.mc import (
     bernoulli_matrix,
@@ -25,7 +26,7 @@ from anytime.mc import (
 from anytime.sampling import substream
 from anytime.sequences import BettingCS, Schedule, UnionCS
 
-from oracles import BETTING_CROSSING_SEEDS, betting_scan
+from oracles import BETTING_CROSSING_SEEDS, betting_scan, betting_scan_collapses
 
 
 def assert_same_bytes(got, want):
@@ -51,6 +52,44 @@ class TestBettingTrace:
             want = betting_scan(row, alpha).T
             assert_same_bytes(betting_trace(row, alpha), want)
             assert_same_bytes((rows[0][i], rows[1][i]), want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.999])
+    def test_one_running_call_per_collapse(self, monkeypatch, alpha):
+        # from a collapsed mean the running bounds are again a running max
+        # and min, so a trace makes one kernel call, plus one per collapse
+        # before the last bit; the width command's seed-2 stream collapses
+        # three times at alpha 0.5
+        calls = []
+        real = anytime.mc.betting_running
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(anytime.mc, "betting_running", spy)
+
+        def restarts(row):
+            want, steps = betting_scan_collapses(row, alpha)
+            n = sum(j < row.size - 1 for j in steps)
+            del calls[:]
+            assert_same_bytes(betting_trace(row, alpha), want.T)
+            assert len(calls) == 1 + n
+            return n
+
+        width = (substream(2, "width", "bits").random(4096) < 0.5).astype(np.int64)
+        seed_2 = restarts(width)
+        if alpha == 0.5:
+            assert seed_2 == 3
+        bits = np.array(
+            [np.random.default_rng(s).random(300) < 0.5 for s in BETTING_CROSSING_SEEDS],
+            dtype=np.int64,
+        )
+        total = sum(restarts(row) for row in bits)
+        del calls[:]
+        rows = betting_trace(bits, alpha)
+        assert len(calls) == 1 + total
+        for i, row in enumerate(bits):
+            assert_same_bytes((rows[0][i], rows[1][i]), betting_scan(row, alpha).T)
 
     def test_matrix_rows_are_independent_streams(self, rng):
         bits = (rng.random((3, 60)) < 0.5).astype(np.int64)
