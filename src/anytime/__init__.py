@@ -21,7 +21,6 @@ The package provides, in dependency order:
 """
 
 from .binom import (
-    Counts,
     binom_cdf,
     binom_sf,
     gauss_quantile,
@@ -77,7 +76,6 @@ __all__ = [
     "BettingCS",
     "CertSpec",
     "ClassOracle",
-    "Counts",
     "Interval",
     "Schedule",
     "TrialRecord",

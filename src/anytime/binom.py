@@ -27,26 +27,10 @@ of the root and two predicate evaluations.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy import special
-
-
-class Counts(NamedTuple):
-    """Running Bernoulli counts: ``heads`` successes out of ``trials``."""
-
-    heads: int
-    trials: int
-
-    def validate(self) -> "Counts":
-        if self.trials < 0 or not 0 <= self.heads <= self.trials:
-            raise ValueError(f"invalid counts {self!r}")
-        return self
-
-    @property
-    def mean(self) -> float:
-        return self.heads / self.trials if self.trials else 0.5
 
 
 _N_ERROR = "n must be nonnegative"

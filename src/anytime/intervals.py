@@ -311,21 +311,20 @@ def enumeration_coverage(
         raise ValueError(f"unknown kind {kind!r}")
     if side not in ("upper", "lower", "two"):
         raise ValueError(f"unknown side {side!r}")
-    if side == "two":
-        ex_up = _exclusion_probs(n, p, alpha / 2.0, kind, "upper")
-        ex_lo = _exclusion_probs(n, p, alpha / 2.0, kind, "lower")
-        excl = ex_up + ex_lo - ex_up * ex_lo
-    else:
-        excl = _exclusion_probs(n, p, alpha, kind, side)
     x = np.arange(n + 1)
     pmf = np.exp(log_binom_pmf(x, n, p))
+    if side == "two":
+        ex_up = _exclusion_probs(n, p, alpha / 2.0, kind, "upper", pmf)
+        ex_lo = _exclusion_probs(n, p, alpha / 2.0, kind, "lower", pmf)
+        excl = ex_up + ex_lo - ex_up * ex_lo
+    else:
+        excl = _exclusion_probs(n, p, alpha, kind, side, pmf)
     return float(1.0 - np.sum(pmf * excl))
 
 
-def _exclusion_probs(n: int, p: float, alpha: float, kind: str, side: str) -> np.ndarray:
-    """P(p excluded | X = x) for x = 0..n, with the w-draw integrated out."""
+def _exclusion_probs(n: int, p: float, alpha: float, kind: str, side: str, pmf) -> np.ndarray:
+    """P(p excluded | X = x) for x = 0..n, with the w-draw integrated out; ``pmf`` is P(X = x)."""
     x = np.arange(n + 1)
-    pmf = np.exp(log_binom_pmf(x, n, p))
     if side == "upper":
         # excluded iff upper_tail_mix(x, n, p, W) <= alpha, i.e.
         # W <= (alpha - P(B >= x + 1)) / pmf(x)
@@ -338,8 +337,5 @@ def _exclusion_probs(n: int, p: float, alpha: float, kind: str, side: str) -> np
         )
     # Deterministic construction: excluded iff the full tail falls strictly
     # below alpha (at exact equality the endpoint sits on p: still covered).
-    if side == "upper":
-        tail = binom_sf(x, n, p)
-    else:
-        tail = binom_cdf(x, n, p)
+    tail = binom_sf(x, n, p) if side == "upper" else binom_cdf(x, n, p)
     return (tail < alpha).astype(float)

@@ -13,12 +13,13 @@ import math
 
 import numpy as np
 
+from .binom import _check_alpha
 from .intervals import lower_tail_mix, upper_tail_mix
-# betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
-# checks that the tracer wraps them in every module that held them
+# the noqa names are unused: bound so the benchmark self-test sees the tracer wrap them
 from .intervals import rcp_upper_lo  # noqa: F401
+from .sampling import _as_bits
 from .sequences import Schedule, betting_endpoints, betting_running, kt_log_wealth  # noqa: F401
-from .sequences import union_draws, union_stages
+from .sequences import exclusion_edge, union_draws, union_stages
 
 
 def bernoulli_matrix(rng: np.random.Generator, streams: int, horizon: int, p: float) -> np.ndarray:
@@ -35,12 +36,17 @@ def betting_ever_excluded(bits: np.ndarray, p: float, alpha: float) -> np.ndarra
 
     ``p`` is outside the instantaneous interval iff the KT wealth against
     ``p`` exceeds ``1/alpha``; the running interval makes any exclusion
-    permanent, so ever-exclusion is a max over time of the log-wealth.
+    permanent.  So a stream is excluded iff its cumulative heads ever
+    reach an :func:`~anytime.sequences.exclusion_edge` at the float after
+    ``log(1/alpha)`` (``>`` is ``>=`` there).
     """
-    heads = np.cumsum(bits, axis=1, dtype=np.float64)
-    trials = np.arange(1, bits.shape[1] + 1, dtype=np.float64)
-    log_wealth = kt_log_wealth(heads, trials, p)
-    return np.asarray(log_wealth > math.log(1.0 / alpha)).any(axis=1)
+    bits = _as_bits(bits)
+    _check_alpha(alpha)
+    threshold = math.nextafter(math.log(1.0 / alpha), math.inf)
+    up = exclusion_edge(bits.shape[1], p, threshold, upper=True)[1:]
+    lo = exclusion_edge(bits.shape[1], p, threshold, upper=False)[1:]
+    heads = np.cumsum(bits, axis=1, dtype=np.int64)
+    return ((heads >= up) | (heads <= lo)).any(axis=1)
 
 
 def union_ever_excluded(
@@ -57,6 +63,7 @@ def union_ever_excluded(
     of each stage, one per stream); ``None`` runs the deterministic-CP
     variant.
     """
+    bits = _as_bits(bits)
     n_streams, horizon = bits.shape
     bounds = schedule.boundaries(horizon)
     heads = np.cumsum(bits, axis=1, dtype=np.float64)[:, bounds - 1]
@@ -85,7 +92,7 @@ def betting_trace(bits: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     max and min, carried in from the mean, up to the next crossing: one
     more call per collapse.
     """
-    arr = np.atleast_2d(np.asarray(bits))
+    arr = np.atleast_2d(_as_bits(bits))
     heads = np.cumsum(arr, axis=1, dtype=np.float64)
     trials = np.arange(1, arr.shape[1] + 1, dtype=np.float64)
     run_lo, run_up = betting_running(heads, trials, alpha, 0.0, 1.0)
@@ -103,7 +110,7 @@ def betting_trace(bits: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
             if not crossed.any():
                 break
             j += int(np.argmax(crossed))
-    if np.asarray(bits).ndim == 1:
+    if np.ndim(bits) == 1:
         return run_lo[0], run_up[0]
     return run_lo, run_up
 
@@ -118,7 +125,7 @@ def union_trace(
     The same values as :class:`~anytime.sequences.UnionCS` fed the bits
     one by one, with the same draws.
     """
-    arr = np.asarray(bits)
+    arr = _as_bits(bits)
     if arr.ndim != 1:
         raise ValueError("union_trace expects a single 1-d stream")
     bounds = schedule.boundaries(arr.size)
@@ -144,7 +151,11 @@ def mc_coverage(
     trials: int,
     rng: np.random.Generator,
 ) -> float:
-    """Monte Carlo coverage estimate of a fixed-n interval construction."""
+    """Monte Carlo coverage estimate of a fixed-n interval construction.
+
+    ``side="two"`` draws ``w_up`` before ``w_lo``, unlike every union path
+    (:func:`~anytime.sequences.union_draws`); the coverage digests pin it.
+    """
     if kind not in ("rcp", "cp"):
         raise ValueError(f"unknown kind {kind!r}")
     if side not in ("upper", "lower", "two"):

@@ -30,6 +30,11 @@ returns them at chosen columns only and solves only the endpoints that
 can be the running bound there.  :func:`betting_first_pass` finds the
 first column whose running bounds pass a caller's monotone test, so the
 certifiers and width-target runs are predicates over it.
+
+Against a fixed ``p`` the betting test is two integer heads edges per
+``t``, one on each side of ``p t``: :func:`exclusion_edge` bisects them
+out of the log-wealth for :func:`dp_thresholds` and the Monte Carlo
+ever-exclusion.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _ENDPOINT_ITERS = 34  # halvings of [0, 1]: final bracket below 1e-10
 _NEWTON_CAP = 40
 _KT_NEWTON_TOL = 1e-10  # last Newton step in log p; the next error is ~ its square
-_BLOCK = 8192  # elements per betting_endpoints block
+_BLOCK = 8192  # elements per betting_endpoints block, values of t per exclusion_edge block
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +830,43 @@ class BettingCS:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed decision thresholds
+# Exclusion edges of a fixed p
 
-_DP_REFRESH = 4096  # periodic closed-form resync against drift
+
+def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.ndarray:
+    """For t = 0..horizon, the edge of the heads counts whose KT wealth clears ``threshold``.
+
+    With ``upper``, ``E[t]`` is the smallest ``h > p t`` with
+    ``kt_log_wealth(h, t, p) >= threshold`` (``t + 1`` if none);
+    otherwise the largest ``h < p t`` with it (``-1`` if none).  The
+    counts that clear a ``threshold > 0`` are those at or beyond an edge.
+
+    Each edge is bisected on its side of ``p t``.  The test is monotone
+    there: ``W(h + 1) / W(h) = (h + 1/2) (1 - p) / ((t - h - 1/2) p)``
+    rises with ``h`` (the log-wealth is convex in ``h``) and exceeds 1
+    iff ``h > p t - 1/2``.  Near the mean the wealth is below any
+    threshold ``log(1/alpha) > 0``: at ``h = p t`` it is the mixture over
+    the largest likelihood, at most 1.  At ``p`` in {0, 1} every count on
+    the side has wealth ``+inf``.  ``t`` runs in blocks of ``_BLOCK``, so
+    the temporaries stay flat at any horizon.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    out = np.empty(horizon + 1, dtype=np.int64)
+    for start in range(0, horizon + 1, _BLOCK):
+        t = np.arange(start, min(start + _BLOCK, horizon + 1))
+        # ``inner`` fails the test and ``outer`` passes: first the mean's side, the sentinel
+        inner = (np.floor(p * t) if upper else np.ceil(p * t)).astype(np.int64)
+        outer = t + 1 if upper else np.full_like(t, -1)
+        live = np.flatnonzero(np.abs(outer - inner) > 1)
+        while live.size:
+            mid = (inner[live] + outer[live]) // 2
+            hit = kt_log_wealth(mid, t[live], p) >= threshold
+            outer[live[hit]] = mid[hit]
+            inner[live[~hit]] = mid[~hit]
+            live = live[np.abs(outer[live] - inner[live]) > 1]
+        out[start : start + t.size] = outer
+    return out
 
 
 def dp_thresholds(n_max: int, p: float, alpha: float) -> np.ndarray:
@@ -839,47 +878,16 @@ def dp_thresholds(n_max: int, p: float, alpha: float) -> np.ndarray:
     ``H[t]`` heads.  ``H[t] = t + 1`` when no count suffices.  The side
     condition matters: the KT wealth is U-shaped in ``h``, and without
     ``h > p t`` the all-tails corner (an *upper*-side exclusion) would be
-    picked up as soon as ``p`` is large.
-
-    Runs a single amortized-O(n_max) frontier walk using the constant-time
-    wealth transitions in ``h`` and ``t``, with a periodic closed-form
-    resync so log-space drift stays harmless.
+    picked up as soon as ``p`` is large.  The upper :func:`exclusion_edge`
+    at ``log(1/alpha)``: where the wealth is exactly ``1/alpha`` (``t = 3``,
+    ``p = 0.25``, ``alpha = 0.05``) the rounding of ``kt_log_wealth`` decides.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     _check_alpha(alpha)
-    log = math.log
-    threshold = log(1.0 / alpha)
-    ln_odds = log(1.0 - p) - log(p)
-    out = np.empty(n_max + 1, dtype=np.int64)
-    out[0] = 1  # t = 0: nothing can be excluded
-    if n_max == 0:
-        return out
-    h = 1
-    logw = log(0.5) - log(p)  # W(1, 1)
-    for t in range(1, n_max + 1):
-        hmin = math.floor(p * t) + 1
-        while h < hmin:
-            logw += log(h + 0.5) - log(t - h - 0.5) + ln_odds
-            h += 1
-        while h - 1 >= hmin:
-            step = log(h - 0.5) - log(t - h + 0.5) + ln_odds
-            if logw - step >= threshold:
-                logw -= step
-                h -= 1
-            else:
-                break
-        while logw < threshold and h < t:
-            logw += log(h + 0.5) - log(t - h - 0.5) + ln_odds
-            h += 1
-        out[t] = h if logw >= threshold else t + 1
-        if t < n_max:
-            logw += log(t - h + 0.5) - log(t + 1.0) - log(1.0 - p)
-            if t % _DP_REFRESH == 0:
-                logw = float(kt_log_wealth(h, t + 1, p))
-    return out
+    return exclusion_edge(n_max, p, math.log(1.0 / alpha), upper=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ arithmetic that cannot share their bugs.
 The exceptions are the last two sections: the plain fixed-count
 endpoint bisections, written with the same float expressions and
 ``scipy.special`` calls as the library's predicates, so the fast solvers
-can be required to return the very same bits; the running union and
-betting intervals as plain scans over them; and the multiclass betting
-and union certifiers as plain scans over those bisections, so the
-screened running bounds and the certified stopping can be required to
-give the same verdicts and sample counts.
+can be required to return the very same bits; the betting ever-exclusion
+of a stream matrix as the log-wealth at every step, in the same
+expressions; the running union and betting intervals as plain scans over
+the bisections; and the multiclass betting and union certifiers as plain
+scans over those bisections, so the screened running bounds and the
+certified stopping can be required to give the same verdicts and sample
+counts.
 """
 
 from __future__ import annotations
@@ -183,17 +185,39 @@ def union_scan(bits, schedule, rng=None):
     return np.array(out)
 
 
-def bisect_betting_endpoints(heads, trials, alpha, iters: int = ENDPOINT_ITERS):
-    """Betting-CS endpoints by ``iters`` plain halvings on each side of the mean."""
-    heads = np.asarray(heads, dtype=float)
-    trials = np.asarray(trials, dtype=float)
-    threshold = math.log(1.0 / alpha)
-    log_mix = (
+def _kt_log_mixture(heads, trials):
+    return (
         special.gammaln(heads + 0.5)
         + special.gammaln(trials - heads + 0.5)
         - 2.0 * (0.5 * math.log(math.pi))
         - special.gammaln(trials + 1.0)
     )
+
+
+def betting_ever_excluded_by_wealth(bits, p, alpha):
+    """Per stream: does the KT log-wealth against ``p`` ever exceed ``log(1/alpha)``?
+
+    The log-wealth at every stream and step of a ``streams x horizon``
+    matrix, in the library's expressions: the plain evaluation that the
+    exclusion edges of the Monte Carlo kernel must reproduce.
+    """
+    heads = np.cumsum(bits, axis=1, dtype=np.float64)
+    trials = np.arange(1, heads.shape[1] + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_wealth = (
+            _kt_log_mixture(heads, trials)
+            - special.xlogy(heads, p)
+            - special.xlog1py(trials - heads, -p)
+        )
+    return (log_wealth > math.log(1.0 / alpha)).any(axis=1)
+
+
+def bisect_betting_endpoints(heads, trials, alpha, iters: int = ENDPOINT_ITERS):
+    """Betting-CS endpoints by ``iters`` plain halvings on each side of the mean."""
+    heads = np.asarray(heads, dtype=float)
+    trials = np.asarray(trials, dtype=float)
+    threshold = math.log(1.0 / alpha)
+    log_mix = _kt_log_mixture(heads, trials)
     mean = heads / trials
     tails = trials - heads
 

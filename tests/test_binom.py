@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import anytime.binom
 from anytime.binom import (
-    Counts,
     binom_cdf,
     binom_sf,
     gauss_quantile,
@@ -173,13 +172,3 @@ class TestHalveReplay:
         assert lo_d.tobytes() == lo_v.tobytes() and hi_d.tobytes() == hi_v.tobytes()
         assert (lo == ends[:, 0]).all() and (hi == ends[:, 1]).all()
 
-
-class TestCounts:
-    def test_mean(self):
-        assert Counts(3, 4).mean == 0.75
-
-    def test_validate_rejects_bad(self):
-        with pytest.raises(ValueError):
-            Counts(5, 4).validate()
-        with pytest.raises(ValueError):
-            Counts(-1, 4).validate()

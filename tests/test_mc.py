@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import anytime.mc
+from anytime.certify import binary_threshold
 from anytime.intervals import enumeration_coverage
 from anytime.mc import (
     bernoulli_matrix,
@@ -26,7 +27,12 @@ from anytime.mc import (
 from anytime.sampling import substream
 from anytime.sequences import BettingCS, Schedule, UnionCS
 
-from oracles import BETTING_CROSSING_SEEDS, betting_scan, betting_scan_collapses
+from oracles import (
+    BETTING_CROSSING_SEEDS,
+    betting_ever_excluded_by_wealth,
+    betting_scan,
+    betting_scan_collapses,
+)
 
 
 def assert_same_bytes(got, want):
@@ -111,6 +117,48 @@ class TestBettingTrace:
             # tolerance band around an endpoint
             assert not np.any(outside & ~flagged)
             assert not np.any(inside_always & flagged)
+
+
+class TestBettingEverExcluded:
+    @pytest.mark.parametrize("p", [0.0, 1.0, 0.5, 0.02, 0.999, binary_threshold(0.5, 1.0)])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.5])
+    def test_matches_the_log_wealth_at_every_step(self, p, alpha):
+        # rows drawn around p, so some streams leave the CS and some never do
+        rng = substream(31, "ever", str(p), str(alpha))
+        q = np.clip(p + rng.normal(0.0, 0.05, size=(300, 1)), 0.0, 1.0)
+        bits = (rng.random((300, 1500)) < q).astype(np.uint8)
+        got = betting_ever_excluded(bits, p, alpha)
+        np.testing.assert_array_equal(got, betting_ever_excluded_by_wealth(bits, p, alpha))
+        assert 0 < got.sum() < got.size
+
+
+class TestRejectsNonBits:
+    KERNELS = {
+        "betting_ever_excluded": lambda b: betting_ever_excluded(np.atleast_2d(b), 0.5, 0.05),
+        "union_ever_excluded": lambda b: union_ever_excluded(
+            np.atleast_2d(b), 0.5, Schedule(0.05), substream(1, "w")
+        ),
+        "betting_trace": lambda b: betting_trace(b, 0.05),
+        "union_trace": lambda b: union_trace(b, Schedule(0.05), substream(1, "w")),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("bad", [2, 0.5])
+    def test_rejects(self, kernel, bad):
+        bits = np.array([bad, bad, 1, 0, 1])
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            self.KERNELS[kernel](bits)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("form", ["uint8", "bool", "int list"])
+    def test_zero_one_input_passes(self, kernel, form):
+        bits = substream(2, "bits").random(200) < 0.7
+        given = {
+            "uint8": bits.astype(np.uint8), "bool": bits, "int list": bits.astype(int).tolist()
+        }
+        want = self.KERNELS[kernel](bits.astype(np.int64))
+        got = self.KERNELS[kernel](given[form])
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def stateful_union(bits, sched, draws):

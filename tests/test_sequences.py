@@ -1,8 +1,9 @@
-"""Confidence sequences: KT mixture arithmetic, schedules, and the DP table.
+"""Confidence sequences: KT mixture arithmetic, schedules, and the exclusion edges.
 
 The KT closed form is pinned against exact double-factorial rationals,
 the stage budgets against their telescoping sums, the stateful updates
-against single-step closed forms, and the DP threshold table against a
+against single-step closed forms, the exclusion edges against the
+log-wealth at and next to them, and the threshold table against a
 pure-rational brute force.
 """
 
@@ -28,6 +29,7 @@ from anytime.sequences import (
     betting_running,
     betting_running_at,
     dp_thresholds,
+    exclusion_edge,
     kt_log_mixture,
     kt_log_wealth,
     ub_cs_width_envelope,
@@ -508,7 +510,55 @@ class TestBettingRunningAt:
             betting_running_at(np.ones((1, 5)), np.arange(1.0, 6.0), 0.05, 0.0, 1.0, cols)
 
 
+class TestExclusionEdge:
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(1e-12, 0.999),
+        st.integers(0, 30_000),
+    )
+    @example(0.0, 0.05, 3000)
+    @example(1.0, 0.05, 3000)
+    @example(1e-6, 1e-12, 30_000)
+    @example(1.0 - 1e-6, 1e-12, 30_000)
+    @example(0.5, 0.999, 30_000)
+    def test_edges_clear_the_threshold_and_their_inner_neighbours_do_not(self, p, alpha, horizon):
+        # each edge is on its side of p t and clears the threshold; the next
+        # count toward the mean lies on the mean's side or does not clear it
+        threshold = math.log(1.0 / alpha)
+        t = np.arange(horizon + 1)
+        mean = p * t
+
+        def clears(h):
+            with np.errstate(all="ignore"):
+                return np.asarray(kt_log_wealth(h, t, p)) >= threshold
+
+        up = exclusion_edge(horizon, p, threshold, upper=True)
+        real = up <= t
+        assert (up > mean)[real].all() and clears(np.minimum(up, t))[real].all()
+        assert ((up - 1 <= mean) | ~clears(up - 1)).all()
+        assert (up[~real] == t[~real] + 1).all()
+
+        lo = exclusion_edge(horizon, p, threshold, upper=False)
+        real = lo >= 0
+        assert (lo < mean)[real].all() and clears(np.maximum(lo, 0))[real].all()
+        assert ((lo + 1 >= mean) | ~clears(lo + 1)).all()
+        assert (lo[~real] == -1).all()
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_rejects_p_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p must be in"):
+            exclusion_edge(10, p, 1.0, upper=True)
+
+
 class TestDpThresholds:
+    def test_empty_horizon(self):
+        assert dp_thresholds(0, 0.3, 0.05).tolist() == [1]
+
+    def test_blocks_give_the_same_table(self, monkeypatch):
+        want = dp_thresholds(3000, 0.7, 0.01)
+        monkeypatch.setattr(anytime.sequences, "_BLOCK", 8)
+        assert dp_thresholds(3000, 0.7, 0.01).tobytes() == want.tobytes()
+
     def test_first_entries_at_half(self):
         table = dp_thresholds(4, 0.5, 0.05)
         # max single-toss wealth is 1 < 20: nothing decidable at t = 1
