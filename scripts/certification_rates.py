@@ -36,8 +36,7 @@ def main() -> None:
 
     print("radius   binary   staged    multi   multi mean n")
     for radius in RADII:
-        spec_bin = CertSpec(args.sigma, radius, args.alpha, mode="binary")
-        spec_multi = CertSpec(args.sigma, radius, args.alpha, mode="multiclass")
+        spec = CertSpec(args.sigma, radius, args.alpha)
         hits = {"binary": 0, "staged": 0, "multi": 0}
         multi_samples = 0
         for trial in range(args.trials):
@@ -45,19 +44,15 @@ def main() -> None:
             o_rng, w_rng = rng.spawn(2)
 
             oracle = ClassOracle(probs, o_rng.spawn(1)[0])
-            verdict, _ = certify_binary(
-                oracle, 0, spec_bin, "betting", cap=args.cap, rng=w_rng
-            )
+            verdict, _ = certify_binary(oracle, 0, spec, "betting", cap=args.cap, rng=w_rng)
             hits["binary"] += verdict.value == "greater"
 
             oracle = ClassOracle(probs, o_rng.spawn(1)[0])
-            verdict, _ = certify_staged(oracle, 0, spec_bin)
+            verdict, _ = certify_staged(oracle, 0, spec)
             hits["staged"] += verdict.value == "greater"
 
             oracle = ClassOracle(probs, o_rng.spawn(1)[0])
-            verdict, used = certify_multiclass(
-                oracle, spec_multi, "betting", cap=args.cap, rng=w_rng
-            )
+            verdict, used = certify_multiclass(oracle, spec, "betting", cap=args.cap, rng=w_rng)
             hits["multi"] += verdict.value == "greater"
             multi_samples += used
         print(

@@ -19,9 +19,9 @@ Conventions (they differ from scipy.stats.binom, mind the inequality):
 * ``binom_cdf(x, n, p)`` is the inclusive lower tail  P(B <= x)
 
 The module also holds the root finders: the vectorized fixed-count
-:func:`halve` that defines every confidence endpoint, and
-:func:`halve_with_guess`, which reaches the same final cell from a guess
-of the root and two predicate evaluations.
+:func:`halve` that defines every confidence endpoint (``HALVINGS`` = 34
+halvings), and :func:`halve_with_guess`, which reaches the same final
+cell from a guess of the root and two predicate evaluations.
 """
 
 from __future__ import annotations
@@ -178,6 +178,11 @@ def gauss_quantile(u):
         raise ValueError("gauss_quantile requires 0 < u < 1")
     out = special.ndtri(u_arr)
     return float(out) if np.isscalar(u) else out
+
+
+# Halvings that define every endpoint: the final cell of a bracket in
+# [0, 1] is at most 2^-34 wide, below 1e-10.
+HALVINGS = 34
 
 
 def halve(lo, hi, above, iters: int):

@@ -28,7 +28,8 @@ import numpy as np
 from scipy import special
 
 from .binom import _check_alpha, gauss_quantile
-from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _check_stages, decide_with_cs
+from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _check_count, _check_stages
+from .decision import decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo_bound
 from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
 # betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
@@ -40,22 +41,22 @@ from .sequences import _complement_carry, union_draws, union_running, union_stag
 DEFAULT_WARMUP = 100
 _BLOCK = 4096
 
-CERT_MODES = ("binary", "multiclass")
-
 
 @dataclass(frozen=True, slots=True)
 class CertSpec:
     """Certification target: noise scale, radius, and failure budget.
 
-    ``lam`` is the fraction of ``alpha`` spent on the top-class lower
-    bound in multiclass mode (the rest goes to the runner-up's upper
-    bound); binary mode ignores it.
+    The driver called decides how the budget is spent: one-vs-rest
+    (:func:`certify_binary`, :func:`certify_staged`) or multiclass
+    (:func:`certify_multiclass`).  ``lam`` is the fraction of ``alpha``
+    the multiclass driver spends on the top-class lower bound (the rest
+    goes to the runner-up's upper bound); the one-vs-rest drivers ignore
+    it.
     """
 
     sigma: float
     radius: float
     alpha: float
-    mode: str = "binary"
     lam: float = 0.5
 
     def __post_init__(self) -> None:
@@ -64,8 +65,6 @@ class CertSpec:
         if not self.radius >= 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
         _check_alpha(self.alpha)
-        if self.mode not in CERT_MODES:
-            raise ValueError(f"mode must be one of {CERT_MODES}, got {self.mode!r}")
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must be in (0, 1), got {self.lam}")
 
@@ -193,8 +192,6 @@ def certify_binary(
     (in particular whenever the class probability is below 1/2);
     Undecided at the cap.
     """
-    if spec.mode != "binary":
-        raise ValueError(f"certify_binary needs mode='binary', got {spec.mode!r}")
     if not 0 <= target_class < oracle.n_classes:
         raise ValueError(f"target_class {target_class} out of range")
     p_star = binary_threshold(spec.radius, spec.sigma)
@@ -232,14 +229,13 @@ def certify_multiclass(
     which requires two-sided streams and so never happens with the
     one-sided union updates.
     """
-    if spec.mode != "multiclass":
-        raise ValueError(f"certify_multiclass needs mode='multiclass', got {spec.mode!r}")
     if oracle.n_classes < 2:
         raise ValueError("multiclass certification needs >= 2 classes")
     if cs_kind not in ("betting", "union"):
         raise ValueError(f"unknown cs_kind {cs_kind!r}")
     if warmup < 1:
         raise ValueError(f"warmup must be >= 1, got {warmup}")
+    _check_count("cap", cap)
     if cap <= warmup:
         oracle.sample(cap)
         return Verdict.UNDECIDED, cap
@@ -353,8 +349,6 @@ def certify_staged(
     stage; abstains after the last.  One-sided by construction: it never
     declares non-certifiability.
     """
-    if spec.mode != "binary":
-        raise ValueError(f"certify_staged needs mode='binary', got {spec.mode!r}")
     stages = _check_stages(stages)
     p_star = binary_threshold(spec.radius, spec.sigma)
     per_stage = spec.alpha / len(stages)
@@ -392,8 +386,7 @@ def width_target_run(
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_alpha(alpha)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    _check_count("cap", cap)
     source = as_bit_source(stream)
     if cs_kind == "betting":
         return _width_target_betting(source, eps, alpha, cap)

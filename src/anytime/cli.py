@@ -10,7 +10,7 @@ Five subcommands emit CSV to stdout or ``--out``:
 
 Every command is a pure function of its configuration: the same flags
 and seed give byte-identical output, for any ``--threads`` value.  Jobs
-are dispatched to a thread pool in a fixed order and reassembled in that
+go through :func:`~anytime.sampling.run_jobs`, which returns them in job
 order, and each trial draws from its own counter-derived substream, so
 scheduling can never leak into the results.
 """
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .config import (
 from .decision import DEFAULT_CAP, METHODS, benchmark_sweep
 from .intervals import enumeration_coverage
 from .mc import betting_trace, mc_coverage, union_trace
-from .sampling import seed_sequence, substream, substream_id
+from .sampling import run_jobs, seed_sequence, substream, substream_id
 from .sequences import Schedule, dp_thresholds
 
 
@@ -72,14 +71,6 @@ def _emit(text: str, out: Optional[str]) -> None:
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
-
-
-def _run_jobs(jobs: list, fn: Callable, threads: int) -> list:
-    """Map ``fn`` over ``jobs`` preserving order, optionally in a pool."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -123,7 +114,7 @@ def run_coverage(cfg: CoverageConfig) -> str:
         return (p, kind, mc, exact, cfg.trials)
 
     jobs = [(kind, gi) for kind in cfg.kinds for gi in range(len(cfg.p_grid))]
-    return _csv("p,kind,coverage_mc,coverage_exact,trials", _run_jobs(jobs, cell, cfg.threads))
+    return _csv("p,kind,coverage_mc,coverage_exact,trials", run_jobs(jobs, cell, cfg.threads))
 
 
 def run_width(cfg: WidthConfig) -> str:
@@ -173,7 +164,7 @@ def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
     def cell(job):
         cs, ri = job
         radius = cfg.radii[ri]
-        spec = CertSpec(cfg.sigma, radius, cfg.alpha, cfg.mode, cfg.lam)
+        spec = CertSpec(cfg.sigma, radius, cfg.alpha, cfg.lam)
         out = []
         for trial in range(cfg.trials):
             seq = seed_sequence(cfg.seed, "certify", cs, ri, trial)
@@ -196,7 +187,7 @@ def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
         return out
 
     jobs = [(cs, ri) for cs in cfg.cs for ri in range(len(cfg.radii))]
-    chunks = _run_jobs(jobs, cell, cfg.threads)
+    chunks = run_jobs(jobs, cell, cfg.threads)
     rows = [row for chunk in chunks for row in chunk]
     summary_rows = []
     for (cs, ri), chunk in zip(jobs, chunks):

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
-from .certify import CERT_MODES
 from .binom import _check_alpha
 from .decision import METHODS
 
@@ -26,6 +25,7 @@ CS_KINDS = ("betting", "union")
 COVERAGE_KINDS = ("cp", "rcp")
 COVERAGE_SIDES = ("upper", "lower", "two")
 CERT_CS = ("betting", "union", "adaptive")
+CERT_MODES = ("binary", "multiclass")
 
 
 def env_int(name: str, fallback: int) -> int:

@@ -37,6 +37,7 @@ from .sampling import (
     as_bit_source,
     clamp_take,
     count_ones,
+    run_jobs,
     seed_sequence,
     substream,
     substream_id,
@@ -45,8 +46,8 @@ from .sequences import Schedule, kt_log_wealth, union_draws
 
 DEFAULT_STAGES = (100, 1_000, 10_000, 120_000)
 DEFAULT_CAP = 1_000_000
-_BLOCK = 4096
-_FIRST_BLOCK = 64  # block-mode deciders start here and double up to ``block``
+_BLOCK = 4096  # largest block of bits the betting and SPRT deciders draw at once
+_FIRST_BLOCK = 64  # their blocks start here and double up to ``_BLOCK``
 
 METHODS = ("sprt", "betting", "union", "adaptive")
 
@@ -85,6 +86,14 @@ def _check_threshold(p: float) -> None:
         raise ValueError(f"threshold p must be in [0, 1], got {p}")
 
 
+def _check_count(name: str, value) -> None:
+    """A sample cap or a number of trials: an integer of at least 1."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Confidence-sequence decider
 
@@ -97,7 +106,6 @@ def decide_with_cs(
     cap: int = DEFAULT_CAP,
     schedule: Optional[Schedule] = None,
     rng: Optional[np.random.Generator] = None,
-    block: int = _BLOCK,
 ) -> tuple[Verdict, int]:
     """Run a confidence sequence until ``p`` leaves the running interval.
 
@@ -112,17 +120,18 @@ def decide_with_cs(
     alpha : float
         Wrong-verdict budget.
     cap : int
-        Maximum samples; returns ``Verdict.UNDECIDED`` when reached.
+        Maximum samples, an integer >= 1; returns ``Verdict.UNDECIDED``
+        when reached.
     schedule : Schedule, optional
         Stage schedule for the union kind (default: doubling at
         ``alpha``); must carry the same ``alpha``.
     rng : Generator, optional
         Randomization draws for the union kind's randomized CP pairs
         (``None`` uses the deterministic pairs).
-    block : int
-        Largest number of bits the betting kind draws and scores at once;
-        blocks start at 64 and double up to it.  The verdict is the first
-        crossing, so it does not depend on ``block``.
+
+    The betting kind draws and scores bits in blocks that start at 64
+    and double up to 4,096.  The verdict is the first crossing, so it
+    does not depend on the block sizes.
 
     Returns
     -------
@@ -133,11 +142,10 @@ def decide_with_cs(
         raise ValueError(f"unknown cs_kind {cs_kind!r}")
     _check_alpha(alpha)
     _check_threshold(p)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    _check_count("cap", cap)
     source = as_bit_source(stream)
     if cs_kind == "betting":
-        return _decide_betting(p, source, alpha, cap, block)
+        return _decide_betting(p, source, alpha, cap)
     if schedule is None:
         schedule = Schedule.doubling(alpha)
     elif schedule.alpha != alpha:
@@ -145,13 +153,13 @@ def decide_with_cs(
     return _decide_union(p, source, schedule, cap, rng)
 
 
-def _decide_betting(p, source, alpha, cap, block):
+def _decide_betting(p, source, alpha, cap):
     threshold = math.log(1.0 / alpha)
     heads, t = 0, 0
-    size = min(_FIRST_BLOCK, block)
+    size = min(_FIRST_BLOCK, _BLOCK)
     while t < cap:
         k = clamp_take(source, min(size, cap - t))
-        size = min(2 * size, block)
+        size = min(2 * size, _BLOCK)
         bits = source.take(k)
         h_cum = heads + np.cumsum(bits, dtype=np.int64)
         t_cum = t + np.arange(1, k + 1, dtype=np.int64)
@@ -190,7 +198,6 @@ def sprt_ideal(
     alpha: float,
     stream,
     cap: int = DEFAULT_CAP,
-    block: int = _BLOCK,
 ) -> tuple[Verdict, int]:
     """SPRT between the two simple hypotheses ``mean = p`` and ``mean = q``.
 
@@ -199,13 +206,16 @@ def sprt_ideal(
     ``q - p``), or ``-log(1/alpha)`` -> declare for ``p`` (mirrored
     verdict).  Wrong-verdict probability is at most ``alpha`` by the
     classical SPRT bound; this is the per-instance yardstick the
-    threshold-agnostic methods are measured against.  Bits are drawn in
-    blocks that start at 64 and double up to ``block``; the log likelihood
-    ratio is one running sum, so the verdict does not depend on ``block``.
+    threshold-agnostic methods are measured against.  Returns
+    ``Verdict.UNDECIDED`` at ``cap`` samples (an integer >= 1).  Bits are
+    drawn in blocks that start at 64 and double up to 4,096; the log
+    likelihood ratio is one running sum, so the verdict does not depend on
+    the block sizes.
     """
     _check_threshold(p)
     _check_threshold(q)
     _check_alpha(alpha)
+    _check_count("cap", cap)
     if p == q:
         raise ValueError("sprt_ideal needs distinct hypotheses p != q")
     source = as_bit_source(stream)
@@ -216,10 +226,10 @@ def sprt_ideal(
     for_p = Verdict.GREATER if q > p else Verdict.LESS
     llr = 0.0
     t = 0
-    size = min(_FIRST_BLOCK, block)
+    size = min(_FIRST_BLOCK, _BLOCK)
     while t < cap:
         k = clamp_take(source, min(size, cap - t))
-        size = min(2 * size, block)
+        size = min(2 * size, _BLOCK)
         bits = source.take(k)
         steps = np.where(bits == 1, head_step, tail_step)
         # carried into the first step, so the path is one running sum
@@ -351,15 +361,15 @@ def run_trial(
     alpha: float,
     cap: int,
     rng: np.random.Generator,
-    schedule: Optional[Schedule] = None,
-    stages: Sequence[int] = DEFAULT_STAGES,
 ) -> tuple[Verdict, int]:
-    """One decision trial of ``method`` against a fresh B(q) stream."""
+    """One decision trial of ``method`` against a fresh B(q) stream.
+
+    The union method runs the doubling schedule at ``alpha``, the adaptive
+    method the ``DEFAULT_STAGES`` ladder.
+    """
     if method == "union":
         bit_rng, w_rng = rng.spawn(2)
-        return decide_with_cs(
-            "union", p, BernoulliSource(bit_rng, q), alpha, cap, schedule=schedule, rng=w_rng
-        )
+        return decide_with_cs("union", p, BernoulliSource(bit_rng, q), alpha, cap, rng=w_rng)
     source = BernoulliSource(rng, q)
     if method == "betting":
         return decide_with_cs("betting", p, source, alpha, cap)
@@ -370,15 +380,16 @@ def run_trial(
         # smaller cap truncates the ladder and the run ends Undecided at the
         # cap.  The surviving stages keep their original alpha/(2s) budgets
         # (scaled total), so a cap never changes early-stage decisions.
-        capped = tuple(n for n in stages if n <= cap)
-        if len(capped) < len(stages):
+        _check_count("cap", cap)
+        capped = tuple(n for n in DEFAULT_STAGES if n <= cap)
+        if len(capped) < len(DEFAULT_STAGES):
             if capped:
-                scaled = alpha * len(capped) / len(stages)
+                scaled = alpha * len(capped) / len(DEFAULT_STAGES)
                 verdict, samples = staged_adaptive(p, source, scaled, capped)
                 if verdict is not Verdict.ABSTAIN:
                     return verdict, samples
             return Verdict.UNDECIDED, cap
-        return staged_adaptive(p, source, alpha, stages)
+        return staged_adaptive(p, source, alpha, DEFAULT_STAGES)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -390,17 +401,19 @@ def benchmark_sweep(
     methods: Sequence[str] = METHODS,
     cap: int = DEFAULT_CAP,
     seed: int = 42,
-    schedule: Optional[Schedule] = None,
-    stages: Sequence[int] = DEFAULT_STAGES,
     threads: int = 1,
 ) -> tuple[list[TrialRecord], list[SweepSummary]]:
     """Decision benchmark over a grid of thresholds, all streams from B(q).
 
-    Every (method, grid index, trial index) triple owns an independent
-    counter-based substream of ``seed``, so records are reproducible
-    bit-for-bit whatever the execution order; with ``threads > 1`` the
-    per-(method, threshold) tasks run in a pool and are reassembled in
-    deterministic order.
+    Each trial runs :func:`run_trial`: the union method on the doubling
+    schedule and the adaptive method on ``DEFAULT_STAGES``, as ``anytime
+    decide`` does.  ``trials`` and ``cap`` must be integers >= 1; they
+    are checked before any trial runs.  Every (method, grid index, trial
+    index) triple owns an independent counter-based substream of
+    ``seed``, so records are reproducible bit-for-bit whatever the
+    execution order; the per-(method, threshold) tasks go through
+    :func:`~anytime.sampling.run_jobs`, which returns them in job order
+    for any ``threads``.
 
     Returns the flat trial records plus per-(method, threshold) summaries
     (mean samples, ratio to the SPRT mean at the same threshold, and the
@@ -409,6 +422,8 @@ def benchmark_sweep(
     """
     _check_threshold(q)
     _check_alpha(alpha)
+    _check_count("trials", trials)
+    _check_count("cap", cap)
     grid = [float(p) for p in grid]
     for method in methods:
         if method not in METHODS:
@@ -416,16 +431,15 @@ def benchmark_sweep(
         if method == "sprt" and any(p == q for p in grid):
             raise ValueError("sprt needs p != q at every grid point")
 
-    def task(method: str, gi: int) -> list[TrialRecord]:
+    def task(job: tuple[str, int]) -> list[TrialRecord]:
+        method, gi = job
         p = grid[gi]
         records = []
         for trial in range(trials):
             seq = seed_sequence(seed, method, gi, trial)
             rng, sid = substream(seq), substream_id(seq)
             start = time.perf_counter_ns()
-            verdict, samples = run_trial(
-                method, p, q, alpha, cap, rng, schedule=schedule, stages=stages
-            )
+            verdict, samples = run_trial(method, p, q, alpha, cap, rng)
             wall = time.perf_counter_ns() - start
             records.append(
                 TrialRecord(method, p, q, alpha, trial, verdict, samples, sid, wall)
@@ -433,13 +447,7 @@ def benchmark_sweep(
         return records
 
     jobs = [(method, gi) for method in methods for gi in range(len(grid))]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda job: task(*job), jobs))
-    else:
-        chunks = [task(*job) for job in jobs]
+    chunks = run_jobs(jobs, task, threads)
     records = [rec for chunk in chunks for rec in chunk]
 
     mean_samples = {

@@ -29,9 +29,8 @@ import math
 import numpy as np
 from scipy import special
 
-from .binom import _check_alpha, binom_cdf, binom_sf, halve_with_guess, log_binom_pmf
+from .binom import HALVINGS, _check_alpha, binom_cdf, binom_sf, halve_with_guess, log_binom_pmf
 
-_ENDPOINT_TOL = 1e-10
 _NEWTON_CAP = 40
 _RCP_NEWTON_TOL = 1e-9  # last Newton step; the next error is ~ its square
 
@@ -73,14 +72,16 @@ def lower_tail_mix(x, n, p, w):
     return w * binom_cdf(x, n, p) + (1.0 - w) * binom_cdf(x - 1, n, p)
 
 
-def rcp_upper_lo(x, n, alpha, w, tol: float = _ENDPOINT_TOL):
+def rcp_upper_lo(x, n, alpha, w):
     """Lower endpoint of the randomized upper interval, vectorized.
 
     Returns the leftmost ``p`` with ``upper_tail_mix(x, n, p, w) > alpha``
     (the interval is ``[that point, 1]``), or the clamped endpoint when the
     mixture never crosses ``alpha``.  The answer is the midpoint of the
-    cell that ``ceil(log2(1/tol))`` halvings of ``[0, 1]`` end in, bit for
-    bit; :func:`~anytime.binom.halve_with_guess` reaches that cell from a
+    cell that ``binom.HALVINGS`` = 34 halvings of ``[0, 1]`` end in, bit
+    for bit, so it is within 2^-35 (below 1e-10) of the crossing;
+    :func:`rcp_upper_lo_bound` bounds exactly this answer.
+    :func:`~anytime.binom.halve_with_guess` reaches that cell from a
     Newton estimate of the root and checks it with two evaluations of the
     mixture.  Accepts arrays for ``x``, ``n``, ``alpha`` and ``w``; this
     same kernel backs the scalar API and the Monte Carlo harness so the
@@ -98,8 +99,7 @@ def rcp_upper_lo(x, n, alpha, w, tol: float = _ENDPOINT_TOL):
     settled = never | always
     guess = _rcp_root(x, n, alpha, w, settled)
     lo, hi = halve_with_guess(
-        np.zeros_like(x), np.ones_like(x), guess, _rcp_above, (x, n, alpha, w),
-        _n_iters(tol), settled,
+        np.zeros_like(x), np.ones_like(x), guess, _rcp_above, (x, n, alpha, w), HALVINGS, settled
     )
     out = 0.5 * (lo + hi)
     out = np.where(never, 1.0, np.where(always, 0.0, out))
@@ -107,7 +107,7 @@ def rcp_upper_lo(x, n, alpha, w, tol: float = _ENDPOINT_TOL):
 
 
 def rcp_upper_lo_bound(x, n, alpha, w):
-    """Upper bound on :func:`rcp_upper_lo` (default ``tol``), found without solving it.
+    """Upper bound on :func:`rcp_upper_lo`, found without solving it.
 
     The mixture is at least ``P(B(n, p) > x)``, whose ``alpha``-quantile
     ``betaincinv(x + 1, n - x, alpha)`` is the CP bound for ``x + 1``
@@ -122,7 +122,7 @@ def rcp_upper_lo_bound(x, n, alpha, w):
     binomial tails (the same values as the array path, without its
     validation cost).
     """
-    cell = 2.0 ** -_n_iters(_ENDPOINT_TOL)
+    cell = 2.0**-HALVINGS
     elements = _elements(x, n, alpha, w)
     out = np.ones(elements.shape)
     flat = out.reshape(-1)
@@ -143,10 +143,6 @@ _FLOAT_CHECK = 8
 def _elements(*arrays):
     """Iterator over the broadcast elements of ``arrays``, as tuples of float64 scalars."""
     return np.broadcast(*(np.asarray(a, dtype=float) for a in arrays))
-
-
-def _n_iters(tol: float) -> int:
-    return max(1, math.ceil(math.log2(1.0 / tol)))
 
 
 def _rcp_above(p, x, n, alpha, w):
@@ -307,10 +303,7 @@ def enumeration_coverage(
     kind : {"rcp", "cp"}
     side : {"upper", "lower", "two"}
     """
-    if kind not in ("rcp", "cp"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if side not in ("upper", "lower", "two"):
-        raise ValueError(f"unknown side {side!r}")
+    _check_coverage_args(n, alpha, kind, side)
     x = np.arange(n + 1)
     pmf = np.exp(log_binom_pmf(x, n, p))
     if side == "two":
@@ -320,6 +313,16 @@ def enumeration_coverage(
     else:
         excl = _exclusion_probs(n, p, alpha, kind, side, pmf)
     return float(1.0 - np.sum(pmf * excl))
+
+
+def _check_coverage_args(n: int, alpha: float, kind: str, side: str) -> None:
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _check_alpha(alpha)
+    if kind not in ("rcp", "cp"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if side not in ("upper", "lower", "two"):
+        raise ValueError(f"unknown side {side!r}")
 
 
 def _exclusion_probs(n: int, p: float, alpha: float, kind: str, side: str, pmf) -> np.ndarray:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .binom import _check_alpha
-from .intervals import lower_tail_mix, upper_tail_mix
+from .intervals import _check_coverage_args, lower_tail_mix, upper_tail_mix
 # the noqa names are unused: bound so the benchmark self-test sees the tracer wrap them
 from .intervals import rcp_upper_lo  # noqa: F401
 from .sampling import _as_bits
@@ -156,10 +156,9 @@ def mc_coverage(
     ``side="two"`` draws ``w_up`` before ``w_lo``, unlike every union path
     (:func:`~anytime.sequences.union_draws`); the coverage digests pin it.
     """
-    if kind not in ("rcp", "cp"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if side not in ("upper", "lower", "two"):
-        raise ValueError(f"unknown side {side!r}")
+    _check_coverage_args(n, alpha, kind, side)
+    if not trials >= 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     x = rng.binomial(n, p, size=trials).astype(np.float64)
     if side == "two":
         w_up = rng.random(trials) if kind == "rcp" else 1.0

@@ -5,13 +5,16 @@ Every simulated trial owns a counter-based substream derived from
 are reproducible bit-for-bit regardless of execution order, chunking, or
 thread count.  String path components (method names) are hashed with
 blake2b so the derivation never depends on Python's randomized ``hash``.
+:func:`run_jobs` is the one job runner of the sweeps and CLI commands: it
+returns results in job order for any thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -58,6 +61,18 @@ def substream_id(seed, *path) -> int:
     ``seed`` may instead be a :func:`seed_sequence` (and ``path`` empty).
     """
     return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+
+
+def run_jobs(jobs: Sequence, fn: Callable, threads: int) -> list:
+    """``[fn(job) for job in jobs]``; with ``threads > 1`` the jobs run in a thread pool.
+
+    The results come back in job order either way, so a job that draws
+    only from its own substream gives the same output for any ``threads``.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 @runtime_checkable

@@ -47,11 +47,10 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 from scipy import special
 
-from .binom import _check_alpha, halve_with_guess
+from .binom import HALVINGS, _check_alpha, halve_with_guess
 from .intervals import Interval, rcp_upper_lo, rcp_upper_lo_bound
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
-_ENDPOINT_ITERS = 34  # halvings of [0, 1]: final bracket below 1e-10
 _NEWTON_CAP = 40
 _KT_NEWTON_TOL = 1e-10  # last Newton step in log p; the next error is ~ its square
 _BLOCK = 8192  # elements per betting_endpoints block, values of t per exclusion_edge block
@@ -311,8 +310,11 @@ def betting_endpoints(heads, trials, alpha):
     from a Newton estimate of each root and checks it with two log-wealth
     evaluations; both sides run as one stacked array.  ``heads = 0`` pins
     the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
+    Counts outside ``0 <= heads <= trials``, ``trials < 1`` and ``alpha``
+    outside (0, 1) raise ``ValueError``.
     """
     if isinstance(alpha, float) or np.ndim(alpha) == 0:  # the per-bit path: keep it lean
+        _check_alpha(alpha)
         heads, trials = np.broadcast_arrays(
             np.asarray(heads, dtype=float), np.asarray(trials, dtype=float)
         )
@@ -324,6 +326,13 @@ def betting_endpoints(heads, trials, alpha):
             np.asarray(alpha, dtype=float),
         )
         threshold = _thresholds(alpha.ravel())
+    if heads.ndim == 0:  # one count (every BettingCS.update): plain comparisons
+        h, t = float(heads), float(trials)
+        counted = t >= 1.0 and 0.0 <= h <= t
+    else:  # ``not all(in range)``, so NaN fails too
+        counted = (trials >= 1.0).all() and (heads >= 0.0).all() and (heads <= trials).all()
+    if not counted:
+        raise ValueError("betting_endpoints needs 0 <= heads <= trials with trials >= 1")
     shape = heads.shape
     heads, trials = heads.ravel(), trials.ravel()
     lo, up = np.empty_like(heads), np.empty_like(heads)
@@ -335,7 +344,13 @@ def betting_endpoints(heads, trials, alpha):
 
 
 def _thresholds(alpha):
-    """``math.log(1.0 / alpha)`` of each element of a 1-d array, as for a scalar ``alpha``."""
+    """``math.log(1.0 / alpha)`` of each element of a 1-d array, as for a scalar ``alpha``.
+
+    Every element must lie in (0, 1), as :func:`~anytime.binom._check_alpha` asks.
+    """
+    valid = (alpha > 0.0) & (alpha < 1.0)  # NaN fails too
+    if not valid.all():
+        _check_alpha(float(alpha[~valid][0]))
     if alpha.size and (alpha == alpha[0]).all():
         return np.full(alpha.shape, math.log(1.0 / float(alpha[0])))
     values, index = np.unique(alpha, return_inverse=True)
@@ -364,7 +379,7 @@ def _betting_block(heads, trials, threshold):
         np.where(upper, 1.0 - root, root),
         _kt_above,
         (log_mix2, cat([heads, heads]), cat([tails, tails]), threshold2, upper),
-        _ENDPOINT_ITERS,
+        HALVINGS,
         ~active,
     )
     mid = 0.5 * (lo_b + hi_b)
@@ -493,7 +508,7 @@ def _kt_newton_start(h, s, c):
 # factor of ~2,000.
 _EVAL_SLACK = 2.0**-40
 # Final cell of the 34 halvings, as a share of its bracket's length.
-_CELL = 2.0**-_ENDPOINT_ITERS
+_CELL = 2.0**-HALVINGS
 # Longest run of steps that share one candidate for the running bounds.
 _RUN = 64
 

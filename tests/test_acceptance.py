@@ -461,15 +461,14 @@ def test_criterion_10_multiclass_vs_binary_separation(capfd):
     (p_A < Phi(r)), multiclass certifies at least 90% of 1000 trials."""
     probs = (0.4, 0.2, 0.2, 0.2)
     cap, trials = 60_000, 1000
-    spec_bin = CertSpec(1.0, 0.2, 0.001, mode="binary")
-    spec_multi = CertSpec(1.0, 0.2, 0.001, mode="multiclass")
+    spec = CertSpec(1.0, 0.2, 0.001)
     failures = []
 
     binary_hits = 0
     for trial in range(trials):
         oracle_rng, w_rng = substream(MC_SEED, "c10-binary", trial).spawn(2)
         verdict, _ = certify_binary(
-            ClassOracle(probs, oracle_rng), 0, spec_bin, "betting", cap=cap, rng=w_rng
+            ClassOracle(probs, oracle_rng), 0, spec, "betting", cap=cap, rng=w_rng
         )
         binary_hits += verdict.value == "greater"
     if binary_hits:
@@ -479,7 +478,7 @@ def test_criterion_10_multiclass_vs_binary_separation(capfd):
     for trial in range(trials):
         oracle_rng, w_rng = substream(MC_SEED, "c10-multi", trial).spawn(2)
         verdict, _ = certify_multiclass(
-            ClassOracle(probs, oracle_rng), spec_multi, "betting", cap=cap, rng=w_rng
+            ClassOracle(probs, oracle_rng), spec, "betting", cap=cap, rng=w_rng
         )
         multi_hits += verdict.value == "greater"
     if multi_hits < 0.9 * trials:

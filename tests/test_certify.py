@@ -203,7 +203,7 @@ class TestClassOracle:
 class TestCertSpec:
     def test_defaults(self):
         spec = CertSpec(sigma=1.0, radius=0.5, alpha=0.01)
-        assert spec.mode == "binary" and spec.lam == 0.5
+        assert spec.lam == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -213,11 +213,9 @@ class TestCertSpec:
         with pytest.raises(ValueError):
             CertSpec(sigma=math.nan, radius=0.5, alpha=0.01)
         with pytest.raises(ValueError):
-            CertSpec(sigma=1.0, radius=math.nan, alpha=0.01, mode="multiclass")
+            CertSpec(sigma=1.0, radius=math.nan, alpha=0.01)
         with pytest.raises(ValueError):
             CertSpec(sigma=1.0, radius=0.5, alpha=1.0)
-        with pytest.raises(ValueError):
-            CertSpec(sigma=1.0, radius=0.5, alpha=0.01, mode="smoothed")
         with pytest.raises(ValueError):
             CertSpec(sigma=1.0, radius=0.5, alpha=0.01, lam=1.0)
 
@@ -262,9 +260,6 @@ class TestCertifyBinary:
 
     def test_validation(self):
         oracle = ClassOracle((0.5, 0.5), substream(0, "binv"))
-        multi = CertSpec(sigma=1.0, radius=0.5, alpha=0.01, mode="multiclass")
-        with pytest.raises(ValueError):
-            certify_binary(oracle, 0, multi)
         with pytest.raises(ValueError):
             certify_binary(oracle, 2, self.SPEC)
         with pytest.raises(ValueError):
@@ -293,16 +288,13 @@ class TestCertifyStaged:
             certify_staged(oracle, 0, self.SPEC, stages=(100, 100))
         with pytest.raises(ValueError):
             certify_staged(oracle, 0, self.SPEC, stages=(0, 10))
-        multi = CertSpec(sigma=1.0, radius=0.5, alpha=0.01, mode="multiclass")
-        with pytest.raises(ValueError):
-            certify_staged(oracle, 0, multi)
 
 
 class TestCertifyMulticlass:
     # top class at 0.4 still certifies radius 0.2: the true radius is
     # (1/2)(q(0.4) - q(0.2)) ~ 0.294, while the binary reduction is stuck
     # below the p > 1/2 wall
-    SPEC = CertSpec(sigma=1.0, radius=0.2, alpha=0.01, mode="multiclass")
+    SPEC = CertSpec(sigma=1.0, radius=0.2, alpha=0.01)
     PROBS = (0.4, 0.2, 0.2, 0.2)
 
     def test_low_top_class_certifies_where_binary_cannot(self):
@@ -313,8 +305,7 @@ class TestCertifyMulticlass:
             assert DEFAULT_WARMUP <= used < 30_000
 
             oracle = ClassOracle(self.PROBS, substream(21, "low-top-b", i))
-            binary = CertSpec(sigma=1.0, radius=0.2, alpha=0.01)
-            assert certify_binary(oracle, 0, binary, cap=30_000)[0] is Verdict.LESS
+            assert certify_binary(oracle, 0, self.SPEC, cap=30_000)[0] is Verdict.LESS
 
     def test_union_kind_certifies_on_a_boundary(self):
         oracle = ClassOracle(self.PROBS, substream(21, "low-top-u"))
@@ -328,7 +319,7 @@ class TestCertifyMulticlass:
     def test_unreachable_radius_is_refuted_before_cap(self):
         # true radius ~ 0.126, far below the requested 0.5: the optimistic
         # branch falls short once both streams tighten a little
-        spec = CertSpec(sigma=1.0, radius=0.5, alpha=0.01, mode="multiclass")
+        spec = CertSpec(sigma=1.0, radius=0.5, alpha=0.01)
         for i in range(10):
             oracle = ClassOracle((0.55, 0.45), substream(22, "ref", i))
             verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=4096)
@@ -361,7 +352,7 @@ class TestCertifyMulticlass:
 
         monkeypatch.setattr(anytime.sequences, "rcp_upper_lo", recording)
         monkeypatch.setattr(anytime.certify, "rcp_upper_lo_bound", lambda x, n, a, w: np.ones(2))
-        spec = CertSpec(sigma=1.0, radius=5.0, alpha=0.01, mode="multiclass", lam=0.3)
+        spec = CertSpec(sigma=1.0, radius=5.0, alpha=0.01, lam=0.3)
         rng = substream(24, "stage-draws") if seeded else None
         oracle = ClassOracle(self.PROBS, substream(24, "stage-labels"))
         assert certify_multiclass(oracle, spec, "union", cap=4096, rng=rng)[0] is Verdict.UNDECIDED
@@ -398,7 +389,7 @@ class TestCertifyMulticlass:
         stage_budgets = {int(b): sched.budget(k) for k, b in enumerate(boundaries, 1)}
         waited = 0
         for i, radius in enumerate((0.1, 0.2)):
-            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.001, mode="multiclass", lam=0.3)
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.001, lam=0.3)
             rng = substream(25, "stage-draws") if seeded else None
             oracle = ClassOracle(self.PROBS, substream(25, "stage-labels", i))
             verdict, used = certify_multiclass(oracle, spec, "union", cap=100_000, rng=rng)
@@ -422,7 +413,7 @@ class TestCertifyMulticlass:
             probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
             lam = 0.5 if seed % 2 else 0.3
             sched = Schedule.doubling(0.01)
-            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, lam=lam)
             seeded = seed % 3 != 0
             oracle = ClassOracle(probs, substream(33, "scan", seed))
             rng = substream(33, "draws", seed) if seeded else None
@@ -448,7 +439,7 @@ class TestCertifyMulticlass:
             probs = ((0.8, 0.2), (0.6, 0.15, 0.15, 0.1))[seed % 2]
             radius = (0.02, 0.1, 0.2, 0.3)[seed % 4]
             lam = (0.3, 0.7)[seed // 2 % 2]
-            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, lam=lam)
             oracle = ClassOracle(probs, substream(37, "tight", seed))
             verdict, used = certify_multiclass(
                 oracle, spec, "union", 20_000, schedule=sched, rng=substream(38, seed), warmup=10
@@ -481,7 +472,7 @@ class TestCertifyMulticlass:
             settled = np.broadcast_to(trials >= claim_t, np.shape(heads))
             return np.where(settled, 1.0, -np.inf), np.where(settled, 0.0, np.inf)
 
-        spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+        spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, lam=lam)
         bits = (substream(34, "false-stop-width", seed).random(cap) < probs[0]).astype(np.uint8)
         eps = (0.4, 0.2, 0.1, 0.05)[case]
         with pytest.MonkeyPatch.context() as patch:
@@ -513,7 +504,7 @@ class TestCertifyMulticlass:
         for seed in range(12):
             probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
             lam = 0.5 if seed % 2 else 0.3
-            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, lam=lam)
             bits = (substream(39, "poor-hint-width", seed).random(9_000) < probs[0]).astype(np.uint8)
             eps = (0.2, 0.05)[seed % 2]
             with pytest.MonkeyPatch.context() as patch:
@@ -545,7 +536,7 @@ class TestCertifyMulticlass:
         for seed in range(10):
             probs, radius, alpha, cap = self.EXTREME_CASES[seed % len(self.EXTREME_CASES)]
             lam = 0.5 if seed % 2 else 0.3
-            spec = CertSpec(sigma=1.0, radius=radius, alpha=alpha, mode="multiclass", lam=lam)
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=alpha, lam=lam)
             sched = Schedule.doubling(alpha)
             oracle = ClassOracle(probs, substream(40, "extreme", seed))
             verdict, used = certify_multiclass(
@@ -572,7 +563,7 @@ class TestCertifyMulticlass:
     def test_degenerate_probabilities_match_the_scans(self, probs, cs_kind):
         sched = Schedule.doubling(0.01)
         for i, radius in enumerate((0.0, 0.2, 1.0, 5.0)):
-            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass")
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01)
             for cap in (2, 1_000, 20_000):
                 oracle = ClassOracle(probs, substream(35, "degenerate", i, cap))
                 with np.errstate(all="raise"):
@@ -607,7 +598,7 @@ class TestCertifyMulticlass:
         for seed in range(50):
             probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
             lam = 0.5 if seed % 2 else 0.3
-            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, mode="multiclass", lam=lam)
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, lam=lam)
             oracle = ClassOracle(probs, substream(31, "scan", seed))
             verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=cap)
             oracle = ClassOracle(probs, substream(31, "scan", seed))
@@ -620,15 +611,15 @@ class TestCertifyMulticlass:
 
     def test_validation(self):
         oracle = ClassOracle(self.PROBS, substream(0, "mcv"))
-        binary = CertSpec(sigma=1.0, radius=0.2, alpha=0.01)
-        with pytest.raises(ValueError):
-            certify_multiclass(oracle, binary)
         with pytest.raises(ValueError):
             certify_multiclass(ClassOracle((1.0,), substream(0, "mcv1")), self.SPEC)
         with pytest.raises(ValueError):
             certify_multiclass(oracle, self.SPEC, cs_kind="mystery")
         with pytest.raises(ValueError):
             certify_multiclass(oracle, self.SPEC, warmup=0)
+        for cap in (0, 2.5):
+            with pytest.raises(ValueError, match="cap"):
+                certify_multiclass(oracle, self.SPEC, cap=cap)
         with pytest.raises(ValueError):
             certify_multiclass(
                 oracle, self.SPEC, cs_kind="union", schedule=Schedule.doubling(0.5)
@@ -718,7 +709,7 @@ class TestMulticlassNearTies:
     @pytest.mark.parametrize("warmup", [20, 100])
     @pytest.mark.parametrize("k", [10, 50])
     def test_false_certification_rate(self, k, warmup, cs_kind):
-        spec = CertSpec(sigma=1.0, radius=0.05, alpha=self.ALPHA, mode="multiclass")
+        spec = CertSpec(sigma=1.0, radius=0.05, alpha=self.ALPHA)
         wrong = 0
         for trial in range(self.TRIALS):
             path = ("near-tie", k, warmup, cs_kind, trial)
@@ -906,9 +897,7 @@ class TestCertificationValidity:
         bits = bernoulli_matrix(substream(6, "subset"), 150, self.CAP, p_star + 0.05)
         h_a, t_arr = _top_class_counts(bits)
         replay = _betting_cert_ever(h_a, t_arr, p_star, self.ALPHA)
-        spec = CertSpec(
-            sigma=self.SIGMA, radius=self.RADIUS, alpha=self.ALPHA, mode="multiclass"
-        )
+        spec = CertSpec(sigma=self.SIGMA, radius=self.RADIUS, alpha=self.ALPHA)
         certified = 0
         for i in range(bits.shape[0]):
             verdict, used = certify_multiclass(
@@ -927,13 +916,7 @@ class TestCertificationValidity:
         p_star = binary_threshold(self.RADIUS, self.SIGMA)
         for trial in range(200):
             lam = 0.5 if trial % 3 else 0.3
-            spec = CertSpec(
-                sigma=self.SIGMA,
-                radius=self.RADIUS,
-                alpha=self.ALPHA,
-                mode="multiclass",
-                lam=lam,
-            )
+            spec = CertSpec(sigma=self.SIGMA, radius=self.RADIUS, alpha=self.ALPHA, lam=lam)
             p = (p_star + 0.05) if trial % 2 else p_star
             labels = (substream(3, "uw-labels", trial).random(self.CAP) >= p).astype(np.int64)
             engine = certify_multiclass(
@@ -956,9 +939,7 @@ class TestCertificationValidity:
         p_star = binary_threshold(self.RADIUS, self.SIGMA)
         bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / trials)
         for lam in (0.3, 0.5, 0.7):
-            spec = CertSpec(
-                sigma=self.SIGMA, radius=self.RADIUS, alpha=alpha, mode="multiclass", lam=lam
-            )
+            spec = CertSpec(sigma=self.SIGMA, radius=self.RADIUS, alpha=alpha, lam=lam)
             false_certs = 0
             for trial in range(trials):
                 oracle = ClassOracle(

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from anytime import decision
 from anytime.decision import (
     DEFAULT_STAGES,
     TrialRecord,
@@ -136,27 +137,35 @@ class TestDecideWithCs:
 class TestBlockSizes:
     """Verdicts are first crossings, so the block cap must not change them.
 
-    The first ``p`` of each test decides after 8,128 bits, where blocks
-    growing from 64 have reached the 4,096 cap.
+    The cap is the module constant ``decision._BLOCK``, patched here.  The
+    first ``p`` of each test decides after 8,128 bits, where blocks growing
+    from 64 have reached the 4,096 cap.
     """
 
     BITS = (substream(17, "blocks").random(30_000) < 0.6).astype(np.int64)
 
+    @staticmethod
+    def outcomes(monkeypatch, decide):
+        out = {}
+        for block in (1, 7, 4096):
+            monkeypatch.setattr(decision, "_BLOCK", block)
+            out[block] = decide()
+        return out
+
     @pytest.mark.parametrize("p", [0.58, 0.63, 0.3])
-    def test_betting_verdict_independent_of_block(self, p):
-        outcomes = {
-            block: decide_with_cs("betting", p, ArraySource(self.BITS), 0.01, cap=30_000, block=block)
-            for block in (1, 7, 4096)
-        }
+    def test_betting_verdict_independent_of_block(self, monkeypatch, p):
+        outcomes = self.outcomes(
+            monkeypatch,
+            lambda: decide_with_cs("betting", p, ArraySource(self.BITS), 0.01, cap=30_000),
+        )
         assert len(set(outcomes.values())) == 1, outcomes
         assert outcomes[4096][0] is not Verdict.UNDECIDED
 
     @pytest.mark.parametrize("p", [0.585, 0.65, 0.3])
-    def test_sprt_verdict_independent_of_block(self, p):
-        outcomes = {
-            block: sprt_ideal(p, 0.6, 0.001, ArraySource(self.BITS), cap=30_000, block=block)
-            for block in (1, 7, 4096)
-        }
+    def test_sprt_verdict_independent_of_block(self, monkeypatch, p):
+        outcomes = self.outcomes(
+            monkeypatch, lambda: sprt_ideal(p, 0.6, 0.001, ArraySource(self.BITS), cap=30_000)
+        )
         assert len(set(outcomes.values())) == 1, outcomes
         assert outcomes[4096][0] is not Verdict.UNDECIDED
 
@@ -258,6 +267,35 @@ class TestSweep:
         )
         assert {r.method for r in records} == {"betting"}
         assert all(math.isnan(s.ratio_vs_sprt) for s in summaries)
+
+
+class TestCounts:
+    """Caps and trial counts below 1, or not integers, raise instead of reading as verdicts."""
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5])
+    def test_sweep_rejects_bad_trials(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            benchmark_sweep(q=0.91, alpha=0.01, grid=[0.5], trials=trials)
+
+    @pytest.mark.parametrize("cap", [0, -1, 2.5])
+    def test_sweep_rejects_bad_cap_before_any_trial(self, monkeypatch, cap):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(decision, "run_trial", no_trial)
+        with pytest.raises(ValueError, match="cap"):
+            benchmark_sweep(q=0.91, alpha=0.01, grid=[0.5], trials=1, cap=cap, methods=("adaptive",))
+
+    @pytest.mark.parametrize("cap", [0, -1, 2.5])
+    def test_deciders_reject_bad_cap(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            sprt_ideal(0.5, 0.6, 0.01, ones(8), cap=cap)
+        for kind in ("betting", "union"):
+            with pytest.raises(ValueError, match="cap"):
+                decide_with_cs(kind, 0.5, ones(8), 0.01, cap=cap)
+        for method in decision.METHODS:
+            with pytest.raises(ValueError, match="cap"):
+                run_trial(method, 0.5, 0.6, 0.01, cap, substream(0, "cap", method))
 
 
 class TestLowerBoundInfo:

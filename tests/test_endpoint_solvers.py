@@ -120,6 +120,26 @@ class TestBettingEndpoints:
         for g, r in zip(got, want):
             assert_same_bits(g, r)
 
+    @pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -0.5, math.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        # the scalar path, the array path and the running kernels' thresholds
+        for a in (alpha, np.array([0.05, alpha])):
+            with pytest.raises(ValueError, match="alpha"):
+                betting_endpoints(3, 10, a)
+            with pytest.raises(ValueError, match="alpha"):
+                betting_certified(3, 10, a)
+
+    @pytest.mark.parametrize(
+        "heads, trials", [(12, 10), (0, 0), (3, 0.5), (-1, 10), (math.nan, 10), (3, math.nan)]
+    )
+    def test_rejects_impossible_counts(self, heads, trials):
+        with pytest.raises(ValueError, match="heads"):
+            betting_endpoints(heads, trials, 0.05)  # one count: the per-bit path
+        with pytest.raises(ValueError, match="heads"):
+            betting_endpoints(np.array([3, heads]), np.array([10, trials]), 0.05)
+        with pytest.raises(ValueError, match="heads"):
+            betting_endpoints(heads, trials, np.array([0.05]))
+
     @given(st.data(), SIZES, ALPHAS)
     def test_vector(self, data, t, alpha):
         k = data.draw(st.integers(1, 12))

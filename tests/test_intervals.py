@@ -162,6 +162,13 @@ class TestEnumerationCoverage:
             cov_cp = enumeration_coverage(n, q, 0.05, kind="cp", side="upper")
             assert cov_rcp <= cov_cp + 1e-12
 
+    @pytest.mark.parametrize(
+        "n, alpha", [(10, 2.0), (10, 1.0), (10, 0.0), (10, math.nan), (0, 0.05), (-3, 0.05)]
+    )
+    def test_rejects_alpha_outside_the_unit_interval_and_n_below_one(self, n, alpha):
+        with pytest.raises(ValueError):
+            enumeration_coverage(n, 0.5, alpha)
+
 
 class TestHoeffding:
     def test_frozen_interval_values(self):

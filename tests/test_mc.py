@@ -47,6 +47,11 @@ class TestBettingTrace:
         want = np.array([iv.lo for iv in ivs]), np.array([iv.up for iv in ivs])
         assert_same_bytes(betting_trace(bits, 0.01), want)
 
+    @pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, math.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            betting_trace(np.array([1, 0, 1, 1], dtype=np.uint8), alpha)
+
     @pytest.mark.parametrize("alpha", [1e-9, 0.001, 0.05, 0.5, 0.9])
     def test_matches_the_plain_scan_through_collapses(self, alpha):
         # streams that cross collapse to the sample mean, as BettingCS does,
@@ -231,6 +236,14 @@ class TestMcCoverage:
                 sim = mc_coverage(n, p, alpha, kind, "upper", trials, substream(4, kind, str(p)))
                 exact = enumeration_coverage(n, p, alpha, kind=kind, side="upper")
                 assert abs(sim - exact) < 4.0 * math.sqrt(exact * (1 - exact) / trials) + 1e-4
+
+    @pytest.mark.parametrize(
+        "n, alpha, trials",
+        [(10, 2.0, 10), (10, math.nan, 10), (10, 0.0, 10), (0, 0.05, 10), (10, 0.05, 0), (10, 0.05, -1)],
+    )
+    def test_rejects_bad_alpha_n_and_trials(self, n, alpha, trials):
+        with pytest.raises(ValueError):
+            mc_coverage(n, 0.5, alpha, "rcp", "upper", trials, substream(0, "bad"))
 
     def test_two_sided_randomized_near_nominal(self):
         sim = mc_coverage(40, 0.37, 0.1, "rcp", "two", 60000, substream(8, "two"))

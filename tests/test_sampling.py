@@ -1,11 +1,14 @@
 """Seed plumbing and bit sources.
 
-Reproducibility of every experiment reduces to two facts checked here:
-substreams are pure functions of (seed, path), and block draws equal
-bit-by-bit draws from the same generator state.
+Reproducibility of every experiment reduces to facts checked here:
+substreams are pure functions of (seed, path), block draws equal
+bit-by-bit draws from the same generator state, and the job runner
+returns results in job order for any thread count.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from anytime.sampling import (
     as_bit_source,
     clamp_take,
     count_ones,
+    run_jobs,
     seed_sequence,
     substream,
     substream_id,
@@ -216,3 +220,14 @@ class TestClampTake:
     def test_unbounded_source_passes_through(self):
         src = BernoulliSource(substream(1, "x"), 0.5)
         assert clamp_take(src, 4096) == 4096
+
+
+class TestRunJobs:
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_results_come_back_in_job_order(self, threads):
+        # later jobs finish first in a pool; the results keep job order
+        def job(j):
+            time.sleep(0.001 * (12 - j))
+            return j * j
+
+        assert run_jobs(list(range(12)), job, threads) == [j * j for j in range(12)]

@@ -423,6 +423,12 @@ class TestBettingRunning:
         with pytest.raises(ValueError):
             betting_running(np.arange(5.0), np.arange(1.0, 6.0), 0.05, 0.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, math.nan, [0.05, 1.0]])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        heads = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match="alpha"):
+            betting_running(heads, np.arange(1.0, 4.0), alpha, 0.0, 1.0)
+
 
 def carried_bounds(seed, carry, heads, trials, alpha):
     """Carry-in bounds: none (0, 1), near the first step's endpoints, or anywhere."""
