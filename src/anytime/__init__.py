@@ -2,8 +2,8 @@
 
 The package provides, in dependency order:
 
-* :mod:`anytime.binom` - numerically stable binomial tails and quantile
-  helpers shared by everything else;
+* :mod:`anytime.binom` - numerically stable binomial tails, quantile
+  helpers and the argument checks shared by everything else;
 * :mod:`anytime.intervals` - fixed-n confidence intervals: randomized
   Clopper-Pearson (exact coverage), the deterministic variant, Hoeffding,
   and exact coverage enumeration;

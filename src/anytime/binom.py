@@ -38,9 +38,27 @@ _P_ERROR = "p must lie in [0, 1]"
 _NUMBER = (int, float)
 
 
+# The argument rules of the entry points; per-bit and per-stage hot paths
+# (``BettingCS.update``, ``UnionCS.update``, ``_scalar_args``) compare inline.
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_prob(name: str, p: float) -> None:
+    """A probability: ``0 <= p <= 1``; NaN fails."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {p}")
+
+
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """An integer (``int`` or ``np.integer``, not ``bool``) of at least ``minimum``."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_n_p(n, p) -> None:

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .binom import _check_alpha, gauss_quantile
-from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _check_count, _check_stages
+from .binom import _check_alpha, _check_count, _check_prob, gauss_quantile
+from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _check_stages, _union_schedule
 from .decision import decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo_bound
 from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
@@ -60,10 +60,7 @@ class CertSpec:
     lam: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.radius >= 0.0:
-            raise ValueError(f"radius must be nonnegative, got {self.radius}")
+        binary_threshold(self.radius, self.sigma)  # checks radius and sigma
         _check_alpha(self.alpha)
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must be in (0, 1), got {self.lam}")
@@ -77,14 +74,7 @@ class ClassOracle:
     """
 
     def __init__(self, probs, rng: np.random.Generator):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ValueError("probs must be a nonempty 1-d array")
-        if np.any(probs < 0.0):
-            raise ValueError("probs must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"probs must sum to 1 (got {probs.sum()!r})")
-        self.probs = probs
+        self.probs = probs = _check_class_probs(probs)
         self._cum = np.cumsum(probs)
         self._cum[-1] = 1.0  # guard the top bin against rounding
         self._rng = rng
@@ -96,6 +86,25 @@ class ClassOracle:
     def sample(self, k: int) -> np.ndarray:
         """Draw ``k`` class labels."""
         return np.searchsorted(self._cum, self._rng.random(k), side="right").astype(np.int64)
+
+
+def _check_class_probs(probs) -> np.ndarray:
+    """Class probabilities as a float array: nonempty, 1-d, each in [0, 1], summing to 1."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size < 1:
+        raise ValueError("probs must be a nonempty 1-d array")
+    for p in probs.tolist():
+        _check_prob("probs entry", p)
+    if abs(float(probs.sum()) - 1.0) > 1e-12:
+        raise ValueError(f"probs must sum to 1 (got {probs.sum()!r})")
+    return probs
+
+
+def _check_target(target_class: int, n_classes: int) -> None:
+    """A class index of an oracle with ``n_classes`` classes."""
+    _check_count("target_class", target_class, minimum=0)
+    if not target_class < n_classes:
+        raise ValueError(f"target_class {target_class} out of range")
 
 
 class _IndicatorSource(ZeroOneSource):
@@ -192,8 +201,7 @@ def certify_binary(
     (in particular whenever the class probability is below 1/2);
     Undecided at the cap.
     """
-    if not 0 <= target_class < oracle.n_classes:
-        raise ValueError(f"target_class {target_class} out of range")
+    _check_target(target_class, oracle.n_classes)
     p_star = binary_threshold(spec.radius, spec.sigma)
     verdict, used = decide_with_cs(
         cs_kind,
@@ -231,10 +239,8 @@ def certify_multiclass(
     """
     if oracle.n_classes < 2:
         raise ValueError("multiclass certification needs >= 2 classes")
-    if cs_kind not in ("betting", "union"):
-        raise ValueError(f"unknown cs_kind {cs_kind!r}")
-    if warmup < 1:
-        raise ValueError(f"warmup must be >= 1, got {warmup}")
+    sched = _union_schedule(cs_kind, spec.alpha, schedule)
+    _check_count("warmup", warmup)
     _check_count("cap", cap)
     if cap <= warmup:
         oracle.sample(cap)
@@ -242,11 +248,8 @@ def certify_multiclass(
 
     counts = np.bincount(oracle.sample(warmup), minlength=oracle.n_classes).astype(np.int64)
     a_cls = int(np.argmax(counts))
-    if cs_kind == "betting":
+    if sched is None:
         return _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup)
-    sched = schedule if schedule is not None else Schedule.doubling(spec.alpha)
-    if sched.alpha != spec.alpha:
-        raise ValueError("schedule.alpha must match spec.alpha")
     return _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng)
 
 
@@ -347,8 +350,10 @@ def certify_staged(
     certifies (Greater) if the deterministic CP lower bound at budget
     ``alpha/s`` clears the binary threshold, otherwise moves to the next
     stage; abstains after the last.  One-sided by construction: it never
-    declares non-certifiability.
+    declares non-certifiability.  A ``target_class`` the oracle lacks and
+    a ``stages`` ladder of non-integers raise before any sample is drawn.
     """
+    _check_target(target_class, oracle.n_classes)
     stages = _check_stages(stages)
     p_star = binary_threshold(spec.radius, spec.sigma)
     per_stage = spec.alpha / len(stages)
@@ -386,15 +391,11 @@ def width_target_run(
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_alpha(alpha)
+    sched = _union_schedule(cs_kind, alpha, schedule)
     _check_count("cap", cap)
     source = as_bit_source(stream)
-    if cs_kind == "betting":
+    if sched is None:
         return _width_target_betting(source, eps, alpha, cap)
-    if cs_kind != "union":
-        raise ValueError(f"unknown cs_kind {cs_kind!r}")
-    sched = schedule if schedule is not None else Schedule.doubling(alpha)
-    if sched.alpha != alpha:
-        raise ValueError("schedule.alpha must match alpha")
     return _width_target_union(source, eps, cap, sched, rng)
 
 

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .binom import _check_count
 from .certify import (
     CertSpec,
     ClassOracle,
@@ -86,15 +87,13 @@ def _names(text: str) -> tuple[str, ...]:
 
 def _interior_grid(points: int) -> tuple[float, ...]:
     """``points`` equally spaced values strictly inside (0, 1)."""
-    if points < 1:
-        raise ValueError(f"grid-points must be >= 1, got {points}")
+    _check_count("grid-points", points)
     return tuple(np.linspace(0.0, 1.0, points + 2)[1:-1])
 
 
 def _closed_grid(points: int) -> tuple[float, ...]:
     """``points`` equally spaced values spanning [0, 1] inclusive."""
-    if points < 2:
-        raise ValueError(f"grid-points must be >= 2, got {points}")
+    _check_count("grid-points", points, minimum=2)
     return tuple(np.linspace(0.0, 1.0, points))
 
 

@@ -1,11 +1,12 @@
 """Per-command configuration objects for the benchmark CLI.
 
 Every command's parameters live in one frozen dataclass that validates
-eagerly in ``__post_init__`` - an inconsistent flag combination fails
-before any sampling starts.  Shared knobs resolve as flags >
-environment (``ANYTIME_SEED``, ``ANYTIME_THREADS``) > defaults; the
-environment lookup happens in :func:`env_int` so the CLI layer stays a
-thin argparse shell.
+eagerly in ``__post_init__``, through the checks of the library functions
+the command runs, before any sampling starts; only what no library
+function sees (mode against methods, classes per mode, nonempty lists) is
+checked here.  Shared knobs resolve as flags > environment
+(``ANYTIME_SEED``, ``ANYTIME_THREADS``) > defaults; the environment lookup
+happens in :func:`env_int` so the CLI layer stays a thin argparse shell.
 """
 
 from __future__ import annotations
@@ -14,16 +15,17 @@ import os
 from dataclasses import dataclass
 from typing import Tuple
 
-from .binom import _check_alpha
-from .decision import METHODS
+from .binom import _check_alpha, _check_count, _check_prob
+from .certify import CertSpec, _check_class_probs, _check_target
+# CS_KINDS and COVERAGE_KINDS stay importable from here: the CLI's defaults
+from .decision import CS_KINDS, _check_sweep, _union_schedule  # noqa: F401
+from .intervals import COVERAGE_KINDS, _check_coverage_args  # noqa: F401
+from .sequences import _check_dp_args
 
 SEED_ENV = "ANYTIME_SEED"
 THREADS_ENV = "ANYTIME_THREADS"
 DEFAULT_SEED = 42
 
-CS_KINDS = ("betting", "union")
-COVERAGE_KINDS = ("cp", "rcp")
-COVERAGE_SIDES = ("upper", "lower", "two")
 CERT_CS = ("betting", "union", "adaptive")
 CERT_MODES = ("binary", "multiclass")
 
@@ -39,17 +41,9 @@ def env_int(name: str, fallback: int) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def _check_probs(name: str, values) -> None:
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} entries must be in [0, 1], got {v}")
-
-
-def _check_common(seed: int, threads: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+def _nonempty(name: str, values) -> None:
+    if not values:
+        raise ValueError(f"{name} must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -64,22 +58,14 @@ class CoverageConfig:
     threads: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        _check_alpha(self.alpha)
-        if not self.p_grid:
-            raise ValueError("p grid must be nonempty")
-        _check_probs("p grid", self.p_grid)
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if not self.kinds:
-            raise ValueError("need at least one interval kind")
+        _nonempty("p grid", self.p_grid)
+        _nonempty("interval kinds", self.kinds)
         for kind in self.kinds:
-            if kind not in COVERAGE_KINDS:
-                raise ValueError(f"unknown interval kind {kind!r}")
-        if self.side not in COVERAGE_SIDES:
-            raise ValueError(f"unknown side {self.side!r}")
-        _check_common(self.seed, self.threads)
+            for p in self.p_grid:
+                _check_coverage_args(self.n, p, self.alpha, kind, self.side)
+        _check_count("trials", self.trials, minimum=0)  # 0: exact coverage only
+        _check_count("seed", self.seed, minimum=0)
+        _check_count("threads", self.threads)
 
 
 @dataclass(frozen=True)
@@ -93,15 +79,13 @@ class WidthConfig:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        _check_probs("p", (self.p,))
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not self.kinds:
-            raise ValueError("need at least one CS kind")
+        _check_prob("p", self.p)
+        _check_count("horizon", self.horizon)
+        _nonempty("CS kinds", self.kinds)
         for kind in self.kinds:
-            if kind not in CS_KINDS:
-                raise ValueError(f"unknown CS kind {kind!r}")
-        _check_common(self.seed, self.threads)
+            _union_schedule(kind, self.alpha, None)
+        _check_count("seed", self.seed, minimum=0)
+        _check_count("threads", self.threads)
 
 
 @dataclass(frozen=True)
@@ -116,23 +100,10 @@ class DecideConfig:
     threads: int
 
     def __post_init__(self) -> None:
-        _check_probs("q", (self.q,))
-        _check_alpha(self.alpha)
-        if not self.p_grid:
-            raise ValueError("p grid must be nonempty")
-        _check_probs("p grid", self.p_grid)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.methods:
-            raise ValueError("need at least one method")
-        for method in self.methods:
-            if method not in METHODS:
-                raise ValueError(f"unknown method {method!r}")
-        if "sprt" in self.methods and any(p == self.q for p in self.p_grid):
-            raise ValueError("sprt requires every grid p to differ from q")
-        if self.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {self.cap}")
-        _check_common(self.seed, self.threads)
+        _check_sweep(
+            self.q, self.alpha, self.p_grid, self.trials, self.methods, self.cap, self.seed,
+            self.threads,
+        )
 
 
 @dataclass(frozen=True)
@@ -154,34 +125,24 @@ class CertifyConfig:
     def __post_init__(self) -> None:
         if self.mode not in CERT_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.cs:
-            raise ValueError("need at least one certification method")
+        _nonempty("radii", self.radii)
+        for radius in self.radii:
+            CertSpec(self.sigma, radius, self.alpha, self.lam)
+        _nonempty("certification methods", self.cs)
         for cs in self.cs:
-            if cs not in CERT_CS:
-                raise ValueError(f"unknown certification method {cs!r}")
-            if cs == "adaptive" and self.mode != "binary":
+            if cs != "adaptive":
+                _union_schedule(cs, self.alpha, None)
+            elif self.mode != "binary":
                 raise ValueError("the staged baseline certifies in binary mode only")
-        if len(self.probs) < (2 if self.mode == "multiclass" else 1):
-            raise ValueError(f"mode {self.mode!r} needs more oracle classes")
-        _check_probs("probs", self.probs)
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError(f"probs must sum to 1, got {sum(self.probs)!r}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.radii or not all(r >= 0.0 for r in self.radii):
-            raise ValueError("radii must be a nonempty list of nonnegative reals")
-        _check_alpha(self.alpha)
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lam must be in (0, 1), got {self.lam}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.cap < 1:
-            raise ValueError(f"cap must be >= 1, got {self.cap}")
-        if not 0 <= self.target_class < len(self.probs):
-            raise ValueError(f"target class {self.target_class} out of range")
-        if self.warmup < 1:
-            raise ValueError(f"warmup must be >= 1, got {self.warmup}")
-        _check_common(self.seed, self.threads)
+        _check_class_probs(self.probs)
+        if self.mode == "multiclass" and len(self.probs) < 2:
+            raise ValueError("mode 'multiclass' needs at least 2 oracle classes")
+        _check_target(self.target_class, len(self.probs))
+        _check_count("trials", self.trials)
+        _check_count("cap", self.cap)
+        _check_count("warmup", self.warmup)
+        _check_count("seed", self.seed, minimum=0)
+        _check_count("threads", self.threads)
 
 
 @dataclass(frozen=True)
@@ -193,9 +154,7 @@ class ThresholdsConfig:
     threads: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
-        _check_alpha(self.alpha)
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        _check_common(self.seed, self.threads)
+        _check_count("n_max", self.n_max)  # the table has at least one row
+        _check_dp_args(self.n_max, self.p, self.alpha)
+        _check_count("seed", self.seed, minimum=0)
+        _check_count("threads", self.threads)

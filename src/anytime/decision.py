@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .binom import _check_alpha, binom_cdf, binom_sf
+from .binom import _check_alpha, _check_count, _check_prob, binom_cdf, binom_sf
 from .intervals import (
     hoeffding_interval,
     hoeffding_sample_size,
@@ -50,6 +50,7 @@ _BLOCK = 4096  # largest block of bits the betting and SPRT deciders draw at onc
 _FIRST_BLOCK = 64  # their blocks start here and double up to ``_BLOCK``
 
 METHODS = ("sprt", "betting", "union", "adaptive")
+CS_KINDS = ("betting", "union")
 
 
 class Verdict(enum.Enum):
@@ -81,17 +82,27 @@ class TrialRecord:
         return False
 
 
-def _check_threshold(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"threshold p must be in [0, 1], got {p}")
+def _union_schedule(cs_kind: str, alpha: float, schedule) -> Optional[Schedule]:
+    """The union kind's schedule (``schedule``, at ``alpha``, or doubling); ``None`` for betting."""
+    if cs_kind not in CS_KINDS:
+        raise ValueError(f"unknown cs_kind {cs_kind!r}")
+    if cs_kind == "betting":
+        return None
+    if schedule is None:
+        return Schedule.doubling(alpha)
+    if schedule.alpha != alpha:
+        raise ValueError("schedule.alpha must match alpha")
+    return schedule
 
 
-def _check_count(name: str, value) -> None:
-    """A sample cap or a number of trials: an integer of at least 1."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+def _block_walk(source, cap: int):
+    """The bits of ``source`` up to ``cap``: blocks from ``_FIRST_BLOCK`` doubling to ``_BLOCK``."""
+    t, size = 0, min(_FIRST_BLOCK, _BLOCK)
+    while t < cap:
+        k = clamp_take(source, min(size, cap - t))
+        size = min(2 * size, _BLOCK)
+        yield source.take(k)
+        t += k
 
 
 # ---------------------------------------------------------------------------
@@ -138,31 +149,22 @@ def decide_with_cs(
     (Verdict, int)
         Verdict and the number of samples consumed at the decision.
     """
-    if cs_kind not in ("betting", "union"):
-        raise ValueError(f"unknown cs_kind {cs_kind!r}")
     _check_alpha(alpha)
-    _check_threshold(p)
+    schedule = _union_schedule(cs_kind, alpha, schedule)
+    _check_prob("p", p)
     _check_count("cap", cap)
     source = as_bit_source(stream)
-    if cs_kind == "betting":
-        return _decide_betting(p, source, alpha, cap)
     if schedule is None:
-        schedule = Schedule.doubling(alpha)
-    elif schedule.alpha != alpha:
-        raise ValueError("schedule.alpha must match alpha")
+        return _decide_betting(p, source, alpha, cap)
     return _decide_union(p, source, schedule, cap, rng)
 
 
 def _decide_betting(p, source, alpha, cap):
     threshold = math.log(1.0 / alpha)
     heads, t = 0, 0
-    size = min(_FIRST_BLOCK, _BLOCK)
-    while t < cap:
-        k = clamp_take(source, min(size, cap - t))
-        size = min(2 * size, _BLOCK)
-        bits = source.take(k)
+    for bits in _block_walk(source, cap):
         h_cum = heads + np.cumsum(bits, dtype=np.int64)
-        t_cum = t + np.arange(1, k + 1, dtype=np.int64)
+        t_cum = t + np.arange(1, bits.size + 1, dtype=np.int64)
         excluded = np.asarray(kt_log_wealth(h_cum, t_cum, p)) > threshold
         if excluded.any():
             i = int(np.argmax(excluded))
@@ -212,8 +214,8 @@ def sprt_ideal(
     likelihood ratio is one running sum, so the verdict does not depend on
     the block sizes.
     """
-    _check_threshold(p)
-    _check_threshold(q)
+    _check_prob("p", p)
+    _check_prob("q", q)
     _check_alpha(alpha)
     _check_count("cap", cap)
     if p == q:
@@ -224,13 +226,8 @@ def sprt_ideal(
     threshold = math.log(1.0 / alpha)
     for_q = Verdict.LESS if q > p else Verdict.GREATER
     for_p = Verdict.GREATER if q > p else Verdict.LESS
-    llr = 0.0
-    t = 0
-    size = min(_FIRST_BLOCK, _BLOCK)
-    while t < cap:
-        k = clamp_take(source, min(size, cap - t))
-        size = min(2 * size, _BLOCK)
-        bits = source.take(k)
+    llr, t = 0.0, 0
+    for bits in _block_walk(source, cap):
         steps = np.where(bits == 1, head_step, tail_step)
         # carried into the first step, so the path is one running sum
         # whatever the block sizes (cumsum adds in order)
@@ -241,7 +238,7 @@ def sprt_ideal(
             i = int(np.argmax(hit))
             return (for_q if path[i] >= threshold else for_p), t + i + 1
         llr = float(path[-1])
-        t += k
+        t += bits.size
     return Verdict.UNDECIDED, cap
 
 
@@ -259,9 +256,11 @@ def _log_ratio(num: float, den: float) -> float:
 
 
 def _check_stages(stages: Sequence[int]) -> tuple[int, ...]:
-    """A stage ladder as a tuple of ints; it must be strictly increasing and positive."""
-    stages = tuple(int(n) for n in stages)
-    if not stages or stages[0] < 1 or any(b <= a for a, b in zip(stages, stages[1:])):
+    """A stage ladder as a tuple of ints: integer sizes >= 1, strictly increasing."""
+    for n in stages:
+        _check_count("stage", n)
+    stages = tuple(map(int, stages))
+    if not stages or any(b <= a for a, b in zip(stages, stages[1:])):
         raise ValueError("stages must be strictly increasing positive sizes")
     return stages
 
@@ -281,7 +280,7 @@ def staged_adaptive(
     stage.  Sample sizes are cumulative: stage ``i`` has observed
     ``stages[i]`` bits in total.
     """
-    _check_threshold(p)
+    _check_prob("p", p)
     _check_alpha(alpha)
     stages = _check_stages(stages)
     source = as_bit_source(stream)
@@ -321,7 +320,7 @@ def nonadaptive_hoeffding(
     ``equal=True``); outside -> Greater/Less by which side ``q_hyp``
     lies on.
     """
-    _check_threshold(q_hyp)
+    _check_prob("q_hyp", q_hyp)
     n = hoeffding_sample_size(eps, gamma)
     source = as_bit_source(stream)
     heads = count_ones(source, n)
@@ -393,6 +392,27 @@ def run_trial(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _check_sweep(q, alpha, grid, trials, methods, cap, seed, threads) -> None:
+    """The arguments of :func:`benchmark_sweep`, also the ``anytime decide`` config's."""
+    _check_prob("q", q)
+    _check_alpha(alpha)
+    if not grid:
+        raise ValueError("p grid must be nonempty")
+    for p in grid:
+        _check_prob("p grid entry", p)
+    _check_count("trials", trials)
+    if not methods:
+        raise ValueError("methods must be nonempty")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        if method == "sprt" and any(p == q for p in grid):
+            raise ValueError("sprt needs p != q at every grid point")
+    _check_count("cap", cap)
+    _check_count("seed", seed, minimum=0)
+    _check_count("threads", threads)
+
+
 def benchmark_sweep(
     q: float,
     alpha: float,
@@ -407,29 +427,22 @@ def benchmark_sweep(
 
     Each trial runs :func:`run_trial`: the union method on the doubling
     schedule and the adaptive method on ``DEFAULT_STAGES``, as ``anytime
-    decide`` does.  ``trials`` and ``cap`` must be integers >= 1; they
-    are checked before any trial runs.  Every (method, grid index, trial
-    index) triple owns an independent counter-based substream of
-    ``seed``, so records are reproducible bit-for-bit whatever the
-    execution order; the per-(method, threshold) tasks go through
-    :func:`~anytime.sampling.run_jobs`, which returns them in job order
-    for any ``threads``.
+    decide`` does.  Every argument is checked before any trial runs, by
+    :func:`_check_sweep`: the grid (of probabilities) and the method list
+    must be nonempty, ``trials``, ``cap`` and ``threads`` integers >= 1.
+    Every (method, grid index, trial index) triple owns an independent
+    counter-based substream of ``seed``, so records are reproducible
+    bit-for-bit whatever the execution order; the per-(method, threshold)
+    tasks go through :func:`~anytime.sampling.run_jobs`, which returns
+    them in job order for any ``threads``.
 
     Returns the flat trial records plus per-(method, threshold) summaries
     (mean samples, ratio to the SPRT mean at the same threshold, and the
     informational ``(1/(24 eps^2)) log log(1/eps)`` floor at
     ``eps = |p - q|``).
     """
-    _check_threshold(q)
-    _check_alpha(alpha)
-    _check_count("trials", trials)
-    _check_count("cap", cap)
     grid = [float(p) for p in grid]
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-        if method == "sprt" and any(p == q for p in grid):
-            raise ValueError("sprt needs p != q at every grid point")
+    _check_sweep(q, alpha, grid, trials, methods, cap, seed, threads)
 
     def task(job: tuple[str, int]) -> list[TrialRecord]:
         method, gi = job

@@ -29,10 +29,13 @@ import math
 import numpy as np
 from scipy import special
 
-from .binom import HALVINGS, _check_alpha, binom_cdf, binom_sf, halve_with_guess, log_binom_pmf
+from .binom import HALVINGS, _check_alpha, _check_count, _check_prob, binom_cdf, binom_sf
+from .binom import halve_with_guess, log_binom_pmf
 
 _NEWTON_CAP = 40
 _RCP_NEWTON_TOL = 1e-9  # last Newton step; the next error is ~ its square
+
+COVERAGE_KINDS = ("cp", "rcp")
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,11 +58,12 @@ class Interval:
 
 
 def _check_interval_args(x: int, n: int, alpha: float, w: float = 1.0) -> None:
-    if n < 1 or not 0 <= x <= n:
+    _check_count("n", n)
+    _check_count("x", x, minimum=0)
+    if not x <= n:
         raise ValueError(f"need 0 <= x <= n with n >= 1, got x={x} n={n}")
     _check_alpha(alpha)
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must be in [0, 1], got {w}")
+    _check_prob("w", w)
 
 
 def upper_tail_mix(x, n, p, w):
@@ -262,9 +266,7 @@ def rcp_two_sided(x: int, n: int, alpha: float, w_up: float, w_lo: float) -> Int
 
 def hoeffding_interval(heads: int, trials: int, alpha: float) -> Interval:
     """Two-sided Hoeffding interval ``mean +/- sqrt(ln(2/alpha) / (2 t))``."""
-    if trials < 1 or not 0 <= heads <= trials:
-        raise ValueError("need 0 <= heads <= trials with trials >= 1")
-    _check_alpha(alpha)
+    _check_interval_args(heads, trials, alpha)
     mean = heads / trials
     half = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
     return Interval(max(0.0, mean - half), min(1.0, mean + half))
@@ -303,7 +305,7 @@ def enumeration_coverage(
     kind : {"rcp", "cp"}
     side : {"upper", "lower", "two"}
     """
-    _check_coverage_args(n, alpha, kind, side)
+    _check_coverage_args(n, p, alpha, kind, side)
     x = np.arange(n + 1)
     pmf = np.exp(log_binom_pmf(x, n, p))
     if side == "two":
@@ -315,11 +317,12 @@ def enumeration_coverage(
     return float(1.0 - np.sum(pmf * excl))
 
 
-def _check_coverage_args(n: int, alpha: float, kind: str, side: str) -> None:
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def _check_coverage_args(n: int, p: float, alpha: float, kind: str, side: str) -> None:
+    """The arguments of :func:`enumeration_coverage` and :func:`~anytime.mc.mc_coverage`."""
+    _check_count("n", n)
+    _check_prob("p", p)
     _check_alpha(alpha)
-    if kind not in ("rcp", "cp"):
+    if kind not in COVERAGE_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if side not in ("upper", "lower", "two"):
         raise ValueError(f"unknown side {side!r}")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .binom import _check_alpha
+from .binom import _check_alpha, _check_count, _check_prob
 from .intervals import _check_coverage_args, lower_tail_mix, upper_tail_mix
 # the noqa names are unused: bound so the benchmark self-test sees the tracer wrap them
 from .intervals import rcp_upper_lo  # noqa: F401
@@ -24,6 +24,7 @@ from .sequences import exclusion_edge, union_draws, union_stages
 
 def bernoulli_matrix(rng: np.random.Generator, streams: int, horizon: int, p: float) -> np.ndarray:
     """``streams x horizon`` matrix of i.i.d. Bernoulli(p) bits."""
+    _check_prob("p", p)
     return (rng.random((streams, horizon)) < p).astype(np.uint8)
 
 
@@ -156,9 +157,8 @@ def mc_coverage(
     ``side="two"`` draws ``w_up`` before ``w_lo``, unlike every union path
     (:func:`~anytime.sequences.union_draws`); the coverage digests pin it.
     """
-    _check_coverage_args(n, alpha, kind, side)
-    if not trials >= 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_coverage_args(n, p, alpha, kind, side)
+    _check_count("trials", trials)
     x = rng.binomial(n, p, size=trials).astype(np.float64)
     if side == "two":
         w_up = rng.random(trials) if kind == "rcp" else 1.0

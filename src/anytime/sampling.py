@@ -18,6 +18,8 @@ from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, r
 
 import numpy as np
 
+from .binom import _check_count, _check_prob
+
 
 def _key_int(part) -> int:
     if isinstance(part, (int, np.integer)):
@@ -32,8 +34,7 @@ def _key_int(part) -> int:
 def _seed_sequence(seed, path: tuple) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence) and not path:
         return seed
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_count("seed", seed, minimum=0)
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_key_int(p) for p in path))
 
 
@@ -67,8 +68,10 @@ def run_jobs(jobs: Sequence, fn: Callable, threads: int) -> list:
     """``[fn(job) for job in jobs]``; with ``threads > 1`` the jobs run in a thread pool.
 
     The results come back in job order either way, so a job that draws
-    only from its own substream gives the same output for any ``threads``.
+    only from its own substream gives the same output for any ``threads``,
+    an integer >= 1 (checked before any job runs).
     """
+    _check_count("threads", threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, jobs))
@@ -95,8 +98,7 @@ class BernoulliSource(ZeroOneSource):
     """I.i.d. Bernoulli(p) bits drawn from a generator."""
 
     def __init__(self, rng: np.random.Generator, p: float):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
+        _check_prob("p", p)
         self._rng = rng
         self.p = p
 

@@ -47,7 +47,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 from scipy import special
 
-from .binom import HALVINGS, _check_alpha, halve_with_guess
+from .binom import HALVINGS, _check_alpha, _check_count, _check_prob, halve_with_guess
 from .intervals import Interval, rcp_upper_lo, rcp_upper_lo_bound
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -133,8 +133,7 @@ class Schedule:
             raise ValueError(f"growth must exceed 1, got {self.growth}")
         if not self.poly > 1.0:
             raise ValueError(f"poly must exceed 1, got {self.poly}")
-        if self.offset < 0 or int(self.offset) != self.offset:
-            raise ValueError(f"offset must be a nonnegative integer, got {self.offset}")
+        _check_count("offset", self.offset, minimum=0)
 
     @classmethod
     def doubling(cls, alpha: float) -> "Schedule":
@@ -865,8 +864,7 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
     the side has wealth ``+inf``.  ``t`` runs in blocks of ``_BLOCK``, so
     the temporaries stay flat at any horizon.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_prob("p", p)
     out = np.empty(horizon + 1, dtype=np.int64)
     for start in range(0, horizon + 1, _BLOCK):
         t = np.arange(start, min(start + _BLOCK, horizon + 1))
@@ -897,12 +895,15 @@ def dp_thresholds(n_max: int, p: float, alpha: float) -> np.ndarray:
     at ``log(1/alpha)``: where the wealth is exactly ``1/alpha`` (``t = 3``,
     ``p = 0.25``, ``alpha = 0.05``) the rounding of ``kt_log_wealth`` decides.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    _check_dp_args(n_max, p, alpha)
+    return exclusion_edge(n_max, p, math.log(1.0 / alpha), upper=True)
+
+
+def _check_dp_args(n_max: int, p: float, alpha: float) -> None:
+    _check_count("n_max", n_max, minimum=0)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     _check_alpha(alpha)
-    return exclusion_edge(n_max, p, math.log(1.0 / alpha), upper=True)
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +917,9 @@ def ub_cs_width_envelope(t, alpha: float, constant: float = 1.0, schedule: Sched
     (valid for ``t >= 3``), the rate of the doubling schedule.  With a
     schedule, the generalized form
     ``constant * sqrt(growth * (log(1/(poly-1)) + log(1/alpha)
-    + poly * log(log_growth t)) / t)``.
+    + poly * log(log_growth t)) / t)``.  ``alpha`` must lie in (0, 1).
     """
+    _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 3):
         raise ValueError("envelope needs t >= 3")
@@ -935,7 +937,8 @@ def ub_cs_width_envelope(t, alpha: float, constant: float = 1.0, schedule: Sched
 
 
 def bet_cs_width_envelope(t, alpha: float, constant: float = 1.0):
-    """Width envelope of the betting CS: ``constant * sqrt((log(1/alpha) + log t) / t)``."""
+    """Betting CS width envelope ``constant * sqrt((log(1/alpha) + log t) / t)``, 0 < alpha < 1."""
+    _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 1):
         raise ValueError("envelope needs t >= 1")
