@@ -16,7 +16,11 @@ call on floats, which gives the same value as a one-element array.
 Conventions (they differ from scipy.stats.binom, mind the inequality):
 
 * ``binom_sf(x, n, p)``  is the inclusive upper tail  P(B >= x)
-* ``binom_cdf(x, n, p)`` is the inclusive lower tail  P(B <= x)
+* ``binom_cdf(x, n, p)`` is the inclusive lower tail  P(B <= x), computed
+  as the mirrored upper tail ``binom_sf(n - x, n, 1 - p)``: the failures
+  of ``B(n, p)`` are ``B(n, 1 - p)``
+* counts ``x`` and ``n`` are integers (``n >= 0``, ``x`` of any sign);
+  fractional, NaN or infinite counts raise ``ValueError``
 
 The module also holds the root finders: the vectorized fixed-count
 :func:`halve` that defines every confidence endpoint (``HALVINGS`` = 34
@@ -33,7 +37,8 @@ import numpy as np
 from scipy import special
 
 
-_N_ERROR = "n must be nonnegative"
+_X_ERROR = "x must be an integer"
+_N_ERROR = "n must be a nonnegative integer"
 _P_ERROR = "p must lie in [0, 1]"
 _NUMBER = (int, float)
 
@@ -61,26 +66,37 @@ def _check_count(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def _check_n_p(n, p) -> None:
+def _whole(a: np.ndarray) -> bool:
+    """Whether every element of the float array ``a`` is a finite integer; NaN fails."""
+    return bool((np.floor(a) == a).all() and np.isfinite(a).all())
+
+
+def _check_x_n_p(x, n, p) -> None:
+    """The tails' argument rule on arrays: integer ``x``, integer ``n >= 0``, ``p`` in [0, 1]."""
+    n_arr = np.asarray(n, dtype=float)
     # ``not all(in range)`` rather than ``any(out of range)``: NaN fails too
-    if not (np.asarray(n) >= 0).all():
+    if not ((n_arr >= 0.0).all() and _whole(n_arr)):
         raise ValueError(_N_ERROR)
+    if not _whole(np.asarray(x, dtype=float)):
+        raise ValueError(_X_ERROR)
     p_arr = np.asarray(p, dtype=float)
     if not ((p_arr >= 0.0).all() and (p_arr <= 1.0).all()):
         raise ValueError(_P_ERROR)
 
 
 def _scalar_args(x, n, p) -> bool:
-    """Whether ``x``, ``n``, ``p`` are all Python numbers; validates ``n`` and ``p`` if so.
+    """Whether ``x``, ``n``, ``p`` are all Python numbers; validates them if so.
 
-    Such calls (one tail per decision stage) take the float path of the
-    tails below: plain comparisons and one ``special.betainc`` call, the
-    same value the array path gives, without its array conversions.
+    Such calls (one tail per decision stage) take the float path of
+    :func:`binom_sf`: plain comparisons and one ``special.betainc`` call,
+    the same value the array path gives, without its array conversions.
     """
     if not (isinstance(x, _NUMBER) and isinstance(n, _NUMBER) and isinstance(p, _NUMBER)):
         return False
-    if not n >= 0.0:
+    if not (n >= 0.0 and float(n).is_integer()):
         raise ValueError(_N_ERROR)
+    if not float(x).is_integer():
+        raise ValueError(_X_ERROR)
     if not 0.0 <= p <= 1.0:
         raise ValueError(_P_ERROR)
     return True
@@ -96,9 +112,10 @@ def log_binom_pmf(x, n, p):
     Parameters
     ----------
     x : int or array_like
-        Number of successes.  Values outside ``[0, n]`` give ``-inf``.
+        Number of successes, an integer.  Values outside ``[0, n]`` give
+        ``-inf``.
     n : int or array_like
-        Number of trials.
+        Number of trials, a nonnegative integer.
     p : float or array_like
         Success probability in ``[0, 1]``.  The degenerate endpoints use
         the ``0 * log 0 = 0`` convention, so e.g. ``x = n = 5, p = 1``
@@ -108,7 +125,7 @@ def log_binom_pmf(x, n, p):
     -------
     float or ndarray
     """
-    _check_n_p(n, p)
+    _check_x_n_p(x, n, p)
     scalar = np.isscalar(x) and np.isscalar(n) and np.isscalar(p)
     x, n, p = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(n, dtype=float), np.asarray(p, dtype=float)
@@ -140,10 +157,8 @@ def binom_sf(x, n, p):
             return 1.0
         if x > n:
             return 0.0
-        if not x >= 1.0:  # fractional x in (0, 1), or NaN: the array path's placeholders
-            x, n = 1.0, max(n, 1.0)
         return float(special.betainc(x, n - x + 1.0, p))
-    _check_n_p(n, p)
+    _check_x_n_p(x, n, p)
     scalar = np.isscalar(x) and np.isscalar(n) and np.isscalar(p)
     x, n, p = np.broadcast_arrays(
         np.asarray(x, dtype=float), np.asarray(n, dtype=float), np.asarray(p, dtype=float)
@@ -157,32 +172,13 @@ def binom_sf(x, n, p):
 
 
 def binom_cdf(x, n, p):
-    """Inclusive lower tail ``P(B(n, p) <= x)``.
+    """Inclusive lower tail ``P(B(n, p) <= x)``: the upper tail of the failures.
 
-    ``x < 0`` returns 0 and ``x >= n`` returns 1; otherwise
-    ``I_{1-p}(n - x, x + 1)``, which keeps tiny lower tails accurate
-    instead of computing ``1 - binom_sf``.
+    ``binom_sf(n - x, n, 1 - p)``, so ``x < 0`` returns 0, ``x >= n``
+    returns 1, and otherwise ``I_{1-p}(n - x, x + 1)``, which keeps tiny
+    lower tails accurate instead of computing ``1 - binom_sf``.
     """
-    if _scalar_args(x, n, p):
-        x, n = float(x), float(n)
-        if x < 0.0:
-            return 0.0
-        if x >= n:
-            return 1.0
-        if not x <= n - 1.0:  # fractional x in (n - 1, n), or NaN: the array path's placeholders
-            x, n = 0.0, max(n, 1.0)
-        return float(special.betainc(n - x, x + 1.0, 1.0 - p))
-    _check_n_p(n, p)
-    scalar = np.isscalar(x) and np.isscalar(n) and np.isscalar(p)
-    x, n, p = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(n, dtype=float), np.asarray(p, dtype=float)
-    )
-    interior = (x >= 0) & (x <= n - 1)
-    xs = np.where(interior, x, 0.0)
-    ns = np.where(n >= 1, n, 1.0)
-    out = special.betainc(ns - xs, xs + 1.0, 1.0 - p)
-    out = np.where(x < 0, 0.0, np.where(x >= n, 1.0, out))
-    return _as_result(out, scalar)
+    return binom_sf(n - x, n, 1.0 - p)
 
 
 def gauss_quantile(u):

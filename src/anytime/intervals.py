@@ -72,8 +72,8 @@ def upper_tail_mix(x, n, p, w):
 
 
 def lower_tail_mix(x, n, p, w):
-    """``P(B(n, p) < x) + w * P(B(n, p) = x)``, nonincreasing in ``p``."""
-    return w * binom_cdf(x, n, p) + (1.0 - w) * binom_cdf(x - 1, n, p)
+    """``P(B(n, p) < x) + w * P(B(n, p) = x)``: the failures' ``upper_tail_mix``."""
+    return upper_tail_mix(n - x, n, 1.0 - p, w)
 
 
 def rcp_upper_lo(x, n, alpha, w):
@@ -273,12 +273,12 @@ def hoeffding_interval(heads: int, trials: int, alpha: float) -> Interval:
 
 
 def hoeffding_sample_size(eps: float, gamma: float) -> int:
-    """Samples needed for the fixed-width Hoeffding test: ``ceil(2 ln(1/gamma) / eps^2)``."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    """Samples for the fixed-width Hoeffding test: ``ceil(2 ln(1/gamma) / eps^2)``, at least 1."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    return math.ceil(2.0 * math.log(1.0 / gamma) / (eps * eps))
+    return max(1, math.ceil(2.0 * math.log(1.0 / gamma) / (eps * eps)))
 
 
 def enumeration_coverage(

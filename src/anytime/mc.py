@@ -154,22 +154,17 @@ def mc_coverage(
 ) -> float:
     """Monte Carlo coverage estimate of a fixed-n interval construction.
 
-    ``side="two"`` draws ``w_up`` before ``w_lo``, unlike every union path
+    ``side="two"`` checks each side at ``alpha / 2`` and draws ``w_up``
+    before ``w_lo``, unlike every union path
     (:func:`~anytime.sequences.union_draws`); the coverage digests pin it.
     """
     _check_coverage_args(n, p, alpha, kind, side)
     _check_count("trials", trials)
     x = rng.binomial(n, p, size=trials).astype(np.float64)
-    if side == "two":
-        w_up = rng.random(trials) if kind == "rcp" else 1.0
-        w_lo = rng.random(trials) if kind == "rcp" else 1.0
-        covered = (upper_tail_mix(x, n, p, w_up) >= alpha / 2.0) & (
-            lower_tail_mix(x, n, p, w_lo) >= alpha / 2.0
-        )
-    elif side == "upper":
+    sides = ("upper", "lower") if side == "two" else (side,)
+    covered = True
+    for one in sides:
         w = rng.random(trials) if kind == "rcp" else 1.0
-        covered = upper_tail_mix(x, n, p, w) >= alpha
-    else:
-        w = rng.random(trials) if kind == "rcp" else 1.0
-        covered = lower_tail_mix(x, n, p, w) >= alpha
+        mix = upper_tail_mix if one == "upper" else lower_tail_mix
+        covered = covered & (mix(x, n, p, w) >= alpha / len(sides))
     return float(np.mean(covered))

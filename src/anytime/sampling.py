@@ -192,6 +192,7 @@ def count_ones(source: BitSource, k: int) -> int:
     whole draw in memory; the sources' blocks concatenate to the same
     stream whatever their sizes.
     """
+    _check_count("k", k, minimum=0)
     ones = 0
     while k > 0:
         step = min(k, _COUNT_BLOCK)

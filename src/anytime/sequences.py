@@ -47,7 +47,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 from scipy import special
 
-from .binom import HALVINGS, _check_alpha, _check_count, _check_prob, halve_with_guess
+from .binom import HALVINGS, _check_alpha, _check_count, _check_prob, _whole, halve_with_guess
 from .intervals import Interval, rcp_upper_lo, rcp_upper_lo_bound
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -309,8 +309,8 @@ def betting_endpoints(heads, trials, alpha):
     from a Newton estimate of each root and checks it with two log-wealth
     evaluations; both sides run as one stacked array.  ``heads = 0`` pins
     the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
-    Counts outside ``0 <= heads <= trials``, ``trials < 1`` and ``alpha``
-    outside (0, 1) raise ``ValueError``.
+    Counts that are not integers, counts outside ``0 <= heads <= trials``,
+    ``trials < 1`` and ``alpha`` outside (0, 1) raise ``ValueError``.
     """
     if isinstance(alpha, float) or np.ndim(alpha) == 0:  # the per-bit path: keep it lean
         _check_alpha(alpha)
@@ -327,11 +327,12 @@ def betting_endpoints(heads, trials, alpha):
         threshold = _thresholds(alpha.ravel())
     if heads.ndim == 0:  # one count (every BettingCS.update): plain comparisons
         h, t = float(heads), float(trials)
-        counted = t >= 1.0 and 0.0 <= h <= t
+        counted = t >= 1.0 and 0.0 <= h <= t and h.is_integer() and t.is_integer()
     else:  # ``not all(in range)``, so NaN fails too
         counted = (trials >= 1.0).all() and (heads >= 0.0).all() and (heads <= trials).all()
+        counted = counted and _whole(heads) and _whole(trials)
     if not counted:
-        raise ValueError("betting_endpoints needs 0 <= heads <= trials with trials >= 1")
+        raise ValueError("betting_endpoints needs integers 0 <= heads <= trials with trials >= 1")
     shape = heads.shape
     heads, trials = heads.ravel(), trials.ravel()
     lo, up = np.empty_like(heads), np.empty_like(heads)
@@ -663,10 +664,9 @@ def betting_first_pass(heads, trials, alpha, lo0, up0, passes):
 
     Certified bounds (:func:`betting_certified` at the steps
     :func:`_candidates` expects to hold the running bounds, carried in)
-    only hint at the column where the first pass lies, and the search
-    (:func:`_first_pass`) starts from the ``_RUN`` columns that end there.
-    Without a hint, or past one that the exact bounds refute, it starts
-    from the last column alone.
+    only hint at the column where the first pass lies: :func:`_first_pass`
+    solves from ``_RUN`` columns before the hinted one, or, without a hint
+    or past one that the exact bounds refute, from the block's last column.
     """
     heads = np.asarray(heads, dtype=float)
     trials = np.asarray(trials, dtype=float)
@@ -683,43 +683,32 @@ def betting_first_pass(heads, trials, alpha, lo0, up0, passes):
     start = 0
     if hint.any():
         right = int(cols[np.argmax(hint)])
-        marks = [right - _RUN] if right >= _RUN else []
-        part = slice(0, right + 1)
-        col, *run = _first_pass(heads[:, part], trials[part], alpha, run, passes, marks)
-        if col is not None or part.stop == trials.size:
+        col, *run = _first_pass(heads, trials, alpha, run, passes, max(right - _RUN, 0), right + 1)
+        if col is not None or right + 1 == trials.size:
             return col, *run
-        start = part.stop
+        start = right + 1
     heads, trials = heads[:, start:], trials[start:]
-    return _first_pass(heads, trials, alpha, run, passes, [trials.size - 1], start)
+    col, *run = _first_pass(heads, trials, alpha, run, passes, trials.size - 1, trials.size)
+    return (None if col is None else start + col), *run
 
 
-def _first_pass(heads, trials, alpha, run, passes, marks, offset=0):
-    """:func:`betting_first_pass` searched from the columns ``marks``, numbered from ``offset``.
+def _first_pass(heads, trials, alpha, run, passes, mark, stop):
+    """:func:`betting_first_pass` over the columns before ``stop``, searched from column ``mark``.
 
-    One :func:`betting_running_at` call gives the exact bounds at the
-    columns ``marks`` and at every column after the last mark.  Where a
-    mark already passes, the first pass lies after the mark before it (or
-    the carry), and that stretch is searched again, carried in from its
-    left end and marked at every ``_RUN``-th column before its last
-    ``_RUN``; a stretch of at most ``_RUN`` columns is solved whole.
+    One :func:`betting_running_at` call solves ``mark`` and every later
+    column.  If ``mark > 0`` already passes, the first pass lies at or
+    before it, and one more call solves every column up to ``mark``.
     """
-    while True:
-        marks = np.asarray(marks, dtype=np.intp)
-        start = int(marks[-1]) + 1 if marks.size else 0
-        cols = np.r_[marks, start : trials.size]
-        lo, up = betting_running_at(heads, trials, alpha, *run, cols)
+    lo, up = betting_running_at(heads[:, :stop], trials[:stop], alpha, *run, np.arange(mark, stop))
+    hit = passes(lo, up)
+    if hit[0] and mark > 0:
+        stop, mark = mark + 1, 0
+        lo, up = betting_running_at(heads[:, :stop], trials[:stop], alpha, *run, np.arange(stop))
         hit = passes(lo, up)
-        if not hit.any():
-            return None, lo[:, -1], up[:, -1]
-        i = int(np.argmax(hit))
-        if i >= marks.size:
-            return offset + int(cols[i]), lo[:, i], up[:, i]
-        begin = int(cols[i - 1]) + 1 if i else 0
-        if i:
-            run = lo[:, i - 1], up[:, i - 1]
-        heads, trials = heads[:, begin : cols[i] + 1], trials[begin : cols[i] + 1]
-        offset += begin
-        marks = np.arange(_RUN - 1, trials.size - 1, _RUN)
+    if not hit.any():
+        return None, lo[:, -1], up[:, -1]
+    i = int(np.argmax(hit))
+    return mark + i, lo[:, i], up[:, i]
 
 
 def _candidates(mean, trials, threshold, at):
@@ -864,6 +853,7 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
     the side has wealth ``+inf``.  ``t`` runs in blocks of ``_BLOCK``, so
     the temporaries stay flat at any horizon.
     """
+    _check_count("horizon", horizon, minimum=0)
     _check_prob("p", p)
     out = np.empty(horizon + 1, dtype=np.int64)
     for start in range(0, horizon + 1, _BLOCK):

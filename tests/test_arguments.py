@@ -17,14 +17,16 @@ import numpy as np
 import pytest
 
 import anytime.decision as decision
-from anytime.binom import _check_count, _check_prob
+from anytime.binom import _check_count, _check_prob, binom_cdf, binom_sf, log_binom_pmf
 from anytime.certify import CertSpec, ClassOracle, certify_multiclass, certify_staged
 from anytime.config import CertifyConfig, CoverageConfig, DecideConfig, ThresholdsConfig
 from anytime.decision import benchmark_sweep, decide_with_cs, staged_adaptive
-from anytime.intervals import enumeration_coverage, hoeffding_interval, rcp_two_sided, rcp_upper
+from anytime.intervals import enumeration_coverage, hoeffding_interval, hoeffding_sample_size
+from anytime.intervals import rcp_two_sided, rcp_upper
 from anytime.mc import bernoulli_matrix, mc_coverage
-from anytime.sampling import BernoulliSource, run_jobs, substream
-from anytime.sequences import bet_cs_width_envelope, dp_thresholds, ub_cs_width_envelope
+from anytime.sampling import BernoulliSource, count_ones, run_jobs, substream
+from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
+from anytime.sequences import ub_cs_width_envelope
 
 SPEC = CertSpec(sigma=1.0, radius=0.1, alpha=0.05)
 
@@ -75,6 +77,16 @@ REJECTED = {
     "BernoulliSource NaN p": lambda: BernoulliSource(substream(0, "b"), math.nan),
     "bernoulli_matrix p 1.5": lambda: bernoulli_matrix(substream(0, "m"), 2, 3, 1.5),
     "bernoulli_matrix NaN p": lambda: bernoulli_matrix(substream(0, "m"), 2, 3, math.nan),
+    "binom_sf fractional x": lambda: binom_sf(2.5, 3, 0.5),
+    "binom_cdf fractional x": lambda: binom_cdf(2.5, 3, 0.5),
+    "binom_cdf fractional x array": lambda: binom_cdf(np.array([2.5]), 3, 0.5),
+    "log_binom_pmf fractional x": lambda: log_binom_pmf(1.5, 3, 0.5),
+    "betting_endpoints fractional heads": lambda: betting_endpoints(2.5, 3, 0.05),
+    "betting_endpoints fractional trials array": lambda: betting_endpoints(
+        np.array([1.0, 2.0]), np.array([2.0, 3.5]), 0.05
+    ),
+    "count_ones k -3": lambda: count_ones(BernoulliSource(substream(0, "c"), 0.5), -3),
+    "hoeffding_sample_size eps inf": lambda: hoeffding_sample_size(math.inf, 0.05),
 }
 
 
@@ -82,6 +94,19 @@ REJECTED = {
 def test_rejects_input_outside_the_domain(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_an_infinite_eps_is_named_before_any_draw():
+    # it used to give a sample size of 0, and hoeffding_interval then
+    # failed on an n that nonadaptive_hoeffding's caller never passed
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        decision.nonadaptive_hoeffding(0.5, math.inf, 0.05, np.ones(0))
+
+
+def test_a_huge_finite_eps_still_draws_one_sample():
+    # eps * eps overflows to inf; the sample size stays at least 1
+    assert hoeffding_sample_size(1e200, 0.05) == 1
+    assert hoeffding_sample_size(1.0, 0.05) == 6
 
 
 class TestRules:

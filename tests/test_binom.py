@@ -102,11 +102,6 @@ class TestScalarPath:
             assert type(scalar) is float
             assert scalar == vector[0]
 
-    @pytest.mark.parametrize("x,n", [(0.5, 3), (0.5, 0.25), (2.5, 3), (float("nan"), 3)])
-    def test_fractional_counts_match_too(self, x, n):
-        for tail in (binom_sf, binom_cdf):
-            assert tail(x, n, 0.3) == tail(np.array([x]), np.array([n]), np.array([0.3]))[0]
-
 
 class TestRejectsBadParameters:
     """NaN and out-of-range ``n`` or ``p`` raise on the scalar and the array path alike."""
@@ -127,6 +122,18 @@ class TestRejectsBadParameters:
         # before the check, binom_sf(3, 10, nan) gave nan and binom_sf(3, nan, 0.3) gave 0.3
         with pytest.raises(ValueError, match=match):
             fn(wrap(3), wrap(n), wrap(p))
+
+    @pytest.mark.parametrize(
+        "x,n",
+        [(0.5, 3), (0.5, 0.25), (2.5, 3), (math.nan, 3), (3, 3.5), (math.inf, 3), (3, math.inf)],
+    )
+    def test_fractional_counts_raise(self, x, n):
+        # before the check, binom_cdf(2.5, 3, 0.5) gave 0.125 (P(B <= 2.5) is 0.875)
+        # and log_binom_pmf(1.5, 3, 0.5) gave -0.857
+        for fn in (binom_sf, binom_cdf, log_binom_pmf):
+            for wrap in (float, lambda v: np.array([v])):
+                with pytest.raises(ValueError, match="(x|n) must be .*integer"):
+                    fn(wrap(x), wrap(n), wrap(0.3))
 
 
 class TestGaussQuantile:

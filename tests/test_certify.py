@@ -521,6 +521,53 @@ class TestCertifyMulticlass:
             verdicts.add(want[0])
         assert {"greater", "less"} <= verdicts
 
+    def test_betting_pass_near_the_hint_costs_one_exact_solve(self, monkeypatch):
+        # the search solves from ``_RUN`` columns before the column the
+        # certified bounds hint at: a first pass within that window needs
+        # one betting_running_at call (test_betting_verdict_survives_a_poor_hint
+        # covers the passes outside it)
+        seq = anytime.sequences
+        real_first_pass, real_certified, real_at = (
+            seq.betting_first_pass, seq.betting_certified, seq.betting_running_at
+        )
+        solves, hinted, near = [], [], []
+
+        def certified(heads, trials, alpha):
+            hinted.append(np.asarray(trials, dtype=float).ravel())
+            return real_certified(heads, trials, alpha)
+
+        def running_at(*args):
+            solves.append(args)
+            return real_at(*args)
+
+        def first_pass(heads, trials, alpha, lo0, up0, passes):
+            hints = []
+
+            def recording(lo, up):
+                hints.append(passes(lo, up))
+                return hints[-1]
+
+            solves.clear()
+            hinted.clear()
+            col, lo, up = real_first_pass(heads, trials, alpha, lo0, up0, recording)
+            if col is not None and hints[0].any():
+                right = int(np.searchsorted(trials, hinted[0][np.argmax(hints[0])]))
+                if right - seq._RUN < col <= right:
+                    assert len(solves) == 1
+                    near.append(col)
+            return col, lo, up
+
+        monkeypatch.setattr(anytime.certify, "betting_first_pass", first_pass)
+        monkeypatch.setattr(seq, "betting_certified", certified)
+        monkeypatch.setattr(seq, "betting_running_at", running_at)
+        for seed in range(12):
+            probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
+            lam = 0.5 if seed % 2 else 0.3
+            spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, lam=lam)
+            oracle = ClassOracle(probs, substream(42, "one-solve", seed))
+            certify_multiclass(oracle, spec, cs_kind="betting", cap=20_000)
+        assert len(near) >= 6, near
+
     # (probs, radius, alpha, cap): a tiny alpha, and 50 near-tied classes
     EXTREME_CASES = (
         ((0.4, 0.2, 0.2, 0.2), 0.1, 1e-9, 20_000),

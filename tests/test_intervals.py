@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anytime.binom import binom_cdf
 from anytime.intervals import (
     Interval,
     cp_lower,
@@ -43,6 +44,21 @@ class TestTailMix:
         frac_p = Fraction(p).limit_denominator(10**9)
         exact = w * exact_binom_sf(x, n, frac_p) + (1 - w) * exact_binom_sf(x + 1, n, frac_p)
         np.testing.assert_allclose(float(upper_tail_mix(x, n, p, w)), float(exact), rtol=1e-12)
+
+    @given(
+        n=st.integers(0, 60),
+        x=st.integers(-2, 62),
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        w=st.floats(0.0, 1.0),
+    )
+    def test_lower_mix_is_the_mix_of_lower_tails(self, n, x, p, w):
+        # the mirrored upper mixture gives exactly the lower tails' mixture
+        want = w * binom_cdf(x, n, p) + (1.0 - w) * binom_cdf(x - 1, n, p)
+        assert lower_tail_mix(x, n, p, w) == want
+        xs = np.array([x - 1, x, x + 1])
+        ps, ws = np.full(3, p), np.array([w, 1.0 - w, 0.5])
+        want = ws * binom_cdf(xs, n, ps) + (1.0 - ws) * binom_cdf(xs - 1, n, ps)
+        assert np.array_equal(lower_tail_mix(xs, n, ps, ws), want)
 
     def test_lower_is_mirror_of_upper(self):
         # P-weighted lower tail at (x, p) equals upper tail at (n-x, 1-p)

@@ -555,6 +555,12 @@ class TestExclusionEdge:
         with pytest.raises(ValueError, match="p must be in"):
             exclusion_edge(10, p, 1.0, upper=True)
 
+    def test_horizon_zero_is_one_edge_and_a_negative_one_raises(self):
+        # a negative horizon used to give an empty array
+        assert exclusion_edge(0, 0.5, 1.0, upper=True).tolist() == [1]
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            exclusion_edge(-1, 0.5, 1.0, upper=True)
+
 
 class TestDpThresholds:
     def test_empty_horizon(self):
