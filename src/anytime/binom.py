@@ -254,58 +254,18 @@ def halve_with_guess(lo, hi, guess, above: Callable, params: tuple, iters: int, 
     ends of each final cell, in one vector call.  For a predicate that
     is monotone in ``mid`` exactly one leaf cell has ``above`` false at
     its left end and true at its right end, so a cell that passes is the
-    one the plain halving ends in.  The predicate is
-    rounded, so a guess within ``_EDGE`` of a cell of the edge it fails
-    on can be one cell off: those elements are replayed once more from
-    the middle of the neighbouring cell and checked again.  Elements that
-    still fail (a guess in the wrong cell) rerun the plain halving, on
-    that subset only; elements flagged ``settled`` (answer fixed by the
-    caller) are not checked.  ``params`` are 1-d arrays aligned with
-    ``lo``, or scalars, passed on to ``above``.
+    one the plain halving ends in.  Elements that fail (a guess in the
+    wrong cell) rerun the plain halving, on that subset only; elements
+    flagged ``settled`` (answer fixed by the caller) are not checked.
+    ``params`` are 1-d arrays aligned with ``lo``, or scalars, passed on
+    to ``above``.
     """
-    lo_f, hi_f = _replay(lo, hi, guess, iters)
+    lo_f, hi_f = halve(lo, hi, guess, iters)
     ends = above(np.stack([lo_f, hi_f]), *params)
     failed = np.flatnonzero(~settled & (ends[0] | ~ends[1]))
     if failed.size:
-        left = ends[0, failed]  # the answer lies left of the cell
-        width = hi_f[failed] - lo_f[failed]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pos = (guess[failed] - lo_f[failed]) / width
-        near = np.flatnonzero(
-            np.where(left, (pos >= 0.0) & (pos < _EDGE), (pos <= 1.0) & (pos > 1.0 - _EDGE))
-        )
-        if near.size:
-            k = failed[near]
-            step = np.where(left[near], -0.5, 1.5) * width[near]
-            lo_n, hi_n = _replay(lo[k], hi[k], lo_f[k] + step, iters)
-            ends = above(np.stack([lo_n, hi_n]), *_subset(params, k))
-            ok = ~(ends[0] | ~ends[1])
-            lo_f[k[ok]], hi_f[k[ok]] = lo_n[ok], hi_n[ok]
-            failed = np.setdiff1d(failed, k[ok])
-    if failed.size:
-        sub = _subset(params, failed)
+        sub = tuple(a[failed] if np.ndim(a) else a for a in params)
         lo_f[failed], hi_f[failed] = halve(
             lo[failed], hi[failed], lambda mid: above(mid, *sub), iters
         )
     return lo_f, hi_f
-
-
-# Share of a cell within which a guess may lie on the wrong side of the
-# cell's edge through rounding: the Newton guesses are within ~1e-3 of a
-# cell of where the rounded predicate flips.
-_EDGE = 2.0**-8
-
-
-def _replay(lo, hi, guess, iters: int):
-    """The final cells of ``iters`` halvings of ``[lo, hi]`` steered by ``guess < mid``."""
-    if iters <= 52 and not lo.any() and (hi == 1.0).all():
-        # From [0, 1] every midpoint is an exact dyadic rational, so the
-        # replay ends in the level-``iters`` dyadic cell holding the guess.
-        scale = 2.0**iters
-        lo_f = np.clip(np.floor(guess * scale), 0.0, scale - 1.0) / scale
-        return lo_f, lo_f + 1.0 / scale
-    return halve(lo, hi, guess, iters)
-
-
-def _subset(params: tuple, index) -> tuple:
-    return tuple(a[index] if np.ndim(a) else a for a in params)

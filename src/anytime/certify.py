@@ -317,7 +317,7 @@ def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
         counts += np.bincount(oracle.sample(t_k - t), minlength=oracle.n_classes)
         t = t_k
         budget = sched.budget(k_idx)
-        w = 1.0 if rng is None else union_draws(rng, 1)[0]
+        w = union_draws(rng, 1)[0]
         x = np.array([counts[a_cls], t - counts[others].max()])
         alpha = np.array([spec.lam * budget, (1.0 - spec.lam) * budget])
         bound = rcp_upper_lo_bound(x, t, alpha, w)
@@ -328,8 +328,7 @@ def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
         n, x, alpha, w, bound = (np.array(col).T for col in zip(*waiting))
         waiting.clear()
         run = union_running(
-            x, t if n.size == 1 else n, alpha, 1.0 if rng is None else w, bound,
-            [la, _complement_carry(ub)],
+            x, t if n.size == 1 else n, alpha, w, bound, [la, _complement_carry(ub)]
         )
         la, ub = float(run[0, -1]), min(ub, 1.0 - float(run[1, -1]))
         la_opt, ub_opt = la, ub

@@ -177,7 +177,7 @@ def _decide_betting(p, source, alpha, cap):
 def _decide_union(p, source, schedule, cap, rng):
     # one draw per trial: each array draw releases the GIL (a thread switch in sweeps)
     bounds = schedule.boundaries(cap).tolist()
-    draws = [(1.0, 1.0)] * len(bounds) if rng is None else union_draws(rng, len(bounds)).tolist()
+    draws = union_draws(rng, len(bounds)).tolist()
     heads, t = 0, 0
     for k, (t_k, (w_lo, w_up)) in enumerate(zip(bounds, draws), start=1):
         heads += count_ones(source, t_k - t)

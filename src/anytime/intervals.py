@@ -127,7 +127,7 @@ def rcp_upper_lo_bound(x, n, alpha, w):
     validation cost).
     """
     cell = 2.0**-HALVINGS
-    elements = _elements(x, n, alpha, w)
+    elements = np.broadcast(*(np.asarray(a, dtype=float) for a in (x, n, alpha, w)))
     out = np.ones(elements.shape)
     flat = out.reshape(-1)
     for i, (xi, ni, ai, wi) in enumerate(elements):
@@ -140,22 +140,7 @@ def rcp_upper_lo_bound(x, n, alpha, w):
     return out
 
 
-# Largest cell check of :func:`rcp_upper_lo` made element by element.
-_FLOAT_CHECK = 8
-
-
-def _elements(*arrays):
-    """Iterator over the broadcast elements of ``arrays``, as tuples of float64 scalars."""
-    return np.broadcast(*(np.asarray(a, dtype=float) for a in arrays))
-
-
 def _rcp_above(p, x, n, alpha, w):
-    if p.size <= _FLOAT_CHECK:
-        # element by element, the tails take their float path: the same
-        # values without the array path's validation, which costs more here
-        elements = _elements(x, n, p, w, alpha)
-        mix = [upper_tail_mix(xi, ni, pi, wi) > ai for xi, ni, pi, wi, ai in elements]
-        return np.array(mix, dtype=bool).reshape(p.shape)
     return upper_tail_mix(x, n, p, w) > alpha
 
 

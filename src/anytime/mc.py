@@ -71,7 +71,7 @@ def union_ever_excluded(
     ever = np.zeros(n_streams, dtype=bool)
     for k, (t_k, x) in enumerate(zip(bounds.tolist(), heads.T), start=1):
         per_side = schedule.budget(k) / 2.0
-        w_lo, w_up = (1.0, 1.0) if rng is None else union_draws(rng, 1, (n_streams,))[0]
+        w_lo, w_up = union_draws(rng, 1, (n_streams,))[0]
         ever |= upper_tail_mix(x, t_k, p, w_lo) <= per_side
         ever |= lower_tail_mix(x, t_k, p, w_up) <= per_side
     return ever

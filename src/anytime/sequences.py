@@ -129,10 +129,10 @@ class Schedule:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if not self.growth > 1.0:
-            raise ValueError(f"growth must exceed 1, got {self.growth}")
-        if not self.poly > 1.0:
-            raise ValueError(f"poly must exceed 1, got {self.poly}")
+        if not 1.0 < self.growth < math.inf:
+            raise ValueError(f"growth must exceed 1 and be finite, got {self.growth}")
+        if not 1.0 < self.poly < math.inf:
+            raise ValueError(f"poly must exceed 1 and be finite, got {self.poly}")
         _check_count("offset", self.offset, minimum=0)
 
     @classmethod
@@ -177,9 +177,11 @@ def union_draws(rng: Optional[np.random.Generator], stages: int, streams: tuple 
 
     ``rng.random((stages, 2, *streams))``: the same values, in the same
     order, as drawing each stage's lower-endpoint uniforms and then its
-    upper-endpoint ones.  ``None`` gives ``1.0`` (deterministic CP).
+    upper-endpoint ones.  ``None`` gives ones of that shape (deterministic
+    CP): ``1.0 * P(B >= x) + 0.0 * P(B >= x + 1)`` is ``P(B >= x)``.
     """
-    return 1.0 if rng is None else rng.random((stages, 2, *streams))
+    shape = (stages, 2, *streams)
+    return np.ones(shape) if rng is None else rng.random(shape)
 
 
 def union_running(x, t, alpha, w, bound, lo0):
@@ -253,7 +255,8 @@ class UnionCS:
         split evenly between the two endpoints.
     draws : callable, optional
         Source of uniform randomization draws ``w``; called twice per
-        stage, lower endpoint first.  ``None`` fixes ``w = 1`` (plain
+        stage, lower endpoint first.  A draw outside ``[0, 1]`` (NaN too)
+        raises ``ValueError``.  ``None`` fixes ``w = 1`` (plain
         deterministic Clopper-Pearson, slightly conservative).
     """
 
@@ -279,13 +282,17 @@ class UnionCS:
         self.heads += bit
         self.trials += 1
         if self.trials == self._next_boundary:
+            # the walk moves on first: a stage whose draw raises is skipped
+            self._next_boundary = next(self._walk)
             self.stage += 1
-            draws = self._draws
-            w = 1.0 if draws is None else np.array([[draws(), draws()]], dtype=float)
+            w = np.ones((1, 2))  # no draws: deterministic CP
+            if self._draws is not None:
+                w[0] = self._draws(), self._draws()  # lower endpoint first
+                _check_prob("w", w[0, 0])
+                _check_prob("w", w[0, 1])
             budget = self.schedule.budget(self.stage)
             lo, up = union_stages([self.heads], [self.trials], [budget], w, self.lo, self.up)
             self.lo, self.up = float(lo[0]), float(up[0])
-            self._next_boundary = next(self._walk)
         return self.interval
 
 
@@ -907,22 +914,28 @@ def ub_cs_width_envelope(t, alpha: float, constant: float = 1.0, schedule: Sched
     (valid for ``t >= 3``), the rate of the doubling schedule.  With a
     schedule, the generalized form
     ``constant * sqrt(growth * (log(1/(poly-1)) + log(1/alpha)
-    + poly * log(log_growth t)) / t)``.  ``alpha`` must lie in (0, 1).
+    + poly * log(log_growth t)) / t)``, which raises ``ValueError`` at a
+    ``t`` where the radicand is not positive (a large ``growth`` at small
+    ``t``).  ``alpha`` must lie in (0, 1).
     """
     _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 3):
+    if not np.all(t_arr >= 3):  # NaN fails too
         raise ValueError("envelope needs t >= 3")
     if schedule is None:
         val = constant * np.sqrt((math.log(1.0 / alpha) + np.log(np.log(t_arr))) / t_arr)
     else:
         beta, gamma = schedule.growth, schedule.poly
         log_stages = np.log(t_arr) / math.log(beta)
-        val = constant * np.sqrt(
-            beta
-            * (math.log(1.0 / (gamma - 1.0)) + math.log(1.0 / alpha) + gamma * np.log(log_stages))
-            / t_arr
+        radicand = (
+            math.log(1.0 / (gamma - 1.0)) + math.log(1.0 / alpha) + gamma * np.log(log_stages)
         )
+        if not np.all(radicand > 0.0):
+            raise ValueError(
+                f"envelope needs a positive radicand, got {float(np.min(radicand))} "
+                f"(growth {beta}, poly {gamma})"
+            )
+        val = constant * np.sqrt(beta * radicand / t_arr)
     return float(val) if np.ndim(t) == 0 else val
 
 

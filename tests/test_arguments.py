@@ -26,7 +26,7 @@ from anytime.intervals import rcp_two_sided, rcp_upper
 from anytime.mc import bernoulli_matrix, mc_coverage
 from anytime.sampling import BernoulliSource, count_ones, run_jobs, substream
 from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
-from anytime.sequences import ub_cs_width_envelope
+from anytime.sequences import Schedule, UnionCS, ub_cs_width_envelope
 
 SPEC = CertSpec(sigma=1.0, radius=0.1, alpha=0.05)
 
@@ -87,6 +87,14 @@ REJECTED = {
     ),
     "count_ones k -3": lambda: count_ones(BernoulliSource(substream(0, "c"), 0.5), -3),
     "hoeffding_sample_size eps inf": lambda: hoeffding_sample_size(math.inf, 0.05),
+    "UnionCS NaN draw": lambda: UnionCS(Schedule(0.05), draws=lambda: math.nan).update(1),
+    "UnionCS draw -1": lambda: UnionCS(Schedule(0.05), draws=lambda: -1.0).update(1),
+    "UnionCS upper draw 1.5": lambda: UnionCS(
+        Schedule(0.05), draws=iter([0.5, 1.5]).__next__
+    ).update(1),
+    "Schedule growth inf": lambda: Schedule(0.05, growth=math.inf),
+    "Schedule poly inf": lambda: Schedule(0.05, poly=math.inf),
+    "ub_cs_width_envelope NaN t": lambda: ub_cs_width_envelope(math.nan, 0.05),
 }
 
 

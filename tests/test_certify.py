@@ -365,7 +365,7 @@ class TestCertifyMulticlass:
         for (n, alpha, w), (k, b) in zip(calls, stages):
             assert n == b
             assert alpha == [0.3 * sched.budget(k), (1.0 - 0.3) * sched.budget(k)]
-            assert w == ([draws.random(), draws.random()] if seeded else 1.0)
+            assert w == ([draws.random(), draws.random()] if seeded else [1.0, 1.0])
 
     @pytest.mark.parametrize("seeded", [True, False])
     def test_union_solved_elements_keep_their_stage(self, monkeypatch, seeded):

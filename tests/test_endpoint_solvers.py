@@ -107,8 +107,9 @@ class TestRcpUpperLo:
         )
         halvings = CountHalvings(monkeypatch)
         assert_same_bits(rcp_upper_lo(x, 200, 1e-4, w), want)
-        # from [0, 1] the replay needs no halving; the one call is the fallback
-        assert halvings.sizes == [x.size - 1]
+        # the replay of every element, then the fallback of all but x = 0
+        assert halvings.sizes == [x.size, x.size - 1]
+        assert halvings.plain == [x.size - 1]
 
 
 class TestBettingEndpoints:
@@ -175,30 +176,20 @@ class TestBettingEndpoints:
         # the lower endpoint at 3 heads in 3 is 1/4, a cell edge, and the
         # Newton guess lands in the cell right of it where the rounded
         # predicate puts the answer in the cell to the left; the check
-        # catches it and one replay from the neighbouring cell (of [0, 1],
-        # so dyadic, no halving) gives the answer, with no plain halving
+        # catches it and the plain halving of that one endpoint gives the
+        # answer
         halvings = CountHalvings(monkeypatch)
         got = betting_endpoints(np.asarray(3), np.asarray(3), 0.05)
-        assert halvings.sizes == [2]
+        assert halvings.sizes == [2, 1] and halvings.plain == [1]
         for g, r in zip(got, bisect_betting_endpoints(np.asarray(3), np.asarray(3), 0.05)):
             assert_same_bits(g, r)
 
-    @pytest.mark.parametrize("case", ["random", "stream"])
-    def test_no_plain_halving(self, monkeypatch, case):
-        # guesses near a cell edge can land one cell off through rounding;
-        # the neighbour replay catches them, so no element reruns the plain
-        # halving: random counts up to 2^24 trials, and a p = 0.4 stream
-        # (before the neighbour replay 148 of 400,000 and 4 of 65,536
-        # endpoints fell back)
-        plain = []
-        real = anytime.binom.halve
-
-        def spy(lo, hi, above, iters):
-            if callable(above):
-                plain.append(np.size(lo))
-            return real(lo, hi, above, iters)
-
-        monkeypatch.setattr(anytime.binom, "halve", spy)
+    @pytest.mark.parametrize("case, fallbacks", [("random", 148), ("stream", 4)])
+    def test_rare_plain_halving(self, monkeypatch, case, fallbacks):
+        # guesses near a cell edge can land one cell off through rounding,
+        # and those endpoints rerun the plain halving: 148 of the 400,000
+        # endpoints of random counts up to 2^24 trials, 4 of the 65,536 of
+        # a p = 0.4 stream.  All of them are the plain bisection's bits.
         if case == "random":
             rng = np.random.default_rng(2024)
             t = rng.integers(1, 2**24, 200_000).astype(float)
@@ -207,8 +198,11 @@ class TestBettingEndpoints:
             bits = np.random.default_rng(7).random(32_768) < 0.4
             h = np.cumsum(bits).astype(float)
             t = np.arange(1.0, bits.size + 1.0)
-        betting_endpoints(h, t, 0.001)
-        assert plain == []
+        halvings = CountHalvings(monkeypatch)
+        got = betting_endpoints(h, t, 0.001)
+        assert sum(halvings.plain) == fallbacks
+        for g, r in zip(got, bisect_betting_endpoints(h, t, 0.001)):
+            assert_same_bits(g, r)
 
     def test_bad_guess_takes_the_fallback(self, monkeypatch):
         h = np.arange(0, 301, 10)

@@ -33,6 +33,7 @@ from anytime.sequences import (
     kt_log_mixture,
     kt_log_wealth,
     ub_cs_width_envelope,
+    union_draws,
     union_running,
 )
 
@@ -192,6 +193,19 @@ class TestUnionCS:
         np.testing.assert_allclose(iv.lo, 0.0125, atol=1e-9)
         np.testing.assert_allclose(iv.up, 0.9875, atol=1e-9)
 
+    def test_a_rejected_draw_skips_only_its_stage(self):
+        draws = iter([math.nan] + [1.0] * 20)
+        cs = UnionCS(Schedule.doubling(0.05), draws=lambda: next(draws))
+        with pytest.raises(ValueError, match="w must be in"):
+            cs.update(1)
+        for _ in range(15):  # boundaries 2, 4, 8 and 16
+            iv = cs.update(1)
+        assert cs.stage == 5 and iv.lo > 0.0
+
+    def test_no_generator_draws_ones(self):
+        # deterministic CP in the same shape as the randomized draws
+        assert np.array_equal(union_draws(None, 3, (4,)), np.ones((3, 2, 4)))
+        assert union_draws(substream(0, "w"), 3, (4,)).shape == (3, 2, 4)
 
     def test_matches_the_plain_stage_scan_through_collapses(self):
         # a lax budget makes the endpoints cross often; after a collapse the
@@ -643,3 +657,15 @@ class TestWidthEnvelopes:
             / 1024.0
         )
         np.testing.assert_allclose(val, expected, atol=1e-12)
+
+    def test_generalized_form_rejects_a_radicand_that_is_not_positive(self):
+        # growth 100, poly 2, alpha 1/2: the radicand log 2 + 2 log(log_100 t)
+        # is negative up to t = 25
+        sched = Schedule(0.5, growth=100.0)
+        t = np.arange(3, 10_000)
+        radicand = math.log(2.0) + 2.0 * np.log(np.log(t) / math.log(100.0))
+        good = t[radicand > 0.0]
+        assert good[0] == 26 and np.isfinite(ub_cs_width_envelope(good, 0.5, schedule=sched)).all()
+        for bad in (3, good[0] - 1, t):
+            with pytest.raises(ValueError, match="positive radicand"):
+                ub_cs_width_envelope(bad, 0.5, schedule=sched)
