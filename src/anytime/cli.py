@@ -51,6 +51,8 @@ from .mc import betting_trace, mc_coverage, union_trace
 from .sampling import run_jobs, seed_sequence, substream, substream_id
 from .sequences import Schedule, dp_thresholds
 
+_CHUNK_ROWS = 8192  # rows of the thresholds table formatted at a time
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -217,8 +219,14 @@ def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
 
 def run_thresholds(cfg: ThresholdsConfig) -> str:
     table = dp_thresholds(cfg.n_max, cfg.p, cfg.alpha)
-    # all-integer rows: format them directly, the same bytes as _csv
-    return "t,H_t\n" + "".join(f"{t},{h}\n" for t, h in enumerate(table[1:].tolist(), start=1))
+    # all-integer rows: one format string per chunk of rows, the same bytes
+    # as _csv, with no Python string per row
+    chunks = ["t,H_t\n"]
+    for start in range(1, table.size, _CHUNK_ROWS):
+        heads = table[start : start + _CHUNK_ROWS]
+        rows = np.column_stack((np.arange(start, start + heads.size), heads))
+        chunks.append(("%d,%d\n" * heads.size) % tuple(rows.ravel().tolist()))
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ first column whose running bounds pass a caller's monotone test, so the
 certifiers and width-target runs are predicates over it.
 
 Against a fixed ``p`` the betting test is two integer heads edges per
-``t``, one on each side of ``p t``: :func:`exclusion_edge` bisects them
-out of the log-wealth for :func:`dp_thresholds` and the Monte Carlo
-ever-exclusion.
+``t``, one on each side of ``p t``: :func:`exclusion_edge` finds them
+for :func:`dp_thresholds` and the Monte Carlo ever-exclusion by a
+guided search of the log-wealth.  It bisects sparse anchor edges, guesses
+the edges between them, and probes each guess and its neighbour, about
+2.3 log-wealth evaluations per ``t`` where a bisection alone takes 12.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _NEWTON_CAP = 40
 _KT_NEWTON_TOL = 1e-10  # last Newton step in log p; the next error is ~ its square
 _BLOCK = 8192  # elements per betting_endpoints block, values of t per exclusion_edge block
+_ANCHOR = 64  # values of t per bisected anchor edge of an exclusion_edge block
+_PROBE_ROUNDS = 3  # probe pairs per guessed edge before the bisection takes over
 
 
 # ---------------------------------------------------------------------------
@@ -849,9 +853,10 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
     With ``upper``, ``E[t]`` is the smallest ``h > p t`` with
     ``kt_log_wealth(h, t, p) >= threshold`` (``t + 1`` if none);
     otherwise the largest ``h < p t`` with it (``-1`` if none).  The
-    counts that clear a ``threshold > 0`` are those at or beyond an edge.
+    counts that clear a finite ``threshold > 0`` are those at or beyond
+    an edge; any other ``threshold`` raises ``ValueError``.
 
-    Each edge is bisected on its side of ``p t``.  The test is monotone
+    Each edge is searched on its side of ``p t``.  The test is monotone
     there: ``W(h + 1) / W(h) = (h + 1/2) (1 - p) / ((t - h - 1/2) p)``
     rises with ``h`` (the log-wealth is convex in ``h``) and exceeds 1
     iff ``h > p t - 1/2``.  Near the mean the wealth is below any
@@ -859,24 +864,77 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
     the largest likelihood, at most 1.  At ``p`` in {0, 1} every count on
     the side has wealth ``+inf``.  ``t`` runs in blocks of ``_BLOCK``, so
     the temporaries stay flat at any horizon.
+
+    The search is guided: every ``_ANCHOR``-th edge of a block is bisected,
+    the others are guessed from the anchors' interpolated distance to
+    ``p t`` and probed with the count next to the guess, and the bisection
+    finishes whatever bracket is still open.  A probe only narrows a
+    bracket, so the edges are those of the bisection alone, for about 2.3
+    log-wealth evaluations per ``t`` instead of 12.
     """
     _check_count("horizon", horizon, minimum=0)
     _check_prob("p", p)
+    if not 0.0 < threshold < math.inf:  # NaN fails too
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     out = np.empty(horizon + 1, dtype=np.int64)
+    step = 1 if upper else -1  # away from the mean
     for start in range(0, horizon + 1, _BLOCK):
         t = np.arange(start, min(start + _BLOCK, horizon + 1))
         # ``inner`` fails the test and ``outer`` passes: first the mean's side, the sentinel
         inner = (np.floor(p * t) if upper else np.ceil(p * t)).astype(np.int64)
         outer = t + 1 if upper else np.full_like(t, -1)
-        live = np.flatnonzero(np.abs(outer - inner) > 1)
-        while live.size:
-            mid = (inner[live] + outer[live]) // 2
-            hit = kt_log_wealth(mid, t[live], p) >= threshold
-            outer[live[hit]] = mid[hit]
-            inner[live[~hit]] = mid[~hit]
+        anchors = np.union1d(np.arange(0, t.size, _ANCHOR), [t.size - 1])
+        _bisect_edges(t, p, threshold, inner, outer, anchors)
+        guess = _guess_edges(t, p, threshold, outer, anchors, step)
+        live = np.arange(t.size)
+        for _ in range(_PROBE_ROUNDS):
             live = live[np.abs(outer[live] - inner[live]) > 1]
+            if not live.size:
+                break
+            # the guess and its neighbour toward the mean, both inside the open bracket
+            low, high = (inner[live], outer[live]) if upper else (outer[live], inner[live])
+            far = np.clip(guess[live], low + 1, high - 1)
+            near = np.clip(far - step, low + 1, high - 1)
+            hit = kt_log_wealth(np.r_[far, near], np.tile(t[live], 2), p) >= threshold
+            hit_far, hit_near = np.split(hit, 2)
+            outer[live] = np.where(hit_near, near, np.where(hit_far, far, outer[live]))
+            inner[live] = np.where(hit_far, np.where(hit_near, inner[live], near), far)
+            # the next pair: on past ``near`` toward the mean, or past ``far`` away from it
+            guess[live] = np.where(hit_near, near - step, far + 2 * step)
+        _bisect_edges(t, p, threshold, inner, outer, live)
         out[start : start + t.size] = outer
     return out
+
+
+def _bisect_edges(t, p, threshold, inner, outer, live):
+    """Halve the brackets ``(inner, outer)`` at indices ``live`` to adjacent counts, in place."""
+    live = live[np.abs(outer[live] - inner[live]) > 1]
+    while live.size:
+        mid = (inner[live] + outer[live]) // 2
+        hit = kt_log_wealth(mid, t[live], p) >= threshold
+        outer[live[hit]] = mid[hit]
+        inner[live[~hit]] = mid[~hit]
+        live = live[np.abs(outer[live] - inner[live]) > 1]
+
+
+def _guess_edges(t, p, threshold, outer, anchors, step):
+    """Edges guessed from the exact ones at ``anchors``.
+
+    An anchor's root of ``kt_log_wealth(h, t, p) = threshold`` in a real
+    ``h`` is placed by linear interpolation between its edge and the
+    count before it.  The root's distance from ``p t`` is smooth in
+    ``t``, so it is interpolated between anchors, and each guess is the
+    first count past its root.  At ``p`` in {0, 1} or at a sentinel edge
+    the interpolation weight is meaningless but finite: a guess only
+    narrows brackets.
+    """
+    edge, t_edge = outer[anchors], t[anchors]
+    before, at = np.split(kt_log_wealth(np.r_[edge - step, edge], np.tile(t_edge, 2), p), 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.clip(np.nan_to_num((threshold - before) / (at - before), nan=0.5), 0.0, 1.0)
+    offset = edge - step * (1.0 - share) - p * t_edge
+    root = p * t + np.interp(np.arange(t.size), anchors, offset)
+    return (np.ceil(root) if step > 0 else np.floor(root)).astype(np.int64)
 
 
 def dp_thresholds(n_max: int, p: float, alpha: float) -> np.ndarray:
@@ -916,12 +974,12 @@ def ub_cs_width_envelope(t, alpha: float, constant: float = 1.0, schedule: Sched
     ``constant * sqrt(growth * (log(1/(poly-1)) + log(1/alpha)
     + poly * log(log_growth t)) / t)``, which raises ``ValueError`` at a
     ``t`` where the radicand is not positive (a large ``growth`` at small
-    ``t``).  ``alpha`` must lie in (0, 1).
+    ``t``).  ``alpha`` must lie in (0, 1) and ``t`` must be finite.
     """
     _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr >= 3):  # NaN fails too
-        raise ValueError("envelope needs t >= 3")
+    if not np.all((t_arr >= 3) & (t_arr < math.inf)):  # NaN fails too
+        raise ValueError("envelope needs a finite t >= 3")
     if schedule is None:
         val = constant * np.sqrt((math.log(1.0 / alpha) + np.log(np.log(t_arr))) / t_arr)
     else:
@@ -940,10 +998,13 @@ def ub_cs_width_envelope(t, alpha: float, constant: float = 1.0, schedule: Sched
 
 
 def bet_cs_width_envelope(t, alpha: float, constant: float = 1.0):
-    """Betting CS width envelope ``constant * sqrt((log(1/alpha) + log t) / t)``, 0 < alpha < 1."""
+    """Betting CS width envelope ``constant * sqrt((log(1/alpha) + log t) / t)``.
+
+    ``alpha`` must lie in (0, 1) and ``t`` must be finite with ``t >= 1``.
+    """
     _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 1):
-        raise ValueError("envelope needs t >= 1")
+    if not np.all((t_arr >= 1) & (t_arr < math.inf)):  # NaN fails too
+        raise ValueError("envelope needs a finite t >= 1")
     val = constant * np.sqrt((math.log(1.0 / alpha) + np.log(t_arr)) / t_arr)
     return float(val) if np.ndim(t) == 0 else val

@@ -12,11 +12,12 @@ endpoint bisections, written with the same float expressions and
 ``scipy.special`` calls as the library's predicates, so the fast solvers
 can be required to return the very same bits; the betting ever-exclusion
 of a stream matrix as the log-wealth at every step, in the same
-expressions; the running union and betting intervals as plain scans over
-the bisections; and the multiclass betting and union certifiers as plain
-scans over those bisections, so the screened running bounds and the
-certified stopping can be required to give the same verdicts and sample
-counts.
+expressions; the exclusion edges of a fixed ``p`` as a plain bisection
+of the log-wealth, in the same expressions; the running union and betting
+intervals as plain scans over the bisections; and the multiclass betting
+and union certifiers as plain scans over those bisections, so the
+screened running bounds and the certified stopping can be required to
+give the same verdicts and sample counts.
 """
 
 from __future__ import annotations
@@ -210,6 +211,30 @@ def betting_ever_excluded_by_wealth(bits, p, alpha):
             - special.xlog1py(trials - heads, -p)
         )
     return (log_wealth > math.log(1.0 / alpha)).any(axis=1)
+
+
+def bisect_exclusion_edge(horizon, p, threshold, upper):
+    """Exclusion edges of a fixed ``p`` for t = 0..horizon by plain bisection.
+
+    With ``upper``, the smallest ``h > p t`` whose log-wealth clears
+    ``threshold`` (``t + 1`` if none); otherwise the largest ``h < p t``
+    with it (``-1`` if none).  Each bracket runs from the mean's side of
+    ``p t`` to the sentinel and is halved down to adjacent counts.
+    """
+    t = np.arange(horizon + 1)
+    inner = (np.floor(p * t) if upper else np.ceil(p * t)).astype(np.int64)
+    outer = t + 1 if upper else np.full_like(t, -1)
+    live = np.flatnonzero(np.abs(outer - inner) > 1)
+    while live.size:
+        mid = (inner[live] + outer[live]) // 2
+        h, n = mid.astype(float), t[live].astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_wealth = _kt_log_mixture(h, n) - special.xlogy(h, p) - special.xlog1py(n - h, -p)
+        hit = log_wealth >= threshold
+        outer[live[hit]] = mid[hit]
+        inner[live[~hit]] = mid[~hit]
+        live = live[np.abs(outer[live] - inner[live]) > 1]
+    return outer
 
 
 def bisect_betting_endpoints(heads, trials, alpha, iters: int = ENDPOINT_ITERS):

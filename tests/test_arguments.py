@@ -95,6 +95,18 @@ REJECTED = {
     "Schedule growth inf": lambda: Schedule(0.05, growth=math.inf),
     "Schedule poly inf": lambda: Schedule(0.05, poly=math.inf),
     "ub_cs_width_envelope NaN t": lambda: ub_cs_width_envelope(math.nan, 0.05),
+    "ub_cs_width_envelope infinite t": lambda: ub_cs_width_envelope(math.inf, 0.05),
+    "ub_cs_width_envelope infinite t in an array": lambda: ub_cs_width_envelope(
+        np.array([10.0, math.inf]), 0.05
+    ),
+    "ub_cs_width_envelope infinite t with a schedule": lambda: ub_cs_width_envelope(
+        math.inf, 0.05, schedule=Schedule.geometric(0.05)
+    ),
+    "bet_cs_width_envelope NaN t": lambda: bet_cs_width_envelope(math.nan, 0.05),
+    "bet_cs_width_envelope infinite t": lambda: bet_cs_width_envelope(math.inf, 0.05),
+    "bet_cs_width_envelope NaN t in an array": lambda: bet_cs_width_envelope(
+        np.array([10.0, math.nan]), 0.05
+    ),
 }
 
 

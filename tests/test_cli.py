@@ -16,7 +16,9 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from anytime.cli import main
+from anytime.cli import _CHUNK_ROWS, main, run_thresholds
+from anytime.config import ThresholdsConfig
+from anytime.sequences import dp_thresholds
 
 from csv_schemas import validate
 
@@ -223,6 +225,12 @@ class TestThresholds:
         assert h[6] == 7  # first decidable all-ones prefix
         assert all(a <= b for a, b in zip(h, h[1:]))
         assert all(ht > 0.5 * t or ht == t + 1 for t, ht in zip(range(1, 65), h))
+
+    @pytest.mark.parametrize("n_max", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, 3 * _CHUNK_ROWS + 5])
+    def test_chunks_give_the_bytes_of_one_string_per_row(self, n_max):
+        table = dp_thresholds(n_max, 0.91, 0.001)
+        want = "t,H_t\n" + "".join(f"{t},{h}\n" for t, h in enumerate(table[1:].tolist(), start=1))
+        assert run_thresholds(ThresholdsConfig(0.91, 0.001, n_max, 42, 1)) == want
 
     def test_million_row_table_within_budget(self, tmp_path):
         out = tmp_path / "table.csv"

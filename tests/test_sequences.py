@@ -3,8 +3,8 @@
 The KT closed form is pinned against exact double-factorial rationals,
 the stage budgets against their telescoping sums, the stateful updates
 against single-step closed forms, the exclusion edges against the
-log-wealth at and next to them, and the threshold table against a
-pure-rational brute force.
+log-wealth at and next to them and against a plain bisection, and the
+threshold table against a pure-rational brute force.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from anytime.sequences import (
 from oracles import (
     BETTING_CROSSING_SEEDS,
     betting_scan,
+    bisect_exclusion_edge,
     brute_halting_heads,
     exact_kt_mixture,
     union_scan,
@@ -564,10 +565,78 @@ class TestExclusionEdge:
         assert ((lo + 1 >= mean) | ~clears(lo + 1)).all()
         assert (lo[~real] == -1).all()
 
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(1e-12, 0.999),
+        st.integers(0, 4 * anytime.sequences._BLOCK),
+        st.booleans(),
+    )
+    @example(0.0, 0.05, 20_000, True)
+    @example(1.0, 0.05, 20_000, False)
+    @example(1e-6, 1e-12, 20_000, True)
+    @example(1e-6, 1e-12, 20_000, False)
+    @example(1.0 - 1e-6, 1e-12, 20_000, True)
+    @example(1.0 - 1e-6, 1e-12, 20_000, False)
+    @example(0.91, 0.001, 3 * anytime.sequences._BLOCK + 5, True)
+    @example(0.5, 0.999, 2 * anytime.sequences._BLOCK, False)
+    @example(0.25, 0.05, 3 * anytime.sequences._BLOCK + 5, True)  # the tie at t = 3
+    def test_matches_the_bisection(self, p, alpha, horizon, upper):
+        # the guided search narrows brackets only: its edges are the plain
+        # bisection's, bit for bit, ties at the threshold included
+        threshold = math.log(1.0 / alpha)
+        want = bisect_exclusion_edge(horizon, p, threshold, upper)
+        assert exclusion_edge(horizon, p, threshold, upper).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shift", [-1000, -3, -2, -1, 1, 2, 3, 1000, "jitter"])
+    def test_a_wrong_guess_changes_no_edge(self, monkeypatch, rng, shift):
+        # guesses off by a few counts take the later probe rounds, far-off
+        # ones the bisection; the edges stay the bisection's
+        guess_edges = anytime.sequences._guess_edges
+
+        def wrong(*args):
+            guess = guess_edges(*args)
+            return guess + (rng.integers(-4, 5, guess.size) if shift == "jitter" else shift)
+
+        monkeypatch.setattr(anytime.sequences, "_guess_edges", wrong)
+        for p, alpha in [(0.91, 0.001), (0.25, 0.05), (0.5, 0.999), (1e-6, 1e-12)]:
+            threshold = math.log(1.0 / alpha)
+            for upper in (True, False):
+                want = bisect_exclusion_edge(20_000, p, threshold, upper)
+                got = exclusion_edge(20_000, p, threshold, upper)
+                assert got.tobytes() == want.tobytes(), (p, alpha, upper)
+
+    def test_the_tie_keeps_the_log_wealth_rounding(self):
+        # at t = 3, p = 1/4 the wealth of 3 heads is 20 = 1/alpha exactly, and
+        # kt_log_wealth rounds it below log 20: no edge, the sentinel 4
+        threshold = math.log(1.0 / 0.05)
+        assert kt_log_wealth(3, 3, 0.25) < threshold
+        assert exclusion_edge(3, 0.25, threshold, upper=True)[3] == 4
+
+    def test_about_two_log_wealth_evaluations_per_t(self, monkeypatch):
+        # the tables config: a plain bisection evaluates 12.06 counts per t
+        evaluated = []
+
+        def counted(heads, trials, p):
+            evaluated.append(np.size(heads))
+            return kt_log_wealth(heads, trials, p)
+
+        monkeypatch.setattr(anytime.sequences, "kt_log_wealth", counted)
+        horizon, threshold = 125_000, math.log(1000.0)
+        edges = exclusion_edge(horizon, 0.91, threshold, upper=True)
+        assert sum(evaluated) <= 3 * (horizon + 1)
+        assert edges.tobytes() == bisect_exclusion_edge(horizon, 0.91, threshold, True).tobytes()
+
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_rejects_p_outside_the_unit_interval(self, p):
         with pytest.raises(ValueError, match="p must be in"):
             exclusion_edge(10, p, 1.0, upper=True)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_threshold_that_is_not_positive_and_finite(self, threshold):
+        # NaN used to give every sentinel and -1 counts on the mean's side
+        for upper in (True, False):
+            with pytest.raises(ValueError, match="threshold must be positive and finite"):
+                exclusion_edge(6, 0.5, threshold, upper)
 
     def test_horizon_zero_is_one_edge_and_a_negative_one_raises(self):
         # a negative horizon used to give an empty array
