@@ -4,13 +4,14 @@ Streams are fair coins - the worst case for interval width.  Widths are
 taken from the actual running traces at power-of-two checkpoints and
 compared to C * sqrt((log(1/alpha) + log t)/t) for the betting sequence
 and C * sqrt((log(1/alpha) + log log t)/t) for the union-bound one.
-Writes results/width_envelopes.csv and prints the worst width/envelope
-ratios (the fitted constants frozen in the test suite came from a run of
-this protocol).
+Writes width_envelopes.csv into ``--out-dir`` (default ``results``) and
+prints the worst width/envelope ratios (the fitted constants frozen in
+the test suite came from a run of this protocol).
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import pathlib
 
@@ -24,10 +25,14 @@ ALPHA = 0.001
 N_STREAMS = 20
 HORIZON = 2**16
 CHECKPOINTS = 2 ** np.arange(6, 17)
-OUT = pathlib.Path("results") / "width_envelopes.csv"
 
 
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--out-dir", type=pathlib.Path, default=pathlib.Path("results"))
+    args = ap.parse_args()
+    out = args.out_dir / "width_envelopes.csv"
+
     bits = bernoulli_matrix(substream(42, "width-script"), N_STREAMS, HORIZON, 0.5)
     bet_lo, bet_up = betting_trace(bits, ALPHA)
     bet_w = (bet_up - bet_lo)[:, CHECKPOINTS - 1]
@@ -41,8 +46,8 @@ def main() -> None:
     bet_env = bet_cs_width_envelope(CHECKPOINTS, ALPHA)
     uni_env = ub_cs_width_envelope(CHECKPOINTS, ALPHA)
 
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    with OUT.open("w", newline="") as fh:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["t", "betting_median", "betting_max", "betting_envelope",
@@ -56,7 +61,7 @@ def main() -> None:
                  f"{np.median(uni_w[:, j]):.6g}", f"{uni_w[:, j].max():.6g}",
                  f"{uni_env[j]:.6g}"]
             )
-    print(f"wrote {OUT}")
+    print(f"wrote {out}")
     print(f"betting: max width/envelope ratio {(bet_w / bet_env).max():.3f}")
     print(f"union:   max width/envelope ratio {(uni_w / uni_env).max():.3f}")
 

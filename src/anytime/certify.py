@@ -22,20 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import special
 
 from .binom import _check_alpha, _check_count, _check_prob, gauss_quantile
-from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _check_stages, _union_schedule
+from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _union_schedule
 from .decision import decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo_bound
 from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
 # betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
 # checks that the tracer wraps them in every module that held them
 from .intervals import rcp_upper_lo  # noqa: F401
-from .sequences import Schedule, betting_endpoints, betting_first_pass  # noqa: F401
+from .sequences import betting_endpoints, betting_first_pass  # noqa: F401
 from .sequences import _complement_carry, union_draws, union_running, union_stages
 
 DEFAULT_WARMUP = 100
@@ -192,14 +192,16 @@ def certify_binary(
     spec: CertSpec,
     cs_kind: str = "betting",
     cap: int = DEFAULT_CAP,
-    schedule: Optional[Schedule] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[Verdict, int]:
     """One-vs-rest certification of ``target_class`` at ``spec.radius``.
 
     Greater = certified at the radius; Less = not certifiable this way
     (in particular whenever the class probability is below 1/2);
-    Undecided at the cap.
+    Undecided at the cap.  The union kind runs the doubling schedule at
+    ``spec.alpha``, as :func:`~anytime.decision.decide_with_cs` does;
+    :class:`~anytime.sequences.UnionCS` and the :mod:`anytime.mc` kernels
+    take any :class:`~anytime.sequences.Schedule`.
     """
     _check_target(target_class, oracle.n_classes)
     p_star = binary_threshold(spec.radius, spec.sigma)
@@ -209,7 +211,6 @@ def certify_binary(
         _IndicatorSource(oracle, target_class),
         spec.alpha,
         cap,
-        schedule=schedule,
         rng=rng,
     )
     return _CERT_FLIP[verdict], used
@@ -220,7 +221,6 @@ def certify_multiclass(
     spec: CertSpec,
     cs_kind: str = "betting",
     cap: int = DEFAULT_CAP,
-    schedule: Optional[Schedule] = None,
     rng: Optional[np.random.Generator] = None,
     warmup: int = DEFAULT_WARMUP,
 ) -> tuple[Verdict, int]:
@@ -235,11 +235,15 @@ def certify_multiclass(
     declares non-certifiable (Less) when even the optimistic radius -
     top-class upper bound against runner-up lower bound - falls short,
     which requires two-sided streams and so never happens with the
-    one-sided union updates.
+    one-sided union updates.  The union kind runs the doubling schedule
+    at ``spec.alpha``, with stages counted from ``t = 1``: those inside
+    the warmup are skipped with their budgets.
+    :class:`~anytime.sequences.UnionCS` and the :mod:`anytime.mc` kernels
+    take any :class:`~anytime.sequences.Schedule`.
     """
     if oracle.n_classes < 2:
         raise ValueError("multiclass certification needs >= 2 classes")
-    sched = _union_schedule(cs_kind, spec.alpha, schedule)
+    sched = _union_schedule(cs_kind, spec.alpha)
     _check_count("warmup", warmup)
     _check_count("cap", cap)
     if cap <= warmup:
@@ -337,28 +341,23 @@ def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
     return Verdict.UNDECIDED, cap
 
 
-def certify_staged(
-    oracle: ClassOracle,
-    target_class: int,
-    spec: CertSpec,
-    stages: Sequence[int] = DEFAULT_STAGES,
-) -> tuple[Verdict, int]:
+def certify_staged(oracle: ClassOracle, target_class: int, spec: CertSpec) -> tuple[Verdict, int]:
     """Fixed-ladder baseline: one-sided CP certification at each stage.
 
-    Splits ``alpha`` evenly across the cumulative stages; at each one,
-    certifies (Greater) if the deterministic CP lower bound at budget
-    ``alpha/s`` clears the binary threshold, otherwise moves to the next
-    stage; abstains after the last.  One-sided by construction: it never
-    declares non-certifiability.  A ``target_class`` the oracle lacks and
-    a ``stages`` ladder of non-integers raise before any sample is drawn.
+    Runs the cumulative ladder ``DEFAULT_STAGES`` (100, 1,000, 10,000 and
+    120,000 samples) and splits ``alpha`` evenly across its ``s`` stages;
+    at each one, certifies (Greater) if the deterministic CP lower bound at
+    budget ``alpha/s`` clears the binary threshold, otherwise moves to the
+    next stage; abstains after the last.  One-sided by construction: it
+    never declares non-certifiability.  A ``target_class`` the oracle
+    lacks raises before any sample is drawn.
     """
     _check_target(target_class, oracle.n_classes)
-    stages = _check_stages(stages)
     p_star = binary_threshold(spec.radius, spec.sigma)
-    per_stage = spec.alpha / len(stages)
+    per_stage = spec.alpha / len(DEFAULT_STAGES)
     source = _IndicatorSource(oracle, target_class)
     heads, t = 0, 0
-    for n_i in stages:
+    for n_i in DEFAULT_STAGES:
         heads += count_ones(source, n_i - t)
         t = n_i
         if cp_upper(heads, t, per_stage).lo > p_star:
@@ -376,7 +375,6 @@ def width_target_run(
     alpha: float,
     cs_kind: str = "betting",
     cap: int = DEFAULT_CAP,
-    schedule: Optional[Schedule] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[Interval, int]:
     """Run a confidence sequence until its running width drops below ``eps``.
@@ -385,12 +383,14 @@ def width_target_run(
     at least one sample (``eps >= 1`` terminates right there: any single
     update leaves width strictly below 1).  Returns the stateful class's
     running interval and the sample count at termination - width < ``eps``
-    whenever that is before ``cap``.
+    whenever that is before ``cap``.  The union kind runs the doubling
+    schedule at ``alpha``; :class:`~anytime.sequences.UnionCS` and the
+    :mod:`anytime.mc` kernels take any :class:`~anytime.sequences.Schedule`.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_alpha(alpha)
-    sched = _union_schedule(cs_kind, alpha, schedule)
+    sched = _union_schedule(cs_kind, alpha)
     _check_count("cap", cap)
     source = as_bit_source(stream)
     if sched is None:

@@ -83,7 +83,7 @@ class WidthConfig:
         _check_count("horizon", self.horizon)
         _nonempty("CS kinds", self.kinds)
         for kind in self.kinds:
-            _union_schedule(kind, self.alpha, None)
+            _union_schedule(kind, self.alpha)
         _check_count("seed", self.seed, minimum=0)
         _check_count("threads", self.threads)
 
@@ -131,7 +131,7 @@ class CertifyConfig:
         _nonempty("certification methods", self.cs)
         for cs in self.cs:
             if cs != "adaptive":
-                _union_schedule(cs, self.alpha, None)
+                _union_schedule(cs, self.alpha)
             elif self.mode != "binary":
                 raise ValueError("the staged baseline certifies in binary mode only")
         _check_class_probs(self.probs)

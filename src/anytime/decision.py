@@ -82,17 +82,11 @@ class TrialRecord:
         return False
 
 
-def _union_schedule(cs_kind: str, alpha: float, schedule) -> Optional[Schedule]:
-    """The union kind's schedule (``schedule``, at ``alpha``, or doubling); ``None`` for betting."""
+def _union_schedule(cs_kind: str, alpha: float) -> Optional[Schedule]:
+    """The union kind's schedule, doubling at ``alpha``; ``None`` for betting."""
     if cs_kind not in CS_KINDS:
         raise ValueError(f"unknown cs_kind {cs_kind!r}")
-    if cs_kind == "betting":
-        return None
-    if schedule is None:
-        return Schedule.doubling(alpha)
-    if schedule.alpha != alpha:
-        raise ValueError("schedule.alpha must match alpha")
-    return schedule
+    return None if cs_kind == "betting" else Schedule.doubling(alpha)
 
 
 def _block_walk(source, cap: int):
@@ -115,7 +109,6 @@ def decide_with_cs(
     stream,
     alpha: float,
     cap: int = DEFAULT_CAP,
-    schedule: Optional[Schedule] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[Verdict, int]:
     """Run a confidence sequence until ``p`` leaves the running interval.
@@ -123,6 +116,10 @@ def decide_with_cs(
     Parameters
     ----------
     cs_kind : {"betting", "union"}
+        The union kind runs the doubling schedule at ``alpha``
+        (``Schedule.doubling(alpha)``); other schedules run through
+        :class:`~anytime.sequences.UnionCS` or the :mod:`anytime.mc` kernels,
+        which take any :class:`~anytime.sequences.Schedule`.
     p : float
         Threshold in [0, 1] (degenerate endpoints allowed: they are
         excluded at the first contradicting bit).
@@ -133,9 +130,6 @@ def decide_with_cs(
     cap : int
         Maximum samples, an integer >= 1; returns ``Verdict.UNDECIDED``
         when reached.
-    schedule : Schedule, optional
-        Stage schedule for the union kind (default: doubling at
-        ``alpha``); must carry the same ``alpha``.
     rng : Generator, optional
         Randomization draws for the union kind's randomized CP pairs
         (``None`` uses the deterministic pairs).
@@ -150,7 +144,7 @@ def decide_with_cs(
         Verdict and the number of samples consumed at the decision.
     """
     _check_alpha(alpha)
-    schedule = _union_schedule(cs_kind, alpha, schedule)
+    schedule = _union_schedule(cs_kind, alpha)
     _check_prob("p", p)
     _check_count("cap", cap)
     source = as_bit_source(stream)

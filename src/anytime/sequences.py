@@ -114,29 +114,21 @@ class Schedule:
 
     Boundaries are the deduplicated integers ``ceil(growth ** K)``,
     ``K = 0, 1, 2, ...`` (so ``growth = 2`` gives 1, 2, 4, 8, ...), and
-    the k-th update spends ``budget(k)``:
-
-    * ``poly == 2`` (default): the telescoping family
-      ``(offset + 1) * alpha / ((k + offset) * (k + offset + 1))``,
-      which sums to exactly ``alpha``.  ``offset = 0`` is the classic
-      ``alpha / (k (k + 1))`` split; ``offset = 4`` gives
-      ``5 alpha / ((k + 4)(k + 5))``, the default for slow-growing
-      (``growth = 1.1``) schedules.
-    * ``poly != 2``: ``alpha * (k + offset) ** -poly``, normalized by the
-      Hurwitz zeta value so the total stays ``alpha``.
+    the k-th update spends ``(offset + 1) * alpha / ((k + offset) * (k +
+    offset + 1))``, a telescoping family that sums to exactly ``alpha``.
+    :meth:`doubling` is the classic ``alpha / (k (k + 1))`` split on
+    ``growth = 2``; :meth:`geometric` is ``5 alpha / ((k + 4)(k + 5))`` on
+    ``growth = 1.1``.
     """
 
     alpha: float
     growth: float = 2.0
-    poly: float = 2.0
     offset: int = 0
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
         if not 1.0 < self.growth < math.inf:
             raise ValueError(f"growth must exceed 1 and be finite, got {self.growth}")
-        if not 1.0 < self.poly < math.inf:
-            raise ValueError(f"poly must exceed 1 and be finite, got {self.poly}")
         _check_count("offset", self.offset, minimum=0)
 
     @classmethod
@@ -144,27 +136,41 @@ class Schedule:
         return cls(alpha)
 
     @classmethod
-    def geometric(cls, alpha: float, growth: float = 1.1, offset: int = 4) -> "Schedule":
-        return cls(alpha, growth=growth, offset=offset)
+    def geometric(cls, alpha: float) -> "Schedule":
+        return cls(alpha, growth=1.1, offset=4)
 
     def budget(self, k: int) -> float:
         """Miscoverage budget of the k-th stage (1-indexed)."""
         if k < 1:
             raise ValueError(f"stage index must be >= 1, got {k}")
         m = k + self.offset
-        if self.poly == 2.0:
-            return (self.offset + 1) * self.alpha / (m * (m + 1))
-        norm = float(special.zeta(self.poly, self.offset + 1.0))
-        return self.alpha * m ** (-self.poly) / norm
+        return (self.offset + 1) * self.alpha / (m * (m + 1))
 
     def walk(self) -> Iterator[int]:
-        """The stage boundaries in increasing order, without end."""
-        exponent = previous = 0
+        """The stage boundaries in increasing order, without end.
+
+        The boundary after ``b`` comes from the first exponent ``K`` with
+        ``growth ** K > b``.  Where the next exponent falls short, the walk
+        jumps to a guess from the logarithms and corrects it on the same
+        ``growth ** K`` floats that stepping through every exponent
+        compares, so the boundaries are that walk's however close
+        ``growth`` is to 1.
+        """
+        log_growth = math.log(self.growth)
+        exponent = boundary = 1
+        yield boundary  # ceil(growth ** 0)
         while True:
-            b = math.ceil(self.growth**exponent)
-            if b > previous:
-                yield b
-                previous = b
+            value = self.growth**exponent
+            if value <= boundary:
+                exponent = max(exponent + 1, int(math.log(boundary) / log_growth))
+                while self.growth ** (exponent - 1) > boundary:
+                    exponent -= 1
+                value = self.growth**exponent
+                while value <= boundary:
+                    exponent += 1
+                    value = self.growth**exponent
+            boundary = math.ceil(value)
+            yield boundary
             exponent += 1
 
     def boundaries(self, limit: int) -> np.ndarray:
@@ -965,40 +971,22 @@ def _check_dp_args(n_max: int, p: float, alpha: float) -> None:
 # Width envelopes
 
 
-def ub_cs_width_envelope(t, alpha: float, constant: float = 1.0, schedule: Schedule | None = None):
-    """Width envelope of the union-bound CS.
+def ub_cs_width_envelope(t, alpha: float):
+    """Union-bound CS width envelope ``sqrt((log(1/alpha) + log log t) / t)``.
 
-    With no schedule: ``constant * sqrt((log(1/alpha) + log log t) / t)``
-    (valid for ``t >= 3``), the rate of the doubling schedule.  With a
-    schedule, the generalized form
-    ``constant * sqrt(growth * (log(1/(poly-1)) + log(1/alpha)
-    + poly * log(log_growth t)) / t)``, which raises ``ValueError`` at a
-    ``t`` where the radicand is not positive (a large ``growth`` at small
-    ``t``).  ``alpha`` must lie in (0, 1) and ``t`` must be finite.
+    The rate of the doubling schedule.  ``alpha`` must lie in (0, 1) and
+    ``t`` must be finite with ``t >= 3``.
     """
     _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr >= 3) & (t_arr < math.inf)):  # NaN fails too
         raise ValueError("envelope needs a finite t >= 3")
-    if schedule is None:
-        val = constant * np.sqrt((math.log(1.0 / alpha) + np.log(np.log(t_arr))) / t_arr)
-    else:
-        beta, gamma = schedule.growth, schedule.poly
-        log_stages = np.log(t_arr) / math.log(beta)
-        radicand = (
-            math.log(1.0 / (gamma - 1.0)) + math.log(1.0 / alpha) + gamma * np.log(log_stages)
-        )
-        if not np.all(radicand > 0.0):
-            raise ValueError(
-                f"envelope needs a positive radicand, got {float(np.min(radicand))} "
-                f"(growth {beta}, poly {gamma})"
-            )
-        val = constant * np.sqrt(beta * radicand / t_arr)
+    val = np.sqrt((math.log(1.0 / alpha) + np.log(np.log(t_arr))) / t_arr)
     return float(val) if np.ndim(t) == 0 else val
 
 
-def bet_cs_width_envelope(t, alpha: float, constant: float = 1.0):
-    """Betting CS width envelope ``constant * sqrt((log(1/alpha) + log t) / t)``.
+def bet_cs_width_envelope(t, alpha: float):
+    """Betting CS width envelope ``sqrt((log(1/alpha) + log t) / t)``.
 
     ``alpha`` must lie in (0, 1) and ``t`` must be finite with ``t >= 1``.
     """
@@ -1006,5 +994,5 @@ def bet_cs_width_envelope(t, alpha: float, constant: float = 1.0):
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr >= 1) & (t_arr < math.inf)):  # NaN fails too
         raise ValueError("envelope needs a finite t >= 1")
-    val = constant * np.sqrt((math.log(1.0 / alpha) + np.log(t_arr)) / t_arr)
+    val = np.sqrt((math.log(1.0 / alpha) + np.log(t_arr)) / t_arr)
     return float(val) if np.ndim(t) == 0 else val

@@ -161,6 +161,16 @@ def bisect_rcp_upper_lo(x, n, alpha, w, iters: int = ENDPOINT_ITERS):
     return np.where(never, 1.0, np.where(always, 0.0, 0.5 * (lo + hi)))
 
 
+def stepping_boundaries(growth, limit):
+    """The distinct ``ceil(growth ** K)`` up to ``limit``, ``K`` stepping through every integer."""
+    out, k = [], 0
+    while (b := math.ceil(growth**k)) <= limit:
+        if not out or b > out[-1]:
+            out.append(b)
+        k += 1
+    return out
+
+
 def union_scan(bits, schedule, rng=None):
     """Running two-sided union-bound interval after each bit, every stage solved plainly.
 

@@ -53,7 +53,6 @@ REJECTED = {
     "staged_adaptive fractional stage": lambda: staged_adaptive(
         0.5, np.ones(200), 0.05, stages=(50.5, 100)
     ),
-    "certify_staged fractional stage": lambda: certify_staged(_oracle(), 0, SPEC, (50.5, 100)),
     "certify_staged class 5": lambda: certify_staged(_oracle(), 5, SPEC),
     "certify_staged class -1": lambda: certify_staged(_oracle(), -1, SPEC),
     "rcp_upper fractional x": lambda: rcp_upper(3.5, 10, 0.05, 0.5),
@@ -93,14 +92,10 @@ REJECTED = {
         Schedule(0.05), draws=iter([0.5, 1.5]).__next__
     ).update(1),
     "Schedule growth inf": lambda: Schedule(0.05, growth=math.inf),
-    "Schedule poly inf": lambda: Schedule(0.05, poly=math.inf),
     "ub_cs_width_envelope NaN t": lambda: ub_cs_width_envelope(math.nan, 0.05),
     "ub_cs_width_envelope infinite t": lambda: ub_cs_width_envelope(math.inf, 0.05),
     "ub_cs_width_envelope infinite t in an array": lambda: ub_cs_width_envelope(
         np.array([10.0, math.inf]), 0.05
-    ),
-    "ub_cs_width_envelope infinite t with a schedule": lambda: ub_cs_width_envelope(
-        math.inf, 0.05, schedule=Schedule.geometric(0.05)
     ),
     "bet_cs_width_envelope NaN t": lambda: bet_cs_width_envelope(math.nan, 0.05),
     "bet_cs_width_envelope infinite t": lambda: bet_cs_width_envelope(math.inf, 0.05),

@@ -33,7 +33,7 @@ from anytime.certify import (
     radius_gauss_l2,
     width_target_run,
 )
-from anytime.decision import Verdict
+from anytime.decision import DEFAULT_STAGES, Verdict
 from anytime.intervals import rcp_upper_lo
 from anytime.mc import bernoulli_matrix, betting_ever_excluded, union_ever_excluded
 from anytime.sampling import substream
@@ -277,17 +277,14 @@ class TestCertifyStaged:
     def test_weak_class_abstains_never_refutes(self):
         for i in range(5):
             oracle = ClassOracle((0.4, 0.6), substream(24, "st-low", i))
-            verdict, used = certify_staged(oracle, 0, self.SPEC, stages=(50, 120))
-            assert verdict is Verdict.ABSTAIN and used == 120
+            verdict, used = certify_staged(oracle, 0, self.SPEC)
+            assert verdict is Verdict.ABSTAIN and used == DEFAULT_STAGES[-1]
 
     def test_validation(self):
         oracle = ClassOracle((0.5, 0.5), substream(0, "stv"))
-        with pytest.raises(ValueError):
-            certify_staged(oracle, 0, self.SPEC, stages=())
-        with pytest.raises(ValueError):
-            certify_staged(oracle, 0, self.SPEC, stages=(100, 100))
-        with pytest.raises(ValueError):
-            certify_staged(oracle, 0, self.SPEC, stages=(0, 10))
+        for target in (2, -1, 0.5, True):
+            with pytest.raises(ValueError):
+                certify_staged(oracle, target, self.SPEC)
 
 
 class TestCertifyMulticlass:
@@ -433,16 +430,25 @@ class TestCertifyMulticlass:
         # bound and B's may come from different waiting stages; a stage may
         # wait only if the pair built from all of them cannot certify
         monkeypatch.setattr(anytime.certify, "rcp_upper_lo_bound", rcp_upper_lo)
-        sched = Schedule.geometric(0.01)
+        real = anytime.certify.union_running
+        split = []  # calls whose best A bound and best B bound sit in different stages
+
+        def counting(x, t, alpha, w, bound, lo0):
+            bound = np.asarray(bound)
+            split.append(bound.shape[1] > 1 and np.argmax(bound[0]) != np.argmax(bound[1]))
+            return real(x, t, alpha, w, bound, lo0)
+
+        monkeypatch.setattr(anytime.certify, "union_running", counting)
+        sched = Schedule.doubling(0.01)
         certified = 0
-        for seed in range(40):
+        for seed in range(160):  # 4 calls split; at 40 seeds only 1 does
             probs = ((0.8, 0.2), (0.6, 0.15, 0.15, 0.1))[seed % 2]
             radius = (0.02, 0.1, 0.2, 0.3)[seed % 4]
             lam = (0.3, 0.7)[seed // 2 % 2]
             spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, lam=lam)
             oracle = ClassOracle(probs, substream(37, "tight", seed))
             verdict, used = certify_multiclass(
-                oracle, spec, "union", 20_000, schedule=sched, rng=substream(38, seed), warmup=10
+                oracle, spec, "union", 20_000, rng=substream(38, seed), warmup=10
             )
             oracle = ClassOracle(probs, substream(37, "tight", seed))
             want = multiclass_union_scan(
@@ -451,7 +457,8 @@ class TestCertifyMulticlass:
             )
             assert (verdict.value, used) == want, seed
             certified += want[0] == "greater"
-        assert certified >= 30
+        assert certified >= 140
+        assert sum(split) >= 3
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -667,10 +674,6 @@ class TestCertifyMulticlass:
         for cap in (0, 2.5):
             with pytest.raises(ValueError, match="cap"):
                 certify_multiclass(oracle, self.SPEC, cap=cap)
-        with pytest.raises(ValueError):
-            certify_multiclass(
-                oracle, self.SPEC, cs_kind="union", schedule=Schedule.doubling(0.5)
-            )
 
 
 class TestWidthTarget:
@@ -735,8 +738,6 @@ class TestWidthTarget:
             width_target_run(bits, 0.5, 0.05, cap=0)
         with pytest.raises(ValueError):
             width_target_run(bits, 0.5, 0.05, cs_kind="mystery")
-        with pytest.raises(ValueError):
-            width_target_run(bits, 0.5, 0.05, cs_kind="union", schedule=Schedule.doubling(0.5))
 
 
 class TestMulticlassNearTies:

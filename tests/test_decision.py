@@ -25,6 +25,7 @@ from anytime.decision import (
     sprt_ideal,
     staged_adaptive,
 )
+from anytime.mc import union_ever_excluded
 from anytime.sampling import ArraySource, BernoulliSource, substream
 from anytime.sequences import Schedule
 
@@ -84,11 +85,10 @@ class TestDecideWithCs:
         # at t = 16 (stage 5) the exclusion w * 2^-16 <= budget/2 holds for
         # every draw w, so 16 bounds the halting time; earlier boundaries
         # fire only for lucky draws
-        sched = Schedule.doubling(0.05)
         seen = set()
         for trial in range(24):
             verdict, samples = decide_with_cs(
-                "union", 0.5, ones(32), 0.05, cap=32, schedule=sched, rng=substream(5, "w", trial)
+                "union", 0.5, ones(32), 0.05, cap=32, rng=substream(5, "w", trial)
             )
             assert verdict is Verdict.LESS and samples <= 16
             assert samples in (1, 2, 4, 8, 16)
@@ -99,7 +99,7 @@ class TestDecideWithCs:
         # substream(0, "w") happens to draw a tiny early-boundary w, freezing
         # one of the randomized exits before the deterministic t = 16 one
         verdict, samples = decide_with_cs(
-            "union", 0.5, ones(32), 0.05, cap=32, schedule=Schedule.doubling(0.05), rng=substream(0, "w")
+            "union", 0.5, ones(32), 0.05, cap=32, rng=substream(0, "w")
         )
         assert (verdict, samples) == (Verdict.LESS, 2)
 
@@ -123,11 +123,28 @@ class TestDecideWithCs:
         slack = 3.0 * math.sqrt(alpha * (1 - alpha) / trials)
         assert undecided / trials >= 1.0 - alpha - slack
 
-    def test_schedule_budget_must_match(self):
-        with pytest.raises(ValueError):
-            decide_with_cs(
-                "union", 0.5, ones(4), 0.01, cap=4, schedule=Schedule.doubling(0.05), rng=substream(1)
-            )
+    def test_union_runs_the_doubling_schedule_at_alpha(self):
+        # the verdict comes at the first stage boundary where the doubling
+        # schedule at alpha excludes p: the ever-exclusion kernel, given
+        # the same draws, flags the stream up to that boundary and not
+        # before it
+        alpha, cap, decided = 0.01, 2000, 0
+        sched = Schedule.doubling(alpha)
+        for seed in range(20):
+            q = (0.35, 0.45, 0.55, 0.65)[seed % 4]
+            bits = (substream(seed, "doubling").random(cap) < q).astype(np.uint8)
+            verdict, used = decide_with_cs("union", 0.5, bits, alpha, cap, rng=substream(seed, "w"))
+            excluded = [
+                bool(union_ever_excluded(bits[None, :n], 0.5, sched, substream(seed, "w"))[0])
+                for n in (used - 1, used)
+            ]
+            if verdict is Verdict.UNDECIDED:
+                assert excluded == [False, False] and used == cap
+            else:
+                assert excluded == [False, True] and used in sched.boundaries(cap)
+                assert verdict is (Verdict.LESS if q > 0.5 else Verdict.GREATER)
+                decided += 1
+        assert 5 <= decided < 20
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -15,38 +15,27 @@ OPTIONS = {
     "CertSpec.__init__(lam)": "0.5",
     "Schedule.__init__(growth)": "2.0",
     "Schedule.__init__(offset)": "0",
-    "Schedule.__init__(poly)": "2.0",
-    "Schedule.geometric(growth)": "1.1",
-    "Schedule.geometric(offset)": "4",
     "UnionCS.__init__(draws)": "None",
     "benchmark_sweep(cap)": "1000000",
     "benchmark_sweep(methods)": "('sprt', 'betting', 'union', 'adaptive')",
     "benchmark_sweep(seed)": "42",
     "benchmark_sweep(threads)": "1",
-    "bet_cs_width_envelope(constant)": "1.0",
     "certify_binary(cap)": "1000000",
     "certify_binary(cs_kind)": "'betting'",
     "certify_binary(rng)": "None",
-    "certify_binary(schedule)": "None",
     "certify_multiclass(cap)": "1000000",
     "certify_multiclass(cs_kind)": "'betting'",
     "certify_multiclass(rng)": "None",
-    "certify_multiclass(schedule)": "None",
     "certify_multiclass(warmup)": "100",
-    "certify_staged(stages)": "(100, 1000, 10000, 120000)",
     "decide_with_cs(cap)": "1000000",
     "decide_with_cs(rng)": "None",
-    "decide_with_cs(schedule)": "None",
     "enumeration_coverage(kind)": "'rcp'",
     "enumeration_coverage(side)": "'upper'",
     "sprt_ideal(cap)": "1000000",
     "staged_adaptive(stages)": "(100, 1000, 10000, 120000)",
-    "ub_cs_width_envelope(constant)": "1.0",
-    "ub_cs_width_envelope(schedule)": "None",
     "width_target_run(cap)": "1000000",
     "width_target_run(cs_kind)": "'betting'",
     "width_target_run(rng)": "None",
-    "width_target_run(schedule)": "None",
 }
 
 
