@@ -9,10 +9,13 @@ Five subcommands emit CSV to stdout or ``--out``:
 * ``thresholds``  betting-CS halting-count table H(t)
 
 Every command is a pure function of its configuration: the same flags
-and seed give byte-identical output, for any ``--threads`` value.  Jobs
-go through :func:`~anytime.sampling.run_jobs`, which returns them in job
-order, and each trial draws from its own counter-derived substream, so
-scheduling can never leak into the results.
+and seed give byte-identical output, for any ``--threads`` value.  Each
+trial draws from its own counter-derived substream, so scheduling can
+never leak into the results.  Threads apply to ``coverage`` only, whose
+cells go through :func:`~anytime.sampling.run_jobs` (results in job
+order) and spend their time in vector tails that release the GIL;
+``decide``, ``certify``, ``width`` and ``thresholds`` run in order on the
+calling thread, since their trials are mostly Python.
 """
 
 from __future__ import annotations
@@ -144,7 +147,6 @@ def run_decide(cfg: DecideConfig) -> tuple[str, str]:
         methods=cfg.methods,
         cap=cfg.cap,
         seed=cfg.seed,
-        threads=cfg.threads,
     )
     records.sort(key=lambda r: (r.method, r.p, r.trial))
     rows = [
@@ -188,7 +190,7 @@ def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
         return out
 
     jobs = [(cs, ri) for cs in cfg.cs for ri in range(len(cfg.radii))]
-    chunks = run_jobs(jobs, cell, cfg.threads)
+    chunks = [cell(job) for job in jobs]
     rows = [row for chunk in chunks for row in chunk]
     summary_rows = []
     for (cs, ri), chunk in zip(jobs, chunks):
@@ -235,7 +237,12 @@ def run_thresholds(cfg: ThresholdsConfig) -> str:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="root seed (default 42)")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (default 1)")
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="worker threads for coverage (default 1); the other commands run in order",
+    )
     sub.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 

@@ -7,6 +7,11 @@ function sees (mode against methods, classes per mode, nonempty lists) is
 checked here.  Shared knobs resolve as flags > environment
 (``ANYTIME_SEED``, ``ANYTIME_THREADS``) > defaults; the environment lookup
 happens in :func:`env_int` so the CLI layer stays a thin argparse shell.
+
+Every config checks ``threads``, but only ``coverage`` uses it: its cells
+spend their time in vector tails that release the GIL.  ``decide``,
+``certify``, ``width`` and ``thresholds`` run in order on the calling
+thread and ignore it.
 """
 
 from __future__ import annotations
@@ -101,9 +106,9 @@ class DecideConfig:
 
     def __post_init__(self) -> None:
         _check_sweep(
-            self.q, self.alpha, self.p_grid, self.trials, self.methods, self.cap, self.seed,
-            self.threads,
+            self.q, self.alpha, self.p_grid, self.trials, self.methods, self.cap, self.seed
         )
+        _check_count("threads", self.threads)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from .sampling import (
     as_bit_source,
     clamp_take,
     count_ones,
-    run_jobs,
     seed_sequence,
     substream,
     substream_id,
@@ -169,7 +168,7 @@ def _decide_betting(p, source, alpha, cap):
 
 
 def _decide_union(p, source, schedule, cap, rng):
-    # one draw per trial: each array draw releases the GIL (a thread switch in sweeps)
+    # one array draw per trial, not one per stage
     bounds = schedule.boundaries(cap).tolist()
     draws = union_draws(rng, len(bounds)).tolist()
     heads, t = 0, 0
@@ -386,7 +385,7 @@ def run_trial(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _check_sweep(q, alpha, grid, trials, methods, cap, seed, threads) -> None:
+def _check_sweep(q, alpha, grid, trials, methods, cap, seed) -> None:
     """The arguments of :func:`benchmark_sweep`, also the ``anytime decide`` config's."""
     _check_prob("q", q)
     _check_alpha(alpha)
@@ -404,7 +403,6 @@ def _check_sweep(q, alpha, grid, trials, methods, cap, seed, threads) -> None:
             raise ValueError("sprt needs p != q at every grid point")
     _check_count("cap", cap)
     _check_count("seed", seed, minimum=0)
-    _check_count("threads", threads)
 
 
 def benchmark_sweep(
@@ -415,7 +413,6 @@ def benchmark_sweep(
     methods: Sequence[str] = METHODS,
     cap: int = DEFAULT_CAP,
     seed: int = 42,
-    threads: int = 1,
 ) -> tuple[list[TrialRecord], list[SweepSummary]]:
     """Decision benchmark over a grid of thresholds, all streams from B(q).
 
@@ -423,12 +420,12 @@ def benchmark_sweep(
     schedule and the adaptive method on ``DEFAULT_STAGES``, as ``anytime
     decide`` does.  Every argument is checked before any trial runs, by
     :func:`_check_sweep`: the grid (of probabilities) and the method list
-    must be nonempty, ``trials``, ``cap`` and ``threads`` integers >= 1.
-    Every (method, grid index, trial index) triple owns an independent
+    must be nonempty, ``trials`` and ``cap`` integers >= 1.  Every
+    (method, grid index, trial index) triple owns an independent
     counter-based substream of ``seed``, so records are reproducible
-    bit-for-bit whatever the execution order; the per-(method, threshold)
-    tasks go through :func:`~anytime.sampling.run_jobs`, which returns
-    them in job order for any ``threads``.
+    bit-for-bit whatever the execution order.  The trials run in order on
+    the calling thread: they are mostly Python, so a thread pool would
+    only add GIL hand-offs to each trial's ``wall_ns``.
 
     Returns the flat trial records plus per-(method, threshold) summaries
     (mean samples, ratio to the SPRT mean at the same threshold, and the
@@ -436,10 +433,9 @@ def benchmark_sweep(
     ``eps = |p - q|``).
     """
     grid = [float(p) for p in grid]
-    _check_sweep(q, alpha, grid, trials, methods, cap, seed, threads)
+    _check_sweep(q, alpha, grid, trials, methods, cap, seed)
 
-    def task(job: tuple[str, int]) -> list[TrialRecord]:
-        method, gi = job
+    def cell(method: str, gi: int) -> list[TrialRecord]:
         p = grid[gi]
         records = []
         for trial in range(trials):
@@ -454,7 +450,7 @@ def benchmark_sweep(
         return records
 
     jobs = [(method, gi) for method in methods for gi in range(len(grid))]
-    chunks = run_jobs(jobs, task, threads)
+    chunks = [cell(method, gi) for method, gi in jobs]
     records = [rec for chunk in chunks for rec in chunk]
 
     mean_samples = {

@@ -5,8 +5,10 @@ Every simulated trial owns a counter-based substream derived from
 are reproducible bit-for-bit regardless of execution order, chunking, or
 thread count.  String path components (method names) are hashed with
 blake2b so the derivation never depends on Python's randomized ``hash``.
-:func:`run_jobs` is the one job runner of the sweeps and CLI commands: it
-returns results in job order for any thread count.
+:func:`run_jobs` runs the cells of ``anytime coverage``, the one command
+whose threads pay off (its vector tails release the GIL), and returns
+them in job order for any thread count.  The decide and certify sweeps,
+``width`` and ``thresholds`` run in order on the calling thread.
 """
 
 from __future__ import annotations

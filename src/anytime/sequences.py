@@ -876,7 +876,11 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
     ``p t`` and probed with the count next to the guess, and the bisection
     finishes whatever bracket is still open.  A probe only narrows a
     bracket, so the edges are those of the bisection alone, for about 2.3
-    log-wealth evaluations per ``t`` instead of 12.
+    log-wealth evaluations per ``t`` instead of 12.  A bracket of one
+    count is left to the bisection, which settles it with one evaluation,
+    and a block with no wider bracket open after its anchors guesses
+    nothing: where the edges sit at the ends of their brackets (``p`` at
+    or near 0 or 1) the search evaluates no more than the bisection.
     """
     _check_count("horizon", horizon, minimum=0)
     _check_prob("p", p)
@@ -891,10 +895,12 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
         outer = t + 1 if upper else np.full_like(t, -1)
         anchors = np.union1d(np.arange(0, t.size, _ANCHOR), [t.size - 1])
         _bisect_edges(t, p, threshold, inner, outer, anchors)
-        guess = _guess_edges(t, p, threshold, outer, anchors, step)
-        live = np.arange(t.size)
+        gap = np.abs(outer - inner)
+        open_ = np.flatnonzero(gap > 1)
+        # a bracket of one count takes one bisection step; only wider ones are probed
+        live = np.flatnonzero(gap > 2)
+        guess = _guess_edges(t, p, threshold, outer, anchors, step) if live.size else None
         for _ in range(_PROBE_ROUNDS):
-            live = live[np.abs(outer[live] - inner[live]) > 1]
             if not live.size:
                 break
             # the guess and its neighbour toward the mean, both inside the open bracket
@@ -907,7 +913,8 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
             inner[live] = np.where(hit_far, np.where(hit_near, inner[live], near), far)
             # the next pair: on past ``near`` toward the mean, or past ``far`` away from it
             guess[live] = np.where(hit_near, near - step, far + 2 * step)
-        _bisect_edges(t, p, threshold, inner, outer, live)
+            live = live[np.abs(outer[live] - inner[live]) > 2]
+        _bisect_edges(t, p, threshold, inner, outer, open_)
         out[start : start + t.size] = outer
     return out
 

@@ -223,13 +223,14 @@ def betting_ever_excluded_by_wealth(bits, p, alpha):
     return (log_wealth > math.log(1.0 / alpha)).any(axis=1)
 
 
-def bisect_exclusion_edge(horizon, p, threshold, upper):
+def bisect_exclusion_edge(horizon, p, threshold, upper, evaluated=None):
     """Exclusion edges of a fixed ``p`` for t = 0..horizon by plain bisection.
 
     With ``upper``, the smallest ``h > p t`` whose log-wealth clears
     ``threshold`` (``t + 1`` if none); otherwise the largest ``h < p t``
     with it (``-1`` if none).  Each bracket runs from the mean's side of
-    ``p t`` to the sentinel and is halved down to adjacent counts.
+    ``p t`` to the sentinel and is halved down to adjacent counts.  A list
+    passed as ``evaluated`` gets the number of log-wealths of each halving.
     """
     t = np.arange(horizon + 1)
     inner = (np.floor(p * t) if upper else np.ceil(p * t)).astype(np.int64)
@@ -237,6 +238,8 @@ def bisect_exclusion_edge(horizon, p, threshold, upper):
     live = np.flatnonzero(np.abs(outer - inner) > 1)
     while live.size:
         mid = (inner[live] + outer[live]) // 2
+        if evaluated is not None:
+            evaluated.append(mid.size)
         h, n = mid.astype(float), t[live].astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_wealth = _kt_log_mixture(h, n) - special.xlogy(h, p) - special.xlog1py(n - h, -p)

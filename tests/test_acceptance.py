@@ -362,7 +362,7 @@ def test_criterion_07_decision_sweep_orderings(capfd):
     q, alpha, trials = 0.91, 0.001, 200
     grid = np.linspace(0.0, 1.0, 51)
     records, summaries = benchmark_sweep(
-        q=q, alpha=alpha, grid=grid, trials=trials, cap=200_000, seed=42, threads=1
+        q=q, alpha=alpha, grid=grid, trials=trials, cap=200_000, seed=42
     )
     failures = []
 

@@ -19,7 +19,7 @@ import pytest
 import anytime.decision as decision
 from anytime.binom import _check_count, _check_prob, binom_cdf, binom_sf, log_binom_pmf
 from anytime.certify import CertSpec, ClassOracle, certify_multiclass, certify_staged
-from anytime.config import CertifyConfig, CoverageConfig, DecideConfig, ThresholdsConfig
+from anytime.config import CertifyConfig, CoverageConfig, DecideConfig, ThresholdsConfig, WidthConfig
 from anytime.decision import benchmark_sweep, decide_with_cs, staged_adaptive
 from anytime.intervals import enumeration_coverage, hoeffding_interval, hoeffding_sample_size
 from anytime.intervals import rcp_two_sided, rcp_upper
@@ -154,10 +154,8 @@ class TestRules:
 class TestSweepChecksBeforeAnyTrial:
     """``benchmark_sweep`` rejects bad arguments before a trial runs, as ``DecideConfig`` does."""
 
-    GOOD = dict(q=0.91, alpha=0.01, grid=(0.5,), trials=1, methods=("betting",), cap=10,
-                seed=0, threads=1)
+    GOOD = dict(q=0.91, alpha=0.01, grid=(0.5,), trials=1, methods=("betting",), cap=10, seed=0)
     BAD = {
-        "threads": 0,
         "grid": (),
         "methods": (),
         "seed": -1,
@@ -179,7 +177,7 @@ class TestSweepChecksBeforeAnyTrial:
         with pytest.raises(ValueError) as from_config:
             DecideConfig(
                 args["q"], args["alpha"], args["grid"], args["trials"], args["methods"],
-                args["cap"], args["seed"], args["threads"],
+                args["cap"], args["seed"], 1,
             )
         assert str(from_sweep.value) == str(from_config.value)
 
@@ -217,3 +215,20 @@ class TestConfigsUseTheLibraryRules:
         with pytest.raises(ValueError) as from_config:
             ThresholdsConfig(1.0, 0.05, 10, 0, 1)
         assert str(from_library.value) == str(from_config.value)
+
+    def test_every_config_rejects_zero_threads(self):
+        # decide, certify, width and thresholds run in order and ignore
+        # threads, but a zero still exits before any work, as for coverage
+        configs = [
+            lambda threads: CoverageConfig(10, 0.05, (0.5,), 0, ("cp",), "upper", 0, threads),
+            lambda threads: WidthConfig(0.05, 0.5, 16, ("betting",), 0, threads),
+            lambda threads: DecideConfig(0.91, 0.05, (0.5,), 1, ("betting",), 10, 0, threads),
+            lambda threads: CertifyConfig(
+                "binary", ("betting",), (0.9, 0.1), 1.0, (0.1,), 0.05, 0.5, 1, 10, 0, 1, 0, threads
+            ),
+            lambda threads: ThresholdsConfig(0.5, 0.05, 10, 0, threads),
+        ]
+        for build in configs:
+            build(1)
+            with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+                build(0)

@@ -10,14 +10,17 @@ errors must exit with status 2 before any sampling starts.
 from __future__ import annotations
 
 import io
+import threading
 import time
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
+from anytime import cli, decision
 from anytime.cli import _CHUNK_ROWS, main, run_thresholds
-from anytime.config import ThresholdsConfig
+from anytime.config import CertifyConfig, DecideConfig, ThresholdsConfig
+from anytime.decision import METHODS
 from anytime.sequences import dp_thresholds
 
 from csv_schemas import validate
@@ -253,6 +256,31 @@ class TestCommonKnobs:
         monkeypatch.setenv("ANYTIME_SEED", "7")
         monkeypatch.setenv("ANYTIME_THREADS", "2")
         assert run_cli(*self.ARGS) == want
+
+    def test_decide_and_certify_trials_run_on_the_calling_thread(self, monkeypatch):
+        # their trials are mostly Python: a pool would only add GIL hand-offs
+        # to each trial's wall_ns, so threads is checked and then ignored
+        ran_on = []
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                ran_on.append(threading.get_ident())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(decision, "run_trial", recorded(decision.run_trial))
+        monkeypatch.setattr(cli, "certify_multiclass", recorded(cli.certify_multiclass))
+        cli.run_decide(DecideConfig(0.91, 0.01, (0.25, 0.5, 0.75), 2, METHODS, 2000, 3, 4))
+        decided = len(ran_on)
+        cli.run_certify(
+            CertifyConfig(
+                "multiclass", ("betting", "union"), (0.4, 0.2, 0.2, 0.2), 1.0, (0.1, 0.2),
+                0.05, 0.5, 2, 2000, 0, 100, 3, 4,
+            )
+        )
+        assert decided == 3 * len(METHODS) * 2 and len(ran_on) - decided == 2 * 2 * 2
+        assert set(ran_on) == {threading.get_ident()}
 
     def test_flags_override_environment(self, monkeypatch):
         monkeypatch.setenv("ANYTIME_SEED", "1000")

@@ -19,7 +19,6 @@ OPTIONS = {
     "benchmark_sweep(cap)": "1000000",
     "benchmark_sweep(methods)": "('sprt', 'betting', 'union', 'adaptive')",
     "benchmark_sweep(seed)": "42",
-    "benchmark_sweep(threads)": "1",
     "certify_binary(cap)": "1000000",
     "certify_binary(cs_kind)": "'betting'",
     "certify_binary(rng)": "None",

@@ -648,6 +648,26 @@ class TestExclusionEdge:
         assert sum(evaluated) <= 3 * (horizon + 1)
         assert edges.tobytes() == bisect_exclusion_edge(horizon, 0.91, threshold, True).tobytes()
 
+    @pytest.mark.parametrize(
+        "p, upper", [(1e-6, False), (0.0, False), (1.0, True), (1e-6, True), (0.91, False)]
+    )
+    def test_no_more_log_wealth_evaluations_than_the_bisection(self, monkeypatch, p, upper):
+        # on the first three sides (almost) every bracket is closed or holds
+        # one count, where a guess or a probe pair would cost more than the
+        # bisection's one evaluation; on the last two the guesses pay off
+        evaluated, bisected = [], []
+
+        def counted(heads, trials, p):
+            evaluated.append(np.size(heads))
+            return kt_log_wealth(heads, trials, p)
+
+        monkeypatch.setattr(anytime.sequences, "kt_log_wealth", counted)
+        horizon, threshold = 125_000, math.log(1000.0)
+        edges = exclusion_edge(horizon, p, threshold, upper)
+        want = bisect_exclusion_edge(horizon, p, threshold, upper, evaluated=bisected)
+        assert sum(evaluated) <= sum(bisected)
+        assert edges.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
     def test_rejects_p_outside_the_unit_interval(self, p):
         with pytest.raises(ValueError, match="p must be in"):
