@@ -18,12 +18,14 @@ confidence sequence's level ``alpha``, uniformly over stopping times.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy import special
 
 from .binom import _check_alpha, _check_count, _check_prob, binom_cdf, binom_sf
 from .intervals import (
@@ -37,6 +39,7 @@ from .sampling import (
     as_bit_source,
     clamp_take,
     count_ones,
+    reads_ahead,
     seed_sequence,
     substream,
     substream_id,
@@ -47,6 +50,7 @@ DEFAULT_STAGES = (100, 1_000, 10_000, 120_000)
 DEFAULT_CAP = 1_000_000
 _BLOCK = 4096  # largest block of bits the betting and SPRT deciders draw at once
 _FIRST_BLOCK = 64  # their blocks start here and double up to ``_BLOCK``
+_CELLS = 512  # union cells kept, one per (threshold, alpha, cap)
 
 METHODS = ("sprt", "betting", "union", "adaptive")
 CS_KINDS = ("betting", "union")
@@ -81,10 +85,14 @@ class TrialRecord:
         return False
 
 
-def _union_schedule(cs_kind: str, alpha: float) -> Optional[Schedule]:
-    """The union kind's schedule, doubling at ``alpha``; ``None`` for betting."""
+def _check_cs_kind(cs_kind: str) -> None:
     if cs_kind not in CS_KINDS:
         raise ValueError(f"unknown cs_kind {cs_kind!r}")
+
+
+def _union_schedule(cs_kind: str, alpha: float) -> Optional[Schedule]:
+    """The union kind's schedule, doubling at ``alpha``; ``None`` for betting."""
+    _check_cs_kind(cs_kind)
     return None if cs_kind == "betting" else Schedule.doubling(alpha)
 
 
@@ -133,9 +141,21 @@ def decide_with_cs(
         Randomization draws for the union kind's randomized CP pairs
         (``None`` uses the deterministic pairs).
 
-    The betting kind draws and scores bits in blocks that start at 64
-    and double up to 4,096.  The verdict is the first crossing, so it
-    does not depend on the block sizes.
+    Both kinds draw bits in blocks that start at 64 and double up to
+    4,096, so they may draw past the deciding bit to the end of its block.
+    The betting kind scores every bit of a block; the verdict is the first
+    crossing, so it does not depend on the block sizes.  The union kind
+    reads the heads at each stage boundary from its block.  A stream that
+    may run out without reporting ``remaining`` (an iterable, say) is read
+    to each boundary and no further, so a finite stream raises
+    ``RuntimeError`` at the first boundary past its end either way.  Each
+    ``(p, alpha, cap)`` has a cached union cell (``_CELLS`` of them are
+    kept): the schedule's boundaries and budgets, and per stage and side
+    the smallest count whose tail alone is within the half budget, found
+    the first time a trial reaches the stage.  A count three or more
+    below that edge fails its side for every draw, so only counts near an
+    edge evaluate their tail mixture; the verdicts and sample counts are
+    the ones evaluating every stage gives.
 
     Returns
     -------
@@ -143,13 +163,13 @@ def decide_with_cs(
         Verdict and the number of samples consumed at the decision.
     """
     _check_alpha(alpha)
-    schedule = _union_schedule(cs_kind, alpha)
+    _check_cs_kind(cs_kind)
     _check_prob("p", p)
     _check_count("cap", cap)
     source = as_bit_source(stream)
-    if schedule is None:
+    if cs_kind == "betting":
         return _decide_betting(p, source, alpha, cap)
-    return _decide_union(p, source, schedule, cap, rng)
+    return _decide_union(p, source, alpha, cap, rng)
 
 
 def _decide_betting(p, source, alpha, cap):
@@ -167,20 +187,119 @@ def _decide_betting(p, source, alpha, cap):
     return Verdict.UNDECIDED, cap
 
 
-def _decide_union(p, source, schedule, cap, rng):
+def _decide_union(p, source, alpha, cap, rng):
+    cell = _union_cell(p, alpha, cap)
+    bounds, half, windows = cell.bounds, cell.half, cell.windows
     # one array draw per trial, not one per stage
-    bounds = schedule.boundaries(cap).tolist()
     draws = union_draws(rng, len(bounds)).tolist()
-    heads, t = 0, 0
-    for k, (t_k, (w_lo, w_up)) in enumerate(zip(bounds, draws), start=1):
-        heads += count_ones(source, t_k - t)
-        t = t_k
-        per_side = schedule.budget(k) / 2.0
-        if float(upper_tail_mix(heads, t, p, w_lo)) <= per_side:
+    for k, heads in enumerate(_stage_heads(source, bounds)):
+        t, per_side = bounds[k], half[k]
+        less_from, greater_to = windows[k] or cell.find(k)
+        w_lo, w_up = draws[k]
+        if heads >= less_from and float(upper_tail_mix(heads, t, p, w_lo)) <= per_side:
             return Verdict.LESS, t  # running lower bound rose above p
-        if float(lower_tail_mix(heads, t, p, w_up)) <= per_side:
+        if heads <= greater_to and float(lower_tail_mix(heads, t, p, w_up)) <= per_side:
             return Verdict.GREATER, t  # running upper bound fell below p
     return Verdict.UNDECIDED, cap
+
+
+def _stage_heads(source, bounds: list[int]):
+    """The heads among the first ``t`` bits of ``source``, for each ``t`` in ``bounds``.
+
+    Drawn lazily, in the blocks of :func:`_block_walk` where the source
+    :func:`~anytime.sampling.reads_ahead`, else to each boundary and no
+    further.
+    """
+    heads = t = 0
+    if not reads_ahead(source):
+        for t_k in bounds:
+            heads += count_ones(source, t_k - t)
+            t = t_k
+            yield heads
+        return
+    k = 0
+    for bits in _block_walk(source, bounds[-1]):
+        end = t + bits.size
+        if bounds[k] <= end:
+            running = np.cumsum(bits)
+            while k < len(bounds) and bounds[k] <= end:
+                yield heads + int(running[bounds[k] - t - 1])
+                k += 1
+            heads += int(running[-1])
+        else:
+            heads += int(np.count_nonzero(bits))
+        t = end
+
+
+class _UnionCell:
+    """The union decider's stages at one ``(p, alpha, cap)``, with their count windows.
+
+    ``bounds`` and ``half`` are the doubling schedule's boundaries up to
+    ``cap`` and half stage budgets.  ``windows[k]`` is ``None`` until
+    :meth:`find` fills it with ``(less_from, greater_to)``: the heads at
+    which stage ``k`` can fire each side.  With ``S(x) = binom_sf(x, t,
+    p)`` and ``x*`` the smallest ``x`` with ``S(x) <= b``, the mixture
+    ``w S(h) + (1 - w) S(h + 1)`` is at least ``S(h + 1)``, so a count
+    ``h <= x* - 3`` exceeds ``b`` for every ``w`` by at least one pmf
+    term, far above the tails' rounding.  The failures mirror it with
+    ``1 - p``.
+    """
+
+    __slots__ = ("p", "bounds", "half", "windows")
+
+    def __init__(self, p: float, alpha: float, cap: int):
+        schedule = Schedule.doubling(alpha)
+        self.p = p
+        self.bounds = schedule.boundaries(cap).tolist()
+        self.half = [schedule.budget(k) / 2.0 for k in range(1, len(self.bounds) + 1)]
+        self.windows: list[Optional[tuple[int, int]]] = [None] * len(self.bounds)
+
+    def find(self, k: int) -> tuple[int, int]:
+        t, b = self.bounds[k], self.half[k]
+        less_from = _count_edge(t, self.p, b) - 2
+        greater_to = t - _count_edge(t, 1.0 - self.p, b) + 2
+        self.windows[k] = window = (less_from, greater_to)
+        return window
+
+
+# shared by every union trial: decide_with_cs, run_trial and certify_binary
+_union_cell = functools.lru_cache(maxsize=_CELLS)(_UnionCell)
+
+
+def _count_edge(t: int, p: float, b: float) -> int:
+    """Smallest ``x`` with ``binom_sf(x, t, p) <= b``, for ``0 <= b < 1``.
+
+    The tail is nonincreasing in ``x``, 1 at ``x = 0`` and 0 at ``t + 1``.
+    From a normal-quantile guess, a gallop brackets the edge and a
+    bisection closes the bracket.
+    """
+    lo, hi = 0, t + 1  # binom_sf(lo) > b >= binom_sf(hi)
+    guess = t * p + 0.5 - math.sqrt(t * p * (1.0 - p)) * float(special.ndtri(b))
+    x = min(max(math.ceil(guess), 1), t) if math.isfinite(guess) else (t + 1) // 2
+    step = 1
+    if binom_sf(x, t, p) <= b:
+        hi = x
+        while hi - step > lo:
+            x = hi - step
+            if binom_sf(x, t, p) > b:
+                lo = x
+                break
+            hi, step = x, 2 * step
+    else:
+        lo = x
+        while lo + step < hi:
+            x = lo + step
+            if binom_sf(x, t, p) <= b:
+                hi = x
+                break
+            lo, step = x, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if binom_sf(mid, t, p) <= b:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +544,10 @@ def benchmark_sweep(
     counter-based substream of ``seed``, so records are reproducible
     bit-for-bit whatever the execution order.  The trials run in order on
     the calling thread: they are mostly Python, so a thread pool would
-    only add GIL hand-offs to each trial's ``wall_ns``.
+    only add GIL hand-offs to each trial's ``wall_ns``.  The union trials
+    of one threshold share its cached stage cell (see
+    :func:`decide_with_cs`): the first trial to reach a stage finds its
+    count edges, and the later ones evaluate a tail only near them.
 
     Returns the flat trial records plus per-(method, threshold) summaries
     (mean samples, ratio to the SPRT mean at the same threshold, and the

@@ -203,6 +203,22 @@ def count_ones(source: BitSource, k: int) -> int:
     return ones
 
 
+def reads_ahead(source: BitSource) -> bool:
+    """Whether ``source`` may be drawn in blocks past the bits a reader needs.
+
+    A source that reports ``remaining`` is (:func:`clamp_take` keeps each
+    block inside it), and so is a ``ZeroOneSource`` that never runs out.
+    An iterable, or a caller's source that does not report ``remaining``,
+    may run out at any bit, so a reader that must stop at given counts
+    reads it to each count and no further.
+    """
+    if isinstance(source, IterSource):
+        return False
+    if isinstance(source, _CheckedSource):
+        return source.remaining is not None
+    return True
+
+
 def clamp_take(source: BitSource, want: int) -> int:
     """Largest block size <= ``want`` that a finite source can still satisfy.
 

@@ -91,16 +91,25 @@ def kt_log_wealth(heads, trials, p):
     ``+inf`` as soon as the sample contradicts ``p`` (which is what makes
     a degenerate candidate leave the betting CS at the first
     contradicting bit), and ``log Q`` itself for a constant matching
-    sample.  Accepts arrays.
+    sample.  Accepts arrays.  A float ``p`` in (0, 1) takes its two logs
+    once and scales them by the counts, the same bits as ``xlogy`` and
+    ``xlog1py`` (which compute ``x * log(y)`` and ``x * log1p(y)``).
     """
     heads = np.asarray(heads, dtype=float)
     trials = np.asarray(trials, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if isinstance(p, float) and 0.0 < p < 1.0:
         out = (
             kt_log_mixture(heads, trials)
-            - special.xlogy(heads, p)
-            - special.xlog1py(trials - heads, -np.asarray(p, dtype=float))
+            - heads * float(special.xlogy(1.0, p))
+            - (trials - heads) * float(special.xlog1py(1.0, -p))
         )
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (
+                kt_log_mixture(heads, trials)
+                - special.xlogy(heads, p)
+                - special.xlog1py(trials - heads, -np.asarray(p, dtype=float))
+            )
     return float(out) if np.ndim(out) == 0 else out
 
 

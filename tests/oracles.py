@@ -13,7 +13,9 @@ endpoint bisections, written with the same float expressions and
 can be required to return the very same bits; the betting ever-exclusion
 of a stream matrix as the log-wealth at every step, in the same
 expressions; the exclusion edges of a fixed ``p`` as a plain bisection
-of the log-wealth, in the same expressions; the running union and betting
+of the log-wealth, in the same expressions; the union decision as every
+stage's tail pair evaluated plainly, and its count edges as a plain
+bisection of the tail; the running union and betting
 intervals as plain scans over the bisections; and the multiclass betting
 and union certifiers as plain scans over those bisections, so the
 screened running bounds and the certified stopping can be required to
@@ -194,6 +196,48 @@ def union_scan(bits, schedule, rng=None):
                 lo = up = heads / t
         out.append((lo, up))
     return np.array(out)
+
+
+def union_decide_scan(p, bits, alpha, cap, rng=None):
+    """Union-bound decision of ``p`` on ``bits``: every doubling stage evaluated plainly.
+
+    At each boundary ``t_k <= cap`` (1, 2, 4, ...) the heads so far give
+    the successes' randomized tail ``w S(h) + (1 - w) S(h + 1)`` and the
+    failures' mirror, each against half of ``alpha / (k (k + 1))``, the
+    lower side first and with its uniform first (``w = 1`` without
+    ``rng``).  Returns ``("less" | "greater" | "undecided", samples)``,
+    and raises ``RuntimeError`` at the first boundary past the end of
+    ``bits``.
+    """
+    boundaries = stepping_boundaries(2.0, cap)
+    shape = (len(boundaries), 2)
+    draws = np.ones(shape) if rng is None else rng.random(shape)
+    for k, (t, (w_lo, w_up)) in enumerate(zip(boundaries, draws.tolist()), start=1):
+        if t > len(bits):
+            raise RuntimeError("bit stream exhausted")
+        heads = int(np.sum(bits[:t]))
+        per_side = alpha / (k * (k + 1)) / 2.0
+        if _tail_mix(heads, t, p, w_lo) <= per_side:
+            return "less", t
+        if _tail_mix(t - heads, t, 1.0 - p, w_up) <= per_side:
+            return "greater", t
+    return "undecided", cap
+
+
+def bisect_count_edge(t, p, b):
+    """Smallest ``x`` with ``P(B(t, p) >= x) <= b`` by plain bisection of [0, t + 1]."""
+    lo, hi = 0, t + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if float(_float_sf(mid, t, p)) <= b:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _tail_mix(x, n, p, w):
+    return w * float(_float_sf(x, n, p)) + (1.0 - w) * float(_float_sf(x + 1, n, p))
 
 
 def _kt_log_mixture(heads, trials):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from anytime import decision
 from anytime.decision import (
@@ -28,6 +30,7 @@ from anytime.decision import (
 from anytime.mc import union_ever_excluded
 from anytime.sampling import ArraySource, BernoulliSource, substream
 from anytime.sequences import Schedule
+from oracles import bisect_count_edge, stepping_boundaries, union_decide_scan
 
 
 def ones(n: int) -> np.ndarray:
@@ -185,6 +188,99 @@ class TestBlockSizes:
         )
         assert len(set(outcomes.values())) == 1, outcomes
         assert outcomes[4096][0] is not Verdict.UNDECIDED
+
+    @pytest.mark.parametrize("p", [0.58, 0.62, 0.3])
+    def test_union_verdict_independent_of_block(self, monkeypatch, p):
+        outcomes = self.outcomes(
+            monkeypatch,
+            lambda: decide_with_cs(
+                "union", p, ArraySource(self.BITS), 0.01, 30_000, rng=substream(17, "w")
+            ),
+        )
+        assert len(set(outcomes.values())) == 1, outcomes
+        assert outcomes[4096][0] is not Verdict.UNDECIDED
+
+
+class TestUnionCells:
+    """The union decider's cached stage windows give the plain stage scan's answers."""
+
+    @given(
+        p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        alpha_exp=st.floats(0.05, 12.0),
+        cap=st.integers(1, 5000),
+        shift=st.floats(-0.2, 0.2),
+        length=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        iterable=st.booleans(),
+        fresh=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(0.0, 3.0, 1000, 0.05, None, False, True, 0)
+    @example(1.0, 12.0, 1000, -0.05, None, False, True, 1)
+    @example(0.5, 12.0, 1023, 0.2, None, False, True, 2)
+    @example(0.3, 2.0, 3000, 0.01, 0.5, False, False, 3)
+    @example(0.7, 1.0, 3000, 0.0, 0.3, True, False, 4)
+    def test_matches_the_stage_scan(self, p, alpha_exp, cap, shift, length, iterable, fresh, seed):
+        # bits of mean near p, sometimes fewer than the last boundary needs;
+        # each call twice, on a fresh cell or one left by earlier examples
+        # and then on the cell the first call filled
+        alpha = 10.0**-alpha_exp
+        q = min(max(p + shift, 0.0), 1.0)
+        n = cap if length is None else max(1, int(length * cap))
+        bits = (substream(seed, "bits").random(n) < q).astype(np.uint8)
+        try:
+            expected = union_decide_scan(p, bits, alpha, cap, substream(seed, "w"))
+        except RuntimeError:
+            expected = "exhausted"
+        if fresh:
+            decision._union_cell.cache_clear()
+        for _ in range(2):
+            stream = bits.tolist() if iterable else ArraySource(bits)
+            try:
+                verdict, samples = decide_with_cs(
+                    "union", p, stream, alpha, cap, rng=substream(seed, "w")
+                )
+                got = (verdict.value, samples)
+            except RuntimeError:
+                got = "exhausted"
+            assert got == expected
+
+    @given(
+        t=st.integers(1, 10**7),
+        p=st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0)),
+        b=st.one_of(st.just(0.0), st.floats(1e-300, 0.25)),
+    )
+    @example(1, 0.5, 0.25)
+    @example(10**7, 0.5, 1e-300)
+    @example(524_288, 0.91, 2.5e-5)
+    def test_count_edge_is_the_plain_bisection(self, t, p, b):
+        assert decision._count_edge(t, p, b) == bisect_count_edge(t, p, b)
+
+    def test_cells_of_another_alpha_or_cap_keep_their_own_edges(self):
+        decision._union_cell.cache_clear()
+        keys = [(0.3, 0.01, 1000), (0.3, 0.001, 1000), (0.3, 0.01, 3000)]
+        for p, alpha, cap in keys:
+            for trial in range(20):
+                stream = BernoulliSource(substream(8, "cells", trial), 0.32)
+                decide_with_cs("union", p, stream, alpha, cap, rng=substream(8, "w", trial))
+        cells = [decision._union_cell(*key) for key in keys]
+        assert len({id(cell) for cell in cells}) == 3
+        for (p, alpha, cap), cell in zip(keys, cells):
+            bounds = stepping_boundaries(2.0, cap)
+            assert cell.bounds == bounds
+            found = [k for k, window in enumerate(cell.windows) if window is not None]
+            assert len(found) >= 8
+            for k in found:
+                t, half = bounds[k], alpha / ((k + 1) * (k + 2)) / 2.0
+                assert cell.half[k] == half
+                less_from = bisect_count_edge(t, p, half) - 2
+                greater_to = t - bisect_count_edge(t, 1.0 - p, half) + 2
+                assert cell.windows[k] == (less_from, greater_to)
+
+    def test_an_iterable_is_read_to_each_boundary(self):
+        # sixteen ones decide at t = 16 at the latest; a block of 64 would
+        # run the iterable out first
+        verdict, samples = decide_with_cs("union", 0.5, [1] * 16, 0.05, cap=32)
+        assert (verdict, samples) == (Verdict.LESS, 16)
 
 
 class TestStagedAdaptive:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import special
 
 import anytime.sequences
 from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound
@@ -91,6 +92,26 @@ class TestKtMixture:
         assert kt_log_wealth(4, 5, 1.0) == math.inf
         np.testing.assert_allclose(kt_log_wealth(0, 5, 0.0), kt_log_mixture(0, 5), atol=1e-12)
         np.testing.assert_allclose(kt_log_wealth(5, 5, 1.0), kt_log_mixture(5, 5), atol=1e-12)
+
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(0, 10**7),
+        st.floats(0.0, 1.0),
+    )
+    @example(1e-300, 10**7, 0.5)
+    @example(5e-324, 3, 1.0)
+    @example(1.0 - 2.0**-53, 10**7, 0.0)
+    @example(0.3, 0, 0.0)
+    def test_float_p_gives_the_bits_of_xlogy(self, p, t, share):
+        # a float p in (0, 1) scales its two logs by the counts; xlogy and
+        # xlog1py compute x * log(y) and x * log1p(y), so the bits agree,
+        # at h = 0 and h = t too
+        t_arr = np.full(5, float(t))
+        h = np.array([0.0, t, math.floor(share * t), t // 2, max(t - 1, 0)])
+        expected = kt_log_mixture(h, t_arr) - special.xlogy(h, p) - special.xlog1py(t_arr - h, -p)
+        got = kt_log_wealth(h, t_arr, p)
+        assert got.tobytes() == expected.tobytes()
+        assert kt_log_wealth(int(h[2]), t, p) == expected[2]
 
     def test_supermartingale_mean(self, rng):
         # E[W_t] = 1 under the true p; check the empirical mean stays within
