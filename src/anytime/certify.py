@@ -31,7 +31,7 @@ from .binom import _check_alpha, _check_count, _check_prob, gauss_quantile
 from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _union_schedule
 from .decision import decide_with_cs
 from .intervals import Interval, cp_upper, rcp_upper_lo_bound
-from .sampling import ZeroOneSource, as_bit_source, clamp_take, count_ones
+from .sampling import _BLOCK, ZeroOneSource, as_bit_source, blocks, stage_heads
 # betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
 # checks that the tracer wraps them in every module that held them
 from .intervals import rcp_upper_lo  # noqa: F401
@@ -39,7 +39,6 @@ from .sequences import betting_endpoints, betting_first_pass  # noqa: F401
 from .sequences import _complement_carry, union_draws, union_running, union_stages
 
 DEFAULT_WARMUP = 100
-_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,7 +273,8 @@ def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
     # row 0 bounds class A with budget lam * alpha, row 1 the runner-up
     # with (1 - lam) * alpha.  Running bounds only tighten, so once a test
     # passes it keeps passing: the search needs exact bounds at a few
-    # columns of each block only.
+    # columns of each block only.  Blocks hold class labels, not bits, so
+    # they are flat ones of the bit readers' largest size, ``_BLOCK``.
     alpha = np.array([spec.lam * spec.alpha, (1.0 - spec.lam) * spec.alpha])
     run = np.zeros(2), np.ones(2)
     eye = np.eye(oracle.n_classes, dtype=np.int64)
@@ -356,10 +356,7 @@ def certify_staged(oracle: ClassOracle, target_class: int, spec: CertSpec) -> tu
     p_star = binary_threshold(spec.radius, spec.sigma)
     per_stage = spec.alpha / len(DEFAULT_STAGES)
     source = _IndicatorSource(oracle, target_class)
-    heads, t = 0, 0
-    for n_i in DEFAULT_STAGES:
-        heads += count_ones(source, n_i - t)
-        t = n_i
+    for t, heads in zip(DEFAULT_STAGES, stage_heads(source, DEFAULT_STAGES)):
         if cp_upper(heads, t, per_stage).lo > p_star:
             return Verdict.GREATER, t
     return Verdict.ABSTAIN, t
@@ -401,10 +398,11 @@ def width_target_run(
 def _width_target_betting(source, eps, alpha, cap):
     lo_run, up_run = 0.0, 1.0
     heads, t = 0, 0
-    while t < cap:
-        k = clamp_take(source, min(_BLOCK, cap - t))
-        h = heads + np.cumsum(source.take(k), dtype=np.int64)
-        t_arr = t + np.arange(1, k + 1, dtype=np.int64)
+    # read toward ``cap`` alone, so in 4,096-bit blocks from the first: a
+    # betting_first_pass call costs far more than the columns it adds
+    for bits in blocks(source, cap, (cap,)):
+        h = heads + np.cumsum(bits, dtype=np.int64)
+        t_arr = t + np.arange(1, bits.size + 1, dtype=np.int64)
         col, lo, up = betting_first_pass(
             h[None, :], t_arr, alpha, lo_run, up_run, lambda lo, up: (up - lo < eps)[0]
         )
@@ -420,10 +418,8 @@ def _width_target_betting(source, eps, alpha, cap):
 
 def _width_target_union(source, eps, cap, sched, rng):
     lo_run, up_run = 0.0, 1.0
-    heads, t = 0, 0
-    for k_idx, t_k in enumerate(sched.boundaries(cap).tolist(), start=1):
-        heads += count_ones(source, t_k - t)
-        t = t_k
+    bounds = sched.boundaries(cap).tolist()
+    for k_idx, (t, heads) in enumerate(zip(bounds, stage_heads(source, bounds)), start=1):
         w = union_draws(rng, 1)
         lo, up = union_stages([heads], [t], [sched.budget(k_idx)], w, lo_run, up_run)
         lo_run, up_run = float(lo[0]), float(up[0])

@@ -37,10 +37,9 @@ from .intervals import (
 from .sampling import (
     BernoulliSource,
     as_bit_source,
-    clamp_take,
-    count_ones,
-    reads_ahead,
+    blocks,
     seed_sequence,
+    stage_heads,
     substream,
     substream_id,
 )
@@ -48,8 +47,6 @@ from .sequences import Schedule, kt_log_wealth, union_draws
 
 DEFAULT_STAGES = (100, 1_000, 10_000, 120_000)
 DEFAULT_CAP = 1_000_000
-_BLOCK = 4096  # largest block of bits the betting and SPRT deciders draw at once
-_FIRST_BLOCK = 64  # their blocks start here and double up to ``_BLOCK``
 _CELLS = 512  # union cells kept, one per (threshold, alpha, cap)
 
 METHODS = ("sprt", "betting", "union", "adaptive")
@@ -96,16 +93,6 @@ def _union_schedule(cs_kind: str, alpha: float) -> Optional[Schedule]:
     return None if cs_kind == "betting" else Schedule.doubling(alpha)
 
 
-def _block_walk(source, cap: int):
-    """The bits of ``source`` up to ``cap``: blocks from ``_FIRST_BLOCK`` doubling to ``_BLOCK``."""
-    t, size = 0, min(_FIRST_BLOCK, _BLOCK)
-    while t < cap:
-        k = clamp_take(source, min(size, cap - t))
-        size = min(2 * size, _BLOCK)
-        yield source.take(k)
-        t += k
-
-
 # ---------------------------------------------------------------------------
 # Confidence-sequence decider
 
@@ -141,21 +128,21 @@ def decide_with_cs(
         Randomization draws for the union kind's randomized CP pairs
         (``None`` uses the deterministic pairs).
 
-    Both kinds draw bits in blocks that start at 64 and double up to
-    4,096, so they may draw past the deciding bit to the end of its block.
-    The betting kind scores every bit of a block; the verdict is the first
-    crossing, so it does not depend on the block sizes.  The union kind
-    reads the heads at each stage boundary from its block.  A stream that
-    may run out without reporting ``remaining`` (an iterable, say) is read
-    to each boundary and no further, so a finite stream raises
-    ``RuntimeError`` at the first boundary past its end either way.  Each
-    ``(p, alpha, cap)`` has a cached union cell (``_CELLS`` of them are
-    kept): the schedule's boundaries and budgets, and per stage and side
-    the smallest count whose tail alone is within the half budget, found
-    the first time a trial reaches the stage.  A count three or more
-    below that edge fails its side for every draw, so only counts near an
-    edge evaluate their tail mixture; the verdicts and sample counts are
-    the ones evaluating every stage gives.
+    Both kinds read the stream through :func:`~anytime.sampling.blocks`,
+    in blocks that start at 64 bits and double up to 4,096, so they may
+    draw past the deciding bit to the end of its block.  The betting kind
+    scores every bit of a block; the verdict is the first crossing, so it
+    does not depend on the block sizes.  The union kind reads the heads at
+    each stage boundary from its block (:func:`~anytime.sampling.stage_heads`).
+    A finite stream, array or iterable alike, hands out a short last
+    block, so a verdict inside it is found; a read past its end raises
+    ``RuntimeError``.  Each ``(p, alpha, cap)`` has a cached union cell
+    (``_CELLS`` of them are kept): the schedule's boundaries and budgets,
+    and per stage and side the smallest count whose tail alone is within
+    the half budget, found the first time a trial reaches the stage.  A
+    count three or more below that edge fails its side for every draw, so
+    only counts near an edge evaluate their tail mixture; the verdicts and
+    sample counts are the ones evaluating every stage gives.
 
     Returns
     -------
@@ -175,7 +162,7 @@ def decide_with_cs(
 def _decide_betting(p, source, alpha, cap):
     threshold = math.log(1.0 / alpha)
     heads, t = 0, 0
-    for bits in _block_walk(source, cap):
+    for bits in blocks(source, cap):
         h_cum = heads + np.cumsum(bits, dtype=np.int64)
         t_cum = t + np.arange(1, bits.size + 1, dtype=np.int64)
         excluded = np.asarray(kt_log_wealth(h_cum, t_cum, p)) > threshold
@@ -192,7 +179,7 @@ def _decide_union(p, source, alpha, cap, rng):
     bounds, half, windows = cell.bounds, cell.half, cell.windows
     # one array draw per trial, not one per stage
     draws = union_draws(rng, len(bounds)).tolist()
-    for k, heads in enumerate(_stage_heads(source, bounds)):
+    for k, heads in enumerate(stage_heads(source, bounds)):
         t, per_side = bounds[k], half[k]
         less_from, greater_to = windows[k] or cell.find(k)
         w_lo, w_up = draws[k]
@@ -201,34 +188,6 @@ def _decide_union(p, source, alpha, cap, rng):
         if heads <= greater_to and float(lower_tail_mix(heads, t, p, w_up)) <= per_side:
             return Verdict.GREATER, t  # running upper bound fell below p
     return Verdict.UNDECIDED, cap
-
-
-def _stage_heads(source, bounds: list[int]):
-    """The heads among the first ``t`` bits of ``source``, for each ``t`` in ``bounds``.
-
-    Drawn lazily, in the blocks of :func:`_block_walk` where the source
-    :func:`~anytime.sampling.reads_ahead`, else to each boundary and no
-    further.
-    """
-    heads = t = 0
-    if not reads_ahead(source):
-        for t_k in bounds:
-            heads += count_ones(source, t_k - t)
-            t = t_k
-            yield heads
-        return
-    k = 0
-    for bits in _block_walk(source, bounds[-1]):
-        end = t + bits.size
-        if bounds[k] <= end:
-            running = np.cumsum(bits)
-            while k < len(bounds) and bounds[k] <= end:
-                yield heads + int(running[bounds[k] - t - 1])
-                k += 1
-            heads += int(running[-1])
-        else:
-            heads += int(np.count_nonzero(bits))
-        t = end
 
 
 class _UnionCell:
@@ -322,9 +281,9 @@ def sprt_ideal(
     classical SPRT bound; this is the per-instance yardstick the
     threshold-agnostic methods are measured against.  Returns
     ``Verdict.UNDECIDED`` at ``cap`` samples (an integer >= 1).  Bits are
-    drawn in blocks that start at 64 and double up to 4,096; the log
-    likelihood ratio is one running sum, so the verdict does not depend on
-    the block sizes.
+    read through :func:`~anytime.sampling.blocks` (64 doubling to 4,096);
+    the log likelihood ratio is one running sum, so the verdict does not
+    depend on the block sizes.
     """
     _check_prob("p", p)
     _check_prob("q", q)
@@ -339,7 +298,7 @@ def sprt_ideal(
     for_q = Verdict.LESS if q > p else Verdict.GREATER
     for_p = Verdict.GREATER if q > p else Verdict.LESS
     llr, t = 0.0, 0
-    for bits in _block_walk(source, cap):
+    for bits in blocks(source, cap):
         steps = np.where(bits == 1, head_step, tail_step)
         # carried into the first step, so the path is one running sum
         # whatever the block sizes (cumsum adds in order)
@@ -390,17 +349,15 @@ def staged_adaptive(
     one-sided deterministic Clopper-Pearson bounds.  Declares as soon as
     a stage's pair separates the threshold, abstains after the last
     stage.  Sample sizes are cumulative: stage ``i`` has observed
-    ``stages[i]`` bits in total.
+    ``stages[i]`` bits in total, read by
+    :func:`~anytime.sampling.stage_heads`.
     """
     _check_prob("p", p)
     _check_alpha(alpha)
     stages = _check_stages(stages)
     source = as_bit_source(stream)
     per_side = alpha / (2.0 * len(stages))
-    heads, t = 0, 0
-    for n_i in stages:
-        heads += count_ones(source, n_i - t)
-        t = n_i
+    for t, heads in zip(stages, stage_heads(source, stages)):
         if float(binom_sf(heads, t, p)) < per_side:
             return Verdict.LESS, t  # lower bound above the threshold
         if float(binom_cdf(heads, t, p)) < per_side:
@@ -434,8 +391,7 @@ def nonadaptive_hoeffding(
     """
     _check_prob("q_hyp", q_hyp)
     n = hoeffding_sample_size(eps, gamma)
-    source = as_bit_source(stream)
-    heads = count_ones(source, n)
+    (heads,) = stage_heads(as_bit_source(stream), [n])
     interval = hoeffding_interval(heads, n, gamma)
     if interval.contains(q_hyp):
         return EqualityOutcome(Verdict.UNDECIDED, True, n)

@@ -5,6 +5,10 @@ Every simulated trial owns a counter-based substream derived from
 are reproducible bit-for-bit regardless of execution order, chunking, or
 thread count.  String path components (method names) are hashed with
 blake2b so the derivation never depends on Python's randomized ``hash``.
+Every decider, certifier and width-target run reads its bit stream
+through one reader: :func:`blocks` draws blocks of 64 bits doubling to
+4,096, and :func:`stage_heads` reads the heads at given counts from
+them.
 :func:`run_jobs` runs the cells of ``anytime coverage``, the one command
 whose threads pay off (its vector tails release the GIL), and returns
 them in job order for any thread count.  The decide and certify sweeps,
@@ -16,11 +20,14 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from .binom import _check_count, _check_prob
+
+_BLOCK = 4096  # the largest block a reader draws at once
+_FIRST_BLOCK = 64  # blocks start here and double up to ``_BLOCK``
 
 
 def _key_int(part) -> int:
@@ -82,14 +89,19 @@ def run_jobs(jobs: Sequence, fn: Callable, threads: int) -> list:
 
 @runtime_checkable
 class BitSource(Protocol):
-    """Anything that can hand out the next ``k`` bits of a 0/1 stream."""
+    """Anything that can hand out the next bits of a 0/1 stream.
+
+    ``take(k)`` returns a 1-d block of 1 to ``k`` bits.  It returns fewer
+    than ``k`` only at the end of a finite stream, and raises
+    ``RuntimeError`` once no bit is left.
+    """
 
     def take(self, k: int) -> np.ndarray:  # pragma: no cover - protocol
         ...
 
 
 class ZeroOneSource:
-    """Base of sources whose blocks are 0/1 ``uint8`` arrays by construction.
+    """Base of sources whose blocks keep the :class:`BitSource` rule by construction.
 
     :func:`as_bit_source` passes these through; any other object with a
     ``take`` method gets each block checked.
@@ -120,20 +132,31 @@ def _as_bits(values) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+def _as_block(values) -> np.ndarray:
+    """``values`` as a 1-d array of 0/1 bits (see :func:`_as_bits`)."""
+    block = _as_bits(values)
+    if block.ndim != 1:
+        raise ValueError(f"bits must be a 1-d stream of 0/1, got shape {block.shape}")
+    return block
+
+
+def _nonempty(block: np.ndarray) -> np.ndarray:
+    """``block``, unless it is empty: then the stream has run out."""
+    if block.size == 0:
+        raise RuntimeError("bit stream exhausted")
+    return block
+
+
 class ArraySource(ZeroOneSource):
-    """Bit stream backed by a fixed array; raises when exhausted."""
+    """Bit stream backed by a fixed array; the last block holds what is left."""
 
     def __init__(self, bits):
-        self._bits = _as_bits(bits)
-        if self._bits.ndim != 1:
-            raise ValueError("bits must be a 1-d array of 0/1")
+        self._bits = _as_block(bits)
         self._pos = 0
 
     def take(self, k: int) -> np.ndarray:
-        if self._pos + k > self._bits.size:
-            raise RuntimeError("bit stream exhausted")
-        out = self._bits[self._pos : self._pos + k]
-        self._pos += k
+        out = _nonempty(self._bits[self._pos : self._pos + k])
+        self._pos += out.size
         return out
 
     @property
@@ -142,37 +165,34 @@ class ArraySource(ZeroOneSource):
 
 
 class IterSource(ZeroOneSource):
-    """Adapter for plain Python iterables of 0/1 values (checked per chunk)."""
+    """Adapter for plain Python iterables of 0/1 values (checked per block)."""
 
     def __init__(self, it: Iterable[int]):
         self._it: Iterator[int] = iter(it)
 
     def take(self, k: int) -> np.ndarray:
-        chunk = list(islice(self._it, k))
-        if len(chunk) < k:
-            raise RuntimeError("bit stream exhausted")
-        return _as_bits(chunk)
+        return _nonempty(_as_block(list(islice(self._it, k))))
 
 
 class _CheckedSource(ZeroOneSource):
-    """A caller's source with every block checked to be 0/1."""
+    """A caller's source with every block checked to keep the :class:`BitSource` rule."""
 
     def __init__(self, source):
         self._source = source
 
     def take(self, k: int) -> np.ndarray:
-        return _as_bits(self._source.take(k))
-
-    @property
-    def remaining(self) -> Optional[int]:
-        return getattr(self._source, "remaining", None)
+        block = _nonempty(_as_block(self._source.take(k)))
+        if block.size > k:
+            raise ValueError(f"take({k}) returned {block.size} bits")
+        return block
 
 
 def as_bit_source(stream) -> BitSource:
     """Coerce a stream argument (source, array, or iterable) to a BitSource.
 
     A source that is not a :class:`ZeroOneSource` is wrapped so that a
-    block of 0.9s or 7s raises instead of being read as bits.
+    block of 0.9s or 7s, a 2-d block, an empty one or one longer than
+    asked raises instead of being read as bits.
     """
     if isinstance(stream, ZeroOneSource):
         return stream
@@ -183,52 +203,45 @@ def as_bit_source(stream) -> BitSource:
     return IterSource(stream)
 
 
-_COUNT_BLOCK = 4096
+def blocks(source: BitSource, cap: int, marks: Iterable[int] = ()) -> Iterator[np.ndarray]:
+    """The bits of ``source`` up to ``cap``, in blocks of 64 doubling to 4,096.
 
-
-def count_ones(source: BitSource, k: int) -> int:
-    """Number of ones among the next ``k`` bits of ``source``.
-
-    The bits are drawn at most 4,096 at a time, so a large stage (the
-    staged and union deciders reach 10^5 bits and more) never holds its
-    whole draw in memory; the sources' blocks concatenate to the same
-    stream whatever their sizes.
+    A block that would end before the next of the increasing counts
+    ``marks`` runs on toward it, and the blocks after it stop at it, each
+    at most 4,096 bits.  So a sparse ladder of marks (100, 1,000, ...)
+    reads each gap in as few blocks as it can and no bit past it, while
+    dense marks (1, 2, 4, ...) never reach past the doubling blocks and
+    leave them as they are.  No block runs past ``cap``.  A finite source
+    hands out a short last block and then raises, so a reader never asks
+    whether a source can run out.
     """
-    _check_count("k", k, minimum=0)
-    ones = 0
-    while k > 0:
-        step = min(k, _COUNT_BLOCK)
-        ones += int(source.take(step).sum())
-        k -= step
-    return ones
+    marks = iter(marks)
+    mark = next(marks, 0)  # 0 once the marks run out: no block runs on
+    t, size, onto = 0, min(_FIRST_BLOCK, _BLOCK), False
+    while t < cap:
+        while 0 < mark <= t:
+            mark, onto = next(marks, 0), False
+        reach = mark - t if onto else max(size, mark - t)
+        bits = source.take(min(reach, _BLOCK, cap - t))
+        yield bits
+        onto = bits.size > size  # ran on past the plan: the next blocks stop at the mark
+        t += bits.size
+        size = min(2 * size, _BLOCK)
 
 
-def reads_ahead(source: BitSource) -> bool:
-    """Whether ``source`` may be drawn in blocks past the bits a reader needs.
+def stage_heads(source: BitSource, bounds: Sequence[int]) -> Iterator[int]:
+    """The heads among the first ``t`` bits of ``source``, for each ``t`` in ``bounds``.
 
-    A source that reports ``remaining`` is (:func:`clamp_take` keeps each
-    block inside it), and so is a ``ZeroOneSource`` that never runs out.
-    An iterable, or a caller's source that does not report ``remaining``,
-    may run out at any bit, so a reader that must stop at given counts
-    reads it to each count and no further.
+    ``bounds`` are increasing counts >= 1.  Each count is yielded as soon
+    as the :func:`blocks` read to it are drawn, so a reader that stops at
+    a count draws no further block; a finite source that ends before a
+    count raises ``RuntimeError`` there.
     """
-    if isinstance(source, IterSource):
-        return False
-    if isinstance(source, _CheckedSource):
-        return source.remaining is not None
-    return True
-
-
-def clamp_take(source: BitSource, want: int) -> int:
-    """Largest block size <= ``want`` that a finite source can still satisfy.
-
-    Block-mode consumers fetch bits in chunks ahead of need; against a
-    replayed finite array the chunk must not overshoot what is left.
-    Unbounded sources (no ``remaining``) pass ``want`` through.
-    """
-    bound = getattr(source, "remaining", None)
-    if bound is None:
-        return want
-    if bound <= 0:
-        raise RuntimeError("bit stream exhausted")
-    return min(want, int(bound))
+    heads = t = k = 0
+    for bits in blocks(source, bounds[-1], bounds):
+        end = t + bits.size
+        while k < len(bounds) and bounds[k] <= end:
+            yield heads + int(np.count_nonzero(bits[: bounds[k] - t]))
+            k += 1
+        heads += int(np.count_nonzero(bits))
+        t = end

@@ -24,7 +24,7 @@ from anytime.decision import benchmark_sweep, decide_with_cs, staged_adaptive
 from anytime.intervals import enumeration_coverage, hoeffding_interval, hoeffding_sample_size
 from anytime.intervals import rcp_two_sided, rcp_upper
 from anytime.mc import bernoulli_matrix, mc_coverage
-from anytime.sampling import BernoulliSource, count_ones, run_jobs, substream
+from anytime.sampling import BernoulliSource, run_jobs, substream
 from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
 from anytime.sequences import Schedule, UnionCS, ub_cs_width_envelope
 
@@ -84,7 +84,6 @@ REJECTED = {
     "betting_endpoints fractional trials array": lambda: betting_endpoints(
         np.array([1.0, 2.0]), np.array([2.0, 3.5]), 0.05
     ),
-    "count_ones k -3": lambda: count_ones(BernoulliSource(substream(0, "c"), 0.5), -3),
     "hoeffding_sample_size eps inf": lambda: hoeffding_sample_size(math.inf, 0.05),
     "UnionCS NaN draw": lambda: UnionCS(Schedule(0.05), draws=lambda: math.nan).update(1),
     "UnionCS draw -1": lambda: UnionCS(Schedule(0.05), draws=lambda: -1.0).update(1),

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from anytime import decision
+from anytime import decision, sampling
+from anytime.certify import CertSpec, ClassOracle, certify_staged, width_target_run
 from anytime.decision import (
     DEFAULT_STAGES,
     TrialRecord,
@@ -155,11 +156,14 @@ class TestDecideWithCs:
 
 
 class TestBlockSizes:
-    """Verdicts are first crossings, so the block cap must not change them.
+    """Verdicts are first crossings or stage counts, so the block cap must not change them.
 
-    The cap is the module constant ``decision._BLOCK``, patched here.  The
-    first ``p`` of each test decides after 8,128 bits, where blocks growing
-    from 64 have reached the 4,096 cap.
+    The cap is ``sampling._BLOCK``, the largest block of
+    :func:`~anytime.sampling.blocks`, which every reader draws through;
+    it is patched here.  The first ``p`` of each decider test decides
+    after 8,128 bits, where blocks growing from 64 have reached the 4,096
+    cap; the first input of each staged and width-target test stops past
+    the first 4,096 bits too.
     """
 
     BITS = (substream(17, "blocks").random(30_000) < 0.6).astype(np.int64)
@@ -168,7 +172,7 @@ class TestBlockSizes:
     def outcomes(monkeypatch, decide):
         out = {}
         for block in (1, 7, 4096):
-            monkeypatch.setattr(decision, "_BLOCK", block)
+            monkeypatch.setattr(sampling, "_BLOCK", block)
             out[block] = decide()
         return out
 
@@ -199,6 +203,37 @@ class TestBlockSizes:
         )
         assert len(set(outcomes.values())) == 1, outcomes
         assert outcomes[4096][0] is not Verdict.UNDECIDED
+
+    @pytest.mark.parametrize("p", [0.58, 0.3, 0.59])
+    def test_staged_verdict_independent_of_block(self, monkeypatch, p):
+        outcomes = self.outcomes(
+            monkeypatch,
+            lambda: staged_adaptive(p, BernoulliSource(substream(17, "staged"), 0.6), 0.01),
+        )
+        assert len(set(outcomes.values())) == 1, outcomes
+        assert outcomes[4096][1] in DEFAULT_STAGES
+
+    @pytest.mark.parametrize("radius", [0.2, 0.1, 0.25])
+    def test_certify_staged_verdict_independent_of_block(self, monkeypatch, radius):
+        spec = CertSpec(1.0, radius, 0.01)
+        outcomes = self.outcomes(
+            monkeypatch,
+            lambda: certify_staged(ClassOracle((0.6, 0.3, 0.1), substream(17, "oracle")), 0, spec),
+        )
+        assert len(set(outcomes.values())) == 1, outcomes
+
+    @pytest.mark.parametrize(
+        ("kind", "eps"), [("betting", 0.05), ("betting", 0.3), ("union", 0.05), ("union", 0.3)]
+    )
+    def test_width_target_independent_of_block(self, monkeypatch, kind, eps):
+        outcomes = self.outcomes(
+            monkeypatch,
+            lambda: width_target_run(
+                ArraySource(self.BITS), eps, 0.01, kind, cap=30_000, rng=substream(17, "w")
+            ),
+        )
+        assert len(set(outcomes.values())) == 1, outcomes
+        assert outcomes[4096][1] < 30_000
 
 
 class TestUnionCells:
@@ -281,6 +316,17 @@ class TestUnionCells:
         # run the iterable out first
         verdict, samples = decide_with_cs("union", 0.5, [1] * 16, 0.05, cap=32)
         assert (verdict, samples) == (Verdict.LESS, 16)
+
+    def test_a_short_iterable_decides_betting_as_the_array_does(self):
+        # the first block asked for 32 bits of sixteen, which raised
+        verdict = decide_with_cs("betting", 0.5, [1] * 16, 0.05, cap=32)
+        assert verdict == decide_with_cs("betting", 0.5, np.ones(16), 0.05, cap=32)
+        assert verdict == (Verdict.LESS, 7)
+
+    def test_a_short_iterable_decides_sprt_as_the_array_does(self):
+        verdict = sprt_ideal(0.5, 0.91, 0.001, [1] * 20, cap=50)
+        assert verdict == sprt_ideal(0.5, 0.91, 0.001, np.ones(20), cap=50)
+        assert verdict == (Verdict.LESS, 12)
 
 
 class TestStagedAdaptive:

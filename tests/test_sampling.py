@@ -20,10 +20,10 @@ from anytime.sampling import (
     BernoulliSource,
     IterSource,
     as_bit_source,
-    clamp_take,
-    count_ones,
+    blocks,
     run_jobs,
     seed_sequence,
+    stage_heads,
     substream,
     substream_id,
 )
@@ -99,6 +99,14 @@ class TestSources:
         with pytest.raises(RuntimeError):
             src.take(1)
 
+    @pytest.mark.parametrize("make", [ArraySource, IterSource])
+    def test_finite_sources_hand_out_a_short_last_block(self, make):
+        src = make([1, 0, 1])
+        np.testing.assert_array_equal(src.take(2), [1, 0])
+        np.testing.assert_array_equal(src.take(64), [1])
+        with pytest.raises(RuntimeError, match="exhausted"):
+            src.take(64)
+
     def test_as_bit_source_on_ndarray(self):
         # ndarray has a .take method; make sure it still gets wrapped
         src = as_bit_source(np.array([1, 0, 1]))
@@ -130,6 +138,17 @@ class TestRejectNonBits:
         np.testing.assert_array_equal(src.take(2), [1, 0])
         with pytest.raises(ValueError, match="0 or 1"):
             src.take(2)
+
+    @pytest.mark.parametrize("kind", ["betting", "union"])
+    def test_nested_iterable_is_no_verdict(self, kind):
+        # read as a (1, 40) block, this returned union LESS at t = 1
+        with pytest.raises(ValueError, match="1-d"):
+            decide_with_cs(kind, 0.5, [[1] * 40], 0.05, cap=40)
+
+    def test_nested_iterable_is_no_staged_verdict(self):
+        # read as a (100, 2) block, this returned LESS at t = 100
+        with pytest.raises(ValueError, match="1-d"):
+            staged_adaptive(0.5, [[1, 1]] * 200, 0.05, (100,))
 
     def test_bools_and_float_bits_pass(self):
         np.testing.assert_array_equal(ArraySource(np.array([True, False])).take(2), [1, 0])
@@ -167,6 +186,35 @@ class _Constant:
         return np.full(k, self.value)
 
 
+class _Oversized:
+    """A caller's source whose ``take(k)`` hands out ``2 k`` ones."""
+
+    def take(self, k: int) -> np.ndarray:
+        return np.ones(2 * k)
+
+
+class _Shaped:
+    """A caller's source whose ``take(k)`` hands out a ``(k, cols)`` block of ones, or none."""
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    def take(self, k: int) -> np.ndarray:
+        return np.ones(0) if self.cols is None else np.ones((k, self.cols))
+
+
+class _Finite:
+    """A caller's source of ``n`` ones that keeps the short-last-block rule."""
+
+    def __init__(self, n: int):
+        self.left = n
+
+    def take(self, k: int) -> np.ndarray:
+        k = min(k, self.left)
+        self.left -= k
+        return np.ones(k)
+
+
 class TestCustomSources:
     """Blocks from a caller's ``take`` are checked before any decider reads them."""
 
@@ -186,40 +234,103 @@ class TestCustomSources:
         verdict, samples = decide_with_cs("betting", 0.5, _Constant(1), 0.05, cap=200)
         assert verdict is Verdict.LESS and samples == 7  # as for an all-ones array
 
-    def test_wrapper_keeps_remaining(self):
-        class Finite(_Constant):
-            remaining = 3
+    @pytest.mark.parametrize("kind", ["betting", "union"])
+    @pytest.mark.parametrize(
+        "source",
+        [_Oversized(), _Shaped(3)],
+        ids=["twice-as-many-bits", "k-by-3-block"],
+    )
+    def test_malformed_blocks_are_no_verdict(self, kind, source):
+        # read as they came, these returned LESS (betting at t = 7, union at t = 1)
+        with pytest.raises(ValueError, match="1-d|returned"):
+            decide_with_cs(kind, 0.5, source, 0.05, cap=200)
 
-        assert clamp_take(as_bit_source(Finite(1)), 10) == 3
-        assert clamp_take(as_bit_source(_Constant(1)), 10) == 10
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda src: decide_with_cs("betting", 0.5, src, 0.05, cap=200),
+            lambda src: decide_with_cs("union", 0.5, src, 0.05, cap=200),
+            lambda src: sprt_ideal(0.5, 0.7, 0.05, src, cap=200),
+            lambda src: staged_adaptive(0.5, src, 0.05),
+        ],
+        ids=["betting", "union", "sprt", "staged"],
+    )
+    def test_an_empty_block_ends_the_stream(self, run):
+        # an empty block used to raise IndexError from inside a decider
+        with pytest.raises(RuntimeError, match="bit stream exhausted"):
+            run(_Shaped(None))
+
+    def test_a_short_last_block_decides_as_the_array_does(self):
+        verdict = decide_with_cs("betting", 0.5, _Finite(16), 0.05, cap=32)
+        assert verdict == decide_with_cs("betting", 0.5, np.ones(16), 0.05, cap=32)
 
 
-class TestCountOnes:
+class _Recorder:
+    """Zeros, recording the size of every ``take``."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def take(self, k: int) -> np.ndarray:
+        self.sizes.append(k)
+        return np.zeros(k, dtype=np.uint8)
+
+
+class TestBlocks:
+    def test_plan_doubles_from_64_to_4096(self):
+        src = _Recorder()
+        assert sum(b.size for b in blocks(src, 20_000)) == 20_000
+        assert src.sizes == [64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096, 3680]
+
+    def test_doubling_marks_leave_the_plan(self):
+        bounds = [2**k for k in range(16)]
+        plain, marked = _Recorder(), _Recorder()
+        list(blocks(plain, bounds[-1]))
+        list(blocks(marked, bounds[-1], bounds))
+        assert marked.sizes == plain.sizes
+
+    def test_a_sparse_ladder_reads_each_gap_to_its_end(self):
+        src = _Recorder()
+        list(blocks(src, 120_000, (100, 1_000, 10_000, 120_000)))
+        assert src.sizes[:5] == [100, 900, 4096, 4096, 808]
+        assert src.sizes[5:] == [4096] * 26 + [3504]
+
+    def test_reading_toward_the_cap_alone_takes_the_largest_blocks(self):
+        src = _Recorder()
+        list(blocks(src, 10_000, (10_000,)))
+        assert src.sizes == [4096, 4096, 1808]
+
+    def test_short_blocks_end_the_walk_at_the_stream_end(self):
+        walk = blocks(ArraySource([1] * 100), 1_000)
+        assert [b.size for b in (next(walk), next(walk))] == [64, 36]
+        with pytest.raises(RuntimeError, match="exhausted"):
+            next(walk)
+
+
+class TestStageHeads:
     def test_blocked_count_equals_one_draw(self):
-        # 10,001 bits are drawn as three blocks; the stream must not notice
+        # 10,001 bits are drawn as several blocks; the stream must not notice
         blocked = BernoulliSource(substream(3, "count"), 0.4)
         whole = BernoulliSource(substream(3, "count"), 0.4)
-        assert count_ones(blocked, 10_001) == int(whole.take(10_001).sum())
+        assert list(stage_heads(blocked, [10_001])) == [int(whole.take(10_001).sum())]
         np.testing.assert_array_equal(blocked.take(16), whole.take(16))
 
-    def test_array_source_and_empty_count(self):
+    def test_array_source_to_its_last_count(self):
         src = ArraySource(np.arange(9000) % 3 == 0)
-        assert count_ones(src, 0) == 0
-        assert count_ones(src, 9000) == 3000
+        assert list(stage_heads(src, [1, 2, 4, 9000])) == [1, 1, 2, 3000]
         assert src.remaining == 0
 
-
-class TestClampTake:
-    def test_clamps_to_remaining(self):
-        src = ArraySource([1, 0, 1])
-        assert clamp_take(src, 10) == 3
-        src.take(3)
+    def test_counts_past_the_end_raise_there(self):
+        heads = stage_heads(IterSource([1] * 150), [100, 1_000])
+        assert next(heads) == 100
         with pytest.raises(RuntimeError, match="exhausted"):
-            clamp_take(src, 1)
+            next(heads)
 
-    def test_unbounded_source_passes_through(self):
-        src = BernoulliSource(substream(1, "x"), 0.5)
-        assert clamp_take(src, 4096) == 4096
+    def test_a_stopped_reader_draws_no_further_block(self):
+        src = _Recorder()
+        heads = stage_heads(src, [100, 1_000, 10_000])
+        assert next(heads) == 0
+        assert src.sizes == [100]
 
 
 class TestRunJobs:
