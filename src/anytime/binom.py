@@ -188,7 +188,7 @@ def gauss_quantile(u):
     accurate to machine precision); the open-interval domain is enforced.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr <= 0.0) or np.any(u_arr >= 1.0):
+    if not np.all((0.0 < u_arr) & (u_arr < 1.0)):  # NaN fails too
         raise ValueError("gauss_quantile requires 0 < u < 1")
     out = special.ndtri(u_arr)
     return float(out) if np.isscalar(u) else out

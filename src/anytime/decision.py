@@ -18,14 +18,12 @@ confidence sequence's level ``alpha``, uniformly over stopping times.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .binom import _check_alpha, _check_count, _check_prob, binom_cdf, binom_sf
 from .intervals import (
@@ -43,11 +41,10 @@ from .sampling import (
     substream,
     substream_id,
 )
-from .sequences import Schedule, kt_log_wealth, union_draws
+from .sequences import Schedule, _doubling_cell, kt_log_wealth, union_draws
 
 DEFAULT_STAGES = (100, 1_000, 10_000, 120_000)
 DEFAULT_CAP = 1_000_000
-_CELLS = 512  # union cells kept, one per (threshold, alpha, cap)
 
 METHODS = ("sprt", "betting", "union", "adaptive")
 CS_KINDS = ("betting", "union")
@@ -137,12 +134,12 @@ def decide_with_cs(
     A finite stream, array or iterable alike, hands out a short last
     block, so a verdict inside it is found; a read past its end raises
     ``RuntimeError``.  Each ``(p, alpha, cap)`` has a cached union cell
-    (``_CELLS`` of them are kept): the schedule's boundaries and budgets,
-    and per stage and side the smallest count whose tail alone is within
-    the half budget, found the first time a trial reaches the stage.  A
-    count three or more below that edge fails its side for every draw, so
-    only counts near an edge evaluate their tail mixture; the verdicts and
-    sample counts are the ones evaluating every stage gives.
+    (:func:`~anytime.sequences._doubling_cell`, 512 of them kept): the
+    schedule's stages and, per stage, the count window at which each side
+    can fire, found the first time a trial reaches the stage.  Only counts
+    inside a window evaluate their tail mixture, as in
+    :func:`~anytime.mc.union_ever_excluded`; the verdicts and sample
+    counts are the ones evaluating every stage gives.
 
     Returns
     -------
@@ -175,7 +172,7 @@ def _decide_betting(p, source, alpha, cap):
 
 
 def _decide_union(p, source, alpha, cap, rng):
-    cell = _union_cell(p, alpha, cap)
+    cell = _doubling_cell(p, alpha, cap)
     bounds, half, windows = cell.bounds, cell.half, cell.windows
     # one array draw per trial, not one per stage
     draws = union_draws(rng, len(bounds)).tolist()
@@ -188,77 +185,6 @@ def _decide_union(p, source, alpha, cap, rng):
         if heads <= greater_to and float(lower_tail_mix(heads, t, p, w_up)) <= per_side:
             return Verdict.GREATER, t  # running upper bound fell below p
     return Verdict.UNDECIDED, cap
-
-
-class _UnionCell:
-    """The union decider's stages at one ``(p, alpha, cap)``, with their count windows.
-
-    ``bounds`` and ``half`` are the doubling schedule's boundaries up to
-    ``cap`` and half stage budgets.  ``windows[k]`` is ``None`` until
-    :meth:`find` fills it with ``(less_from, greater_to)``: the heads at
-    which stage ``k`` can fire each side.  With ``S(x) = binom_sf(x, t,
-    p)`` and ``x*`` the smallest ``x`` with ``S(x) <= b``, the mixture
-    ``w S(h) + (1 - w) S(h + 1)`` is at least ``S(h + 1)``, so a count
-    ``h <= x* - 3`` exceeds ``b`` for every ``w`` by at least one pmf
-    term, far above the tails' rounding.  The failures mirror it with
-    ``1 - p``.
-    """
-
-    __slots__ = ("p", "bounds", "half", "windows")
-
-    def __init__(self, p: float, alpha: float, cap: int):
-        schedule = Schedule.doubling(alpha)
-        self.p = p
-        self.bounds = schedule.boundaries(cap).tolist()
-        self.half = [schedule.budget(k) / 2.0 for k in range(1, len(self.bounds) + 1)]
-        self.windows: list[Optional[tuple[int, int]]] = [None] * len(self.bounds)
-
-    def find(self, k: int) -> tuple[int, int]:
-        t, b = self.bounds[k], self.half[k]
-        less_from = _count_edge(t, self.p, b) - 2
-        greater_to = t - _count_edge(t, 1.0 - self.p, b) + 2
-        self.windows[k] = window = (less_from, greater_to)
-        return window
-
-
-# shared by every union trial: decide_with_cs, run_trial and certify_binary
-_union_cell = functools.lru_cache(maxsize=_CELLS)(_UnionCell)
-
-
-def _count_edge(t: int, p: float, b: float) -> int:
-    """Smallest ``x`` with ``binom_sf(x, t, p) <= b``, for ``0 <= b < 1``.
-
-    The tail is nonincreasing in ``x``, 1 at ``x = 0`` and 0 at ``t + 1``.
-    From a normal-quantile guess, a gallop brackets the edge and a
-    bisection closes the bracket.
-    """
-    lo, hi = 0, t + 1  # binom_sf(lo) > b >= binom_sf(hi)
-    guess = t * p + 0.5 - math.sqrt(t * p * (1.0 - p)) * float(special.ndtri(b))
-    x = min(max(math.ceil(guess), 1), t) if math.isfinite(guess) else (t + 1) // 2
-    step = 1
-    if binom_sf(x, t, p) <= b:
-        hi = x
-        while hi - step > lo:
-            x = hi - step
-            if binom_sf(x, t, p) > b:
-                lo = x
-                break
-            hi, step = x, 2 * step
-    else:
-        lo = x
-        while lo + step < hi:
-            x = lo + step
-            if binom_sf(x, t, p) <= b:
-                hi = x
-                break
-            lo, step = x, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if binom_sf(mid, t, p) <= b:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------

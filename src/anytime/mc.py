@@ -4,7 +4,10 @@ The stateful classes in :mod:`anytime.sequences` are the reference
 implementations; the kernels here evaluate the same constructions over
 whole stream matrices at once so that validity experiments with tens of
 thousands of streams finish in seconds.  Unit tests pin the two code
-paths against each other on small inputs.
+paths against each other on small inputs.  The ever-exclusion kernels
+read the fixed-``p`` kernels of :mod:`anytime.sequences`: the betting one
+:func:`~anytime.sequences.exclusion_edge`, as ``dp_thresholds`` does, and
+the union one the union decider's per-stage count windows.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .intervals import _check_coverage_args, lower_tail_mix, upper_tail_mix
 from .intervals import rcp_upper_lo  # noqa: F401
 from .sampling import _as_bits
 from .sequences import Schedule, betting_endpoints, betting_running, kt_log_wealth  # noqa: F401
-from .sequences import exclusion_edge, union_draws, union_stages
+from .sequences import _UnionCell, exclusion_edge, union_draws, union_stages
 
 
 def bernoulli_matrix(rng: np.random.Generator, streams: int, horizon: int, p: float) -> np.ndarray:
@@ -41,7 +44,7 @@ def betting_ever_excluded(bits: np.ndarray, p: float, alpha: float) -> np.ndarra
     reach an :func:`~anytime.sequences.exclusion_edge` at the float after
     ``log(1/alpha)`` (``>`` is ``>=`` there).
     """
-    bits = _as_bits(bits)
+    bits = _as_bits(bits, ndim=2)
     _check_alpha(alpha)
     threshold = math.nextafter(math.log(1.0 / alpha), math.inf)
     up = exclusion_edge(bits.shape[1], p, threshold, upper=True)[1:]
@@ -59,21 +62,26 @@ def union_ever_excluded(
     """Per stream: does ``p`` ever leave the union-bound CS within the horizon?
 
     Exclusion can only happen at stage boundaries, where it is a direct
-    tail comparison - no endpoint bisection needed.  ``rng`` provides the
-    per-stage randomization draws (:func:`~anytime.sequences.union_draws`
-    of each stage, one per stream); ``None`` runs the deterministic-CP
-    variant.
+    tail comparison - no endpoint bisection needed, and only inside the
+    stage's count windows (:class:`~anytime.sequences._UnionCell`, the
+    union decider's).  ``rng`` provides the per-stage randomization draws
+    (:func:`~anytime.sequences.union_draws` of each stage, one per stream,
+    drawn for every stream); ``None`` runs the deterministic-CP variant.
     """
-    bits = _as_bits(bits)
+    bits = _as_bits(bits, ndim=2)
+    _check_prob("p", p)
     n_streams, horizon = bits.shape
-    bounds = schedule.boundaries(horizon)
-    heads = np.cumsum(bits, axis=1, dtype=np.float64)[:, bounds - 1]
+    cell = _UnionCell(p, schedule, horizon)
+    heads = np.cumsum(bits, axis=1, dtype=np.float64)
     ever = np.zeros(n_streams, dtype=bool)
-    for k, (t_k, x) in enumerate(zip(bounds.tolist(), heads.T), start=1):
-        per_side = schedule.budget(k) / 2.0
+    for k, (t, per_side) in enumerate(zip(cell.bounds, cell.half)):
+        less_from, greater_to = cell.find(k)
+        x = heads[:, t - 1]
         w_lo, w_up = union_draws(rng, 1, (n_streams,))[0]
-        ever |= upper_tail_mix(x, t_k, p, w_lo) <= per_side
-        ever |= lower_tail_mix(x, t_k, p, w_up) <= per_side
+        less = x >= less_from
+        ever[less] |= upper_tail_mix(x[less], t, p, w_lo[less]) <= per_side
+        greater = x <= greater_to
+        ever[greater] |= lower_tail_mix(x[greater], t, p, w_up[greater]) <= per_side
     return ever
 
 
@@ -126,9 +134,7 @@ def union_trace(
     The same values as :class:`~anytime.sequences.UnionCS` fed the bits
     one by one, with the same draws.
     """
-    arr = _as_bits(bits)
-    if arr.ndim != 1:
-        raise ValueError("union_trace expects a single 1-d stream")
+    arr = _as_bits(bits, ndim=1)
     bounds = schedule.boundaries(arr.size)
     heads = np.cumsum(arr, dtype=np.int64)[bounds - 1]
     budget = [schedule.budget(k) for k in range(1, bounds.size + 1)]

@@ -120,24 +120,20 @@ class BernoulliSource(ZeroOneSource):
         return (self._rng.random(k) < self.p).astype(np.uint8)
 
 
-def _as_bits(values) -> np.ndarray:
+def _as_bits(values, ndim: int | None = None) -> np.ndarray:
     """``values`` as a uint8 array, checked to be 0/1 *before* the cast.
 
     Casting first would turn 0.9 into 0 and 257 into 1 and hand a
-    silently different stream to the deciders.
+    silently different stream to the deciders.  With ``ndim``, an array
+    of another number of dimensions raises too: a stream is 1-d, a
+    Monte Carlo stream matrix 2-d (streams x time).
     """
     arr = np.asarray(values)
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be 0 or 1")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"bits must be a {ndim}-d array of 0/1, got shape {arr.shape}")
     return arr.astype(np.uint8)
-
-
-def _as_block(values) -> np.ndarray:
-    """``values`` as a 1-d array of 0/1 bits (see :func:`_as_bits`)."""
-    block = _as_bits(values)
-    if block.ndim != 1:
-        raise ValueError(f"bits must be a 1-d stream of 0/1, got shape {block.shape}")
-    return block
 
 
 def _nonempty(block: np.ndarray) -> np.ndarray:
@@ -151,17 +147,13 @@ class ArraySource(ZeroOneSource):
     """Bit stream backed by a fixed array; the last block holds what is left."""
 
     def __init__(self, bits):
-        self._bits = _as_block(bits)
+        self._bits = _as_bits(bits, ndim=1)
         self._pos = 0
 
     def take(self, k: int) -> np.ndarray:
         out = _nonempty(self._bits[self._pos : self._pos + k])
         self._pos += out.size
         return out
-
-    @property
-    def remaining(self) -> int:
-        return self._bits.size - self._pos
 
 
 class IterSource(ZeroOneSource):
@@ -171,7 +163,7 @@ class IterSource(ZeroOneSource):
         self._it: Iterator[int] = iter(it)
 
     def take(self, k: int) -> np.ndarray:
-        return _nonempty(_as_block(list(islice(self._it, k))))
+        return _nonempty(_as_bits(list(islice(self._it, k)), ndim=1))
 
 
 class _CheckedSource(ZeroOneSource):
@@ -181,7 +173,7 @@ class _CheckedSource(ZeroOneSource):
         self._source = source
 
     def take(self, k: int) -> np.ndarray:
-        block = _nonempty(_as_block(self._source.take(k)))
+        block = _nonempty(_as_bits(self._source.take(k), ndim=1))
         if block.size > k:
             raise ValueError(f"take({k}) returned {block.size} bits")
         return block

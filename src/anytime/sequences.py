@@ -23,7 +23,10 @@ intersection (nested by construction).  Each construction has one
 running-bound kernel that the classes, deciders, certifiers and traces
 stop on.  :func:`union_running` accumulates stage endpoints and solves
 only those whose cheap bound clears the carried value;
-:func:`union_stages` pairs it into the two-sided interval.
+:func:`union_stages` pairs it into the two-sided interval.  Against a
+fixed ``p`` a union stage can fire only inside a count window per side
+(``_UnionCell``), read by the union decider and the Monte Carlo
+ever-exclusion.
 :func:`betting_running` returns the running betting bounds and solves
 only the endpoints that can move them; :func:`betting_running_at`
 returns them at chosen columns only and solves only the endpoints that
@@ -41,6 +44,7 @@ the edges between them, and probes each guess and its neighbour, about
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,7 +53,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 from scipy import special
 
-from .binom import HALVINGS, _check_alpha, _check_count, _check_prob, _whole, halve_with_guess
+from .binom import HALVINGS, _check_alpha, _check_count, _check_prob, _whole, binom_sf
+from .binom import halve_with_guess
 from .intervals import Interval, rcp_upper_lo, rcp_upper_lo_bound
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -91,9 +96,10 @@ def kt_log_wealth(heads, trials, p):
     ``+inf`` as soon as the sample contradicts ``p`` (which is what makes
     a degenerate candidate leave the betting CS at the first
     contradicting bit), and ``log Q`` itself for a constant matching
-    sample.  Accepts arrays.  A float ``p`` in (0, 1) takes its two logs
-    once and scales them by the counts, the same bits as ``xlogy`` and
-    ``xlog1py`` (which compute ``x * log(y)`` and ``x * log1p(y)``).
+    sample.  Accepts arrays; a ``p`` outside [0, 1] (NaN too) raises
+    ``ValueError``.  A float ``p`` in (0, 1) takes its two logs once and
+    scales them by the counts, the same bits as ``xlogy`` and ``xlog1py``
+    (which compute ``x * log(y)`` and ``x * log1p(y)``).
     """
     heads = np.asarray(heads, dtype=float)
     trials = np.asarray(trials, dtype=float)
@@ -104,11 +110,14 @@ def kt_log_wealth(heads, trials, p):
             - (trials - heads) * float(special.xlog1py(1.0, -p))
         )
     else:
+        p = np.asarray(p, dtype=float)
+        if not np.all((0.0 <= p) & (p <= 1.0)):  # NaN fails too
+            raise ValueError(f"p must be in [0, 1], got {p}")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (
                 kt_log_mixture(heads, trials)
                 - special.xlogy(heads, p)
-                - special.xlog1py(trials - heads, -np.asarray(p, dtype=float))
+                - special.xlog1py(trials - heads, -p)
             )
     return float(out) if np.ndim(out) == 0 else out
 
@@ -313,6 +322,79 @@ class UnionCS:
             lo, up = union_stages([self.heads], [self.trials], [budget], w, self.lo, self.up)
             self.lo, self.up = float(lo[0]), float(up[0])
         return self.interval
+
+
+class _UnionCell:
+    """A schedule's union stages up to ``limit`` at one ``p``, with their count windows.
+
+    ``bounds`` and ``half`` are the boundaries up to ``limit`` and half
+    stage budgets.  ``windows[k]`` is ``None`` until :meth:`find` fills it
+    with ``(less_from, greater_to)``: the heads at which stage ``k`` can
+    fire each side.  With ``S(x) = binom_sf(x, t, p)`` and ``x*`` the
+    smallest ``x`` with ``S(x) <= b``, the mixture ``w S(h) + (1 - w) S(h
+    + 1)`` is at least ``S(h + 1)``, so a count ``h <= x* - 3`` exceeds
+    ``b`` for every ``w`` by at least one pmf term, far above the tails'
+    rounding.  The failures mirror it with ``1 - p``.  The union decider
+    and :func:`~anytime.mc.union_ever_excluded` evaluate a tail mixture
+    only inside these windows.
+    """
+
+    __slots__ = ("p", "bounds", "half", "windows")
+
+    def __init__(self, p: float, schedule: Schedule, limit: int):
+        self.p = p
+        self.bounds = schedule.boundaries(limit).tolist()
+        self.half = [schedule.budget(k) / 2.0 for k in range(1, len(self.bounds) + 1)]
+        self.windows: list[Optional[tuple[int, int]]] = [None] * len(self.bounds)
+
+    def find(self, k: int) -> tuple[int, int]:
+        t, b = self.bounds[k], self.half[k]
+        less_from = _count_edge(t, self.p, b) - 2
+        greater_to = t - _count_edge(t, 1.0 - self.p, b) + 2
+        self.windows[k] = window = (less_from, greater_to)
+        return window
+
+
+# shared by every union decider trial; keyed on plain numbers, so a lookup builds no Schedule
+@functools.lru_cache(maxsize=512)
+def _doubling_cell(p: float, alpha: float, limit: int) -> _UnionCell:
+    return _UnionCell(p, Schedule.doubling(alpha), limit)
+
+
+def _count_edge(t: int, p: float, b: float) -> int:
+    """Smallest ``x`` with ``binom_sf(x, t, p) <= b``, for ``0 <= b < 1``.
+
+    The tail is nonincreasing in ``x``, 1 at ``x = 0`` and 0 at ``t + 1``.
+    From a normal-quantile guess, a gallop brackets the edge and a
+    bisection closes the bracket.
+    """
+    lo, hi = 0, t + 1  # binom_sf(lo) > b >= binom_sf(hi)
+    guess = t * p + 0.5 - math.sqrt(t * p * (1.0 - p)) * float(special.ndtri(b))
+    x = min(max(math.ceil(guess), 1), t) if math.isfinite(guess) else (t + 1) // 2
+    step = 1
+    if binom_sf(x, t, p) <= b:
+        hi = x
+        while hi - step > lo:
+            x = hi - step
+            if binom_sf(x, t, p) > b:
+                lo = x
+                break
+            hi, step = x, 2 * step
+    else:
+        lo = x
+        while lo + step < hi:
+            x = lo + step
+            if binom_sf(x, t, p) <= b:
+                hi = x
+                break
+            lo, step = x, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if binom_sf(mid, t, p) <= b:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

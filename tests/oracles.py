@@ -13,13 +13,14 @@ endpoint bisections, written with the same float expressions and
 can be required to return the very same bits; the betting ever-exclusion
 of a stream matrix as the log-wealth at every step, in the same
 expressions; the exclusion edges of a fixed ``p`` as a plain bisection
-of the log-wealth, in the same expressions; the union decision as every
-stage's tail pair evaluated plainly, and its count edges as a plain
-bisection of the tail; the running union and betting
-intervals as plain scans over the bisections; and the multiclass betting
-and union certifiers as plain scans over those bisections, so the
-screened running bounds and the certified stopping can be required to
-give the same verdicts and sample counts.
+of the log-wealth, in the same expressions; the union decision and the
+union ever-exclusion of a stream matrix as every stage's tail pair
+evaluated plainly, and the count edges as a plain bisection of the
+tail; the running union and betting intervals as plain scans over the
+bisections; and the multiclass betting and union certifiers as plain
+scans over those bisections, so the screened running bounds and the
+certified stopping can be required to give the same verdicts and
+sample counts.
 """
 
 from __future__ import annotations
@@ -236,8 +237,29 @@ def bisect_count_edge(t, p, b):
     return hi
 
 
+def union_ever_excluded_by_tails(bits, p, schedule, rng=None):
+    """Per stream of a ``streams x horizon`` matrix: does a union stage ever exclude ``p``?
+
+    Every stream's tail pair at every boundary of ``schedule``, each side
+    against half the stage budget, in the library's expressions; each
+    stage draws its streams' lower-side uniforms and then the upper-side
+    ones (ones without ``rng``).  The plain evaluation that the count
+    windows of the Monte Carlo kernel must reproduce.
+    """
+    n_streams, horizon = bits.shape
+    heads = np.cumsum(bits, axis=1, dtype=np.float64)
+    ever = np.zeros(n_streams, dtype=bool)
+    for k, t in enumerate(schedule.boundaries(horizon).tolist(), start=1):
+        per_side = schedule.budget(k) / 2.0
+        w_lo, w_up = np.ones((2, n_streams)) if rng is None else rng.random((2, n_streams))
+        x = heads[:, t - 1]
+        ever |= _tail_mix(x, t, p, w_lo) <= per_side
+        ever |= _tail_mix(t - x, t, 1.0 - p, w_up) <= per_side
+    return ever
+
+
 def _tail_mix(x, n, p, w):
-    return w * float(_float_sf(x, n, p)) + (1.0 - w) * float(_float_sf(x + 1, n, p))
+    return w * _float_sf(x, n, p) + (1.0 - w) * _float_sf(x + 1, n, p)
 
 
 def _kt_log_mixture(heads, trials):

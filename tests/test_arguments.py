@@ -17,16 +17,18 @@ import numpy as np
 import pytest
 
 import anytime.decision as decision
-from anytime.binom import _check_count, _check_prob, binom_cdf, binom_sf, log_binom_pmf
+from anytime.binom import _check_count, _check_prob, binom_cdf, binom_sf, gauss_quantile
+from anytime.binom import log_binom_pmf
 from anytime.certify import CertSpec, ClassOracle, certify_multiclass, certify_staged
 from anytime.config import CertifyConfig, CoverageConfig, DecideConfig, ThresholdsConfig, WidthConfig
 from anytime.decision import benchmark_sweep, decide_with_cs, staged_adaptive
 from anytime.intervals import enumeration_coverage, hoeffding_interval, hoeffding_sample_size
 from anytime.intervals import rcp_two_sided, rcp_upper
-from anytime.mc import bernoulli_matrix, mc_coverage
+from anytime.mc import bernoulli_matrix, betting_ever_excluded, mc_coverage
+from anytime.mc import union_ever_excluded, union_trace
 from anytime.sampling import BernoulliSource, run_jobs, substream
 from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
-from anytime.sequences import Schedule, UnionCS, ub_cs_width_envelope
+from anytime.sequences import Schedule, UnionCS, kt_log_wealth, ub_cs_width_envelope
 
 SPEC = CertSpec(sigma=1.0, radius=0.1, alpha=0.05)
 
@@ -101,6 +103,27 @@ REJECTED = {
     "bet_cs_width_envelope NaN t in an array": lambda: bet_cs_width_envelope(
         np.array([10.0, math.nan]), 0.05
     ),
+    "betting_ever_excluded 1-d bits": lambda: betting_ever_excluded(np.ones(5), 0.5, 0.05),
+    "betting_ever_excluded 3-d bits": lambda: betting_ever_excluded(np.ones((2, 5, 5)), 0.5, 0.05),
+    "union_ever_excluded 1-d bits": lambda: union_ever_excluded(
+        np.ones(5), 0.5, Schedule(0.05), None
+    ),
+    "union_ever_excluded 3-d bits": lambda: union_ever_excluded(
+        np.ones((2, 5, 5)), 0.5, Schedule(0.05), None
+    ),
+    "union_ever_excluded p 1.5, no bits": lambda: union_ever_excluded(
+        np.ones((2, 0)), 1.5, Schedule(0.05), None
+    ),
+    "union_ever_excluded NaN p": lambda: union_ever_excluded(
+        np.ones((2, 5)), math.nan, Schedule(0.05), None
+    ),
+    "union_trace 2-d bits": lambda: union_trace(np.ones((2, 5)), Schedule(0.05), None),
+    "gauss_quantile NaN": lambda: gauss_quantile(math.nan),
+    "gauss_quantile NaN in an array": lambda: gauss_quantile(np.array([0.5, math.nan])),
+    "kt_log_wealth p 1.5": lambda: kt_log_wealth(1, 3, 1.5),
+    "kt_log_wealth NaN p": lambda: kt_log_wealth(1, 3, math.nan),
+    "kt_log_wealth integer p 2": lambda: kt_log_wealth(1, 3, 2),
+    "kt_log_wealth p -0.5 in an array": lambda: kt_log_wealth(1, 3, np.array([0.5, -0.5])),
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from anytime import decision, sampling
+from anytime import decision, sampling, sequences
 from anytime.certify import CertSpec, ClassOracle, certify_staged, width_target_run
 from anytime.decision import (
     DEFAULT_STAGES,
@@ -31,7 +31,7 @@ from anytime.decision import (
 from anytime.mc import union_ever_excluded
 from anytime.sampling import ArraySource, BernoulliSource, substream
 from anytime.sequences import Schedule
-from oracles import bisect_count_edge, stepping_boundaries, union_decide_scan
+from oracles import union_decide_scan
 
 
 def ones(n: int) -> np.ndarray:
@@ -267,7 +267,7 @@ class TestUnionCells:
         except RuntimeError:
             expected = "exhausted"
         if fresh:
-            decision._union_cell.cache_clear()
+            sequences._doubling_cell.cache_clear()
         for _ in range(2):
             stream = bits.tolist() if iterable else ArraySource(bits)
             try:
@@ -278,38 +278,6 @@ class TestUnionCells:
             except RuntimeError:
                 got = "exhausted"
             assert got == expected
-
-    @given(
-        t=st.integers(1, 10**7),
-        p=st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0)),
-        b=st.one_of(st.just(0.0), st.floats(1e-300, 0.25)),
-    )
-    @example(1, 0.5, 0.25)
-    @example(10**7, 0.5, 1e-300)
-    @example(524_288, 0.91, 2.5e-5)
-    def test_count_edge_is_the_plain_bisection(self, t, p, b):
-        assert decision._count_edge(t, p, b) == bisect_count_edge(t, p, b)
-
-    def test_cells_of_another_alpha_or_cap_keep_their_own_edges(self):
-        decision._union_cell.cache_clear()
-        keys = [(0.3, 0.01, 1000), (0.3, 0.001, 1000), (0.3, 0.01, 3000)]
-        for p, alpha, cap in keys:
-            for trial in range(20):
-                stream = BernoulliSource(substream(8, "cells", trial), 0.32)
-                decide_with_cs("union", p, stream, alpha, cap, rng=substream(8, "w", trial))
-        cells = [decision._union_cell(*key) for key in keys]
-        assert len({id(cell) for cell in cells}) == 3
-        for (p, alpha, cap), cell in zip(keys, cells):
-            bounds = stepping_boundaries(2.0, cap)
-            assert cell.bounds == bounds
-            found = [k for k, window in enumerate(cell.windows) if window is not None]
-            assert len(found) >= 8
-            for k in found:
-                t, half = bounds[k], alpha / ((k + 1) * (k + 2)) / 2.0
-                assert cell.half[k] == half
-                less_from = bisect_count_edge(t, p, half) - 2
-                greater_to = t - bisect_count_edge(t, 1.0 - p, half) + 2
-                assert cell.windows[k] == (less_from, greater_to)
 
     def test_an_iterable_is_read_to_each_boundary(self):
         # sixteen ones decide at t = 16 at the latest; a block of 64 would

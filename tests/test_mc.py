@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import anytime.mc
 from anytime.certify import binary_threshold
@@ -32,6 +34,7 @@ from oracles import (
     betting_ever_excluded_by_wealth,
     betting_scan,
     betting_scan_collapses,
+    union_ever_excluded_by_tails,
 )
 
 
@@ -198,21 +201,7 @@ class TestUnionTrace:
         sched = Schedule.doubling(0.05)
         bits = (substream(9, "m").random((200, 256)) < 0.8).astype(np.int64)
         flagged = union_ever_excluded(bits, 0.5, sched, substream(9, "w"))
-        # replay the same per-stage draw layout: one array per side per stage
-        lo = np.zeros(200)
-        up = np.ones(200)
-        w_rng = substream(9, "w")
-        bounds = sched.boundaries(256)
-        heads = bits.cumsum(axis=1)[:, bounds - 1]
-        from anytime.intervals import lower_tail_mix, upper_tail_mix
-
-        ever = np.zeros(200, dtype=bool)
-        for k, t_k in enumerate(bounds, start=1):
-            per_side = sched.budget(k) / 2.0
-            w_up = w_rng.random(200)
-            ever |= upper_tail_mix(heads[:, k - 1], int(t_k), 0.5, w_up) <= per_side
-            w_lo = w_rng.random(200)
-            ever |= lower_tail_mix(heads[:, k - 1], int(t_k), 0.5, w_lo) <= per_side
+        ever = union_ever_excluded_by_tails(bits, 0.5, sched, substream(9, "w"))
         np.testing.assert_array_equal(flagged, ever)
 
     def test_validity_at_logged_times(self):
@@ -226,6 +215,44 @@ class TestUnionTrace:
         se = 3.0 * math.sqrt(alpha * (1 - alpha) / streams)
         assert bad_union.mean() <= alpha + se
         assert bad_betting.mean() <= alpha + se
+
+
+class TestUnionEverExcluded:
+    """The union kernel tests tails only inside the count windows, with every tail's answers."""
+
+    SPECIAL_P = [
+        0.0, 1.0, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0), 1e-12, 1.0 - 1e-12
+    ]
+
+    @given(
+        p=st.one_of(st.sampled_from(SPECIAL_P), st.floats(0.0, 1.0)),
+        alpha_exp=st.floats(0.05, 12.0),
+        schedule=st.one_of(
+            st.sampled_from([(2.0, 0), (1.1, 4)]),
+            st.tuples(st.floats(1.05, 4.0), st.integers(0, 30)),
+        ),
+        streams=st.integers(1, 4),
+        horizon=st.integers(0, 2**16),
+        shift=st.floats(-0.1, 0.1),
+        seeded=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(0.5, 12.0, (2.0, 0), 4, 2**16, 0.002, True, 0)
+    @example(math.nextafter(1.0, 0.0), 12.0, (1.1, 4), 3, 2**16, -1e-4, True, 1)
+    @example(1e-12, 3.0, (1.1, 4), 2, 4096, 0.0, False, 2)
+    @example(0.0, 1.3, (2.0, 0), 2, 100, 0.01, True, 3)
+    @example(0.3, 6.0, (1.05, 30), 4, 2**16, 0.004, False, 4)
+    def test_matches_every_tail(
+        self, p, alpha_exp, schedule, streams, horizon, shift, seeded, seed
+    ):
+        # rows of mean near p, some of which leave the CS
+        sched = Schedule(10.0**-alpha_exp, *schedule)
+        rng = substream(seed, "bits")
+        q = np.clip(p + shift * np.arange(streams)[:, None], 0.0, 1.0)
+        bits = (rng.random((streams, horizon)) < q).astype(np.uint8)
+        draws = (lambda: substream(seed, "w")) if seeded else (lambda: None)
+        got = union_ever_excluded(bits, p, sched, draws())
+        np.testing.assert_array_equal(got, union_ever_excluded_by_tails(bits, p, sched, draws()))
 
 
 class TestMcCoverage:

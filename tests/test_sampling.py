@@ -81,11 +81,12 @@ class TestSources:
         assert BernoulliSource(substream(5, "s"), 1.0).take(10).sum() == 10
 
     def test_array_source_sequential_and_remaining(self):
-        src = ArraySource([1, 0, 1, 1])
+        # the last block holds what remains; after it the stream has run out
+        src = ArraySource([1, 0, 1, 1, 0])
         np.testing.assert_array_equal(src.take(2), [1, 0])
-        assert src.remaining == 2
-        np.testing.assert_array_equal(src.take(2), [1, 1])
-        assert src.remaining == 0
+        np.testing.assert_array_equal(src.take(4), [1, 1, 0])
+        with pytest.raises(RuntimeError, match="exhausted"):
+            src.take(1)
 
     def test_array_source_overrun_raises(self):
         src = ArraySource([1, 0])
@@ -318,7 +319,8 @@ class TestStageHeads:
     def test_array_source_to_its_last_count(self):
         src = ArraySource(np.arange(9000) % 3 == 0)
         assert list(stage_heads(src, [1, 2, 4, 9000])) == [1, 1, 2, 3000]
-        assert src.remaining == 0
+        with pytest.raises(RuntimeError, match="exhausted"):
+            src.take(1)
 
     def test_counts_past_the_end_raise_there(self):
         heads = stage_heads(IterSource([1] * 150), [100, 1_000])

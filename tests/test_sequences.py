@@ -2,9 +2,10 @@
 
 The KT closed form is pinned against exact double-factorial rationals,
 the stage budgets against their telescoping sums, the stateful updates
-against single-step closed forms, the exclusion edges against the
-log-wealth at and next to them and against a plain bisection, and the
-threshold table against a pure-rational brute force.
+against single-step closed forms, the union stage windows and the
+exclusion edges against plain bisections (the latter also against the
+log-wealth at and next to them), and the threshold table against a
+pure-rational brute force.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 from scipy import special
 
 import anytime.sequences
+from anytime.decision import decide_with_cs
 from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound
-from anytime.sampling import substream
+from anytime.sampling import BernoulliSource, substream
 from anytime.sequences import (
     BettingCS,
     Schedule,
@@ -42,6 +44,7 @@ from anytime.sequences import (
 from oracles import (
     BETTING_CROSSING_SEEDS,
     betting_scan,
+    bisect_count_edge,
     bisect_exclusion_edge,
     brute_halting_heads,
     exact_kt_mixture,
@@ -326,6 +329,55 @@ class TestUnionRunning:
 
 FAIR_STREAMS = tuple((seed, 0.5, 300) for seed in (0, *BETTING_CROSSING_SEEDS))
 SKEWED_STREAMS = ((0, 0.02, 3000), (1, 0.3, 3000), (2, 0.97, 3000))
+
+
+class TestUnionCells:
+    """The union stage windows: count edges of the tail and the cells that cache them."""
+
+    @given(
+        t=st.integers(1, 10**7),
+        p=st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0)),
+        b=st.one_of(st.just(0.0), st.floats(1e-300, 0.25)),
+    )
+    @example(1, 0.5, 0.25)
+    @example(10**7, 0.5, 1e-300)
+    @example(524_288, 0.91, 2.5e-5)
+    def test_count_edge_is_the_plain_bisection(self, t, p, b):
+        assert anytime.sequences._count_edge(t, p, b) == bisect_count_edge(t, p, b)
+
+    def test_cells_of_another_alpha_or_cap_keep_their_own_edges(self):
+        anytime.sequences._doubling_cell.cache_clear()
+        keys = [(0.3, 0.01, 1000), (0.3, 0.001, 1000), (0.3, 0.01, 3000)]
+        for p, alpha, cap in keys:
+            for trial in range(20):
+                stream = BernoulliSource(substream(8, "cells", trial), 0.32)
+                decide_with_cs("union", p, stream, alpha, cap, rng=substream(8, "w", trial))
+        cells = [anytime.sequences._doubling_cell(*key) for key in keys]
+        assert len({id(cell) for cell in cells}) == 3
+        for (p, alpha, cap), cell in zip(keys, cells):
+            bounds = stepping_boundaries(2.0, cap)
+            assert cell.bounds == bounds
+            found = [k for k, window in enumerate(cell.windows) if window is not None]
+            assert len(found) >= 8
+            for k in found:
+                t, half = bounds[k], alpha / ((k + 1) * (k + 2)) / 2.0
+                assert cell.half[k] == half
+                less_from = bisect_count_edge(t, p, half) - 2
+                greater_to = t - bisect_count_edge(t, 1.0 - p, half) + 2
+                assert cell.windows[k] == (less_from, greater_to)
+
+    @pytest.mark.parametrize(
+        "schedule", [Schedule.geometric(0.05), Schedule(1e-9, growth=1.7, offset=3)]
+    )
+    def test_a_cell_of_any_schedule_has_its_stages_and_edges(self, schedule):
+        cell = anytime.sequences._UnionCell(0.91, schedule, 5000)
+        assert cell.bounds == stepping_boundaries(schedule.growth, 5000)
+        for k, t in enumerate(cell.bounds):
+            half = schedule.budget(k + 1) / 2.0
+            assert cell.half[k] == half
+            less_from = bisect_count_edge(t, 0.91, half) - 2
+            greater_to = t - bisect_count_edge(t, 0.09, half) + 2
+            assert cell.find(k) == (less_from, greater_to) == cell.windows[k]
 
 
 class TestBettingCS:
