@@ -136,8 +136,9 @@ def decide_with_cs(
     ``RuntimeError``.  Each ``(p, alpha, cap)`` has a cached union cell
     (:func:`~anytime.sequences._doubling_cell`, 512 of them kept): the
     schedule's stages and, per stage, the count window at which each side
-    can fire, found the first time a trial reaches the stage.  Only counts
-    inside a window evaluate their tail mixture, as in
+    can fire, all built by :func:`~anytime.sequences.union_windows` the
+    first time a trial needs the cell and never changed after.  Only
+    counts inside a window evaluate their tail mixture, as in
     :func:`~anytime.mc.union_ever_excluded`; the verdicts and sample
     counts are the ones evaluating every stage gives.
 
@@ -172,14 +173,11 @@ def _decide_betting(p, source, alpha, cap):
 
 
 def _decide_union(p, source, alpha, cap, rng):
-    cell = _doubling_cell(p, alpha, cap)
-    bounds, half, windows = cell.bounds, cell.half, cell.windows
+    bounds, half, windows = _doubling_cell(p, alpha, cap)
     # one array draw per trial, not one per stage
     draws = union_draws(rng, len(bounds)).tolist()
-    for k, heads in enumerate(stage_heads(source, bounds)):
-        t, per_side = bounds[k], half[k]
-        less_from, greater_to = windows[k] or cell.find(k)
-        w_lo, w_up = draws[k]
+    stages = zip(stage_heads(source, bounds), bounds, half, windows, draws)
+    for heads, t, per_side, (less_from, greater_to), (w_lo, w_up) in stages:
         if heads >= less_from and float(upper_tail_mix(heads, t, p, w_lo)) <= per_side:
             return Verdict.LESS, t  # running lower bound rose above p
         if heads <= greater_to and float(lower_tail_mix(heads, t, p, w_up)) <= per_side:
@@ -375,14 +373,13 @@ def run_trial(
         # (scaled total), so a cap never changes early-stage decisions.
         _check_count("cap", cap)
         capped = tuple(n for n in DEFAULT_STAGES if n <= cap)
-        if len(capped) < len(DEFAULT_STAGES):
-            if capped:
-                scaled = alpha * len(capped) / len(DEFAULT_STAGES)
-                verdict, samples = staged_adaptive(p, source, scaled, capped)
-                if verdict is not Verdict.ABSTAIN:
-                    return verdict, samples
+        if not capped:
             return Verdict.UNDECIDED, cap
-        return staged_adaptive(p, source, alpha, DEFAULT_STAGES)
+        scaled = alpha * len(capped) / len(DEFAULT_STAGES)  # alpha itself on the full ladder
+        verdict, samples = staged_adaptive(p, source, scaled, capped)
+        if verdict is Verdict.ABSTAIN and len(capped) < len(DEFAULT_STAGES):
+            return Verdict.UNDECIDED, cap
+        return verdict, samples
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -428,8 +425,8 @@ def benchmark_sweep(
     the calling thread: they are mostly Python, so a thread pool would
     only add GIL hand-offs to each trial's ``wall_ns``.  The union trials
     of one threshold share its cached stage cell (see
-    :func:`decide_with_cs`): the first trial to reach a stage finds its
-    count edges, and the later ones evaluate a tail only near them.
+    :func:`decide_with_cs`): the first trial builds every stage's count
+    windows at once, and every trial evaluates a tail only near them.
 
     Returns the flat trial records plus per-(method, threshold) summaries
     (mean samples, ratio to the SPRT mean at the same threshold, and the

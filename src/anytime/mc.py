@@ -22,7 +22,7 @@ from .intervals import _check_coverage_args, lower_tail_mix, upper_tail_mix
 from .intervals import rcp_upper_lo  # noqa: F401
 from .sampling import _as_bits
 from .sequences import Schedule, betting_endpoints, betting_running, kt_log_wealth  # noqa: F401
-from .sequences import _UnionCell, exclusion_edge, union_draws, union_stages
+from .sequences import exclusion_edge, union_draws, union_stages, union_windows
 
 
 def bernoulli_matrix(rng: np.random.Generator, streams: int, horizon: int, p: float) -> np.ndarray:
@@ -63,19 +63,19 @@ def union_ever_excluded(
 
     Exclusion can only happen at stage boundaries, where it is a direct
     tail comparison - no endpoint bisection needed, and only inside the
-    stage's count windows (:class:`~anytime.sequences._UnionCell`, the
-    union decider's).  ``rng`` provides the per-stage randomization draws
-    (:func:`~anytime.sequences.union_draws` of each stage, one per stream,
-    drawn for every stream); ``None`` runs the deterministic-CP variant.
+    stage's count windows (:func:`~anytime.sequences.union_windows`, as
+    in the union decider).  ``rng`` provides the per-stage randomization
+    draws (:func:`~anytime.sequences.union_draws` of each stage, one per
+    stream, drawn for every stream); ``None`` runs the deterministic-CP
+    variant.
     """
     bits = _as_bits(bits, ndim=2)
     _check_prob("p", p)
     n_streams, horizon = bits.shape
-    cell = _UnionCell(p, schedule, horizon)
+    bounds, half, windows = union_windows(p, schedule, horizon)
     heads = np.cumsum(bits, axis=1, dtype=np.float64)
     ever = np.zeros(n_streams, dtype=bool)
-    for k, (t, per_side) in enumerate(zip(cell.bounds, cell.half)):
-        less_from, greater_to = cell.find(k)
+    for t, per_side, (less_from, greater_to) in zip(bounds, half, windows):
         x = heads[:, t - 1]
         w_lo, w_up = union_draws(rng, 1, (n_streams,))[0]
         less = x >= less_from

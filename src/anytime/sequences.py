@@ -24,9 +24,9 @@ running-bound kernel that the classes, deciders, certifiers and traces
 stop on.  :func:`union_running` accumulates stage endpoints and solves
 only those whose cheap bound clears the carried value;
 :func:`union_stages` pairs it into the two-sided interval.  Against a
-fixed ``p`` a union stage can fire only inside a count window per side
-(``_UnionCell``), read by the union decider and the Monte Carlo
-ever-exclusion.
+fixed ``p`` a union stage can fire only inside a count window per side:
+:func:`union_windows` builds every stage's windows at once, and the union
+decider and the Monte Carlo ever-exclusion read them.
 :func:`betting_running` returns the running betting bounds and solves
 only the endpoints that can move them; :func:`betting_running_at`
 returns them at chosen columns only and solves only the endpoints that
@@ -75,8 +75,19 @@ def kt_log_mixture(heads, trials):
     ``Q`` is the Bayes mixture of all Bernoulli likelihoods under a
     Beta(1/2, 1/2) prior; equivalently the product of the sequential
     predictions ``(H_i + 1/2) / (i + 1)``.  Order-invariant: depends on
-    the stream only through the counts.  Accepts arrays.
+    the stream only through the counts.  Accepts arrays; counts that are
+    not integers with ``0 <= heads <= trials`` (NaN too) raise
+    ``ValueError``.  The library's kernels call the unchecked
+    :func:`_kt_log_mixture`.
     """
+    h = np.asarray(heads, dtype=float)
+    t = np.asarray(trials, dtype=float)
+    if not (_whole(h) and _whole(t) and (0.0 <= h).all() and (h <= t).all()):
+        raise ValueError(f"counts must be integers, 0 <= heads <= trials; got {heads}, {trials}")
+    return _kt_log_mixture(h, t)
+
+
+def _kt_log_mixture(heads, trials):
     heads = np.asarray(heads, dtype=float)
     trials = np.asarray(trials, dtype=float)
     out = (
@@ -105,7 +116,7 @@ def kt_log_wealth(heads, trials, p):
     trials = np.asarray(trials, dtype=float)
     if isinstance(p, float) and 0.0 < p < 1.0:
         out = (
-            kt_log_mixture(heads, trials)
+            _kt_log_mixture(heads, trials)
             - heads * float(special.xlogy(1.0, p))
             - (trials - heads) * float(special.xlog1py(1.0, -p))
         )
@@ -115,7 +126,7 @@ def kt_log_wealth(heads, trials, p):
             raise ValueError(f"p must be in [0, 1], got {p}")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (
-                kt_log_mixture(heads, trials)
+                _kt_log_mixture(heads, trials)
                 - special.xlogy(heads, p)
                 - special.xlog1py(trials - heads, -p)
             )
@@ -324,77 +335,44 @@ class UnionCS:
         return self.interval
 
 
-class _UnionCell:
+def union_windows(p: float, schedule: Schedule, limit: int) -> tuple[tuple, tuple, tuple]:
     """A schedule's union stages up to ``limit`` at one ``p``, with their count windows.
 
-    ``bounds`` and ``half`` are the boundaries up to ``limit`` and half
-    stage budgets.  ``windows[k]`` is ``None`` until :meth:`find` fills it
-    with ``(less_from, greater_to)``: the heads at which stage ``k`` can
-    fire each side.  With ``S(x) = binom_sf(x, t, p)`` and ``x*`` the
-    smallest ``x`` with ``S(x) <= b``, the mixture ``w S(h) + (1 - w) S(h
-    + 1)`` is at least ``S(h + 1)``, so a count ``h <= x* - 3`` exceeds
-    ``b`` for every ``w`` by at least one pmf term, far above the tails'
-    rounding.  The failures mirror it with ``1 - p``.  The union decider
-    and :func:`~anytime.mc.union_ever_excluded` evaluate a tail mixture
-    only inside these windows.
+    Returns ``(bounds, half, windows)``: the boundaries up to ``limit``,
+    the half stage budgets, and per stage ``(less_from, greater_to)``, the
+    heads at which the stage can fire each side.  With ``S(x) =
+    binom_sf(x, t, p)`` and ``x*`` the smallest ``x`` with ``S(x) <= b``,
+    the mixture ``w S(h) + (1 - w) S(h + 1)`` is at least ``S(h + 1)``, so
+    a count ``h <= x* - 3`` exceeds ``b`` for every ``w`` by at least one
+    pmf term, far above the tails' rounding.  The failures mirror it with
+    ``1 - p``.  Every stage's edges are found at once, one
+    :func:`_bisect_edges` pass per side.  The union decider and
+    :func:`~anytime.mc.union_ever_excluded` evaluate a tail mixture only
+    inside these windows.
     """
-
-    __slots__ = ("p", "bounds", "half", "windows")
-
-    def __init__(self, p: float, schedule: Schedule, limit: int):
-        self.p = p
-        self.bounds = schedule.boundaries(limit).tolist()
-        self.half = [schedule.budget(k) / 2.0 for k in range(1, len(self.bounds) + 1)]
-        self.windows: list[Optional[tuple[int, int]]] = [None] * len(self.bounds)
-
-    def find(self, k: int) -> tuple[int, int]:
-        t, b = self.bounds[k], self.half[k]
-        less_from = _count_edge(t, self.p, b) - 2
-        greater_to = t - _count_edge(t, 1.0 - self.p, b) + 2
-        self.windows[k] = window = (less_from, greater_to)
-        return window
+    t = schedule.boundaries(limit)
+    half = np.array([schedule.budget(k) / 2.0 for k in range(1, t.size + 1)])
+    less_from = _tail_edges(t, p, half) - 2
+    greater_to = t - _tail_edges(t, 1.0 - p, half) + 2
+    windows = tuple(zip(less_from.tolist(), greater_to.tolist()))
+    return tuple(t.tolist()), tuple(half.tolist()), windows
 
 
 # shared by every union decider trial; keyed on plain numbers, so a lookup builds no Schedule
 @functools.lru_cache(maxsize=512)
-def _doubling_cell(p: float, alpha: float, limit: int) -> _UnionCell:
-    return _UnionCell(p, Schedule.doubling(alpha), limit)
+def _doubling_cell(p: float, alpha: float, limit: int) -> tuple[tuple, tuple, tuple]:
+    return union_windows(p, Schedule.doubling(alpha), limit)
 
 
-def _count_edge(t: int, p: float, b: float) -> int:
-    """Smallest ``x`` with ``binom_sf(x, t, p) <= b``, for ``0 <= b < 1``.
+def _tail_edges(t: np.ndarray, p: float, b: np.ndarray) -> np.ndarray:
+    """Per element, the smallest ``x`` with ``binom_sf(x, t, p) <= b``, for ``0 <= b < 1``.
 
-    The tail is nonincreasing in ``x``, 1 at ``x = 0`` and 0 at ``t + 1``.
-    From a normal-quantile guess, a gallop brackets the edge and a
-    bisection closes the bracket.
+    The tail is nonincreasing in ``x``, 1 at ``x = 0`` and 0 at ``t + 1``,
+    so a bisection of ``[0, t + 1]`` finds it.
     """
-    lo, hi = 0, t + 1  # binom_sf(lo) > b >= binom_sf(hi)
-    guess = t * p + 0.5 - math.sqrt(t * p * (1.0 - p)) * float(special.ndtri(b))
-    x = min(max(math.ceil(guess), 1), t) if math.isfinite(guess) else (t + 1) // 2
-    step = 1
-    if binom_sf(x, t, p) <= b:
-        hi = x
-        while hi - step > lo:
-            x = hi - step
-            if binom_sf(x, t, p) > b:
-                lo = x
-                break
-            hi, step = x, 2 * step
-    else:
-        lo = x
-        while lo + step < hi:
-            x = lo + step
-            if binom_sf(x, t, p) <= b:
-                hi = x
-                break
-            lo, step = x, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if binom_sf(mid, t, p) <= b:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    inner, outer = np.zeros_like(t), t + 1
+    _bisect_edges(lambda x, i: binom_sf(x, t[i], p) <= b[i], inner, outer, np.arange(t.size))
+    return outer
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +444,7 @@ def _thresholds(alpha):
 
 
 def _betting_block(heads, trials, threshold):
-    log_mix = kt_log_mixture(heads, trials)
+    log_mix = _kt_log_mixture(heads, trials)
     mean = heads / trials
     tails = trials - heads
     has_lo = heads >= 1
@@ -712,7 +690,7 @@ def betting_running_at(heads, trials, alpha, lo0, up0, cols):
 
 def _running_at(heads, trials, alpha, threshold, lo0, up0, at):
     """:func:`betting_running_at` on one block whose last column is ``at[-1]``."""
-    log_mix = kt_log_mixture(heads, trials)
+    log_mix = _kt_log_mixture(heads, trials)
     tails = trials - heads
     mean = heads / trials
     dense = at.size == heads.shape[1]  # every column asked: each step is its own run
@@ -857,7 +835,7 @@ def betting_certified(heads, trials, alpha):
         *(np.asarray(v, dtype=float) for v in (heads, trials, alpha))
     )
     threshold = _thresholds(alpha.ravel()).reshape(alpha.shape)
-    log_mix = np.asarray(kt_log_mixture(heads, trials))
+    log_mix = np.asarray(_kt_log_mixture(heads, trials))
     with np.errstate(all="ignore"):
         return _certified(heads, trials - heads, heads / trials, log_mix, threshold)
 
@@ -985,7 +963,11 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
         inner = (np.floor(p * t) if upper else np.ceil(p * t)).astype(np.int64)
         outer = t + 1 if upper else np.full_like(t, -1)
         anchors = np.union1d(np.arange(0, t.size, _ANCHOR), [t.size - 1])
-        _bisect_edges(t, p, threshold, inner, outer, anchors)
+
+        def passes(h, i):
+            return kt_log_wealth(h, t[i], p) >= threshold
+
+        _bisect_edges(passes, inner, outer, anchors)
         gap = np.abs(outer - inner)
         open_ = np.flatnonzero(gap > 1)
         # a bracket of one count takes one bisection step; only wider ones are probed
@@ -1005,17 +987,21 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
             # the next pair: on past ``near`` toward the mean, or past ``far`` away from it
             guess[live] = np.where(hit_near, near - step, far + 2 * step)
             live = live[np.abs(outer[live] - inner[live]) > 2]
-        _bisect_edges(t, p, threshold, inner, outer, open_)
+        _bisect_edges(passes, inner, outer, open_)
         out[start : start + t.size] = outer
     return out
 
 
-def _bisect_edges(t, p, threshold, inner, outer, live):
-    """Halve the brackets ``(inner, outer)`` at indices ``live`` to adjacent counts, in place."""
+def _bisect_edges(passes, inner, outer, live):
+    """Halve the brackets ``(inner, outer)`` at indices ``live`` to adjacent counts, in place.
+
+    ``passes(x, i)`` tests counts ``x`` at indices ``i``; it is monotone
+    along each bracket, false at ``inner`` and true at ``outer``.
+    """
     live = live[np.abs(outer[live] - inner[live]) > 1]
     while live.size:
         mid = (inner[live] + outer[live]) // 2
-        hit = kt_log_wealth(mid, t[live], p) >= threshold
+        hit = passes(mid, live)
         outer[live[hit]] = mid[hit]
         inner[live[~hit]] = mid[~hit]
         live = live[np.abs(outer[live] - inner[live]) > 1]

@@ -28,7 +28,8 @@ from anytime.mc import bernoulli_matrix, betting_ever_excluded, mc_coverage
 from anytime.mc import union_ever_excluded, union_trace
 from anytime.sampling import BernoulliSource, run_jobs, substream
 from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
-from anytime.sequences import Schedule, UnionCS, kt_log_wealth, ub_cs_width_envelope
+from anytime.sequences import Schedule, UnionCS, kt_log_mixture, kt_log_wealth
+from anytime.sequences import ub_cs_width_envelope
 
 SPEC = CertSpec(sigma=1.0, radius=0.1, alpha=0.05)
 
@@ -124,6 +125,15 @@ REJECTED = {
     "kt_log_wealth NaN p": lambda: kt_log_wealth(1, 3, math.nan),
     "kt_log_wealth integer p 2": lambda: kt_log_wealth(1, 3, 2),
     "kt_log_wealth p -0.5 in an array": lambda: kt_log_wealth(1, 3, np.array([0.5, -0.5])),
+    "kt_log_mixture heads above trials": lambda: kt_log_mixture(5, 3),
+    "kt_log_mixture negative heads": lambda: kt_log_mixture(-1, 3),
+    "kt_log_mixture fractional heads": lambda: kt_log_mixture(1.5, 3),
+    "kt_log_mixture fractional trials": lambda: kt_log_mixture(1, 3.5),
+    "kt_log_mixture NaN trials": lambda: kt_log_mixture(1, math.nan),
+    "kt_log_mixture infinite trials": lambda: kt_log_mixture(1, math.inf),
+    "kt_log_mixture heads above trials in an array": lambda: kt_log_mixture(
+        np.array([1, 4]), np.array([3, 3])
+    ),
 }
 
 

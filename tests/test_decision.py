@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from anytime import decision, sampling, sequences
 from anytime.certify import CertSpec, ClassOracle, certify_staged, width_target_run
 from anytime.decision import (
+    DEFAULT_CAP,
     DEFAULT_STAGES,
     TrialRecord,
     Verdict,
@@ -257,7 +258,7 @@ class TestUnionCells:
     def test_matches_the_stage_scan(self, p, alpha_exp, cap, shift, length, iterable, fresh, seed):
         # bits of mean near p, sometimes fewer than the last boundary needs;
         # each call twice, on a fresh cell or one left by earlier examples
-        # and then on the cell the first call filled
+        # and then on the cell the first call cached
         alpha = 10.0**-alpha_exp
         q = min(max(p + shift, 0.0), 1.0)
         n = cap if length is None else max(1, int(length * cap))
@@ -438,6 +439,12 @@ class TestRunTrial:
     def test_adaptive_cap_between_stages(self):
         verdict, samples = run_trial("adaptive", 0.5, 0.5, 0.001, cap=5000, rng=substream(41, "a"))
         assert (verdict, samples) == (Verdict.UNDECIDED, 5000)
+
+    @pytest.mark.parametrize("cap", [120_000, DEFAULT_CAP])
+    def test_adaptive_full_ladder_abstains(self, cap):
+        # only a truncated ladder turns an abstention into Undecided at the cap
+        verdict, samples = run_trial("adaptive", 0.5, 0.5, 0.001, cap=cap, rng=substream(41, "a"))
+        assert (verdict, samples) == (Verdict.ABSTAIN, 120_000)
 
     def test_adaptive_cap_below_first_stage(self):
         verdict, samples = run_trial("adaptive", 0.5, 0.99, 0.001, cap=50, rng=substream(41, "b"))

@@ -242,6 +242,7 @@ class TestUnionEverExcluded:
     @example(1e-12, 3.0, (1.1, 4), 2, 4096, 0.0, False, 2)
     @example(0.0, 1.3, (2.0, 0), 2, 100, 0.01, True, 3)
     @example(0.3, 6.0, (1.05, 30), 4, 2**16, 0.004, False, 4)
+    @example(0.5, 1.3, (2.0, 0), 3, 0, 0.0, True, 5)  # no stage at all
     def test_matches_every_tail(
         self, p, alpha_exp, schedule, streams, horizon, shift, seeded, seed
     ):

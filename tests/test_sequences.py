@@ -39,6 +39,7 @@ from anytime.sequences import (
     ub_cs_width_envelope,
     union_draws,
     union_running,
+    union_windows,
 )
 
 from oracles import (
@@ -335,15 +336,26 @@ class TestUnionCells:
     """The union stage windows: count edges of the tail and the cells that cache them."""
 
     @given(
-        t=st.integers(1, 10**7),
-        p=st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]), st.floats(0.0, 1.0)),
-        b=st.one_of(st.just(0.0), st.floats(1e-300, 0.25)),
+        edges=st.lists(
+            st.tuples(
+                st.integers(0, 10**7),
+                st.one_of(st.just(0.0), st.floats(1e-300, 0.25)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        p=st.one_of(
+            st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53, 1e-12, 1.0 - 1e-12]),
+            st.floats(0.0, 1.0),
+        ),
     )
-    @example(1, 0.5, 0.25)
-    @example(10**7, 0.5, 1e-300)
-    @example(524_288, 0.91, 2.5e-5)
-    def test_count_edge_is_the_plain_bisection(self, t, p, b):
-        assert anytime.sequences._count_edge(t, p, b) == bisect_count_edge(t, p, b)
+    @example([(1, 0.25)], 0.5)
+    @example([(10**7, 1e-300)], 0.5)
+    @example([(524_288, 2.5e-5), (0, 0.1), (1, 0.0)], 0.91)
+    def test_tail_edges_are_the_plain_bisection(self, edges, p):
+        t, b = (np.array(column) for column in zip(*edges))
+        got = anytime.sequences._tail_edges(t, p, b)
+        assert got.tolist() == [bisect_count_edge(ti, p, bi) for ti, bi in edges]
 
     def test_cells_of_another_alpha_or_cap_keep_their_own_edges(self):
         anytime.sequences._doubling_cell.cache_clear()
@@ -354,30 +366,37 @@ class TestUnionCells:
                 decide_with_cs("union", p, stream, alpha, cap, rng=substream(8, "w", trial))
         cells = [anytime.sequences._doubling_cell(*key) for key in keys]
         assert len({id(cell) for cell in cells}) == 3
-        for (p, alpha, cap), cell in zip(keys, cells):
-            bounds = stepping_boundaries(2.0, cap)
-            assert cell.bounds == bounds
-            found = [k for k, window in enumerate(cell.windows) if window is not None]
-            assert len(found) >= 8
-            for k in found:
-                t, half = bounds[k], alpha / ((k + 1) * (k + 2)) / 2.0
-                assert cell.half[k] == half
-                less_from = bisect_count_edge(t, p, half) - 2
-                greater_to = t - bisect_count_edge(t, 1.0 - p, half) + 2
-                assert cell.windows[k] == (less_from, greater_to)
+        for (p, alpha, cap), (bounds, half, windows) in zip(keys, cells):
+            assert bounds == tuple(stepping_boundaries(2.0, cap))
+            want_half, want_windows = [], []
+            for k, t in enumerate(bounds):
+                b = alpha / ((k + 1) * (k + 2)) / 2.0
+                want_half.append(b)
+                less_from = bisect_count_edge(t, p, b) - 2
+                want_windows.append((less_from, t - bisect_count_edge(t, 1.0 - p, b) + 2))
+            assert half == tuple(want_half)
+            assert windows == tuple(want_windows)
 
     @pytest.mark.parametrize(
         "schedule", [Schedule.geometric(0.05), Schedule(1e-9, growth=1.7, offset=3)]
     )
     def test_a_cell_of_any_schedule_has_its_stages_and_edges(self, schedule):
-        cell = anytime.sequences._UnionCell(0.91, schedule, 5000)
-        assert cell.bounds == stepping_boundaries(schedule.growth, 5000)
-        for k, t in enumerate(cell.bounds):
-            half = schedule.budget(k + 1) / 2.0
-            assert cell.half[k] == half
-            less_from = bisect_count_edge(t, 0.91, half) - 2
-            greater_to = t - bisect_count_edge(t, 0.09, half) + 2
-            assert cell.find(k) == (less_from, greater_to) == cell.windows[k]
+        bounds, half, windows = union_windows(0.91, schedule, 5000)
+        assert bounds == tuple(stepping_boundaries(schedule.growth, 5000))
+        assert len(half) == len(windows) == len(bounds)
+        for k, t in enumerate(bounds):
+            b = schedule.budget(k + 1) / 2.0
+            assert half[k] == b
+            less_from = bisect_count_edge(t, 0.91, b) - 2
+            assert windows[k] == (less_from, t - bisect_count_edge(t, 0.09, b) + 2)
+
+    def test_limit_zero_has_no_stages(self):
+        assert union_windows(0.5, Schedule.doubling(0.05), 0) == ((), (), ())
+
+    def test_a_cell_is_immutable(self):
+        # a cached cell is shared by every trial of its key: nothing in it can change
+        bounds, half, windows = union_windows(0.3, Schedule.doubling(0.01), 1000)
+        assert all(type(part) is tuple for part in (bounds, half, windows, *windows))
 
 
 class TestBettingCS:
