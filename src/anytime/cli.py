@@ -51,7 +51,7 @@ from .config import (
 from .decision import DEFAULT_CAP, METHODS, benchmark_sweep
 from .intervals import enumeration_coverage
 from .mc import betting_trace, mc_coverage, union_trace
-from .sampling import run_jobs, seed_sequence, substream, substream_id
+from .sampling import rekeyable_generator, run_jobs, substream, substream_id
 from .sequences import Schedule, dp_thresholds
 
 _CHUNK_ROWS = 8192  # rows of the thresholds table formatted at a time
@@ -113,6 +113,7 @@ def run_coverage(cfg: CoverageConfig) -> str:
         exact = enumeration_coverage(cfg.n, p, cfg.alpha, kind, cfg.side)
         mc = None
         if cfg.trials > 0:
+            # a fresh generator per cell: cells may run on a thread pool
             rng = substream(cfg.seed, "coverage", kind, gi)
             mc = mc_coverage(cfg.n, p, cfg.alpha, kind, cfg.side, cfg.trials, rng)
         return (p, kind, mc, exact, cfg.trials)
@@ -164,15 +165,20 @@ def run_decide(cfg: DecideConfig) -> tuple[str, str]:
 
 
 def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
+    # one generator per role, re-keyed for each trial to the paths
+    # (..., 0) and (..., 1): the children spawn(2) gives the trial's path
+    labels_rng, draws_rng = rekeyable_generator(), rekeyable_generator()
+
     def cell(job):
         cs, ri = job
         radius = cfg.radii[ri]
         spec = CertSpec(cfg.sigma, radius, cfg.alpha, cfg.lam)
         out = []
         for trial in range(cfg.trials):
-            seq = seed_sequence(cfg.seed, "certify", cs, ri, trial)
-            rng, sid = substream(seq), substream_id(seq)
-            oracle_rng, w_rng = rng.spawn(2)
+            path = ("certify", cs, ri, trial)
+            sid = substream_id(cfg.seed, *path)
+            oracle_rng = substream(cfg.seed, *path, 0, into=labels_rng)
+            w_rng = substream(cfg.seed, *path, 1, into=draws_rng)
             oracle = ClassOracle(cfg.probs, oracle_rng)
             if cs == "adaptive":
                 verdict, used = certify_staged(oracle, cfg.target_class, spec)

@@ -36,7 +36,7 @@ from .sampling import (
     BernoulliSource,
     as_bit_source,
     blocks,
-    seed_sequence,
+    rekeyable_generator,
     stage_heads,
     substream,
     substream_id,
@@ -352,14 +352,18 @@ def run_trial(
     alpha: float,
     cap: int,
     rng: np.random.Generator,
+    children: Optional[tuple[np.random.Generator, np.random.Generator]] = None,
 ) -> tuple[Verdict, int]:
     """One decision trial of ``method`` against a fresh B(q) stream.
 
     The union method runs the doubling schedule at ``alpha``, the adaptive
-    method the ``DEFAULT_STAGES`` ladder.
+    method the ``DEFAULT_STAGES`` ladder.  The union method reads its bits
+    and its randomized CP draws from ``rng.spawn(2)``, or from
+    ``children`` when given: :func:`benchmark_sweep` hands in generators
+    it re-keyed to the same two paths.
     """
     if method == "union":
-        bit_rng, w_rng = rng.spawn(2)
+        bit_rng, w_rng = rng.spawn(2) if children is None else children
         return decide_with_cs("union", p, BernoulliSource(bit_rng, q), alpha, cap, rng=w_rng)
     source = BernoulliSource(rng, q)
     if method == "betting":
@@ -421,10 +425,13 @@ def benchmark_sweep(
     must be nonempty, ``trials`` and ``cap`` integers >= 1.  Every
     (method, grid index, trial index) triple owns an independent
     counter-based substream of ``seed``, so records are reproducible
-    bit-for-bit whatever the execution order.  The trials run in order on
-    the calling thread: they are mostly Python, so a thread pool would
-    only add GIL hand-offs to each trial's ``wall_ns``.  The union trials
-    of one threshold share its cached stage cell (see
+    bit-for-bit whatever the execution order; a union trial reads the
+    paths ``(..., 0)`` and ``(..., 1)`` below it.  The sweep re-keys one
+    generator per role for each trial (:func:`~anytime.sampling.substream`
+    with ``into``) before the trial's clock starts.  The trials run in
+    order on the calling thread: they are mostly Python, so a thread pool
+    would only add GIL hand-offs to each trial's ``wall_ns``.  The union
+    trials of one threshold share its cached stage cell (see
     :func:`decide_with_cs`): the first trial builds every stage's count
     windows at once, and every trial evaluates a tail only near them.
 
@@ -436,14 +443,23 @@ def benchmark_sweep(
     grid = [float(p) for p in grid]
     _check_sweep(q, alpha, grid, trials, methods, cap, seed)
 
+    # one generator per role, re-keyed for each trial
+    bits_rng, draws_rng = rekeyable_generator(), rekeyable_generator()
+
     def cell(method: str, gi: int) -> list[TrialRecord]:
         p = grid[gi]
         records = []
         for trial in range(trials):
-            seq = seed_sequence(seed, method, gi, trial)
-            rng, sid = substream(seq), substream_id(seq)
+            path = (method, gi, trial)
+            sid = substream_id(seed, *path)
+            children = None
+            if method == "union":
+                rng = substream(seed, *path, 0, into=bits_rng)
+                children = (rng, substream(seed, *path, 1, into=draws_rng))
+            else:
+                rng = substream(seed, *path, into=bits_rng)
             start = time.perf_counter_ns()
-            verdict, samples = run_trial(method, p, q, alpha, cap, rng)
+            verdict, samples = run_trial(method, p, q, alpha, cap, rng, children)
             wall = time.perf_counter_ns() - start
             records.append(
                 TrialRecord(method, p, q, alpha, trial, verdict, samples, sid, wall)

@@ -1,10 +1,26 @@
 """Deterministic stream derivation and Bernoulli bit sources.
 
-Every simulated trial owns a counter-based substream derived from
-``(root seed, *path)`` via numpy's ``SeedSequence`` + Philox, so results
-are reproducible bit-for-bit regardless of execution order, chunking, or
-thread count.  String path components (method names) are hashed with
-blake2b so the derivation never depends on Python's randomized ``hash``.
+Every simulated trial owns a counter-based Philox substream addressed by
+``(root seed, *path)``.  Its key is the one numpy's
+``SeedSequence(seed, spawn_key=path)`` gives Philox
+(``generate_state(2, uint64)``), so results are reproducible
+bit-for-bit regardless of execution order, chunking, or thread count.
+String path components (method names) are hashed with blake2b so the
+derivation never depends on Python's randomized ``hash``.
+:func:`substream_id`, the ``seed`` column of the decide and certify
+CSVs, is the key's first 64-bit word.
+
+The keys are derived on Python ints, restating ``SeedSequence``'s
+mixing exactly, and the pool after each ``(seed, *prefix)`` is cached,
+so a trial mixes in only its own words.  A trial that needs two
+generators (the union decider's bits and draws, a certify trial's labels
+and draws) reads the paths ``(*path, 0)`` and ``(*path, 1)``, the
+children ``spawn(2)`` gives.  The decide and certify sweeps build one
+generator per role and re-key it for each trial with
+``substream(seed, *path, into=gen)``; such a generator belongs to one
+sweep on one thread.  ``anytime coverage`` runs its cells on a thread
+pool, so it keeps a fresh generator per cell.
+
 Every decider, certifier and width-target run reads its bit stream
 through one reader: :func:`blocks` draws blocks of 64 bits doubling to
 4,096, and :func:`stage_heads` reads the heads at given counts from
@@ -19,8 +35,9 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -40,37 +57,124 @@ def _key_int(part) -> int:
     raise TypeError(f"substream path parts must be int or str, got {type(part)!r}")
 
 
-def _seed_sequence(seed, path: tuple) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence) and not path:
-        return seed
-    _check_count("seed", seed, minimum=0)
-    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(_key_int(p) for p in path))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_ZEROS = (0, 0, 0, 0)
+# generate_state's hash constant before and after each of its four words
+_STATE_CONSTS = tuple(
+    (_INIT_B * _MULT_B**i & _MASK32, _INIT_B * _MULT_B ** (i + 1) & _MASK32)
+    for i in range(_POOL_SIZE)
+)
 
 
-def seed_sequence(seed: int, *path) -> np.random.SeedSequence:
-    """The ``SeedSequence`` addressed by ``(seed, *path)``.
+def _words(n: int) -> list[int]:
+    """``n >= 0`` as little-endian 32-bit words, at least one (as ``SeedSequence`` reads it)."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
 
-    :func:`substream` and :func:`substream_id` accept it in place of
-    ``(seed, *path)``, so a trial that needs both its generator and its
-    recorded id derives the path once.
+
+def _mix_into(pool: list[int], words: Iterable[int], const: int, skip: int = -1) -> int:
+    """Mix each word into every pool word but ``skip``, as ``mix_entropy`` does.
+
+    Each word is numpy's ``hashmix`` of it under the running hash
+    constant, which this returns advanced; ``mix`` folds it in.
     """
-    return _seed_sequence(seed, path)
+    for word in words:
+        for i, x in enumerate(pool):
+            if i != skip:
+                value = word ^ const
+                const = const * _MULT_A & _MASK32
+                value = value * const & _MASK32
+                mixed = (_MIX_MULT_L * x - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+                pool[i] = mixed ^ mixed >> 16
+    return const
 
 
-def substream(seed, *path) -> np.random.Generator:
+@lru_cache(maxsize=1024, typed=True)
+def _mixed(seed, *path) -> tuple[tuple[int, ...], int, tuple[int, int]]:
+    """``SeedSequence(seed, spawn_key=path)`` on Python ints: (pool, hash constant, Philox key).
+
+    Each prefix of ``path`` is a cache entry of its own, so a trial's path
+    mixes in only the words its cached prefix lacks.  ``typed``, so a
+    float part never reuses the entry of an equal int.
+    """
+    if path:
+        pool, const, _ = _mixed(seed, *path[:-1])
+        pool = list(pool)
+        const = _mix_into(pool, _words(_key_int(path[-1])), const)
+    else:
+        _check_count("seed", seed, minimum=0)
+        # numpy pads the run entropy to the pool size when a spawn key
+        # follows; without one, its hashmix(0) of the missing words is the same
+        entropy = _words(int(seed))
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+        const, pool = _INIT_A, []
+        for word in entropy[:_POOL_SIZE]:
+            value = word ^ const
+            const = const * _MULT_A & _MASK32
+            value = value * const & _MASK32
+            pool.append(value ^ value >> 16)
+        for src in range(_POOL_SIZE):  # so late words affect earlier ones
+            const = _mix_into(pool, [pool[src]], const, skip=src)
+        const = _mix_into(pool, entropy[_POOL_SIZE:], const)
+    # generate_state(2, np.uint64): the hashed pool words, paired little-endian
+    out = [(word ^ a) * b & _MASK32 for word, (a, b) in zip(pool, _STATE_CONSTS)]
+    out = [value ^ value >> 16 for value in out]
+    return tuple(pool), const, (out[0] | out[1] << 32, out[2] | out[3] << 32)
+
+
+def substream(seed: int, *path, into: Optional[np.random.Generator] = None) -> np.random.Generator:
     """Independent generator for the substream addressed by ``(seed, *path)``.
 
-    ``seed`` may instead be a :func:`seed_sequence` (and ``path`` empty).
+    It is backed by ``SeedSequence(seed, spawn_key=path)``, so its
+    ``spawn(2)`` children are the substreams ``(*path, 0)`` and
+    ``(*path, 1)``.  With ``into``, a generator from
+    :func:`rekeyable_generator` (any other raises ``ValueError``), that
+    generator is re-keyed instead and returned: the same key, a zero
+    counter and an empty buffer, so it draws what a fresh generator
+    would, whatever it drew before.
     """
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+    if into is None:
+        _check_count("seed", seed, minimum=0)
+        spawn_key = tuple(_key_int(p) for p in path)
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+    if into.bit_generator.seed_seq is not None:
+        raise ValueError("into must come from rekeyable_generator(): it would spawn its old path's children")
+    into.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": _mixed(seed, *path)[2]},
+        "buffer": _ZEROS,
+        "buffer_pos": len(_ZEROS),  # an empty buffer
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return into
 
 
-def substream_id(seed, *path) -> int:
-    """Stable 64-bit fingerprint of a substream (recorded in output rows).
+def rekeyable_generator() -> np.random.Generator:
+    """A ``Generator(Philox)`` to re-key with ``substream(..., into=...)``.
 
-    ``seed`` may instead be a :func:`seed_sequence` (and ``path`` empty).
+    It has no ``SeedSequence``, so it cannot ``spawn``: a child of a
+    re-keyed generator would not be the child of its path.  One such
+    generator serves one role of one sweep, on one thread.
     """
-    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+    return np.random.Generator(np.random.Philox(key=0))
+
+
+def substream_id(seed: int, *path) -> int:
+    """Stable 64-bit fingerprint of a substream (recorded in output rows): its key's first word."""
+    return _mixed(seed, *path)[2][0]
 
 
 def run_jobs(jobs: Sequence, fn: Callable, threads: int) -> list:

@@ -19,6 +19,7 @@ from anytime.certify import CertSpec, ClassOracle, certify_staged, width_target_
 from anytime.decision import (
     DEFAULT_CAP,
     DEFAULT_STAGES,
+    METHODS,
     TrialRecord,
     Verdict,
     benchmark_sweep,
@@ -376,6 +377,17 @@ class TestSweep:
         strip = lambda rs: [(r.method, r.p, r.trial, r.verdict, r.samples, r.seed) for r in rs]
         assert strip(base_records) == strip(again_records)
         assert base_summary == again_summary
+
+    def test_rekeyed_trials_carry_nothing_between_trials(self):
+        # the sweep re-keys one generator per role for every trial: a trial's
+        # record must not depend on the trials run before it
+        kwargs = dict(q=0.91, alpha=0.01, grid=[0.4, 0.9, 0.96], cap=3000, seed=11)
+        strip = lambda rs: sorted((r.method, r.p, r.trial, r.verdict.value, r.samples, r.seed) for r in rs)
+        full, _ = benchmark_sweep(trials=4, **kwargs)
+        first, _ = benchmark_sweep(trials=1, **kwargs)
+        backwards, _ = benchmark_sweep(trials=4, methods=METHODS[::-1], **kwargs)
+        assert strip(first) == strip(r for r in full if r.trial == 0)
+        assert strip(backwards) == strip(full)
 
     def test_summary_ratio_and_lower_bound(self):
         records, summaries = benchmark_sweep(

@@ -12,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from anytime.certify import ClassOracle, _IndicatorSource, width_target_run
 from anytime.decision import Verdict, decide_with_cs, sprt_ideal, staged_adaptive
@@ -20,9 +22,10 @@ from anytime.sampling import (
     BernoulliSource,
     IterSource,
     as_bit_source,
+    _key_int,
     blocks,
+    rekeyable_generator,
     run_jobs,
-    seed_sequence,
     stage_heads,
     substream,
     substream_id,
@@ -51,17 +54,58 @@ class TestSubstream:
         assert substream_id(42, "a") != substream_id(42, "b")
         assert 0 <= substream_id(42, "a") < 2**64
 
-    @pytest.mark.parametrize("path", [("decide", 3, 17), ("union", 0, 0), ()])
-    def test_one_derivation_gives_both(self, path):
-        seq = seed_sequence(42, *path)
-        rng, sid = substream(seq), substream_id(seq)
-        reference = substream(42, *path)
-        assert sid == substream_id(42, *path)
-        np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
-        np.testing.assert_array_equal(rng.random(16), reference.random(16))
-        # the union decider spawns its bit and draw streams from the trial's generator
-        for child, ref_child in zip(rng.spawn(2), reference.spawn(2)):
-            np.testing.assert_array_equal(child.random(8), ref_child.random(8))
+    @given(
+        seed=st.integers(0, 2**130),
+        path=st.lists(
+            st.integers(0, 2**64) | st.integers(2**32 - 2, 2**32 + 1) | st.text(max_size=6),
+            max_size=4,
+        ),
+    )
+    @example(seed=42, path=[])
+    @example(seed=2**128 - 1, path=["decide", 3, 2**32 - 1])
+    @example(seed=2**128, path=["union", 2**64, 2**32])
+    def test_keys_restate_seed_sequence(self, seed, path):
+        # the oracle is numpy's SeedSequence itself: seeds past four words,
+        # parts of one to three words, trial indices on both sides of 2**32
+        spawn_key = tuple(_key_int(part) for part in path)
+
+        def key_of(gen):
+            return [int(w) for w in gen.bit_generator.state["state"]["key"]]
+
+        want = np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
+        gen = substream(seed, *path, into=rekeyable_generator())
+        assert key_of(gen) == [int(w) for w in want]
+        assert substream_id(seed, *path) == int(want[0])
+        fresh = substream(seed, *path)
+        assert key_of(fresh) == key_of(gen)
+        # the paths (*path, 0) and (*path, 1) are the public generator's spawn(2) children
+        for i, child in enumerate(fresh.spawn(2)):
+            assert key_of(substream(seed, *path, i, into=gen)) == key_of(child)
+            np.testing.assert_array_equal(
+                substream(seed, *path, i, into=gen).random(8), child.random(8)
+            )
+
+    def test_rekeying_carries_nothing_between_trials(self):
+        gen = rekeyable_generator()
+        for drawn in (0, 1, 3, 5, 4096):
+            gen.random(drawn)
+            gen.integers(0, 2**32, 3, dtype=np.uint32)  # leaves a half-used uint64
+            substream(42, "decide", 3, 17, into=gen)
+            np.testing.assert_equal(gen.bit_generator.state, substream(42, "decide", 3, 17).bit_generator.state)
+            np.testing.assert_array_equal(gen.random(16), substream(42, "decide", 3, 17).random(16))
+
+    def test_rekeyable_generators_cannot_spawn(self):
+        # a child of a re-keyed generator would not be its path's child
+        with pytest.raises(TypeError):
+            rekeyable_generator().spawn(2)
+        with pytest.raises(ValueError, match="rekeyable_generator"):
+            substream(42, "decide", 0, into=substream(42, "other"))
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, True, "42"])
+    def test_bad_seeds_raise_on_every_path(self, seed):
+        for derive in (substream, substream_id, lambda s, *p: substream(s, *p, into=rekeyable_generator())):
+            with pytest.raises(ValueError):
+                derive(seed, "decide", 0)
 
     def test_block_draws_equal_single_draws(self):
         block = substream(11, "bits").random(32)
