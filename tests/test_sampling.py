@@ -85,6 +85,19 @@ class TestSubstream:
                 substream(seed, *path, i, into=gen).random(8), child.random(8)
             )
 
+    @pytest.mark.parametrize("path", [("decide", 3, 17), ("union", 0, 0), ()])
+    def test_one_derivation_gives_both(self, path):
+        # one pool gives the re-keyed generator and the id; both equal a fresh derivation
+        rng = substream(42, *path, into=rekeyable_generator())
+        reference = substream(42, *path)
+        assert substream_id(42, *path) == int(rng.bit_generator.state["state"]["key"][0])
+        np.testing.assert_equal(rng.bit_generator.state, reference.bit_generator.state)
+        np.testing.assert_array_equal(rng.random(16), reference.random(16))
+        # the union decider's bit and draw streams are the trial generator's spawn(2) children
+        for i, ref_child in enumerate(reference.spawn(2)):
+            child = substream(42, *path, i, into=rekeyable_generator())
+            np.testing.assert_array_equal(child.random(8), ref_child.random(8))
+
     def test_rekeying_carries_nothing_between_trials(self):
         gen = rekeyable_generator()
         for drawn in (0, 1, 3, 5, 4096):
