@@ -114,7 +114,7 @@ class _IndicatorSource(ZeroOneSource):
         self._target = target
 
     def take(self, k: int) -> np.ndarray:
-        return (self._oracle.sample(k) == self._target).astype(np.uint8)
+        return (self._oracle.sample(k) == self._target).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,9 @@ def decide_with_cs(
     Both kinds read the stream through :func:`~anytime.sampling.blocks`,
     in blocks that start at 64 bits and double up to 4,096, so they may
     draw past the deciding bit to the end of its block.  The betting kind
-    scores every bit of a block; the verdict is the first crossing, so it
-    does not depend on the block sizes.  The union kind reads the heads at
+    scores every bit of a block, from integer running counts, so the KT
+    mixture reads its log-gamma tables; the verdict is the first crossing,
+    so it does not depend on the block sizes.  The union kind reads the heads at
     each stage boundary from its block (:func:`~anytime.sampling.stage_heads`).
     A finite stream, array or iterable alike, hands out a short last
     block, so a verdict inside it is found; a read past its end raises
@@ -161,8 +162,9 @@ def _decide_betting(p, source, alpha, cap):
     threshold = math.log(1.0 / alpha)
     heads, t = 0, 0
     for bits in blocks(source, cap):
-        h_cum = heads + np.cumsum(bits, dtype=np.int64)
-        t_cum = t + np.arange(1, bits.size + 1, dtype=np.int64)
+        # integer counts: the KT mixture reads its log-gamma tables
+        h_cum = heads + np.add.accumulate(bits, dtype=np.intp)
+        t_cum = np.arange(t + 1, t + bits.size + 1, dtype=np.intp)
         excluded = np.asarray(kt_log_wealth(h_cum, t_cum, p)) > threshold
         if excluded.any():
             i = int(np.argmax(excluded))

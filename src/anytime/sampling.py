@@ -221,7 +221,7 @@ class BernoulliSource(ZeroOneSource):
         self.p = p
 
     def take(self, k: int) -> np.ndarray:
-        return (self._rng.random(k) < self.p).astype(np.uint8)
+        return (self._rng.random(k) < self.p).view(np.uint8)
 
 
 def _as_bits(values, ndim: int | None = None) -> np.ndarray:

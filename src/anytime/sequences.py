@@ -40,6 +40,13 @@ for :func:`dp_thresholds` and the Monte Carlo ever-exclusion by a
 guided search of the log-wealth.  It bisects sparse anchor edges, guesses
 the edges between them, and probes each guess and its neighbour, about
 2.3 log-wealth evaluations per ``t`` where a bisection alone takes 12.
+
+The KT log-mixture of integer counts reads its three log-gammas from two
+tables, ``gammaln(k + 1/2)`` and ``gammaln(k + 1)``, that grow in powers
+of two up to ``2**17 + 1`` entries (2 MB for both): the same bits as
+evaluating ``special.gammaln``, which float counts and counts past the
+tables still do.  The betting decider and :func:`exclusion_edge` pass
+integer counts.
 """
 
 from __future__ import annotations
@@ -79,22 +86,57 @@ def kt_log_mixture(heads, trials):
     not integers with ``0 <= heads <= trials`` (NaN too) raise
     ``ValueError``.  The library's kernels call the unchecked
     :func:`_kt_log_mixture`.
+
+    ``log Q = lgamma(heads + 1/2) + lgamma(tails + 1/2) - log pi -
+    lgamma(trials + 1)``.  Counts given as signed integer arrays with
+    ``trials`` below ``2**17 + 1`` read the three log-gammas from two
+    tables, ``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` built by the same
+    ``special.gammaln`` and summed in the same order, so the result is the
+    same bits as evaluating them.  The tables grow in powers of two as
+    larger counts arrive, to 2 MB at most.  Float counts and counts past
+    the tables take ``special.gammaln`` itself.
     """
-    h = np.asarray(heads, dtype=float)
-    t = np.asarray(trials, dtype=float)
-    if not (_whole(h) and _whole(t) and (0.0 <= h).all() and (h <= t).all()):
+    return _kt_log_mixture(heads, trials, check=True)
+
+
+_TABLE_CAP = 2**17 + 1  # entries per log-gamma table: trials up to 2**17, 1 MB each
+_TABLE_MIN = 1024
+# gammaln(k + 1/2) and gammaln(k + 1) for k below their length.  Growing
+# builds both arrays and then rebinds this one name, so a reader that took
+# the pair sees a consistent pair; the values do not depend on the length.
+_log_gamma_tables = (np.empty(0), np.empty(0))
+
+
+def _tables_to(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log-gamma tables with an entry for every count up to ``top < _TABLE_CAP``."""
+    global _log_gamma_tables
+    tables = _log_gamma_tables
+    if tables[0].size <= top:
+        size = min(max(_TABLE_MIN, 1 << top.bit_length()), _TABLE_CAP)
+        k = np.arange(size, dtype=float)
+        tables = _log_gamma_tables = (special.gammaln(k + 0.5), special.gammaln(k + 1.0))
+    return tables
+
+
+def _kt_log_mixture(heads, trials, check=False):
+    h, t = np.asarray(heads), np.asarray(trials)
+    if h.dtype.kind == t.dtype.kind == "i" and h.size and t.size:
+        tails = t - h  # cannot wrap once both are >= 0
+        valid = h.min() >= 0 and t.min() >= 0 and tails.min() >= 0
+        top = int(t.max())
+        if valid and top < _TABLE_CAP:
+            half, whole = _tables_to(top)
+            out = half[h] + half[tails] - 2.0 * _LOG_SQRT_PI - whole[t]
+            return float(out) if out.ndim == 0 else out
+        check = check and not valid
+    h, t = np.asarray(h, dtype=float), np.asarray(t, dtype=float)
+    if check and not (_whole(h) and _whole(t) and (0.0 <= h).all() and (h <= t).all()):
         raise ValueError(f"counts must be integers, 0 <= heads <= trials; got {heads}, {trials}")
-    return _kt_log_mixture(h, t)
-
-
-def _kt_log_mixture(heads, trials):
-    heads = np.asarray(heads, dtype=float)
-    trials = np.asarray(trials, dtype=float)
     out = (
-        special.gammaln(heads + 0.5)
-        + special.gammaln(trials - heads + 0.5)
+        special.gammaln(h + 0.5)
+        + special.gammaln(t - h + 0.5)
         - 2.0 * _LOG_SQRT_PI
-        - special.gammaln(trials + 1.0)
+        - special.gammaln(t + 1.0)
     )
     return float(out) if out.ndim == 0 else out
 
@@ -107,16 +149,25 @@ def kt_log_wealth(heads, trials, p):
     ``+inf`` as soon as the sample contradicts ``p`` (which is what makes
     a degenerate candidate leave the betting CS at the first
     contradicting bit), and ``log Q`` itself for a constant matching
-    sample.  Accepts arrays; a ``p`` outside [0, 1] (NaN too) raises
-    ``ValueError``.  A float ``p`` in (0, 1) takes its two logs once and
-    scales them by the counts, the same bits as ``xlogy`` and ``xlog1py``
-    (which compute ``x * log(y)`` and ``x * log1p(y)``).
+    sample.  Accepts arrays; counts that :func:`kt_log_mixture` rejects
+    and a ``p`` outside [0, 1] (NaN too) raise ``ValueError``.  A float
+    ``p`` in (0, 1) takes its two logs once and scales them by the counts,
+    the same bits as ``xlogy`` and ``xlog1py`` (which compute ``x *
+    log(y)`` and ``x * log1p(y)``).  Integer counts are kept integer, so
+    ``log Q`` reads its tables.  The library's kernels call the unchecked
+    :func:`_kt_log_wealth`.
     """
-    heads = np.asarray(heads, dtype=float)
-    trials = np.asarray(trials, dtype=float)
+    return _kt_log_wealth(heads, trials, p, check=True)
+
+
+def _kt_log_wealth(heads, trials, p, check=False):
+    log_mix = _kt_log_mixture(heads, trials, check)
+    heads, trials = np.asarray(heads), np.asarray(trials)
+    if not heads.dtype.kind == trials.dtype.kind == "i":
+        heads, trials = np.asarray(heads, dtype=float), np.asarray(trials, dtype=float)
     if isinstance(p, float) and 0.0 < p < 1.0:
         out = (
-            _kt_log_mixture(heads, trials)
+            log_mix
             - heads * float(special.xlogy(1.0, p))
             - (trials - heads) * float(special.xlog1py(1.0, -p))
         )
@@ -125,11 +176,7 @@ def kt_log_wealth(heads, trials, p):
         if not np.all((0.0 <= p) & (p <= 1.0)):  # NaN fails too
             raise ValueError(f"p must be in [0, 1], got {p}")
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (
-                _kt_log_mixture(heads, trials)
-                - special.xlogy(heads, p)
-                - special.xlog1py(trials - heads, -p)
-            )
+            out = log_mix - special.xlogy(heads, p) - special.xlog1py(trials - heads, -p)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -344,18 +391,34 @@ def union_windows(p: float, schedule: Schedule, limit: int) -> tuple[tuple, tupl
     binom_sf(x, t, p)`` and ``x*`` the smallest ``x`` with ``S(x) <= b``,
     the mixture ``w S(h) + (1 - w) S(h + 1)`` is at least ``S(h + 1)``, so
     a count ``h <= x* - 3`` exceeds ``b`` for every ``w`` by at least one
-    pmf term, far above the tails' rounding.  The failures mirror it with
-    ``1 - p``.  Every stage's edges are found at once, one
-    :func:`_bisect_edges` pass per side.  The union decider and
-    :func:`~anytime.mc.union_ever_excluded` evaluate a tail mixture only
-    inside these windows.
+    pmf term, far above the tails' rounding.  The count ``x* - 2`` mixes
+    ``S(x* - 2)`` and ``S(x* - 1)``, both above ``b``; the window starts
+    past it where the smaller of the two exceeds ``b`` by more than the
+    mixture's rounding (at most three roundings on each term), and at it
+    otherwise.  The failures mirror it with ``1 - p``.  Every
+    stage's edges are found at once, one :func:`_bisect_edges` pass per
+    side.  The union decider and :func:`~anytime.mc.union_ever_excluded`
+    evaluate a tail mixture only inside these windows.
     """
     t = schedule.boundaries(limit)
     half = np.array([schedule.budget(k) / 2.0 for k in range(1, t.size + 1)])
-    less_from = _tail_edges(t, p, half) - 2
-    greater_to = t - _tail_edges(t, 1.0 - p, half) + 2
+    less_from = _window_start(t, p, half)
+    greater_to = t - _window_start(t, 1.0 - p, half)
     windows = tuple(zip(less_from.tolist(), greater_to.tolist()))
     return tuple(t.tolist()), tuple(half.tolist()), windows
+
+
+def _window_start(t: np.ndarray, p: float, b: np.ndarray) -> np.ndarray:
+    """Per stage, the first count whose upper tail mixture may reach ``b``.
+
+    That is ``x* - 1`` or ``x* - 2``, as :func:`union_windows` sets out.
+    """
+    edge = _tail_edges(t, p, b)
+    below, at = np.split(binom_sf(np.r_[edge - 2, edge - 1], np.tile(t, 2), p), 2)
+    # the computed mixture is at least min(S(x* - 2), S(x* - 1)) (1 - 2^-53)^3;
+    # b >= 2^-1000 keeps a subnormal term's absolute rounding far below that margin
+    clear = (np.minimum(below, at) * (1.0 - 4.0 * np.finfo(float).eps) > b) & (b >= 2.0**-1000)
+    return edge - np.where(clear, 1, 2)
 
 
 # shared by every union decider trial; keyed on plain numbers, so a lookup builds no Schedule
@@ -965,7 +1028,7 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
         anchors = np.union1d(np.arange(0, t.size, _ANCHOR), [t.size - 1])
 
         def passes(h, i):
-            return kt_log_wealth(h, t[i], p) >= threshold
+            return _kt_log_wealth(h, t[i], p) >= threshold
 
         _bisect_edges(passes, inner, outer, anchors)
         gap = np.abs(outer - inner)
@@ -980,7 +1043,7 @@ def exclusion_edge(horizon: int, p: float, threshold: float, upper: bool) -> np.
             low, high = (inner[live], outer[live]) if upper else (outer[live], inner[live])
             far = np.clip(guess[live], low + 1, high - 1)
             near = np.clip(far - step, low + 1, high - 1)
-            hit = kt_log_wealth(np.r_[far, near], np.tile(t[live], 2), p) >= threshold
+            hit = _kt_log_wealth(np.r_[far, near], np.tile(t[live], 2), p) >= threshold
             hit_far, hit_near = np.split(hit, 2)
             outer[live] = np.where(hit_near, near, np.where(hit_far, far, outer[live]))
             inner[live] = np.where(hit_far, np.where(hit_near, inner[live], near), far)
@@ -1019,7 +1082,7 @@ def _guess_edges(t, p, threshold, outer, anchors, step):
     narrows brackets.
     """
     edge, t_edge = outer[anchors], t[anchors]
-    before, at = np.split(kt_log_wealth(np.r_[edge - step, edge], np.tile(t_edge, 2), p), 2)
+    before, at = np.split(_kt_log_wealth(np.r_[edge - step, edge], np.tile(t_edge, 2), p), 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         share = np.clip(np.nan_to_num((threshold - before) / (at - before), nan=0.5), 0.0, 1.0)
     offset = edge - step * (1.0 - share) - p * t_edge

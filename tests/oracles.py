@@ -237,6 +237,18 @@ def bisect_count_edge(t, p, b):
     return hi
 
 
+def window_start(t, p, b):
+    """First count of a union stage's window: ``x* - 1`` or ``x* - 2`` by plain bisection.
+
+    ``x* - 1`` where ``S(x* - 2)`` and ``S(x* - 1)`` both exceed ``b`` by
+    more than a relative ``2^-50`` (and ``b >= 2^-1000``), otherwise
+    ``x* - 2``.
+    """
+    edge = bisect_count_edge(t, p, b)
+    lowest = min(float(_float_sf(edge - 2, t, p)), float(_float_sf(edge - 1, t, p)))
+    return edge - (1 if lowest * (1.0 - 2.0**-50) > b and b >= 2.0**-1000 else 2)
+
+
 def union_ever_excluded_by_tails(bits, p, schedule, rng=None):
     """Per stream of a ``streams x horizon`` matrix: does a union stage ever exclude ``p``?
 
@@ -262,7 +274,8 @@ def _tail_mix(x, n, p, w):
     return w * _float_sf(x, n, p) + (1.0 - w) * _float_sf(x + 1, n, p)
 
 
-def _kt_log_mixture(heads, trials):
+def kt_log_mixture_by_gammaln(heads, trials):
+    """The KT log-mixture of float counts by three ``special.gammaln`` passes."""
     return (
         special.gammaln(heads + 0.5)
         + special.gammaln(trials - heads + 0.5)
@@ -282,7 +295,7 @@ def betting_ever_excluded_by_wealth(bits, p, alpha):
     trials = np.arange(1, heads.shape[1] + 1, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_wealth = (
-            _kt_log_mixture(heads, trials)
+            kt_log_mixture_by_gammaln(heads, trials)
             - special.xlogy(heads, p)
             - special.xlog1py(trials - heads, -p)
         )
@@ -308,7 +321,8 @@ def bisect_exclusion_edge(horizon, p, threshold, upper, evaluated=None):
             evaluated.append(mid.size)
         h, n = mid.astype(float), t[live].astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_wealth = _kt_log_mixture(h, n) - special.xlogy(h, p) - special.xlog1py(n - h, -p)
+            log_mix = kt_log_mixture_by_gammaln(h, n)
+            log_wealth = log_mix - special.xlogy(h, p) - special.xlog1py(n - h, -p)
         hit = log_wealth >= threshold
         outer[live[hit]] = mid[hit]
         inner[live[~hit]] = mid[~hit]
@@ -321,7 +335,7 @@ def bisect_betting_endpoints(heads, trials, alpha, iters: int = ENDPOINT_ITERS):
     heads = np.asarray(heads, dtype=float)
     trials = np.asarray(trials, dtype=float)
     threshold = math.log(1.0 / alpha)
-    log_mix = _kt_log_mixture(heads, trials)
+    log_mix = kt_log_mixture_by_gammaln(heads, trials)
     mean = heads / trials
     tails = trials - heads
 

@@ -125,6 +125,23 @@ REJECTED = {
     "kt_log_wealth NaN p": lambda: kt_log_wealth(1, 3, math.nan),
     "kt_log_wealth integer p 2": lambda: kt_log_wealth(1, 3, 2),
     "kt_log_wealth p -0.5 in an array": lambda: kt_log_wealth(1, 3, np.array([0.5, -0.5])),
+    "kt_log_wealth heads above trials": lambda: kt_log_wealth(5, 3, 0.5),
+    "kt_log_wealth negative heads": lambda: kt_log_wealth(-1, 3, 0.5),
+    "kt_log_wealth fractional heads": lambda: kt_log_wealth(1.5, 3, 0.5),
+    "kt_log_wealth heads above trials at p 0": lambda: kt_log_wealth(5, 3, 0.0),
+    "kt_log_wealth NaN trials": lambda: kt_log_wealth(1, math.nan, 0.5),
+    "kt_log_wealth heads above trials in an integer array": lambda: kt_log_wealth(
+        np.array([1, 4]), np.array([3, 3]), 0.5
+    ),
+    "kt_log_wealth heads above trials past the tables": lambda: kt_log_wealth(
+        np.array([1, 2**20]), np.array([3, 2**18]), 0.5
+    ),
+    "kt_log_wealth int8 trials that wrap": lambda: kt_log_wealth(
+        np.array([1], dtype=np.int8), np.array([-128], dtype=np.int8), 0.5
+    ),
+    "kt_log_wealth int64 trials that wrap": lambda: kt_log_wealth(
+        np.array([1]), np.array([-(2**63)]), 0.5
+    ),
     "kt_log_mixture heads above trials": lambda: kt_log_mixture(5, 3),
     "kt_log_mixture negative heads": lambda: kt_log_mixture(-1, 3),
     "kt_log_mixture fractional heads": lambda: kt_log_mixture(1.5, 3),

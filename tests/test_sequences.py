@@ -11,6 +11,8 @@ pure-rational brute force.
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -21,8 +23,9 @@ from hypothesis import strategies as st
 from scipy import special
 
 import anytime.sequences
+from anytime.binom import binom_sf
 from anytime.decision import decide_with_cs
-from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound
+from anytime.intervals import lower_tail_mix, rcp_upper_lo, rcp_upper_lo_bound, upper_tail_mix
 from anytime.sampling import BernoulliSource, substream
 from anytime.sequences import (
     BettingCS,
@@ -49,8 +52,10 @@ from oracles import (
     bisect_exclusion_edge,
     brute_halting_heads,
     exact_kt_mixture,
+    kt_log_mixture_by_gammaln,
     stepping_boundaries,
     union_scan,
+    window_start,
 )
 
 
@@ -127,6 +132,134 @@ class TestKtMixture:
             wealth = np.exp(kt_log_wealth(heads[:, t - 1], t, p))
             se = wealth.std(ddof=1) / math.sqrt(streams)
             assert wealth.mean() <= 1.0 + 5.0 * se
+
+
+class _CountingSpecial:
+    """``scipy.special`` with a count of the ``gammaln`` calls."""
+
+    def __init__(self):
+        self.gammaln_calls = 0
+
+    def gammaln(self, x):
+        self.gammaln_calls += 1
+        return special.gammaln(x)
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+
+class TestLogGammaTables:
+    """Integer counts read ``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` from tables."""
+
+    EDGES = [0, 1, 1023, 1024, 2047, 2048, 2**17 - 1, 2**17, 2**17 + 1]
+
+    @given(
+        trials=st.lists(
+            st.one_of(st.sampled_from(EDGES), st.integers(0, 2**18)), min_size=1, max_size=16
+        ),
+        share=st.floats(0.0, 1.0),
+        p=st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+    )
+    @example([0, 1, 1023, 1024, 2**17, 2**17 + 1], 1.0, 0.25)
+    @example([0, 1, 1023, 1024, 2**17, 2**17 + 1], 0.0, 0.0)
+    def test_integer_counts_give_the_bits_of_gammaln(self, trials, share, p):
+        # heads at 0, at t and in between, each against every trials count
+        t = np.array(trials, dtype=np.int64)
+        for h in (np.zeros_like(t), t, np.floor(share * t).astype(np.int64)):
+            want = kt_log_mixture_by_gammaln(h.astype(float), t.astype(float))
+            assert kt_log_mixture(h, t).tobytes() == want.tobytes()
+            got = kt_log_wealth(h, t, p)
+            assert got.tobytes() == kt_log_wealth(h.astype(float), t.astype(float), p).tobytes()
+            assert kt_log_mixture(int(h[-1]), int(t[-1])) == want[-1]
+
+    def test_the_tables_grow_in_powers_of_two_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(anytime.sequences, "_log_gamma_tables", (np.empty(0), np.empty(0)))
+        sizes = []
+        for top in (0, 1023, 1024, 2049, 2**17, 2**17 + 1, 10**6):
+            kt_log_mixture(np.array([0]), np.array([top]))
+            half, whole = anytime.sequences._log_gamma_tables
+            sizes.append((half.size, whole.size))
+        want = [1024, 1024, 2048, 4096, 2**17 + 1, 2**17 + 1, 2**17 + 1]
+        assert sizes == [(n, n) for n in want]
+
+    def test_values_do_not_depend_on_the_order_the_tables_grew(self, monkeypatch):
+        t = np.array([0, 1, 1023, 1024, 5000, 2**16 + 3, 2**17])
+        h = t // 3
+        got = set()
+        for growth in ([2**17], [0, 1023, 1024, 5000, 2**17], [2**16, 1024, 2**17]):
+            monkeypatch.setattr(anytime.sequences, "_log_gamma_tables", (np.empty(0), np.empty(0)))
+            for top in growth:
+                kt_log_mixture(np.array([0]), np.array([top]))
+            got.add(kt_log_mixture(h, t).tobytes())
+        assert got == {kt_log_mixture_by_gammaln(h.astype(float), t.astype(float)).tobytes()}
+
+    @pytest.mark.parametrize(
+        "heads, trials, gammaln_calls",
+        [
+            (np.array([0, 5, 1024]), np.array([3, 7, 2**17]), 0),
+            (np.array([0.0, 5.0]), np.array([3.0, 7.0]), 3),  # float counts
+            (np.array([0, 5]), np.array([3, 2**17 + 1]), 3),  # past the cap
+            (np.array([0, 5, 1], dtype=np.uint64), np.array([3, 7, 2], dtype=np.uint64), 3),
+            (np.array([-1, 5]), np.array([3, 7]), 3),  # unchecked invalid counts
+            (np.array([4, 5]), np.array([3, 7]), 3),
+            (np.array([], dtype=np.int64), np.array([], dtype=np.int64), 3),
+        ],
+    )
+    def test_only_valid_integer_counts_below_the_cap_read_the_tables(
+        self, monkeypatch, heads, trials, gammaln_calls
+    ):
+        anytime.sequences._kt_log_mixture(np.array([0]), np.array([2**17]))  # tables at the cap
+        counting = _CountingSpecial()
+        monkeypatch.setattr(anytime.sequences, "special", counting)
+        got = anytime.sequences._kt_log_mixture(heads, trials)
+        assert counting.gammaln_calls == gammaln_calls
+        want = kt_log_mixture_by_gammaln(heads.astype(float), trials.astype(float))
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+    def test_threads_growing_the_tables_read_the_same_bits(self, monkeypatch):
+        # each thread grows the tables in its own order while the others read them
+        monkeypatch.setattr(anytime.sequences, "_log_gamma_tables", (np.empty(0), np.empty(0)))
+        tops = [1, 1023, 1024, 4096, 2**15, 2**16 + 1, 2**17]
+        want = {top: kt_log_mixture_by_gammaln(float(top // 3), float(top)) for top in tops}
+        wrong = []
+
+        def run(order, restart):
+            for _ in range(20):
+                if restart:  # the others keep reading while the tables grow again
+                    anytime.sequences._log_gamma_tables = (np.empty(0), np.empty(0))
+                for top in order:
+                    try:
+                        got = kt_log_mixture(np.array([top // 3]), np.array([top]))[0]
+                    except IndexError:
+                        got = None
+                    if got != want[top]:
+                        wrong.append(top)
+
+        threads = [
+            threading.Thread(target=run, args=(tops[k:] + tops[:k], k == 0)) for k in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_betting_trial_past_the_cap_decides_as_gammaln_does(self, monkeypatch):
+        # its blocks read the tables up to 2**17 trials and gammaln after
+        def trial():
+            stream = BernoulliSource(substream(3, "past the cap"), 0.5)
+            return decide_with_cs("betting", 0.496, stream, 0.05, 10**6)
+
+        verdict, samples = trial()
+        assert samples > 2**17
+        monkeypatch.setattr(anytime.sequences, "_TABLE_CAP", 0)  # every block by gammaln
+        assert trial() == (verdict, samples)
 
 
 class TestSchedule:
@@ -372,8 +505,7 @@ class TestUnionCells:
             for k, t in enumerate(bounds):
                 b = alpha / ((k + 1) * (k + 2)) / 2.0
                 want_half.append(b)
-                less_from = bisect_count_edge(t, p, b) - 2
-                want_windows.append((less_from, t - bisect_count_edge(t, 1.0 - p, b) + 2))
+                want_windows.append((window_start(t, p, b), t - window_start(t, 1.0 - p, b)))
             assert half == tuple(want_half)
             assert windows == tuple(want_windows)
 
@@ -387,8 +519,39 @@ class TestUnionCells:
         for k, t in enumerate(bounds):
             b = schedule.budget(k + 1) / 2.0
             assert half[k] == b
-            less_from = bisect_count_edge(t, 0.91, b) - 2
-            assert windows[k] == (less_from, t - bisect_count_edge(t, 0.09, b) + 2)
+            assert windows[k] == (window_start(t, 0.91, b), t - window_start(t, 0.09, b))
+
+    @given(
+        p=st.one_of(st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.5]), st.floats(0.0, 1.0)),
+        alpha=st.sampled_from([0.5, 0.05, 1e-3, 1e-12, 1e-300]),
+        limit=st.integers(0, 2**16),
+    )
+    @example(0.5, 0.05, 2**16)
+    def test_no_count_next_to_a_window_fires(self, p, alpha, limit):
+        # the count just outside each window fails its side's test at every w,
+        # in the rounding of the mixtures the decider and the Monte Carlo run
+        bounds, half, windows = union_windows(p, Schedule.doubling(alpha), limit)
+        w = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0])
+        for t, b, (less_from, greater_to) in zip(bounds, half, windows):
+            if less_from >= 1:
+                assert (upper_tail_mix(less_from - 1, t, p, w) > b).all()
+            if greater_to <= t - 1:
+                assert (lower_tail_mix(greater_to + 1, t, p, w) > b).all()
+
+    @pytest.mark.parametrize(
+        "y, scale, margin",
+        [
+            (320, 1.0 - 1e-9, 1),  # S(x* - 1) = S(y) clears b by far more than the rounding
+            (320, 1.0 - 2.0**-53, 2),  # b one step below S(y): within the mixture's rounding
+            (870, 1.0 - 1e-9, 2),  # S(y) below 2^-1000: a subnormal rounding is not relative
+        ],
+    )
+    def test_a_margin_of_one_needs_both_tails_clear_of_the_budget(self, y, scale, margin):
+        # b just below the tail S(y) puts the edge x* at y + 1
+        t, p = np.array([1000]), 0.3
+        b = np.array([float(binom_sf(y, 1000, p)) * scale])
+        assert anytime.sequences._tail_edges(t, p, b)[0] == y + 1
+        assert anytime.sequences._window_start(t, p, b)[0] == y + 1 - margin
 
     def test_limit_zero_has_no_stages(self):
         assert union_windows(0.5, Schedule.doubling(0.05), 0) == ((), (), ())
@@ -732,9 +895,10 @@ class TestExclusionEdge:
 
         def counted(heads, trials, p):
             evaluated.append(np.size(heads))
-            return kt_log_wealth(heads, trials, p)
+            return unchecked(heads, trials, p)
 
-        monkeypatch.setattr(anytime.sequences, "kt_log_wealth", counted)
+        unchecked = anytime.sequences._kt_log_wealth
+        monkeypatch.setattr(anytime.sequences, "_kt_log_wealth", counted)
         horizon, threshold = 125_000, math.log(1000.0)
         edges = exclusion_edge(horizon, 0.91, threshold, upper=True)
         assert sum(evaluated) <= 3 * (horizon + 1)
@@ -751,9 +915,10 @@ class TestExclusionEdge:
 
         def counted(heads, trials, p):
             evaluated.append(np.size(heads))
-            return kt_log_wealth(heads, trials, p)
+            return unchecked(heads, trials, p)
 
-        monkeypatch.setattr(anytime.sequences, "kt_log_wealth", counted)
+        unchecked = anytime.sequences._kt_log_wealth
+        monkeypatch.setattr(anytime.sequences, "_kt_log_wealth", counted)
         horizon, threshold = 125_000, math.log(1000.0)
         edges = exclusion_edge(horizon, p, threshold, upper)
         want = bisect_exclusion_edge(horizon, p, threshold, upper, evaluated=bisected)
