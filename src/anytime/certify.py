@@ -121,6 +121,12 @@ class _IndicatorSource(ZeroOneSource):
 # Radius geometry
 
 
+def _check_sigma(sigma: float) -> None:
+    """A noise scale: ``0 < sigma < inf``; NaN fails."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+
+
 def radius_gauss_l2(p_a: float, p_b: float, sigma: float) -> float:
     """Certified l2 radius ``(sigma/2)(Phi^{-1}(p_a) - Phi^{-1}(p_b))``.
 
@@ -128,8 +134,7 @@ def radius_gauss_l2(p_a: float, p_b: float, sigma: float) -> float:
     probabilities must be interior - the degenerate endpoints have
     infinite quantiles and are handled by the callers' guards.
     """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     if not (0.0 < p_a < 1.0 and 0.0 < p_b < 1.0):
         raise ValueError("radius_gauss_l2 needs interior probabilities")
     return 0.5 * sigma * (gauss_quantile(p_a) - gauss_quantile(p_b))
@@ -139,8 +144,7 @@ def binary_threshold(radius: float, sigma: float) -> float:
     """The ``p*`` with ``radius_gauss_l2(p*, 1-p*, sigma) == radius``: ``Phi(radius/sigma)``."""
     if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_sigma(sigma)
     return float(special.ndtr(radius / sigma))
 
 

@@ -8,8 +8,9 @@ Five subcommands emit CSV to stdout or ``--out``:
 * ``certify``     certification trials on a synthetic class oracle
 * ``thresholds``  betting-CS halting-count table H(t)
 
-Every command is a pure function of its configuration: the same flags
-and seed give byte-identical output, for any ``--threads`` value.  Each
+Every command is a pure function of its flags: the same flags and seed
+give byte-identical output, for any ``--threads`` value, and no
+environment variable changes a byte.  Each
 trial draws from its own counter-derived substream, so scheduling can
 never leak into the results.  Threads apply to ``coverage`` only, whose
 cells go through :func:`~anytime.sampling.run_jobs` (results in job
@@ -39,14 +40,11 @@ from .config import (
     COVERAGE_KINDS,
     CS_KINDS,
     DEFAULT_SEED,
-    SEED_ENV,
-    THREADS_ENV,
     CertifyConfig,
     CoverageConfig,
     DecideConfig,
     ThresholdsConfig,
     WidthConfig,
-    env_int,
 )
 from .decision import DEFAULT_CAP, METHODS, benchmark_sweep
 from .intervals import enumeration_coverage
@@ -242,11 +240,11 @@ def run_thresholds(cfg: ThresholdsConfig) -> str:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="root seed (default 42)")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root seed (default 42)")
     sub.add_argument(
         "--threads",
         type=int,
-        default=None,
+        default=1,
         help="worker threads for coverage (default 1); the other commands run in order",
     )
     sub.add_argument("--out", default=None, help="output CSV path (default stdout)")
@@ -311,25 +309,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_common(args) -> tuple[int, int]:
-    seed = args.seed if args.seed is not None else env_int(SEED_ENV, DEFAULT_SEED)
-    threads = args.threads if args.threads is not None else env_int(THREADS_ENV, 1)
-    return seed, threads
-
-
 def _build_config(args):
-    seed, threads = _resolve_common(args)
     if args.command == "coverage":
         grid = args.p_grid if args.p_grid is not None else _interior_grid(args.grid_points)
         return CoverageConfig(
-            args.n, args.alpha, tuple(grid), args.trials, tuple(args.kind), args.side, seed, threads
+            args.n, args.alpha, tuple(grid), args.trials, tuple(args.kind), args.side,
+            args.seed, args.threads,
         )
     if args.command == "width":
-        return WidthConfig(args.alpha, args.p, args.horizon, tuple(args.kinds), seed, threads)
+        return WidthConfig(
+            args.alpha, args.p, args.horizon, tuple(args.kinds), args.seed, args.threads
+        )
     if args.command == "decide":
         grid = args.p_grid if args.p_grid is not None else _closed_grid(args.grid_points)
         return DecideConfig(
-            args.q, args.alpha, tuple(grid), args.trials, tuple(args.methods), args.cap, seed, threads
+            args.q, args.alpha, tuple(grid), args.trials, tuple(args.methods), args.cap,
+            args.seed, args.threads,
         )
     if args.command == "certify":
         return CertifyConfig(
@@ -344,10 +339,10 @@ def _build_config(args):
             args.cap,
             args.target_class,
             args.warmup,
-            seed,
-            threads,
+            args.seed,
+            args.threads,
         )
-    return ThresholdsConfig(args.p, args.alpha, args.n_max, seed, threads)
+    return ThresholdsConfig(args.p, args.alpha, args.n_max, args.seed, args.threads)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

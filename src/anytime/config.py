@@ -4,9 +4,9 @@ Every command's parameters live in one frozen dataclass that validates
 eagerly in ``__post_init__``, through the checks of the library functions
 the command runs, before any sampling starts; only what no library
 function sees (mode against methods, classes per mode, nonempty lists) is
-checked here.  Shared knobs resolve as flags > environment
-(``ANYTIME_SEED``, ``ANYTIME_THREADS``) > defaults; the environment lookup
-happens in :func:`env_int` so the CLI layer stays a thin argparse shell.
+checked here.  The seed and thread count come from the command's flags
+only (``--seed``, default :data:`DEFAULT_SEED`, and ``--threads``,
+default 1); no environment variable sets them.
 
 Every config checks ``threads``, but only ``coverage`` uses it: its cells
 spend their time in vector tails that release the GIL.  ``decide``,
@@ -16,7 +16,6 @@ thread and ignore it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -27,23 +26,10 @@ from .decision import CS_KINDS, _check_sweep, _union_schedule  # noqa: F401
 from .intervals import COVERAGE_KINDS, _check_coverage_args  # noqa: F401
 from .sequences import _check_dp_args
 
-SEED_ENV = "ANYTIME_SEED"
-THREADS_ENV = "ANYTIME_THREADS"
 DEFAULT_SEED = 42
 
 CERT_CS = ("betting", "union", "adaptive")
 CERT_MODES = ("binary", "multiclass")
-
-
-def env_int(name: str, fallback: int) -> int:
-    """Integer environment override with a config-error message."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _nonempty(name: str, values) -> None:

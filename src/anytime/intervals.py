@@ -263,7 +263,11 @@ def hoeffding_sample_size(eps: float, gamma: float) -> int:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    return max(1, math.ceil(2.0 * math.log(1.0 / gamma) / (eps * eps)))
+    square = eps * eps  # underflows for eps below ~1e-154
+    size = 2.0 * math.log(1.0 / gamma) / square if square > 0.0 else math.inf
+    if not size < math.inf:  # NaN too: an overflowing eps with a subnormal gamma
+        raise ValueError(f"the Hoeffding sample size at eps={eps}, gamma={gamma} is not finite")
+    return max(1, math.ceil(size))
 
 
 def enumeration_coverage(

@@ -48,6 +48,8 @@ _FIRST_BLOCK = 64  # blocks start here and double up to ``_BLOCK``
 
 
 def _key_int(part) -> int:
+    if isinstance(part, bool):  # an int to isinstance, but True would alias 1
+        raise ValueError(f"substream path parts must be int or str, got {part!r}")
     if isinstance(part, (int, np.integer)):
         if part < 0:
             raise ValueError(f"substream path parts must be nonnegative, got {part}")

@@ -92,29 +92,23 @@ def kt_log_mixture(heads, trials):
     ``trials`` below ``2**17 + 1`` read the three log-gammas from two
     tables, ``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` built by the same
     ``special.gammaln`` and summed in the same order, so the result is the
-    same bits as evaluating them.  The tables grow in powers of two as
-    larger counts arrive, to 2 MB at most.  Float counts and counts past
-    the tables take ``special.gammaln`` itself.
+    same bits as evaluating them.  Both tables are built whole on the
+    first such call, 2 MB in all.  Float counts and counts past the
+    tables take ``special.gammaln`` itself.
     """
     return _kt_log_mixture(heads, trials, check=True)
 
 
 _TABLE_CAP = 2**17 + 1  # entries per log-gamma table: trials up to 2**17, 1 MB each
-_TABLE_MIN = 1024
-# gammaln(k + 1/2) and gammaln(k + 1) for k below their length.  Growing
-# builds both arrays and then rebinds this one name, so a reader that took
-# the pair sees a consistent pair; the values do not depend on the length.
-_log_gamma_tables = (np.empty(0), np.empty(0))
 
 
-def _tables_to(top: int) -> tuple[np.ndarray, np.ndarray]:
-    """The log-gamma tables with an entry for every count up to ``top < _TABLE_CAP``."""
-    global _log_gamma_tables
-    tables = _log_gamma_tables
-    if tables[0].size <= top:
-        size = min(max(_TABLE_MIN, 1 << top.bit_length()), _TABLE_CAP)
-        k = np.arange(size, dtype=float)
-        tables = _log_gamma_tables = (special.gammaln(k + 0.5), special.gammaln(k + 1.0))
+@functools.cache
+def _log_gamma_tables() -> tuple[np.ndarray, np.ndarray]:
+    """``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` for every count ``k < _TABLE_CAP``."""
+    k = np.arange(_TABLE_CAP, dtype=float)
+    tables = special.gammaln(k + 0.5), special.gammaln(k + 1.0)
+    for table in tables:
+        table.flags.writeable = False  # one pair, shared by every caller
     return tables
 
 
@@ -125,7 +119,7 @@ def _kt_log_mixture(heads, trials, check=False):
         valid = h.min() >= 0 and t.min() >= 0 and tails.min() >= 0
         top = int(t.max())
         if valid and top < _TABLE_CAP:
-            half, whole = _tables_to(top)
+            half, whole = _log_gamma_tables()
             out = half[h] + half[tails] - 2.0 * _LOG_SQRT_PI - whole[t]
             return float(out) if out.ndim == 0 else out
         check = check and not valid
@@ -217,8 +211,7 @@ class Schedule:
 
     def budget(self, k: int) -> float:
         """Miscoverage budget of the k-th stage (1-indexed)."""
-        if k < 1:
-            raise ValueError(f"stage index must be >= 1, got {k}")
+        _check_count("stage index", k)
         m = k + self.offset
         return (self.offset + 1) * self.alpha / (m * (m + 1))
 
@@ -956,7 +949,6 @@ class BettingCS:
         self.alpha = alpha
         self.heads = 0
         self.trials = 0
-        self.log_mixture = 0.0
         self.lo = 0.0
         self.up = 1.0
 
@@ -968,8 +960,6 @@ class BettingCS:
         """Feed one bit; returns the running interval."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit}")
-        predict = (self.heads + 0.5) / (self.trials + 1.0)
-        self.log_mixture += math.log(predict if bit else 1.0 - predict)
         self.heads += bit
         self.trials += 1
         inst_lo, inst_up = betting_endpoints(

@@ -19,14 +19,15 @@ import pytest
 import anytime.decision as decision
 from anytime.binom import _check_count, _check_prob, binom_cdf, binom_sf, gauss_quantile
 from anytime.binom import log_binom_pmf
-from anytime.certify import CertSpec, ClassOracle, certify_multiclass, certify_staged
+from anytime.certify import CertSpec, ClassOracle, binary_threshold, certify_multiclass
+from anytime.certify import certify_staged, radius_gauss_l2
 from anytime.config import CertifyConfig, CoverageConfig, DecideConfig, ThresholdsConfig, WidthConfig
 from anytime.decision import benchmark_sweep, decide_with_cs, staged_adaptive
 from anytime.intervals import enumeration_coverage, hoeffding_interval, hoeffding_sample_size
 from anytime.intervals import rcp_two_sided, rcp_upper
 from anytime.mc import bernoulli_matrix, betting_ever_excluded, mc_coverage
 from anytime.mc import union_ever_excluded, union_trace
-from anytime.sampling import BernoulliSource, run_jobs, substream
+from anytime.sampling import BernoulliSource, run_jobs, substream, substream_id
 from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
 from anytime.sequences import Schedule, UnionCS, kt_log_mixture, kt_log_wealth
 from anytime.sequences import ub_cs_width_envelope
@@ -151,6 +152,25 @@ REJECTED = {
     "kt_log_mixture heads above trials in an array": lambda: kt_log_mixture(
         np.array([1, 4]), np.array([3, 3])
     ),
+    # eps * eps underflows: a division by 0, or a size of inf
+    "hoeffding_sample_size eps 1e-300": lambda: hoeffding_sample_size(1e-300, 0.05),
+    "hoeffding_sample_size eps 1e-160": lambda: hoeffding_sample_size(1e-160, 0.05),
+    "hoeffding_sample_size subnormal gamma": lambda: hoeffding_sample_size(0.01, 5e-324),
+    "nonadaptive_hoeffding eps 1e-300": lambda: decision.nonadaptive_hoeffding(
+        0.5, 1e-300, 0.05, np.ones(0)
+    ),
+    "nonadaptive_hoeffding eps 1e-160": lambda: decision.nonadaptive_hoeffding(
+        0.5, 1e-160, 0.05, np.ones(0)
+    ),
+    "Schedule budget of stage True": lambda: Schedule(0.05).budget(True),
+    "Schedule budget of stage 2.5": lambda: Schedule(0.05).budget(2.5),
+    "radius_gauss_l2 infinite sigma": lambda: radius_gauss_l2(0.5, 0.5, math.inf),
+    "binary_threshold infinite radius and sigma": lambda: binary_threshold(math.inf, math.inf),
+    "binary_threshold infinite sigma": lambda: binary_threshold(0.1, math.inf),
+    "CertSpec infinite sigma": lambda: CertSpec(math.inf, 0.1, 0.05),
+    # True would alias the path part 1
+    "substream_id boolean path part": lambda: substream_id(0, True),
+    "substream boolean path part": lambda: substream(0, "trial", False),
 }
 
 
@@ -171,6 +191,22 @@ def test_a_huge_finite_eps_still_draws_one_sample():
     # eps * eps overflows to inf; the sample size stays at least 1
     assert hoeffding_sample_size(1e200, 0.05) == 1
     assert hoeffding_sample_size(1.0, 0.05) == 6
+
+
+def test_an_eps_near_the_underflow_keeps_the_size_of_the_expression():
+    eps = 1e-150
+    assert hoeffding_sample_size(eps, 0.05) == math.ceil(2.0 * math.log(1.0 / 0.05) / (eps * eps))
+
+
+def test_a_stage_index_below_one_keeps_its_message():
+    with pytest.raises(ValueError, match=r"^stage index must be >= 1, got 0$"):
+        Schedule(0.05).budget(0)
+    assert Schedule(0.05).budget(np.int64(1)) == 0.025
+
+
+def test_an_infinite_radius_is_accepted_at_threshold_one():
+    assert binary_threshold(math.inf, 1.0) == 1.0
+    CertSpec(1.0, math.inf, 0.05)
 
 
 class TestRules:

@@ -251,11 +251,15 @@ class TestThresholds:
 class TestCommonKnobs:
     ARGS = ("coverage", "--n", "12", "--grid-points", "3", "--trials", "50", "--alpha", "0.1")
 
-    def test_environment_seed_and_threads(self, monkeypatch):
-        want = run_cli(*self.ARGS, "--seed", "7")
+    def test_the_environment_sets_no_knob(self, monkeypatch):
+        # --seed and --threads are the only way to set them
+        monkeypatch.delenv("ANYTIME_SEED", raising=False)
+        monkeypatch.delenv("ANYTIME_THREADS", raising=False)
+        want = run_cli(*self.ARGS)
         monkeypatch.setenv("ANYTIME_SEED", "7")
         monkeypatch.setenv("ANYTIME_THREADS", "2")
         assert run_cli(*self.ARGS) == want
+        assert run_cli(*self.ARGS, "--seed", "7") != want
 
     def test_decide_and_certify_trials_run_on_the_calling_thread(self, monkeypatch):
         # their trials are mostly Python: a pool would only add GIL hand-offs
@@ -282,16 +286,6 @@ class TestCommonKnobs:
         assert decided == 3 * len(METHODS) * 2 and len(ran_on) - decided == 2 * 2 * 2
         assert set(ran_on) == {threading.get_ident()}
 
-    def test_flags_override_environment(self, monkeypatch):
-        monkeypatch.setenv("ANYTIME_SEED", "1000")
-        assert run_cli(*self.ARGS, "--seed", "7") == run_cli(*self.ARGS, "--seed", "7")
-
-    def test_bad_environment_exits_2(self, monkeypatch):
-        monkeypatch.setenv("ANYTIME_SEED", "not-a-seed")
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*self.ARGS)
-        assert exc.value.code == 2
-
     def test_out_matches_stdout(self, tmp_path):
         path = tmp_path / "cov.csv"
         text = run_cli(*self.ARGS, "--seed", "7")
@@ -314,6 +308,7 @@ class TestConfigErrors:
         ("certify", "--lam", "1.0"),
         ("certify", "--target-class", "5"),
         ("certify", "--sigma", "nan"),
+        ("certify", "--sigma", "inf"),
         ("certify", "--mode", "multiclass", "--cs", "betting", "--probs", "0.5,0.5",
          "--radii", "nan"),
         ("thresholds", "--p", "1.5"),

@@ -1,8 +1,11 @@
 """The scripts under ``scripts/`` import against the current package.
 
-Each script keeps its work behind a ``__main__`` guard, so importing it
-only resolves its imports: a public name removed from the package fails
-here instead of at the next run of the script.
+The experiments run as ``anytime`` commands; ``scripts/`` keeps only the
+protocols no command has, today ``width_envelopes.py`` (the run behind
+criterion 06's frozen width-envelope constants).  Each script keeps its
+work behind a ``__main__`` guard, so importing it only resolves its
+imports: a public name removed from the package fails here instead of at
+the next run of the script.
 """
 
 from __future__ import annotations
