@@ -276,9 +276,11 @@ def _verdicts(lo, up, spec):
 def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
     # row 0 bounds class A with budget lam * alpha, row 1 the runner-up
     # with (1 - lam) * alpha.  Running bounds only tighten, so once a test
-    # passes it keeps passing: the search needs exact bounds at a few
-    # columns of each block only.  Blocks hold class labels, not bits, so
-    # they are flat ones of the bit readers' largest size, ``_BLOCK``.
+    # passes it keeps passing: betting_first_pass builds each block's shared
+    # terms once, from these integer counts (the log-mixture reads its
+    # tables), and solves exact bounds at a few columns only.  Blocks hold
+    # class labels, not bits, so they are flat ones of the bit readers'
+    # largest size, ``_BLOCK``.
     alpha = np.array([spec.lam * spec.alpha, (1.0 - spec.lam) * spec.alpha])
     run = np.zeros(2), np.ones(2)
     eye = np.eye(oracle.n_classes, dtype=np.int64)

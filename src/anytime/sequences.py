@@ -31,7 +31,8 @@ decider and the Monte Carlo ever-exclusion read them.
 only the endpoints that can move them; :func:`betting_running_at`
 returns them at chosen columns only and solves only the endpoints that
 can be the running bound there.  :func:`betting_first_pass` finds the
-first column whose running bounds pass a caller's monotone test, so the
+first column whose running bounds pass a caller's monotone test, with one
+pass over each block's shared terms and the same screen, so the
 certifiers and width-target runs are predicates over it.
 
 Against a fixed ``p`` the betting test is two integer heads edges per
@@ -42,11 +43,12 @@ the edges between them, and probes each guess and its neighbour, about
 2.3 log-wealth evaluations per ``t`` where a bisection alone takes 12.
 
 The KT log-mixture of integer counts reads its three log-gammas from two
-tables, ``gammaln(k + 1/2)`` and ``gammaln(k + 1)``, that grow in powers
-of two up to ``2**17 + 1`` entries (2 MB for both): the same bits as
-evaluating ``special.gammaln``, which float counts and counts past the
-tables still do.  The betting decider and :func:`exclusion_edge` pass
-integer counts.
+tables, ``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` for ``k <= 2**17``,
+built whole on first use (2 MB for both): the same bits as evaluating
+``special.gammaln``, which float counts and counts past the tables still
+do.  The betting decider, :func:`exclusion_edge`, and the multiclass
+certifier and width-target runs (through :func:`betting_first_pass`)
+pass integer counts.
 """
 
 from __future__ import annotations
@@ -470,9 +472,8 @@ def betting_endpoints(heads, trials, alpha):
     if heads.ndim == 0:  # one count (every BettingCS.update): plain comparisons
         h, t = float(heads), float(trials)
         counted = t >= 1.0 and 0.0 <= h <= t and h.is_integer() and t.is_integer()
-    else:  # ``not all(in range)``, so NaN fails too
-        counted = (trials >= 1.0).all() and (heads >= 0.0).all() and (heads <= trials).all()
-        counted = counted and _whole(heads) and _whole(trials)
+    else:
+        counted = _counted(heads, trials)
     if not counted:
         raise ValueError("betting_endpoints needs integers 0 <= heads <= trials with trials >= 1")
     shape = heads.shape
@@ -667,8 +668,9 @@ def betting_running(heads, trials, alpha, lo0, up0):
     is :func:`betting_running_at` at every column, so a step's endpoints
     are solved only where they can move the running bound at that step.
     """
-    heads = np.asarray(heads, dtype=float)
-    return betting_running_at(heads, trials, alpha, lo0, up0, np.arange(heads.shape[-1]))
+    heads = np.asarray(heads)
+    cols = np.arange(heads.shape[-1] if heads.ndim else 0)
+    return betting_running_at(heads, trials, alpha, lo0, up0, cols)
 
 
 def betting_running_at(heads, trials, alpha, lo0, up0, cols):
@@ -679,11 +681,14 @@ def betting_running_at(heads, trials, alpha, lo0, up0, cols):
     ``(rows, len(cols))``, equal (``==``) to ``betting_running(...)[:, cols]``.
     Steps after ``cols[-1]`` are not looked at, and each step is solved
     at most once, in one :func:`betting_endpoints` call per ``_BLOCK``
-    elements.
+    elements.  Counts that are not integers with ``0 <= heads <= trials``
+    and ``trials >= 1``, at any column up to ``cols[-1]``, raise
+    ``ValueError``; integer counts read the log-gamma tables.
 
     The running lower bound at column ``c`` is the largest of ``lo0`` and
     the endpoints ``lo_j``, ``j <= c``, and most of those endpoints cannot
-    be the largest.  A screen finds them without solving them:
+    be the largest.  A screen on each block's shared terms
+    (:func:`_betting_terms`) finds them without solving them:
 
     * One Newton step of :func:`_kt_lower_root` from its start, backed
       off past rounding (:func:`_kt_outer_point`), gives a point ``y_j``
@@ -706,25 +711,15 @@ def betting_running_at(heads, trials, alpha, lo0, up0, cols):
     The upper side is the mirror image.  Steps that pass neither screen
     go to :func:`betting_endpoints` (both sides at once); the screened
     ones enter the running max as ``-inf`` (``+inf`` in the running min).
-    At most ``_BLOCK`` elements are screened at a time, with the exact
-    bounds at each block's last column carried to the next.
+    The exact bounds at each block's last column are carried to the next.
     """
-    heads = np.asarray(heads, dtype=float)
-    if heads.ndim != 2:
-        raise ValueError(f"heads must be 2-d (streams x time), got shape {heads.shape}")
+    heads, trials, budget, run = _running_args(heads, trials, alpha, lo0, up0)
     rows, n = heads.shape
     cols = np.asarray(cols, dtype=np.intp)
     if cols.ndim != 1 or (
         cols.size and (cols[0] < 0 or cols[-1] >= n or (np.diff(cols) <= 0).any())
     ):
         raise ValueError("cols must be increasing column indices of heads")
-    trials = np.asarray(trials, dtype=float)
-    # a row shared by all streams stays one row (one gammaln pass for it)
-    trials = np.broadcast_to(trials, heads.shape if trials.ndim == 2 else (1, n))
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (rows,))
-    lo_run = np.broadcast_to(np.asarray(lo0, dtype=float), (rows,))
-    up_run = np.broadcast_to(np.asarray(up0, dtype=float), (rows,))
-    threshold = _thresholds(alpha)[:, None]
     lo, up = np.empty((rows, cols.size)), np.empty((rows, cols.size))
     width = max(1, _BLOCK // max(rows, 1))
     start = done = 0
@@ -735,35 +730,82 @@ def betting_running_at(heads, trials, alpha, lo0, up0, cols):
         at = cols[done:upto] - start
         if not at.size or at[-1] != stop - start - 1:
             at = np.append(at, stop - start - 1)
-        lo_b, up_b = _running_at(
-            heads[:, start:stop], trials[:, start:stop], alpha, threshold, lo_run, up_run, at
-        )
+        lo_b, up_b = _screen(_betting_terms(heads, trials, budget, start, stop, at), run, 0, at)
         lo[:, done:upto], up[:, done:upto] = lo_b[:, : upto - done], up_b[:, : upto - done]
-        lo_run, up_run = lo_b[:, -1], up_b[:, -1]
+        run = lo_b[:, -1], up_b[:, -1]
         start, done = stop, upto
     return lo, up
 
 
-def _running_at(heads, trials, alpha, threshold, lo0, up0, at):
-    """:func:`betting_running_at` on one block whose last column is ``at[-1]``."""
+def _running_args(heads, trials, alpha, lo0, up0):
+    """2-d counts (integers kept), ``(alpha, threshold)`` and the carried-in bounds per row."""
+    heads = np.asarray(heads)
+    if heads.ndim != 2:
+        raise ValueError(f"heads must be 2-d (streams x time), got shape {heads.shape}")
+    rows, n = heads.shape
+    trials = np.asarray(trials)
+    # a row shared by all streams stays one row (one log-mixture pass for it)
+    trials = np.broadcast_to(trials, heads.shape if trials.ndim == 2 else (1, n))
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (rows,))
+    run = tuple(np.broadcast_to(np.asarray(v, dtype=float), (rows,)) for v in (lo0, up0))
+    return heads, trials, (alpha[:, None], _thresholds(alpha)[:, None]), run
+
+
+def _betting_terms(heads, trials, budget, start, stop, at):
+    """The shared terms of the block ``[start, stop)``, its counts checked once.
+
+    Float counts, taken once the log-mixture has read its tables from
+    integer ones, and certified bounds (:func:`_certified`) at the steps
+    :func:`_candidates` picks for runs ending at the columns ``at`` (every
+    step if ``at`` is every column), ``-inf`` / ``+inf`` elsewhere.
+    """
+    heads, trials = heads[:, start:stop], trials[:, start:stop]
+    if not _counted(heads, trials):
+        raise ValueError("betting counts must be integers 0 <= heads <= trials with trials >= 1")
     log_mix = _kt_log_mixture(heads, trials)
+    heads, trials = np.asarray(heads, dtype=float), np.asarray(trials, dtype=float)
     tails = trials - heads
     mean = heads / trials
-    dense = at.size == heads.shape[1]  # every column asked: each step is its own run
+    alpha, threshold = (np.broadcast_to(v, heads.shape) for v in budget)
     with np.errstate(all="ignore"):
-        if dense:
+        if at.size == heads.shape[1]:  # every column asked: each step is its own run
             bound_lo, bound_up = _certified(heads, tails, mean, log_mix, threshold)
         else:
             pick = _candidates(mean, trials, threshold, at)
             bound_lo = np.full_like(heads, -np.inf)
             bound_up = np.full_like(heads, np.inf)
             bound_lo[pick], bound_up[pick] = _certified(
-                heads[pick], tails[pick], mean[pick], log_mix[pick],
-                np.broadcast_to(threshold, heads.shape)[pick],
+                heads[pick], tails[pick], mean[pick], log_mix[pick], threshold[pick]
             )
-        p_lo = np.maximum.accumulate(np.column_stack([lo0, bound_lo]), axis=1)[:, 1:]
-        p_up = np.minimum.accumulate(np.column_stack([up0, bound_up]), axis=1)[:, 1:]
-        if not dense:  # each step meets P of the first asked column at or after it
+    return heads, trials, tails, mean, log_mix, alpha, threshold, bound_lo, bound_up
+
+
+def _counted(heads, trials):
+    """Are all counts integers with ``0 <= heads <= trials`` and ``trials >= 1``?"""
+    whole = heads.dtype.kind == trials.dtype.kind == "i" or _whole(heads) and _whole(trials)
+    # ``all(in range)`` rather than ``not any(out of range)``, so NaN fails too
+    return bool(whole and (trials >= 1).all() and (heads >= 0).all() and (heads <= trials).all())
+
+
+def _accumulate(lo0, up0, lo, up):
+    """Running max of ``lo`` and min of ``up`` along each row, carried in from ``lo0`` / ``up0``."""
+    lo = np.maximum.accumulate(np.column_stack([lo0, lo]), axis=1)
+    return lo[:, 1:], np.minimum.accumulate(np.column_stack([up0, up]), axis=1)[:, 1:]
+
+
+def _screen(terms, run, begin, at):
+    """Exact running bounds at block columns ``at``, with ``run`` carried into column ``begin``.
+
+    See :func:`betting_running_at` for the screen.
+    """
+    part = slice(begin, at[-1] + 1)
+    heads, trials, tails, mean, log_mix, alpha, threshold, bound_lo, bound_up = (
+        v[:, part] for v in terms
+    )
+    at = at - begin
+    with np.errstate(all="ignore"):
+        p_lo, p_up = _accumulate(*run, bound_lo, bound_up)
+        if at.size < heads.shape[1]:  # each step meets P of the first asked column at or after it
             span = np.diff(at, prepend=-1)
             p_lo = np.repeat(p_lo[:, at], span, axis=1)
             p_up = np.repeat(p_up[:, at], span, axis=1)
@@ -779,22 +821,19 @@ def _running_at(heads, trials, alpha, threshold, lo0, up0, at):
     up_i = np.full_like(heads, np.inf)
     if solve.any():
         lo_i[solve], up_i[solve] = betting_endpoints(
-            heads[solve],
-            np.broadcast_to(trials, heads.shape)[solve],
-            np.broadcast_to(alpha[:, None], heads.shape)[solve],
+            heads[solve], np.broadcast_to(trials, heads.shape)[solve], alpha[solve]
         )
-    lo = np.maximum.accumulate(np.column_stack([lo0, lo_i]), axis=1)[:, 1:]
-    up = np.minimum.accumulate(np.column_stack([up0, up_i]), axis=1)[:, 1:]
-    return (lo, up) if dense else (lo[:, at], up[:, at])
+    lo, up = _accumulate(*run, lo_i, up_i)
+    return (lo, up) if at.size == heads.shape[1] else (lo[:, at], up[:, at])
 
 
 def betting_first_pass(heads, trials, alpha, lo0, up0, passes):
     """The first column whose running betting bounds pass ``passes``, with those bounds.
 
-    ``heads`` is 2-d with one row per stream, ``trials`` holds one value
-    per column, and ``alpha``, ``lo0`` and ``up0`` one value per row (see
-    :func:`betting_running`).  ``passes(lo, up)`` maps running bounds at
-    some columns (rows x columns) to one bool per column.  It must satisfy:
+    Arguments as for :func:`betting_running`; the counts of every block
+    it reads are checked as by :func:`betting_running_at`.  ``passes(lo,
+    up)`` maps running bounds at some columns (rows x columns) to one bool
+    per column.  It must satisfy:
 
     * bounds that are looser outward (lower ones lower, upper ones
       higher) pass only where the exact ones pass;
@@ -804,49 +843,47 @@ def betting_first_pass(heads, trials, alpha, lo0, up0, passes):
     running bounds there, one per row; or ``None`` and the exact bounds
     at the last column.
 
-    Certified bounds (:func:`betting_certified` at the steps
-    :func:`_candidates` expects to hold the running bounds, carried in)
-    only hint at the column where the first pass lies: :func:`_first_pass`
-    solves from ``_RUN`` columns before the hinted one, or, without a hint
-    or past one that the exact bounds refute, from the block's last column.
+    One pass per block of at most ``_BLOCK`` elements: the carried
+    certified bounds of its shared terms (:func:`_betting_terms`) hint at
+    the first pass, and the screen of :func:`betting_running_at` solves,
+    on the same terms, from ``_RUN`` columns before the hinted column, or,
+    without a hint or past one the exact bounds refute, from the last.
     """
-    heads = np.asarray(heads, dtype=float)
-    trials = np.asarray(trials, dtype=float)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), heads.shape[:1])
-    run = tuple(np.broadcast_to(np.asarray(v, dtype=float), heads.shape[:1]) for v in (lo0, up0))
-    with np.errstate(all="ignore"):
-        last = np.array([trials.size - 1])
-        pick = _candidates(heads / trials, trials, _thresholds(alpha)[:, None], last)
-    cols = np.flatnonzero(pick.any(axis=0))
-    lo, up = betting_certified(heads[:, cols], trials[cols], alpha[:, None])
-    lo = np.maximum.accumulate(np.column_stack([run[0], lo]), axis=1)[:, 1:]
-    up = np.minimum.accumulate(np.column_stack([run[1], up]), axis=1)[:, 1:]
-    hint = passes(lo, up)
-    start = 0
-    if hint.any():
-        right = int(cols[np.argmax(hint)])
-        col, *run = _first_pass(heads, trials, alpha, run, passes, max(right - _RUN, 0), right + 1)
-        if col is not None or right + 1 == trials.size:
-            return col, *run
-        start = right + 1
-    heads, trials = heads[:, start:], trials[start:]
-    col, *run = _first_pass(heads, trials, alpha, run, passes, trials.size - 1, trials.size)
-    return (None if col is None else start + col), *run
+    heads, trials, budget, run = _running_args(heads, trials, alpha, lo0, up0)
+    rows, n = heads.shape
+    width = max(1, _BLOCK // max(rows, 1))
+    for start in range(0, n, width):
+        last = min(width, n - start) - 1
+        terms = _betting_terms(heads, trials, budget, start, start + last + 1, np.array([last]))
+        hinted = _hinted_column(terms, run, passes)
+        right = last if hinted is None else hinted
+        mark = last if hinted is None else max(hinted - _RUN, 0)
+        col, *run = _window_pass(terms, run, passes, 0, mark, right)
+        if col is None and right < last:  # the exact bounds refute the hint
+            col, *run = _window_pass(terms, run, passes, right + 1, last, last)
+        if col is not None:
+            return start + col, *run
+    return None, *run
 
 
-def _first_pass(heads, trials, alpha, run, passes, mark, stop):
-    """:func:`betting_first_pass` over the columns before ``stop``, searched from column ``mark``.
+def _hinted_column(terms, run, passes):
+    """The first block column where the certified bounds of ``terms``, carried in, pass; or None."""
+    lo, up = terms[-2:]
+    cols = np.flatnonzero(np.isfinite(lo).any(axis=0) | np.isfinite(up).any(axis=0))
+    hint = passes(*_accumulate(*run, lo[:, cols], up[:, cols]))
+    return int(cols[np.argmax(hint)]) if hint.any() else None
 
-    One :func:`betting_running_at` call solves ``mark`` and every later
-    column.  If ``mark > 0`` already passes, the first pass lies at or
-    before it, and one more call solves every column up to ``mark``.
+
+def _window_pass(terms, run, passes, begin, mark, last):
+    """:func:`betting_first_pass` in the block columns ``[begin, last]``, solved from ``mark``.
+
+    If ``mark > begin`` already passes, one more screen solves ``[begin, mark]``.
     """
-    lo, up = betting_running_at(heads[:, :stop], trials[:stop], alpha, *run, np.arange(mark, stop))
+    lo, up = _screen(terms, run, begin, np.arange(mark, last + 1))
     hit = passes(lo, up)
-    if hit[0] and mark > 0:
-        stop, mark = mark + 1, 0
-        lo, up = betting_running_at(heads[:, :stop], trials[:stop], alpha, *run, np.arange(stop))
-        hit = passes(lo, up)
+    if hit[0] and mark > begin:
+        lo, up = _screen(terms, run, begin, np.arange(begin, mark + 1))
+        hit, mark = passes(lo, up), begin
     if not hit.any():
         return None, lo[:, -1], up[:, -1]
     i = int(np.argmax(hit))

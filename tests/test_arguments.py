@@ -30,6 +30,7 @@ from anytime.mc import union_ever_excluded, union_trace
 from anytime.sampling import BernoulliSource, run_jobs, substream, substream_id
 from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
 from anytime.sequences import Schedule, UnionCS, kt_log_mixture, kt_log_wealth
+from anytime.sequences import betting_first_pass, betting_running, betting_running_at
 from anytime.sequences import ub_cs_width_envelope
 
 SPEC = CertSpec(sigma=1.0, radius=0.1, alpha=0.05)
@@ -44,6 +45,22 @@ class _NoSampleOracle(ClassOracle):
 
 def _oracle(probs=(0.9, 0.1)):
     return _NoSampleOracle(probs, substream(0, "arguments"))
+
+
+# a 3,000-step fair stream, as counts; the running kernels check every
+# count they read, not only the steps their screen lets through
+_FAIR = np.cumsum(substream(0, "coin").random(3000) < 0.5)[None, :].astype(float)
+_STEPS = np.arange(1.0, 3001.0)
+
+
+def _nudged(heads):
+    out = heads.copy()
+    out[0, 1500] += 0.5
+    return out
+
+
+def _never(lo, up):
+    return np.zeros(lo.shape[1], dtype=bool)
 
 
 REJECTED = {
@@ -152,6 +169,26 @@ REJECTED = {
     "kt_log_mixture heads above trials in an array": lambda: kt_log_mixture(
         np.array([1, 4]), np.array([3, 3])
     ),
+    "betting_running fractional heads at one step": lambda: betting_running(
+        _nudged(_FAIR), _STEPS, 0.05, 0.0, 1.0
+    ),
+    "betting_running_at fractional heads at one step": lambda: betting_running_at(
+        _nudged(_FAIR), _STEPS, 0.05, 0.0, 1.0, [2999]
+    ),
+    "betting_first_pass fractional heads at one step": lambda: betting_first_pass(
+        _nudged(_FAIR), _STEPS, 0.05, 0.0, 1.0, _never
+    ),
+    "betting_first_pass integer heads above trials": lambda: betting_first_pass(
+        (_FAIR + 1).astype(np.int64), _STEPS.astype(np.int64), 0.05, 0.0, 1.0, _never
+    ),
+    "betting_running zero trials": lambda: betting_running(0 * _FAIR, _STEPS - 1, 0.05, 0.0, 1.0),
+    "betting_first_pass zero trials": lambda: betting_first_pass(
+        0 * _FAIR, _STEPS - 1, 0.05, 0.0, 1.0, _never
+    ),
+    "betting_first_pass 1-d heads": lambda: betting_first_pass(
+        _FAIR[0], _STEPS, 0.05, 0.0, 1.0, _never
+    ),
+    "betting_running 0-d heads": lambda: betting_running(1.0, 1.0, 0.05, 0.0, 1.0),
     # eps * eps underflows: a division by 0, or a size of inf
     "hoeffding_sample_size eps 1e-300": lambda: hoeffding_sample_size(1e-300, 0.05),
     "hoeffding_sample_size eps 1e-160": lambda: hoeffding_sample_size(1e-160, 0.05),

@@ -469,21 +469,21 @@ class TestCertifyMulticlass:
     )
     @settings(max_examples=20)
     def test_betting_verdict_ignores_a_false_certified_stop(self, seed, case, lam, cap, claim):
-        # certified bounds that wrongly claim everything settled from some
-        # step on only move where the exact bounds are solved first; the
-        # verdict and sample count still come from the exact bounds
+        # a hint that wrongly claims everything settled from some step on
+        # only moves where the exact bounds are solved first; the verdict
+        # and sample count still come from the exact bounds
         probs, radius = self.SCAN_CASES[case]
         claim_t = DEFAULT_WARMUP + claim * (cap - DEFAULT_WARMUP)
 
-        def claiming(heads, trials, alpha):
-            settled = np.broadcast_to(trials >= claim_t, np.shape(heads))
-            return np.where(settled, 1.0, -np.inf), np.where(settled, 0.0, np.inf)
+        def claiming(terms, run, passes):
+            settled = np.flatnonzero(terms[1][0] >= claim_t)  # the block's trials
+            return int(settled[0]) if settled.size else None
 
         spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01, lam=lam)
         bits = (substream(34, "false-stop-width", seed).random(cap) < probs[0]).astype(np.uint8)
         eps = (0.4, 0.2, 0.1, 0.05)[case]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(anytime.sequences, "betting_certified", claiming)
+            patch.setattr(anytime.sequences, "_hinted_column", claiming)
             oracle = ClassOracle(probs, substream(34, "false-stop", seed))
             verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=cap)
             width_run = width_target_run(bits, eps, 0.01, cap=cap)
@@ -499,13 +499,15 @@ class TestCertifyMulticlass:
         # valid but uninformative certified bounds (none at all, or only
         # from some step on) hint at the verdict late or never: the exact
         # bounds at the hinted column, or at the block's last, still pass,
-        # and the search backs up to the first exact pass
-        real = anytime.sequences.betting_certified
+        # and the search backs up to the first exact pass.  Only the hint
+        # reads the poor bounds; the screen keeps the block's own.
+        real = anytime.sequences._hinted_column
 
-        def poor(heads, trials, alpha):
-            lo, up = real(heads, trials, alpha)
-            late = np.broadcast_to(trials >= (np.inf if hint == "none" else 2_500), np.shape(lo))
-            return np.where(late, lo, -np.inf), np.where(late, up, np.inf)
+        def poor(terms, run, passes):
+            *shared, lo, up = terms
+            late = np.broadcast_to(shared[1] >= (np.inf if hint == "none" else 2_500), lo.shape)
+            poor_bounds = np.where(late, lo, -np.inf), np.where(late, up, np.inf)
+            return real((*shared, *poor_bounds), run, passes)
 
         verdicts = set()
         for seed in range(12):
@@ -515,7 +517,7 @@ class TestCertifyMulticlass:
             bits = (substream(39, "poor-hint-width", seed).random(9_000) < probs[0]).astype(np.uint8)
             eps = (0.2, 0.05)[seed % 2]
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(anytime.sequences, "betting_certified", poor)
+                patch.setattr(anytime.sequences, "_hinted_column", poor)
                 oracle = ClassOracle(probs, substream(39, "poor-hint", seed))
                 verdict, used = certify_multiclass(oracle, spec, cs_kind="betting", cap=9_000)
                 width_run = width_target_run(bits, eps, 0.01, cap=9_000)
@@ -531,42 +533,36 @@ class TestCertifyMulticlass:
     def test_betting_pass_near_the_hint_costs_one_exact_solve(self, monkeypatch):
         # the search solves from ``_RUN`` columns before the column the
         # certified bounds hint at: a first pass within that window needs
-        # one betting_running_at call (test_betting_verdict_survives_a_poor_hint
+        # one screen of the block's terms (test_betting_verdict_survives_a_poor_hint
         # covers the passes outside it)
         seq = anytime.sequences
-        real_first_pass, real_certified, real_at = (
-            seq.betting_first_pass, seq.betting_certified, seq.betting_running_at
+        real_first_pass, real_hint, real_screen = (
+            seq.betting_first_pass, seq._hinted_column, seq._screen
         )
         solves, hinted, near = [], [], []
 
-        def certified(heads, trials, alpha):
-            hinted.append(np.asarray(trials, dtype=float).ravel())
-            return real_certified(heads, trials, alpha)
+        def hint(*args):
+            hinted.append(real_hint(*args))
+            return hinted[-1]
 
-        def running_at(*args):
+        def screen(*args):
             solves.append(args)
-            return real_at(*args)
+            return real_screen(*args)
 
         def first_pass(heads, trials, alpha, lo0, up0, passes):
-            hints = []
-
-            def recording(lo, up):
-                hints.append(passes(lo, up))
-                return hints[-1]
-
             solves.clear()
             hinted.clear()
-            col, lo, up = real_first_pass(heads, trials, alpha, lo0, up0, recording)
-            if col is not None and hints[0].any():
-                right = int(np.searchsorted(trials, hinted[0][np.argmax(hints[0])]))
-                if right - seq._RUN < col <= right:
-                    assert len(solves) == 1
-                    near.append(col)
+            col, lo, up = real_first_pass(heads, trials, alpha, lo0, up0, passes)
+            assert len(hinted) == 1  # one block per call
+            right = hinted[0]
+            if col is not None and right is not None and right - seq._RUN < col <= right:
+                assert len(solves) == 1
+                near.append(col)
             return col, lo, up
 
         monkeypatch.setattr(anytime.certify, "betting_first_pass", first_pass)
-        monkeypatch.setattr(seq, "betting_certified", certified)
-        monkeypatch.setattr(seq, "betting_running_at", running_at)
+        monkeypatch.setattr(seq, "_hinted_column", hint)
+        monkeypatch.setattr(seq, "_screen", screen)
         for seed in range(12):
             probs, radius = self.SCAN_CASES[seed % len(self.SCAN_CASES)]
             lam = 0.5 if seed % 2 else 0.3

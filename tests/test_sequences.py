@@ -31,6 +31,7 @@ from anytime.sequences import (
     UnionCS,
     bet_cs_width_envelope,
     betting_endpoints,
+    betting_first_pass,
     betting_running,
     betting_running_at,
     dp_thresholds,
@@ -42,6 +43,7 @@ from anytime.sequences import (
     union_running,
     union_windows,
 )
+from anytime.sequences import _BLOCK
 
 from oracles import (
     BETTING_CROSSING_SEEDS,
@@ -752,6 +754,54 @@ class TestBettingRunningAt:
     def test_rejects_bad_columns(self, cols):
         with pytest.raises(ValueError):
             betting_running_at(np.ones((1, 5)), np.arange(1.0, 6.0), 0.05, 0.0, 1.0, cols)
+
+
+class TestBettingFirstPass:
+    """``betting_first_pass`` finds the first column where the running bounds pass a test."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(STREAMS, min_size=1, max_size=3),
+        start=st.one_of(st.integers(0, 60), st.integers(0, 10**9), st.just(10**5)),
+        width=st.integers(1, _BLOCK),
+        beyond=st.booleans(),
+        alphas=st.lists(ALPHAS, min_size=3, max_size=3),
+        carry=st.sampled_from(["none", "near", "any"]),
+        integer=st.booleans(),
+        where=st.one_of(st.floats(0.0, 1.0), st.none()),
+    )
+    @example(0, ["random", "random"], 10, 40, True, [0.05, 1e-12, 0.5], "none", True, 0.3)
+    @example(1, ["random"], 0, _BLOCK, False, [1e-12, 0.05, 0.5], "near", False, None)
+    @example(2, ["ones", "random", "zeros"], 10**9, 1, False, [1e-12] * 3, "any", True, 0.0)
+    @example(3, ["random"], 1000, 200, True, [0.05] * 3, "none", True, 1.0)
+    @example(4, ["random", "random"], 50, 100, True, [0.01] * 3, "near", False, 1.0)
+    def test_equals_the_first_pass_of_accumulated_endpoints(
+        self, seed, kinds, start, width, beyond, alphas, carry, integer, where
+    ):
+        # the width test of width-target runs, over all rows: monotone in
+        # the bounds and in the column.  ``where`` puts its first pass near
+        # a chosen column; None gives a test that never passes.  The widths
+        # reach past one block of the kernel, ``_BLOCK // rows`` columns.
+        block = _BLOCK // len(kinds)
+        cols = block + 1 + width % 300 if beyond else 1 + (width - 1) % block
+        heads = stream_rows(seed, kinds, start, cols)
+        trials = start + np.arange(1, cols + 1, dtype=float)
+        alpha = np.array(alphas[: len(kinds)])
+        lo0, up0 = carried_bounds(seed, carry, heads, trials, alpha)
+        lo, up = accumulated_endpoints(heads, trials, alpha, lo0, up0)
+        if where is None:
+            passes = lambda lo, up: np.zeros(lo.shape[1], dtype=bool)  # noqa: E731
+        else:
+            eps = (up - lo).max(axis=0)[int(where * (cols - 1))] + 1e-12
+            passes = lambda lo, up: (up - lo < eps).all(axis=0)  # noqa: E731
+        if integer:
+            heads, trials = heads.astype(np.int64), trials.astype(np.int64)
+        col, got_lo, got_up = betting_first_pass(heads, trials, alpha, lo0, up0, passes)
+        hit = passes(lo, up)
+        want = int(np.argmax(hit)) if hit.any() else None
+        at = cols - 1 if want is None else want
+        assert col == want
+        assert got_lo.tobytes() == lo[:, at].tobytes() and got_up.tobytes() == up[:, at].tobytes()
 
 
 class TestExclusionEdge:
