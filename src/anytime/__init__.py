@@ -32,7 +32,6 @@ from .certify import (
     binary_threshold,
     certify_binary,
     certify_multiclass,
-    certify_staged,
     radius_gauss_l2,
     width_target_run,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "binom_sf",
     "certify_binary",
     "certify_multiclass",
-    "certify_staged",
     "cp_lower",
     "cp_upper",
     "decide_with_cs",

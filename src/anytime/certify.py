@@ -6,7 +6,10 @@ where ``p_a`` lower-bounds the top class probability and ``p_b``
 upper-bounds every other class.  Binary certification collapses the
 rest into one superclass via ``p_b <= 1 - p_a``, so certifying radius
 ``r`` reduces to deciding whether ``p_a`` exceeds the threshold
-``Phi(r / sigma)`` - a job for :func:`anytime.decision.decide_with_cs`.
+``Phi(r / sigma)`` - a job for :func:`anytime.decision.decide_with_cs`
+(the betting and union kinds) or for the one-sided form of the staged
+ladder behind :func:`anytime.decision.staged_adaptive` (the adaptive
+kind, the fixed-ladder baseline).
 Multiclass certification instead runs two confidence sequences, a lower
 bound for the most observed class A and an upper bound for the
 *currently* second-most observed class: the runner-up by count was
@@ -28,9 +31,9 @@ import numpy as np
 from scipy import special
 
 from .binom import _check_alpha, _check_count, _check_prob, gauss_quantile
-from .decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict, _union_schedule
+from .decision import DEFAULT_CAP, Verdict, _staged, _union_schedule
 from .decision import decide_with_cs
-from .intervals import Interval, cp_upper, rcp_upper_lo_bound
+from .intervals import Interval, rcp_upper_lo_bound
 from .sampling import _BLOCK, ZeroOneSource, as_bit_source, blocks, stage_heads
 # betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
 # checks that the tracer wraps them in every module that held them
@@ -46,11 +49,11 @@ class CertSpec:
     """Certification target: noise scale, radius, and failure budget.
 
     The driver called decides how the budget is spent: one-vs-rest
-    (:func:`certify_binary`, :func:`certify_staged`) or multiclass
-    (:func:`certify_multiclass`).  ``lam`` is the fraction of ``alpha``
-    the multiclass driver spends on the top-class lower bound (the rest
-    goes to the runner-up's upper bound); the one-vs-rest drivers ignore
-    it.
+    (:func:`certify_binary`, with the betting, union or adaptive kind)
+    or multiclass (:func:`certify_multiclass`, betting or union).
+    ``lam`` is the fraction of ``alpha`` the multiclass driver spends on
+    the top-class lower bound (the rest goes to the runner-up's upper
+    bound); the one-vs-rest driver ignores it.
     """
 
     sigma: float
@@ -186,6 +189,7 @@ _CERT_FLIP = {
     Verdict.LESS: Verdict.GREATER,  # threshold below the mean -> certified
     Verdict.GREATER: Verdict.LESS,
     Verdict.UNDECIDED: Verdict.UNDECIDED,
+    Verdict.ABSTAIN: Verdict.ABSTAIN,
 }
 
 
@@ -201,21 +205,27 @@ def certify_binary(
 
     Greater = certified at the radius; Less = not certifiable this way
     (in particular whenever the class probability is below 1/2);
-    Undecided at the cap.  The union kind runs the doubling schedule at
-    ``spec.alpha``, as :func:`~anytime.decision.decide_with_cs` does;
+    Undecided at the cap.  The betting and union kinds run
+    :func:`~anytime.decision.decide_with_cs` on the class indicator at
+    the threshold ``Phi(radius / sigma)``; the union kind runs the
+    doubling schedule at ``spec.alpha``, and
     :class:`~anytime.sequences.UnionCS` and the :mod:`anytime.mc` kernels
-    take any :class:`~anytime.sequences.Schedule`.
+    take any :class:`~anytime.sequences.Schedule`.  The adaptive kind is
+    the fixed-ladder baseline: the ``DEFAULT_STAGES`` ladder of
+    :func:`~anytime.decision.staged_adaptive`, one-sided at
+    ``spec.alpha / s`` per stage, so it certifies or, after the full
+    ladder, abstains, and never declares Less.  Its stages past ``cap``
+    are dropped and a cut ladder ends Undecided at ``cap``.  ``rng``
+    feeds the union kind's randomized CP draws only.  A ``target_class``
+    the oracle lacks raises before any sample is drawn.
     """
     _check_target(target_class, oracle.n_classes)
     p_star = binary_threshold(spec.radius, spec.sigma)
-    verdict, used = decide_with_cs(
-        cs_kind,
-        p_star,
-        _IndicatorSource(oracle, target_class),
-        spec.alpha,
-        cap,
-        rng=rng,
-    )
+    source = _IndicatorSource(oracle, target_class)
+    if cs_kind == "adaptive":
+        verdict, used = _staged(p_star, source, spec.alpha, cap, 1)
+    else:
+        verdict, used = decide_with_cs(cs_kind, p_star, source, spec.alpha, cap, rng=rng)
     return _CERT_FLIP[verdict], used
 
 
@@ -345,27 +355,6 @@ def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):
         if float(_guarded_radius(la, ub, spec.sigma)) >= spec.radius:
             return Verdict.GREATER, t
     return Verdict.UNDECIDED, cap
-
-
-def certify_staged(oracle: ClassOracle, target_class: int, spec: CertSpec) -> tuple[Verdict, int]:
-    """Fixed-ladder baseline: one-sided CP certification at each stage.
-
-    Runs the cumulative ladder ``DEFAULT_STAGES`` (100, 1,000, 10,000 and
-    120,000 samples) and splits ``alpha`` evenly across its ``s`` stages;
-    at each one, certifies (Greater) if the deterministic CP lower bound at
-    budget ``alpha/s`` clears the binary threshold, otherwise moves to the
-    next stage; abstains after the last.  One-sided by construction: it
-    never declares non-certifiability.  A ``target_class`` the oracle
-    lacks raises before any sample is drawn.
-    """
-    _check_target(target_class, oracle.n_classes)
-    p_star = binary_threshold(spec.radius, spec.sigma)
-    per_stage = spec.alpha / len(DEFAULT_STAGES)
-    source = _IndicatorSource(oracle, target_class)
-    for t, heads in zip(DEFAULT_STAGES, stage_heads(source, DEFAULT_STAGES)):
-        if cp_upper(heads, t, per_stage).lo > p_star:
-            return Verdict.GREATER, t
-    return Verdict.ABSTAIN, t
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .binom import _check_count
-from .certify import (
-    CertSpec,
-    ClassOracle,
-    certify_binary,
-    certify_multiclass,
-    certify_staged,
-)
+from .certify import CertSpec, ClassOracle, certify_binary, certify_multiclass
 from .config import (
     CERT_CS,
     COVERAGE_KINDS,
@@ -178,9 +172,7 @@ def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
             oracle_rng = substream(cfg.seed, *path, 0, into=labels_rng)
             w_rng = substream(cfg.seed, *path, 1, into=draws_rng)
             oracle = ClassOracle(cfg.probs, oracle_rng)
-            if cs == "adaptive":
-                verdict, used = certify_staged(oracle, cfg.target_class, spec)
-            elif cfg.mode == "binary":
+            if cfg.mode == "binary":
                 verdict, used = certify_binary(
                     oracle, cfg.target_class, spec, cs, cfg.cap, rng=w_rng
                 )
@@ -292,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--sigma", type=float, default=1.0)
     cert.add_argument("--radii", type=_floats, default=(0.25, 0.5, 1.0))
     cert.add_argument("--alpha", type=float, default=0.001)
-    cert.add_argument("--lam", type=float, default=0.5)
+    cert.add_argument("--lam", type=float, default=0.5, help="multiclass: class A's share of alpha")
     cert.add_argument("--trials", type=int, default=100)
     cert.add_argument("--cap", type=int, default=100000)
-    cert.add_argument("--target-class", type=int, default=0)
-    cert.add_argument("--warmup", type=int, default=100)
+    cert.add_argument("--target-class", type=int, default=0, help="binary: the class certified")
+    cert.add_argument("--warmup", type=int, default=100, help="multiclass: samples to pick class A")
     cert.add_argument("--summary-out", default=None, help="also write per-(cs, radius) aggregates")
     _add_common(cert)
 

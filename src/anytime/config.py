@@ -3,10 +3,11 @@
 Every command's parameters live in one frozen dataclass that validates
 eagerly in ``__post_init__``, through the checks of the library functions
 the command runs, before any sampling starts; only what no library
-function sees (mode against methods, classes per mode, nonempty lists) is
-checked here.  The seed and thread count come from the command's flags
-only (``--seed``, default :data:`DEFAULT_SEED`, and ``--threads``,
-default 1); no environment variable sets them.
+function sees (mode against methods, classes per mode, flags the mode
+does not read, nonempty lists) is checked here.  The seed and thread
+count come from the command's flags only (``--seed``, default
+:data:`DEFAULT_SEED`, and ``--threads``, default 1); no environment
+variable sets them.
 
 Every config checks ``threads``, but only ``coverage`` uses it: its cells
 spend their time in vector tails that release the GIL.  ``decide``,
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .binom import _check_alpha, _check_count, _check_prob
-from .certify import CertSpec, _check_class_probs, _check_target
+from .certify import DEFAULT_WARMUP, CertSpec, _check_class_probs, _check_target
 # CS_KINDS and COVERAGE_KINDS stay importable from here: the CLI's defaults
 from .decision import CS_KINDS, _check_sweep, _union_schedule  # noqa: F401
 from .intervals import COVERAGE_KINDS, _check_coverage_args  # noqa: F401
@@ -30,6 +31,13 @@ DEFAULT_SEED = 42
 
 CERT_CS = ("betting", "union", "adaptive")
 CERT_MODES = ("binary", "multiclass")
+# certify flags that one mode reads and the other does not: the mode
+# that reads each, and the default the other mode must leave it at
+CERT_MODE_FLAGS = {
+    "lam": ("multiclass", 0.5),
+    "warmup": ("multiclass", DEFAULT_WARMUP),
+    "target_class": ("binary", 0),
+}
 
 
 def _nonempty(name: str, values) -> None:
@@ -116,6 +124,9 @@ class CertifyConfig:
     def __post_init__(self) -> None:
         if self.mode not in CERT_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name, (mode, default) in CERT_MODE_FLAGS.items():
+            if self.mode != mode and getattr(self, name) != default:
+                raise ValueError(f"{name} is read in {mode} mode only")
         _nonempty("radii", self.radii)
         for radius in self.radii:
             CertSpec(self.sigma, radius, self.alpha, self.lam)

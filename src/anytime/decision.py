@@ -8,11 +8,15 @@ it against a known threshold ``p``.  Verdicts are *threshold-relative*:
 * ``Verdict.LESS`` - the threshold is below the mean (``p < q``);
 * ``Verdict.UNDECIDED`` - sample cap reached;
 * ``Verdict.ABSTAIN`` - produced only by the staged-adaptive baseline
-  after its last stage.
+  after the last stage of its full ladder.
 
 The CS-based decider halts at the first time the threshold leaves the
 running interval, so its wrong-verdict probability inherits the
 confidence sequence's level ``alpha``, uniformly over stopping times.
+The staged baseline's fixed ladder ``DEFAULT_STAGES``, with Bonferroni
+budgets and one cap rule, is written once: :func:`staged_adaptive`
+tests two Clopper-Pearson bounds per stage, and the adaptive kind of
+:func:`anytime.certify.certify_binary` tests the lower one only.
 """
 
 from __future__ import annotations
@@ -252,43 +256,53 @@ def _log_ratio(num: float, den: float) -> float:
 # Staged-adaptive baseline (fixed ladder of sample sizes, Bonferroni budgets)
 
 
-def _check_stages(stages: Sequence[int]) -> tuple[int, ...]:
-    """A stage ladder as a tuple of ints: integer sizes >= 1, strictly increasing."""
-    for n in stages:
-        _check_count("stage", n)
-    stages = tuple(map(int, stages))
-    if not stages or any(b <= a for a, b in zip(stages, stages[1:])):
-        raise ValueError("stages must be strictly increasing positive sizes")
-    return stages
-
-
 def staged_adaptive(
     p: float,
     stream,
     alpha: float,
-    stages: Sequence[int] = DEFAULT_STAGES,
+    cap: int = DEFAULT_CAP,
 ) -> tuple[Verdict, int]:
     """Multi-stage baseline: deterministic CP pairs on cumulative counts.
 
-    The budget ``alpha`` is split evenly over the ``s`` stages; at each
-    cumulative sample size the stage budget is split again between two
-    one-sided deterministic Clopper-Pearson bounds.  Declares as soon as
-    a stage's pair separates the threshold, abstains after the last
-    stage.  Sample sizes are cumulative: stage ``i`` has observed
-    ``stages[i]`` bits in total, read by
-    :func:`~anytime.sampling.stage_heads`.
+    The budget ``alpha`` is split evenly over the ``s`` stages of
+    ``DEFAULT_STAGES``, and each stage's share again between two one-sided
+    deterministic Clopper-Pearson bounds.  Declares as soon as a stage's
+    pair separates the threshold, abstains after the last stage.  Stages
+    past ``cap`` (an integer >= 1) are dropped and the survivors keep
+    their budgets, so a cap never changes an early-stage decision; a cut
+    ladder ends Undecided at ``cap``, without drawing when no stage
+    survives.
+    """
+    return _staged(p, stream, alpha, cap, 2)
+
+
+def _staged(p, stream, alpha, cap, sides) -> tuple[Verdict, int]:
+    """The ladder of :func:`staged_adaptive`, testing ``sides`` (1 or 2) CP bounds per stage.
+
+    Stage ``i`` reads the heads among the first ``DEFAULT_STAGES[i]`` bits
+    through :func:`~anytime.sampling.stage_heads`.  The lower bound clears
+    ``p`` (Less) when ``binom_sf(heads, t, p)`` is below the budget: the
+    exact test that a CP root solve approximates.  With two sides the
+    upper bound falls below ``p`` (Greater) when ``binom_cdf`` is.
     """
     _check_prob("p", p)
     _check_alpha(alpha)
-    stages = _check_stages(stages)
+    _check_count("cap", cap)
     source = as_bit_source(stream)
-    per_side = alpha / (2.0 * len(stages))
+    stages = tuple(n for n in DEFAULT_STAGES if n <= cap)
+    if not stages:
+        return Verdict.UNDECIDED, cap
+    # the surviving stages' share of alpha, per stage and side: exactly
+    # alpha / (sides s) on the full ladder
+    budget = alpha * len(stages) / len(DEFAULT_STAGES) / (sides * len(stages))
     for t, heads in zip(stages, stage_heads(source, stages)):
-        if float(binom_sf(heads, t, p)) < per_side:
+        if float(binom_sf(heads, t, p)) < budget:
             return Verdict.LESS, t  # lower bound above the threshold
-        if float(binom_cdf(heads, t, p)) < per_side:
+        if sides == 2 and float(binom_cdf(heads, t, p)) < budget:
             return Verdict.GREATER, t  # upper bound below the threshold
-    return Verdict.ABSTAIN, stages[-1]
+    if len(stages) < len(DEFAULT_STAGES):
+        return Verdict.UNDECIDED, cap
+    return Verdict.ABSTAIN, t
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +387,7 @@ def run_trial(
     if method == "sprt":
         return sprt_ideal(p, q, alpha, source, cap)
     if method == "adaptive":
-        # The staged ladder only abstains after its full sample budget; a
-        # smaller cap truncates the ladder and the run ends Undecided at the
-        # cap.  The surviving stages keep their original alpha/(2s) budgets
-        # (scaled total), so a cap never changes early-stage decisions.
-        _check_count("cap", cap)
-        capped = tuple(n for n in DEFAULT_STAGES if n <= cap)
-        if not capped:
-            return Verdict.UNDECIDED, cap
-        scaled = alpha * len(capped) / len(DEFAULT_STAGES)  # alpha itself on the full ladder
-        verdict, samples = staged_adaptive(p, source, scaled, capped)
-        if verdict is Verdict.ABSTAIN and len(capped) < len(DEFAULT_STAGES):
-            return Verdict.UNDECIDED, cap
-        return verdict, samples
+        return staged_adaptive(p, source, alpha, cap)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -20,7 +20,7 @@ import anytime.decision as decision
 from anytime.binom import _check_count, _check_prob, binom_cdf, binom_sf, gauss_quantile
 from anytime.binom import log_binom_pmf
 from anytime.certify import CertSpec, ClassOracle, binary_threshold, certify_multiclass
-from anytime.certify import certify_staged, radius_gauss_l2
+from anytime.certify import certify_binary, radius_gauss_l2
 from anytime.config import CertifyConfig, CoverageConfig, DecideConfig, ThresholdsConfig, WidthConfig
 from anytime.decision import benchmark_sweep, decide_with_cs, staged_adaptive
 from anytime.intervals import enumeration_coverage, hoeffding_interval, hoeffding_sample_size
@@ -71,11 +71,9 @@ REJECTED = {
     "mc_coverage fractional trials": lambda: mc_coverage(
         10, 0.5, 0.05, "rcp", "upper", 2.5, substream(0, "mc")
     ),
-    "staged_adaptive fractional stage": lambda: staged_adaptive(
-        0.5, np.ones(200), 0.05, stages=(50.5, 100)
-    ),
-    "certify_staged class 5": lambda: certify_staged(_oracle(), 5, SPEC),
-    "certify_staged class -1": lambda: certify_staged(_oracle(), -1, SPEC),
+    "staged_adaptive fractional cap": lambda: staged_adaptive(0.5, np.ones(200), 0.05, 150.5),
+    "certify_staged class 5": lambda: certify_binary(_oracle(), 5, SPEC, "adaptive"),
+    "certify_staged class -1": lambda: certify_binary(_oracle(), -1, SPEC, "adaptive"),
     "rcp_upper fractional x": lambda: rcp_upper(3.5, 10, 0.05, 0.5),
     "rcp_upper fractional n": lambda: rcp_upper(3, 10.5, 0.05, 0.5),
     "rcp_two_sided fractional x": lambda: rcp_two_sided(1.5, 3, 0.05, 0.5, 0.5),
@@ -327,7 +325,7 @@ class TestConfigsUseTheLibraryRules:
             ClassOracle((math.nan, 1.0), substream(0, "o"))
         with pytest.raises(ValueError) as from_config:
             CertifyConfig(
-                "binary", ("betting",), (math.nan, 1.0), 1.0, (0.1,), 0.05, 0.5, 1, 10, 0, 1, 0, 1
+                "binary", ("betting",), (math.nan, 1.0), 1.0, (0.1,), 0.05, 0.5, 1, 10, 0, 100, 0, 1
             )
         assert str(from_library.value) == str(from_config.value)
 
@@ -346,7 +344,7 @@ class TestConfigsUseTheLibraryRules:
             lambda threads: WidthConfig(0.05, 0.5, 16, ("betting",), 0, threads),
             lambda threads: DecideConfig(0.91, 0.05, (0.5,), 1, ("betting",), 10, 0, threads),
             lambda threads: CertifyConfig(
-                "binary", ("betting",), (0.9, 0.1), 1.0, (0.1,), 0.05, 0.5, 1, 10, 0, 1, 0, threads
+                "binary", ("betting",), (0.9, 0.1), 1.0, (0.1,), 0.05, 0.5, 1, 10, 0, 100, 0, threads
             ),
             lambda threads: ThresholdsConfig(0.5, 0.05, 10, 0, threads),
         ]

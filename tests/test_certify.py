@@ -29,11 +29,11 @@ from anytime.certify import (
     binary_threshold,
     certify_binary,
     certify_multiclass,
-    certify_staged,
     radius_gauss_l2,
     width_target_run,
 )
-from anytime.decision import DEFAULT_STAGES, Verdict
+from anytime.binom import binom_sf
+from anytime.decision import DEFAULT_CAP, DEFAULT_STAGES, Verdict
 from anytime.intervals import rcp_upper_lo
 from anytime.mc import bernoulli_matrix, betting_ever_excluded, union_ever_excluded
 from anytime.sampling import substream
@@ -266,25 +266,79 @@ class TestCertifyBinary:
             certify_binary(oracle, 0, self.SPEC, cs_kind="mystery")
 
 
+class _NoSampleOracle(ClassOracle):
+    def sample(self, k):
+        raise AssertionError("the oracle was sampled")
+
+
 class TestCertifyStaged:
+    """The fixed-ladder baseline: ``certify_binary``'s adaptive kind."""
+
     SPEC = CertSpec(sigma=1.0, radius=0.5, alpha=0.01)
 
     def test_strong_class_certifies_at_first_stage(self):
         for i in range(10):
             oracle = ClassOracle((0.99, 0.01), substream(24, "st", i))
-            assert certify_staged(oracle, 0, self.SPEC) == (Verdict.GREATER, 100)
+            assert certify_binary(oracle, 0, self.SPEC, "adaptive") == (Verdict.GREATER, 100)
 
     def test_weak_class_abstains_never_refutes(self):
         for i in range(5):
             oracle = ClassOracle((0.4, 0.6), substream(24, "st-low", i))
-            verdict, used = certify_staged(oracle, 0, self.SPEC)
+            verdict, used = certify_binary(oracle, 0, self.SPEC, "adaptive")
             assert verdict is Verdict.ABSTAIN and used == DEFAULT_STAGES[-1]
 
     def test_validation(self):
         oracle = ClassOracle((0.5, 0.5), substream(0, "stv"))
         for target in (2, -1, 0.5, True):
             with pytest.raises(ValueError):
-                certify_staged(oracle, target, self.SPEC)
+                certify_binary(oracle, target, self.SPEC, "adaptive")
+
+    def test_cut_ladder_is_undecided_at_the_cap(self):
+        for i in range(5):
+            oracle = ClassOracle((0.4, 0.6), substream(24, "st-low", i))
+            assert certify_binary(oracle, 0, self.SPEC, "adaptive", cap=5000) == (
+                Verdict.UNDECIDED,
+                5000,
+            )
+
+    @pytest.mark.parametrize("cap", [120_000, 120_001, DEFAULT_CAP])
+    def test_full_ladder_abstains(self, cap):
+        oracle = ClassOracle((0.4, 0.6), substream(24, "st-low", 0))
+        assert certify_binary(oracle, 0, self.SPEC, "adaptive", cap=cap) == (
+            Verdict.ABSTAIN,
+            120_000,
+        )
+
+    def test_cap_below_first_stage_draws_nothing(self):
+        oracle = _NoSampleOracle((0.99, 0.01), substream(24, "st-none"))
+        assert certify_binary(oracle, 0, self.SPEC, "adaptive", cap=50) == (Verdict.UNDECIDED, 50)
+
+    def test_cut_ladder_keeps_stage_budgets(self):
+        # a strong class still certifies at stage one under a mid-ladder cap
+        for i in range(10):
+            oracle = ClassOracle((0.99, 0.01), substream(24, "st", i))
+            assert certify_binary(oracle, 0, self.SPEC, "adaptive", cap=5000) == (
+                Verdict.GREATER,
+                100,
+            )
+
+    def test_tail_predicate_is_the_clopper_pearson_root_test(self):
+        # each stage certifies on binom_sf(h, t, p*) < a, the exact test that
+        # cp_upper(h, t, a).lo > p* approximates by a 34-halving root solve;
+        # they agree at every count of each stage (vectorised rcp_upper_lo
+        # at w = 1 is cp_upper's kernel)
+        rng = np.random.default_rng(27)
+        draws = {100: 40, 1_000: 30, 10_000: 8, 120_000: 1}
+        for t, n in draws.items():
+            x = np.arange(t + 1)
+            cases = [(rng.uniform(0.0, 2.0), 10.0 ** rng.uniform(-12.0, -0.6)) for _ in range(n)]
+            if t < 120_000:
+                cases += [(0.0, 1e-12), (2.0, 1e-12), (0.0, 0.25)]
+            for radius, a in cases:
+                p_star = binary_threshold(radius, 1.0)
+                np.testing.assert_array_equal(
+                    binom_sf(x, t, p_star) < a, rcp_upper_lo(x, t, a, 1.0) > p_star
+                )
 
 
 class TestCertifyMulticlass:

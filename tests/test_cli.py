@@ -217,6 +217,75 @@ class TestCertify:
         assert run_cli(*args, "--threads", "4") == base
 
 
+class TestCertifyFlagsAreReadOrRefused:
+    """A certify flag either changes an output byte outside its own echo column, or exits 2.
+
+    One row per mode x flag x certification method, each against the same
+    run without the flag.  A flag the chosen mode does not read is refused
+    with a message naming the mode that reads it, as is the adaptive
+    method outside binary mode; ``--cap`` reaches every method, the staged
+    baseline included.
+    """
+
+    BASE = (
+        "certify", "--probs", "0.6,0.3,0.1", "--radii", "0.2", "--trials", "2",
+        "--alpha", "0.01", "--cap", "20000", "--seed", "5",
+    )
+    # flag -> (value, the modes that read it, its echo column or None)
+    FLAGS = {
+        "--cap": ("50", ("binary", "multiclass"), None),
+        "--warmup": ("600", ("multiclass",), None),
+        "--lam": ("0.02", ("multiclass",), "lambda"),
+        "--target-class": ("1", ("binary",), None),
+    }
+    # the flags every mode reads, or that shape the run rather than a trial
+    EVERY_MODE = {
+        "mode", "cs", "probs", "sigma", "radii", "alpha", "trials", "seed", "threads",
+        "out", "summary_out",
+    }
+
+    def test_every_certify_flag_has_a_rule(self):
+        # a new certify flag fails here until it gets a row above
+        dests = set(vars(cli.build_parser().parse_args(["certify"]))) - {"command"}
+        assert dests == self.EVERY_MODE | {f[2:].replace("-", "_") for f in self.FLAGS}
+
+    @staticmethod
+    def _without(text: str, column) -> list[list[str]]:
+        rows = [line.split(",") for line in text.splitlines()]
+        if column is None:
+            return rows
+        i = rows[0].index(column)
+        return [row[:i] + row[i + 1 :] for row in rows]
+
+    @pytest.mark.parametrize("cs", ["betting", "union", "adaptive"])
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    @pytest.mark.parametrize("mode", ["binary", "multiclass"])
+    def test_flag_changes_bytes_or_exits_2(self, mode, flag, cs):
+        value, read_by, echo = self.FLAGS[flag]
+        argv = (*self.BASE, "--mode", mode, "--cs", cs)
+        if mode in read_by and (cs != "adaptive" or mode == "binary"):
+            base = run_cli(*argv)
+            flagged = run_cli(*argv, flag, value)
+            assert self._without(flagged, echo) != self._without(base, echo)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv, flag, value)
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        ("mode", "flag", "value", "reader"),
+        [
+            ("binary", "--warmup", "50", "multiclass"),
+            ("binary", "--lam", "0.3", "multiclass"),
+            ("multiclass", "--target-class", "1", "binary"),
+        ],
+    )
+    def test_refusal_names_the_mode_that_reads_the_flag(self, mode, flag, value, reader):
+        args = cli.build_parser().parse_args(["certify", "--mode", mode, flag, value])
+        with pytest.raises(ValueError, match=f"read in {reader} mode only"):
+            cli._build_config(args)
+
+
 class TestThresholds:
     def test_schema_and_frozen_values(self):
         rows = validate(

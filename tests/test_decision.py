@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anytime import decision, sampling, sequences
-from anytime.certify import CertSpec, ClassOracle, certify_staged, width_target_run
+from anytime.certify import CertSpec, ClassOracle, certify_binary, width_target_run
 from anytime.decision import (
     DEFAULT_CAP,
     DEFAULT_STAGES,
@@ -220,7 +220,9 @@ class TestBlockSizes:
         spec = CertSpec(1.0, radius, 0.01)
         outcomes = self.outcomes(
             monkeypatch,
-            lambda: certify_staged(ClassOracle((0.6, 0.3, 0.1), substream(17, "oracle")), 0, spec),
+            lambda: certify_binary(
+                ClassOracle((0.6, 0.3, 0.1), substream(17, "oracle")), 0, spec, "adaptive"
+            ),
         )
         assert len(set(outcomes.values())) == 1, outcomes
 
@@ -328,12 +330,6 @@ class TestStagedAdaptive:
             verdict, samples = decide_with_cs("betting", 0.5, stream, 0.001, cap=cap)
             assert (verdict, samples) == (Verdict.UNDECIDED, cap)
 
-    def test_stage_validation(self):
-        with pytest.raises(ValueError):
-            staged_adaptive(0.5, ones(4), 0.001, stages=(100, 100))
-        with pytest.raises(ValueError):
-            staged_adaptive(0.5, ones(4), 0.001, stages=())
-
 
 class TestNonadaptiveHoeffding:
     def test_equal_at_true_hypothesis(self):
@@ -429,6 +425,8 @@ class TestCounts:
     def test_deciders_reject_bad_cap(self, cap):
         with pytest.raises(ValueError, match="cap"):
             sprt_ideal(0.5, 0.6, 0.01, ones(8), cap=cap)
+        with pytest.raises(ValueError, match="cap"):
+            staged_adaptive(0.5, ones(8), 0.01, cap=cap)
         for kind in ("betting", "union"):
             with pytest.raises(ValueError, match="cap"):
                 decide_with_cs(kind, 0.5, ones(8), 0.01, cap=cap)

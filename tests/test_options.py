@@ -31,7 +31,7 @@ OPTIONS = {
     "enumeration_coverage(kind)": "'rcp'",
     "enumeration_coverage(side)": "'upper'",
     "sprt_ideal(cap)": "1000000",
-    "staged_adaptive(stages)": "(100, 1000, 10000, 120000)",
+    "staged_adaptive(cap)": "1000000",
     "substream(into)": "None",
     "width_target_run(cap)": "1000000",
     "width_target_run(cs_kind)": "'betting'",

@@ -206,7 +206,7 @@ class TestRejectNonBits:
     def test_nested_iterable_is_no_staged_verdict(self):
         # read as a (100, 2) block, this returned LESS at t = 100
         with pytest.raises(ValueError, match="1-d"):
-            staged_adaptive(0.5, [[1, 1]] * 200, 0.05, (100,))
+            staged_adaptive(0.5, [[1, 1]] * 200, 0.05, cap=100)
 
     def test_bools_and_float_bits_pass(self):
         np.testing.assert_array_equal(ArraySource(np.array([True, False])).take(2), [1, 0])
