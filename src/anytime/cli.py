@@ -8,21 +8,26 @@ Five subcommands emit CSV to stdout or ``--out``:
 * ``certify``     certification trials on a synthetic class oracle
 * ``thresholds``  betting-CS halting-count table H(t)
 
+The CLI is one table, ``_COMMANDS``, of each command's config class and
+runner, and every flag's ``dest`` names its config field; ``--p-grid`` and
+``--grid-points``, the one flag pair that is no field, exclude each other.
+
 Every command is a pure function of its flags: the same flags and seed
-give byte-identical output, for any ``--threads`` value, and no
-environment variable changes a byte.  Each
-trial draws from its own counter-derived substream, so scheduling can
-never leak into the results.  Threads apply to ``coverage`` only, whose
-cells go through :func:`~anytime.sampling.run_jobs` (results in job
-order) and spend their time in vector tails that release the GIL;
-``decide``, ``certify``, ``width`` and ``thresholds`` run in order on the
-calling thread, since their trials are mostly Python.
+give byte-identical output, and no environment variable changes a byte.
+``--seed`` is read by every run that draws (not ``thresholds`` or
+``coverage --trials 0``).  ``--threads`` only schedules work: each trial
+draws from its own counter-derived substream.  ``coverage`` runs its cells
+on them through :func:`~anytime.sampling.run_jobs` (results in job order),
+since they spend their time in vector tails that release the GIL; the
+other commands run in order on the calling thread, since their trials
+are mostly Python.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +36,8 @@ from .binom import _check_count
 from .certify import CertSpec, ClassOracle, certify_binary, certify_multiclass
 from .config import (
     CERT_CS,
+    CERT_MODE_FLAGS,
+    CERT_MODES,
     COVERAGE_KINDS,
     CS_KINDS,
     DEFAULT_SEED,
@@ -40,7 +47,7 @@ from .config import (
     ThresholdsConfig,
     WidthConfig,
 )
-from .decision import DEFAULT_CAP, METHODS, benchmark_sweep
+from .decision import DEFAULT_CAP, DEFAULT_STAGES, METHODS, benchmark_sweep
 from .intervals import enumeration_coverage
 from .mc import betting_trace, mc_coverage, union_trace
 from .sampling import rekeyable_generator, run_jobs, substream, substream_id
@@ -189,22 +196,11 @@ def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
     chunks = [cell(job) for job in jobs]
     rows = [row for chunk in chunks for row in chunk]
     summary_rows = []
-    for (cs, ri), chunk in zip(jobs, chunks):
+    for chunk in chunks:  # a row's first six columns are its cell's
         samples = np.array([row[7] for row in chunk], dtype=float)
-        certified = sum(row[6] == "greater" for row in chunk)
+        rate = sum(row[6] == "greater" for row in chunk) / cfg.trials
         summary_rows.append(
-            (
-                cfg.mode,
-                cs,
-                cfg.sigma,
-                cfg.radii[ri],
-                cfg.alpha,
-                cfg.lam,
-                cfg.trials,
-                certified / cfg.trials,
-                float(samples.mean()),
-                float(samples.std()),
-            )
+            (*chunk[0][:6], cfg.trials, rate, float(samples.mean()), float(samples.std()))
         )
     return (
         _csv("mode,cs,sigma,radius,alpha,lambda,verdict,samples,seed", rows),
@@ -230,16 +226,21 @@ def run_thresholds(cfg: ThresholdsConfig) -> str:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+_SEED_HELP = "root seed (default 42); read by runs that draw, not thresholds or coverage --trials 0"
+_THREADS_HELP = "worker threads (default 1); coverage runs its cells on them, and no byte changes"
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="root seed (default 42)")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for coverage (default 1); the other commands run in order",
-    )
+    sub.add_argument("--alpha", type=float, default=0.001, help="error level (default 0.001)")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help=_SEED_HELP)
+    sub.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     sub.add_argument("--out", default=None, help="output CSV path (default stdout)")
+
+
+def _add_grid(sub: argparse.ArgumentParser, size_help: str) -> None:
+    grid = sub.add_mutually_exclusive_group()
+    grid.add_argument("--p-grid", type=_floats, default=None, help="explicit grid, e.g. 0.3,0.5")
+    grid.add_argument("--grid-points", type=int, default=None, help=size_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,16 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     cov = sub.add_parser("coverage", help="interval coverage: exact enumeration + Monte Carlo")
     cov.add_argument("--n", type=int, default=100)
-    cov.add_argument("--alpha", type=float, default=0.001)
-    cov.add_argument("--p-grid", type=_floats, default=None, help="explicit grid, e.g. 0.3,0.5")
-    cov.add_argument("--grid-points", type=int, default=99, help="interior grid size")
+    _add_grid(cov, "interior grid size (default 99)")
     cov.add_argument("--trials", type=int, default=10000, help="MC trials per cell (0 = exact only)")
-    cov.add_argument("--kind", type=_names, default=COVERAGE_KINDS, help="cp,rcp")
+    cov.add_argument("--kind", dest="kinds", type=_names, default=COVERAGE_KINDS, help="cp,rcp")
     cov.add_argument("--side", choices=("upper", "lower", "two"), default="upper")
     _add_common(cov)
 
     wid = sub.add_parser("width", help="running CS widths on one stream at powers of 2")
-    wid.add_argument("--alpha", type=float, default=0.001)
     wid.add_argument("--p", type=float, default=0.1)
     wid.add_argument("--horizon", type=int, default=4096)
     wid.add_argument("--kinds", type=_names, default=CS_KINDS, help="betting,union")
@@ -268,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decide", help="sequential decision benchmark sweep")
     dec.add_argument("--q", type=float, default=0.91)
-    dec.add_argument("--alpha", type=float, default=0.001)
-    dec.add_argument("--p-grid", type=_floats, default=None)
-    dec.add_argument("--grid-points", type=int, default=51, help="grid over [0, 1] inclusive")
+    _add_grid(dec, "grid over [0, 1] inclusive (default 51)")
     dec.add_argument("--trials", type=int, default=1000)
     dec.add_argument("--methods", type=_names, default=METHODS)
     dec.add_argument("--cap", type=int, default=DEFAULT_CAP)
@@ -278,86 +274,68 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(dec)
 
     cert = sub.add_parser("certify", help="randomized-smoothing certification trials")
-    cert.add_argument("--mode", choices=("binary", "multiclass"), default="binary")
+    cert.add_argument("--mode", choices=CERT_MODES, default="binary")
     cert.add_argument("--cs", type=_names, default=CERT_CS, help="betting,union,adaptive")
     cert.add_argument("--probs", type=_floats, default=(0.99, 0.01))
     cert.add_argument("--sigma", type=float, default=1.0)
     cert.add_argument("--radii", type=_floats, default=(0.25, 0.5, 1.0))
-    cert.add_argument("--alpha", type=float, default=0.001)
-    cert.add_argument("--lam", type=float, default=0.5, help="multiclass: class A's share of alpha")
+    cert.add_argument("--lam", type=float, help="multiclass: class A's share of alpha")
     cert.add_argument("--trials", type=int, default=100)
-    cert.add_argument("--cap", type=int, default=100000)
-    cert.add_argument("--target-class", type=int, default=0, help="binary: the class certified")
-    cert.add_argument("--warmup", type=int, default=100, help="multiclass: samples to pick class A")
+    cert.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_STAGES[-1],
+        help="samples per trial (default 120000, the staged baseline's last stage: the "
+        "smallest cap at which every --cs kind runs its whole procedure)",
+    )
+    cert.add_argument("--target-class", type=int, help="binary: the class certified")
+    cert.add_argument("--warmup", type=int, help="multiclass: samples to pick class A")
     cert.add_argument("--summary-out", default=None, help="also write per-(cs, radius) aggregates")
+    # the defaults that a mode which does not read the flag must leave it at
+    cert.set_defaults(**{name: default for name, (_, default) in CERT_MODE_FLAGS.items()})
     _add_common(cert)
 
     thr = sub.add_parser("thresholds", help="betting-CS halting-count table H(t)")
     thr.add_argument("--p", type=float, default=0.91)
-    thr.add_argument("--alpha", type=float, default=0.001)
     thr.add_argument("--n-max", type=int, default=10000)
     _add_common(thr)
 
     return parser
 
 
+# each command's config and runner: every parser dest but command, out,
+# summary_out and the grid flags is the name of a config field
+_COMMANDS = {
+    "coverage": (CoverageConfig, run_coverage),
+    "width": (WidthConfig, run_width),
+    "decide": (DecideConfig, run_decide),
+    "certify": (CertifyConfig, run_certify),
+    "thresholds": (ThresholdsConfig, run_thresholds),
+}
+# without --p-grid: each grid command's grid builder and default --grid-points
+_GRIDS = {"coverage": (_interior_grid, 99), "decide": (_closed_grid, 51)}
+
+
 def _build_config(args):
-    if args.command == "coverage":
-        grid = args.p_grid if args.p_grid is not None else _interior_grid(args.grid_points)
-        return CoverageConfig(
-            args.n, args.alpha, tuple(grid), args.trials, tuple(args.kind), args.side,
-            args.seed, args.threads,
-        )
-    if args.command == "width":
-        return WidthConfig(
-            args.alpha, args.p, args.horizon, tuple(args.kinds), args.seed, args.threads
-        )
-    if args.command == "decide":
-        grid = args.p_grid if args.p_grid is not None else _closed_grid(args.grid_points)
-        return DecideConfig(
-            args.q, args.alpha, tuple(grid), args.trials, tuple(args.methods), args.cap,
-            args.seed, args.threads,
-        )
-    if args.command == "certify":
-        return CertifyConfig(
-            args.mode,
-            tuple(args.cs),
-            tuple(args.probs),
-            args.sigma,
-            tuple(args.radii),
-            args.alpha,
-            args.lam,
-            args.trials,
-            args.cap,
-            args.target_class,
-            args.warmup,
-            args.seed,
-            args.threads,
-        )
-    return ThresholdsConfig(args.p, args.alpha, args.n_max, args.seed, args.threads)
+    config = _COMMANDS[args.command][0]
+    values = {f.name: getattr(args, f.name) for f in fields(config)}
+    if args.command in _GRIDS and args.p_grid is None:
+        grid, points = _GRIDS[args.command]
+        values["p_grid"] = grid(points if args.grid_points is None else args.grid_points)
+    return config(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        if args.command == "coverage":
-            text = run_coverage(cfg)
-        elif args.command == "width":
-            text = run_width(cfg)
-        elif args.command == "decide":
-            text, summary = run_decide(cfg)
-            if args.summary_out is not None:
-                _emit(summary, args.summary_out)
-        elif args.command == "certify":
-            text, summary = run_certify(cfg)
-            if args.summary_out is not None:
-                _emit(summary, args.summary_out)
-        else:
-            text = run_thresholds(cfg)
+        text = _COMMANDS[args.command][1](_build_config(args))
     except ValueError as exc:
         parser.error(str(exc))
+    if isinstance(text, tuple):  # decide and certify: records and summary
+        text, summary = text
+        if args.summary_out is not None:
+            _emit(summary, args.summary_out)
     _emit(text, args.out)
     return 0
 

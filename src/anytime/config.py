@@ -4,15 +4,15 @@ Every command's parameters live in one frozen dataclass that validates
 eagerly in ``__post_init__``, through the checks of the library functions
 the command runs, before any sampling starts; only what no library
 function sees (mode against methods, classes per mode, flags the mode
-does not read, nonempty lists) is checked here.  The seed and thread
-count come from the command's flags only (``--seed``, default
-:data:`DEFAULT_SEED`, and ``--threads``, default 1); no environment
-variable sets them.
+does not read, nonempty lists) is checked here.  The CLI passes each
+field by name, from the flag of the same name.
 
-Every config checks ``threads``, but only ``coverage`` uses it: its cells
-spend their time in vector tails that release the GIL.  ``decide``,
-``certify``, ``width`` and ``thresholds`` run in order on the calling
-thread and ignore it.
+The common fields follow one rule.  ``seed`` (``--seed``, default
+:data:`DEFAULT_SEED`; no environment variable sets it) is read by every
+run that draws: not by ``thresholds``, nor by ``coverage`` with no Monte
+Carlo trials.  ``threads`` only schedules work and changes no byte:
+``coverage`` runs its cells on it (vector tails that release the GIL),
+the other commands run in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ DEFAULT_SEED = 42
 
 CERT_CS = ("betting", "union", "adaptive")
 CERT_MODES = ("binary", "multiclass")
-# certify flags that one mode reads and the other does not: the mode
-# that reads each, and the default the other mode must leave it at
+# certify flags that one mode reads and the other does not: the mode that
+# reads each, and its default (the CLI's), which the other mode must keep
 CERT_MODE_FLAGS = {
     "lam": ("multiclass", 0.5),
     "warmup": ("multiclass", DEFAULT_WARMUP),

@@ -281,7 +281,8 @@ def _staged(p, stream, alpha, cap, sides) -> tuple[Verdict, int]:
 
     Stage ``i`` reads the heads among the first ``DEFAULT_STAGES[i]`` bits
     through :func:`~anytime.sampling.stage_heads`.  The lower bound clears
-    ``p`` (Less) when ``binom_sf(heads, t, p)`` is below the budget: the
+    ``p`` (Less) when ``binom_sf(heads, t, p)`` is below the budget
+    ``alpha / (sides len(DEFAULT_STAGES))``, also on a cut ladder: the
     exact test that a CP root solve approximates.  With two sides the
     upper bound falls below ``p`` (Greater) when ``binom_cdf`` is.
     """
@@ -292,9 +293,7 @@ def _staged(p, stream, alpha, cap, sides) -> tuple[Verdict, int]:
     stages = tuple(n for n in DEFAULT_STAGES if n <= cap)
     if not stages:
         return Verdict.UNDECIDED, cap
-    # the surviving stages' share of alpha, per stage and side: exactly
-    # alpha / (sides s) on the full ladder
-    budget = alpha * len(stages) / len(DEFAULT_STAGES) / (sides * len(stages))
+    budget = alpha / (sides * len(DEFAULT_STAGES))
     for t, heads in zip(stages, stage_heads(source, stages)):
         if float(binom_sf(heads, t, p)) < budget:
             return Verdict.LESS, t  # lower bound above the threshold

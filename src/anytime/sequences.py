@@ -697,7 +697,7 @@ def betting_running_at(heads, trials, alpha, lo0, up0, cols):
       point left of ``y_j`` is outside too, so endpoint ``j`` is at least
       ``L_j = y_j - 2 cell`` (the endpoint is the midpoint of a
       34-halving cell of ``[0, mean]``, ``cell = mean 2^-34`` wide).
-      These are the bounds of :func:`betting_certified`.  They are
+      These are the bounds of :func:`_certified`.  They are
       computed at the steps :func:`_candidates` expects to hold the
       running bound (every step when every column is requested); any
       subset gives valid bounds, a good one gives tight ones.
@@ -897,7 +897,7 @@ def _candidates(mean, trials, threshold, at):
     No endpoint is evaluated: each run's steps are ranked by the Gaussian
     approximation ``mean -/+ sqrt(mean (1 - mean) (2 log(1/alpha) + log t)
     / t)`` of the endpoints, so certified bounds there
-    (:func:`betting_certified`) are tight bounds on the running ones; ties
+    (:func:`_certified`) are tight bounds on the running ones; ties
     are all kept.
     """
     n = mean.shape[1]
@@ -912,29 +912,18 @@ def _candidates(mean, trials, threshold, at):
     return (near_lo == best_lo) | (near_up == best_up)
 
 
-def betting_certified(heads, trials, alpha):
+def _certified(heads, tails, mean, log_mix, threshold):
     """Certified bounds ``(L, U)`` on the betting-CS endpoints, without solving them.
 
-    For arrays ``heads``, ``trials >= 1`` and ``alpha`` (broadcast
-    together), ``L <= lo`` and ``U >= up`` element by element, where
-    ``(lo, up) = betting_endpoints(heads, trials, alpha)``; ``L = -inf``
-    (``U = +inf``) where nothing is certified.  Each bound costs one
-    backed-off Newton point (:func:`_kt_outer_point`) and one log-wealth
-    evaluation; see :func:`betting_running`, whose screen starts from
-    them.  A running max of ``L`` (min of ``U``) is thus a lower bound on
-    the running lower bound (upper bound on the running upper bound).
+    From the counts' shared terms (:func:`_betting_terms`; the caller
+    silences numpy): ``L <= lo`` and ``U >= up`` element by element, where
+    ``(lo, up) = betting_endpoints(heads, heads + tails, alpha)`` and
+    ``threshold = log(1/alpha)``; ``L = -inf`` (``U = +inf``) where
+    nothing is certified.  Each bound costs one backed-off Newton point
+    (:func:`_kt_outer_point`) and one log-wealth evaluation.  A running
+    max of ``L`` (min of ``U``) is thus a lower bound on the running lower
+    bound (upper bound on the running upper bound).
     """
-    heads, trials, alpha = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (heads, trials, alpha))
-    )
-    threshold = _thresholds(alpha.ravel()).reshape(alpha.shape)
-    log_mix = np.asarray(_kt_log_mixture(heads, trials))
-    with np.errstate(all="ignore"):
-        return _certified(heads, trials - heads, heads / trials, log_mix, threshold)
-
-
-def _certified(heads, tails, mean, log_mix, threshold):
-    """:func:`betting_certified` from the counts' shared terms (caller silences numpy)."""
     margin = 4.0 * _EVAL_SLACK * (np.abs(log_mix) + threshold)
     y_lo = _kt_outer_point(heads, tails, log_mix - threshold, margin)
     y_up = 1.0 - _kt_outer_point(tails, heads, log_mix - threshold, margin)

@@ -19,7 +19,7 @@ import pytest
 
 from anytime import cli, decision
 from anytime.cli import _CHUNK_ROWS, main, run_thresholds
-from anytime.config import CertifyConfig, DecideConfig, ThresholdsConfig
+from anytime.config import CERT_CS, CERT_MODES, CertifyConfig, DecideConfig, ThresholdsConfig
 from anytime.decision import METHODS
 from anytime.sequences import dp_thresholds
 
@@ -207,6 +207,16 @@ class TestCertify:
         assert [r["samples"] for r in _cells(rows, cs="betting")] == [25, 25, 25]
         assert [r["samples"] for r in _cells(rows, cs="adaptive")] == [100, 100, 100]
 
+    def test_default_cap_runs_the_whole_staged_ladder(self):
+        # a cap below the last stage (120,000) would drop it, and a class
+        # that never clears the radius could not abstain
+        text = run_cli(
+            "certify", "--cs", "adaptive", "--probs", "0.4,0.2,0.2,0.2", "--radii", "0.1",
+            "--trials", "2",
+        )
+        rows = validate("certify", text)
+        assert [(r["verdict"], r["samples"]) for r in rows] == [("abstain", 120000)] * 2
+
     def test_byte_identical_across_threads(self):
         args = (
             "certify", "--probs", "0.9,0.1", "--radii", "0.25,0.5", "--cs",
@@ -217,37 +227,129 @@ class TestCertify:
         assert run_cli(*args, "--threads", "4") == base
 
 
-class TestCertifyFlagsAreReadOrRefused:
-    """A certify flag either changes an output byte outside its own echo column, or exits 2.
+CHANGES, SAME, REFUSED = "changes", "same bytes", "exits 2"
+CERTIFY = (
+    "certify", "--probs", "0.6,0.3,0.1", "--radii", "0.2", "--trials", "2", "--alpha", "0.01",
+    "--cap", "20000", "--seed", "5", "--cs", "betting,union",
+)
+# certify flags that one mode reads: (value, the modes that read it, its echo column or None)
+CERT_MODE_ROWS = {
+    "--cap": ("50", ("binary", "multiclass"), None),
+    "--warmup": ("600", ("multiclass",), None),
+    "--lam": ("0.02", ("multiclass",), "lambda"),
+    "--target-class": ("1", ("binary",), None),
+}
 
-    One row per mode x flag x certification method, each against the same
-    run without the flag.  A flag the chosen mode does not read is refused
-    with a message naming the mode that reads it, as is the adaptive
-    method outside binary mode; ``--cap`` reaches every method, the staged
-    baseline included.
+
+def cert_mode_rows():
+    """Rows for the flags one mode reads, per mode x method, on the base ``certify-<mode>-<cs>``."""
+    for mode in CERT_MODES:
+        for flag, (value, read_by, echo) in CERT_MODE_ROWS.items():
+            for cs in CERT_CS:
+                runs = mode in read_by and (cs != "adaptive" or mode == "binary")
+                yield f"certify-{mode}-{cs}", flag, value, CHANGES if runs else REFUSED, echo
+
+
+class TestFlagsAreReadOrRefused:
+    """Every flag either changes an output byte outside its own echo column, or exits 2.
+
+    One row per command x flag, each against a small base run of the
+    command without the flag; every parser dest but ``command``, ``out``
+    and ``summary_out`` needs a row.  ``--p-grid`` and ``--grid-points``
+    exclude each other.  The certify rows that one mode reads run per
+    mode x method: a flag the chosen mode does not read is refused with a
+    message naming the mode that reads it, as is the adaptive method
+    outside binary mode; ``--cap`` reaches every method, the staged
+    baseline included.  The common flags keep one rule: ``--threads`` only
+    schedules work, so it gives the same bytes on every command, and
+    ``--seed`` is read by every run that draws, so it gives the same bytes
+    on ``thresholds`` and ``coverage --trials 0``.
     """
 
-    BASE = (
-        "certify", "--probs", "0.6,0.3,0.1", "--radii", "0.2", "--trials", "2",
-        "--alpha", "0.01", "--cap", "20000", "--seed", "5",
-    )
-    # flag -> (value, the modes that read it, its echo column or None)
-    FLAGS = {
-        "--cap": ("50", ("binary", "multiclass"), None),
-        "--warmup": ("600", ("multiclass",), None),
-        "--lam": ("0.02", ("multiclass",), "lambda"),
-        "--target-class": ("1", ("binary",), None),
+    BASES = {
+        "coverage": (
+            "coverage", "--n", "12", "--p-grid", "0.3,0.6", "--trials", "50", "--alpha", "0.1",
+        ),
+        "coverage-exact": ("coverage", "--n", "12", "--trials", "0", "--alpha", "0.1"),
+        "width": ("width", "--horizon", "64", "--p", "0.3", "--alpha", "0.05"),
+        "decide": (
+            "decide", "--q", "0.6", "--alpha", "0.05", "--p-grid", "0.2,0.9", "--trials", "2",
+            "--cap", "2000", "--methods", "sprt,betting", "--seed", "3",
+        ),
+        "decide-grid": (
+            "decide", "--alpha", "0.05", "--trials", "1", "--cap", "2000", "--methods", "betting",
+        ),
+        "certify": CERTIFY,
+        **{
+            f"certify-{mode}-{cs}": (*CERTIFY, "--mode", mode, "--cs", cs)
+            for mode in CERT_MODES
+            for cs in CERT_CS
+        },
+        "thresholds": ("thresholds", "--n-max", "64", "--alpha", "0.05", "--p", "0.5"),
     }
-    # the flags every mode reads, or that shape the run rather than a trial
-    EVERY_MODE = {
-        "mode", "cs", "probs", "sigma", "radii", "alpha", "trials", "seed", "threads",
-        "out", "summary_out",
-    }
+    # (base, flag, value, outcome, echo column of a change)
+    ROWS = [
+        ("coverage", "--n", "13", CHANGES, None),
+        ("coverage", "--alpha", "0.2", CHANGES, None),
+        ("coverage", "--p-grid", "0.4", CHANGES, "p"),
+        ("coverage", "--grid-points", "3", REFUSED, None),
+        ("coverage-exact", "--grid-points", "3", CHANGES, "p"),
+        ("coverage", "--trials", "60", CHANGES, "trials"),
+        ("coverage", "--kind", "rcp", CHANGES, "kind"),
+        ("coverage", "--side", "two", CHANGES, None),
+        ("coverage", "--seed", "7", CHANGES, None),
+        ("coverage-exact", "--seed", "7", SAME, None),
+        ("coverage", "--threads", "2", SAME, None),
+        ("width", "--alpha", "0.1", CHANGES, None),
+        ("width", "--p", "0.4", CHANGES, None),
+        ("width", "--horizon", "128", CHANGES, None),
+        ("width", "--kinds", "betting", CHANGES, "kind"),
+        ("width", "--seed", "7", CHANGES, None),
+        ("width", "--threads", "2", SAME, None),
+        ("decide", "--q", "0.7", CHANGES, "q"),
+        ("decide", "--alpha", "0.1", CHANGES, "alpha"),
+        ("decide", "--p-grid", "0.3,0.9", CHANGES, "p"),
+        ("decide", "--grid-points", "3", REFUSED, None),
+        ("decide-grid", "--grid-points", "3", CHANGES, "p"),
+        ("decide", "--trials", "3", CHANGES, "trial"),
+        ("decide", "--methods", "sprt", CHANGES, "method"),
+        ("decide", "--cap", "10", CHANGES, None),
+        ("decide", "--seed", "4", CHANGES, "seed"),
+        ("decide", "--threads", "2", SAME, None),
+        ("certify", "--mode", "multiclass", CHANGES, "mode"),
+        ("certify", "--cs", "union", CHANGES, "cs"),
+        ("certify", "--probs", "0.5,0.3,0.2", CHANGES, None),
+        ("certify", "--sigma", "0.5", CHANGES, "sigma"),
+        ("certify", "--radii", "0.1", CHANGES, "radius"),
+        ("certify", "--alpha", "0.05", CHANGES, "alpha"),
+        ("certify", "--trials", "3", CHANGES, None),
+        ("certify", "--seed", "6", CHANGES, "seed"),
+        ("certify", "--threads", "2", SAME, None),
+        *cert_mode_rows(),
+        ("thresholds", "--p", "0.6", CHANGES, None),
+        ("thresholds", "--alpha", "0.1", CHANGES, None),
+        ("thresholds", "--n-max", "65", CHANGES, None),
+        ("thresholds", "--seed", "7", SAME, None),
+        ("thresholds", "--threads", "2", SAME, None),
+    ]
 
-    def test_every_certify_flag_has_a_rule(self):
-        # a new certify flag fails here until it gets a row above
-        dests = set(vars(cli.build_parser().parse_args(["certify"]))) - {"command"}
-        assert dests == self.EVERY_MODE | {f[2:].replace("-", "_") for f in self.FLAGS}
+    @staticmethod
+    def _dest(command: str, flag: str, value: str) -> str:
+        parser = cli.build_parser()
+        plain, flagged = (vars(parser.parse_args([command, *extra])) for extra in ((), (flag, value)))
+        (dest,) = [name for name in plain if plain[name] != flagged[name]]
+        return dest
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_dest_has_a_row(self, command):
+        # a new flag fails here until it gets a row above
+        dests = set(vars(cli.build_parser().parse_args([command])))
+        rows = {
+            self._dest(command, flag, value)
+            for base, flag, value, _, _ in self.ROWS
+            if self.BASES[base][0] == command
+        }
+        assert rows == dests - {"command", "out", "summary_out"}
 
     @staticmethod
     def _without(text: str, column) -> list[list[str]]:
@@ -257,20 +359,23 @@ class TestCertifyFlagsAreReadOrRefused:
         i = rows[0].index(column)
         return [row[:i] + row[i + 1 :] for row in rows]
 
-    @pytest.mark.parametrize("cs", ["betting", "union", "adaptive"])
-    @pytest.mark.parametrize("flag", list(FLAGS))
-    @pytest.mark.parametrize("mode", ["binary", "multiclass"])
-    def test_flag_changes_bytes_or_exits_2(self, mode, flag, cs):
-        value, read_by, echo = self.FLAGS[flag]
-        argv = (*self.BASE, "--mode", mode, "--cs", cs)
-        if mode in read_by and (cs != "adaptive" or mode == "binary"):
-            base = run_cli(*argv)
-            flagged = run_cli(*argv, flag, value)
-            assert self._without(flagged, echo) != self._without(base, echo)
-        else:
+    @pytest.mark.parametrize(
+        ("base", "flag", "value", "outcome", "echo"),
+        ROWS,
+        ids=[f"{base} {flag} {value}" for base, flag, value, _, _ in ROWS],
+    )
+    def test_flag_changes_bytes_or_exits_2(self, base, flag, value, outcome, echo):
+        argv = self.BASES[base]
+        if outcome == REFUSED:
             with pytest.raises(SystemExit) as exc:
                 run_cli(*argv, flag, value)
             assert exc.value.code == 2
+            return
+        plain, flagged = run_cli(*argv), run_cli(*argv, flag, value)
+        if outcome == SAME:
+            assert flagged == plain
+        else:
+            assert self._without(flagged, echo) != self._without(plain, echo)
 
     @pytest.mark.parametrize(
         ("mode", "flag", "value", "reader"),

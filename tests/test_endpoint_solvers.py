@@ -6,8 +6,8 @@ predicate evaluations and rerun the plain halving where the check fails.
 Every test here compares with ``==`` against the plain bisections in
 ``oracles.py``: the fast path may not move an endpoint by a single ulp.
 The last class checks the certified bounds that let callers skip the
-solvers: ``betting_certified`` and ``rcp_upper_lo_bound`` must lie on the
-outer side of the endpoints they bound.
+solvers: the betting screen's ``_certified`` and ``rcp_upper_lo_bound``
+must lie on the outer side of the endpoints they bound.
 """
 
 from __future__ import annotations
@@ -26,7 +26,14 @@ import anytime.intervals
 import anytime.sequences
 from anytime.intervals import rcp_upper_lo, rcp_upper_lo_bound, upper_tail_mix
 from anytime.sampling import substream
-from anytime.sequences import BettingCS, betting_certified, betting_endpoints, kt_log_mixture
+from anytime.sequences import (
+    BettingCS,
+    _certified,
+    _kt_log_mixture,
+    _thresholds,
+    betting_endpoints,
+    kt_log_mixture,
+)
 
 from oracles import betting_scan, bisect_betting_endpoints, bisect_rcp_upper_lo
 
@@ -44,6 +51,17 @@ def counts(draw, size=SIZES):
     n = draw(size)
     x = draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
     return x, n
+
+
+def certified_bounds(heads, trials, alpha):
+    """``_certified`` on the shared terms that the betting screen builds from these counts."""
+    heads, trials, alpha = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (heads, trials, alpha))
+    )
+    threshold = _thresholds(alpha.ravel()).reshape(alpha.shape)
+    log_mix = np.asarray(_kt_log_mixture(heads, trials))
+    with np.errstate(all="ignore"):
+        return _certified(heads, trials - heads, heads / trials, log_mix, threshold)
 
 
 def assert_same_bits(got, want):
@@ -123,12 +141,10 @@ class TestBettingEndpoints:
 
     @pytest.mark.parametrize("alpha", [2.0, 1.0, 0.0, -0.5, math.nan])
     def test_rejects_alpha_outside_the_unit_interval(self, alpha):
-        # the scalar path, the array path and the running kernels' thresholds
+        # the scalar path, and the array path's thresholds, which the running kernels share
         for a in (alpha, np.array([0.05, alpha])):
             with pytest.raises(ValueError, match="alpha"):
                 betting_endpoints(3, 10, a)
-            with pytest.raises(ValueError, match="alpha"):
-                betting_certified(3, 10, a)
 
     @pytest.mark.parametrize(
         "heads, trials", [(12, 10), (0, 0), (3, 0.5), (-1, 10), (math.nan, 10), (3, math.nan)]
@@ -318,28 +334,28 @@ class TestCertifiedBounds:
     """Bounds computed without solving: never on the inner side of the endpoint."""
 
     @given(counts(), ALPHAS)
-    def test_betting_certified_brackets_the_endpoints(self, ht, alpha):
+    def test_certified_bounds_bracket_the_endpoints(self, ht, alpha):
         h, t = ht
         lo, up = betting_endpoints(np.asarray(h), t, alpha)
-        bound_lo, bound_up = betting_certified(h, t, alpha)
+        bound_lo, bound_up = certified_bounds(h, t, alpha)
         assert bound_lo <= lo and bound_up >= up, (bound_lo, lo, bound_up, up)
 
     @given(st.data(), SIZES)
-    def test_betting_certified_vector(self, data, t):
+    def test_certified_bounds_vector(self, data, t):
         k = data.draw(st.integers(1, 12))
         h = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0, t]), st.integers(0, t)),
                                         min_size=k, max_size=k)))
         alpha = np.array(data.draw(st.lists(ALPHAS, min_size=k, max_size=k)))
         lo, up = betting_endpoints(h, t, alpha)
-        bound_lo, bound_up = betting_certified(h, t, alpha)
+        bound_lo, bound_up = certified_bounds(h, t, alpha)
         assert np.all(bound_lo <= lo) and np.all(bound_up >= up)
 
-    def test_betting_certified_is_tight_off_the_edges(self):
+    def test_certified_bounds_are_tight_off_the_edges(self):
         # the bounds are one backed-off Newton point away from the root, far
         # closer than the steps between endpoints they are meant to screen
         t = np.array([100.0, 1e4, 1e6, 1e9])
         lo, up = betting_endpoints(np.floor(0.5 * t), t, 0.001)
-        bound_lo, bound_up = betting_certified(np.floor(0.5 * t), t, 0.001)
+        bound_lo, bound_up = certified_bounds(np.floor(0.5 * t), t, 0.001)
         assert np.all(lo - bound_lo <= 1e-3 * lo) and np.all(bound_up - up <= 1e-3 * (1.0 - up))
 
     @given(counts(), ALPHAS, DRAWS)
