@@ -20,7 +20,7 @@ Conventions (they differ from scipy.stats.binom, mind the inequality):
   as the mirrored upper tail ``binom_sf(n - x, n, 1 - p)``: the failures
   of ``B(n, p)`` are ``B(n, 1 - p)``
 * counts ``x`` and ``n`` are integers (``n >= 0``, ``x`` of any sign);
-  fractional, NaN or infinite counts raise ``ValueError``
+  fractional, NaN, infinite or boolean counts raise ``ValueError``
 
 The module also holds the root finders: the vectorized fixed-count
 :func:`halve` that defines every confidence endpoint (``HALVINGS`` = 34
@@ -71,13 +71,21 @@ def _whole(a: np.ndarray) -> bool:
     return bool((np.floor(a) == a).all() and np.isfinite(a).all())
 
 
+def _boolean(value) -> bool:
+    """Whether ``value`` is a ``bool`` or an array of them, which numpy reads as 0 and 1.
+
+    Counts must not be: ``_check_count`` rejects them, and so do the array entry points.
+    """
+    return np.asarray(value).dtype == bool
+
+
 def _check_x_n_p(x, n, p) -> None:
     """The tails' argument rule on arrays: integer ``x``, integer ``n >= 0``, ``p`` in [0, 1]."""
     n_arr = np.asarray(n, dtype=float)
     # ``not all(in range)`` rather than ``any(out of range)``: NaN fails too
-    if not ((n_arr >= 0.0).all() and _whole(n_arr)):
+    if _boolean(n) or not ((n_arr >= 0.0).all() and _whole(n_arr)):
         raise ValueError(_N_ERROR)
-    if not _whole(np.asarray(x, dtype=float)):
+    if _boolean(x) or not _whole(np.asarray(x, dtype=float)):
         raise ValueError(_X_ERROR)
     p_arr = np.asarray(p, dtype=float)
     if not ((p_arr >= 0.0).all() and (p_arr <= 1.0).all()):
@@ -93,9 +101,9 @@ def _scalar_args(x, n, p) -> bool:
     """
     if not (isinstance(x, _NUMBER) and isinstance(n, _NUMBER) and isinstance(p, _NUMBER)):
         return False
-    if not (n >= 0.0 and float(n).is_integer()):
+    if type(n) is bool or not (n >= 0.0 and float(n).is_integer()):
         raise ValueError(_N_ERROR)
-    if not float(x).is_integer():
+    if type(x) is bool or not float(x).is_integer():
         raise ValueError(_X_ERROR)
     if not 0.0 <= p <= 1.0:
         raise ValueError(_P_ERROR)
@@ -178,6 +186,8 @@ def binom_cdf(x, n, p):
     returns 1, and otherwise ``I_{1-p}(n - x, x + 1)``, which keeps tiny
     lower tails accurate instead of computing ``1 - binom_sf``.
     """
+    if _boolean(x):  # ``n - x`` would read it as 0 or 1
+        raise ValueError(_X_ERROR)
     return binom_sf(n - x, n, 1.0 - p)
 
 

@@ -95,8 +95,9 @@ def _check_class_probs(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size < 1:
         raise ValueError("probs must be a nonempty 1-d array")
-    for p in probs.tolist():
-        _check_prob("probs entry", p)
+    valid = (probs >= 0.0) & (probs <= 1.0)  # NaN fails too
+    if not valid.all():
+        _check_prob("probs entry", float(probs[~valid][0]))
     if abs(float(probs.sum()) - 1.0) > 1e-12:
         raise ValueError(f"probs must sum to 1 (got {probs.sum()!r})")
     return probs
@@ -293,26 +294,52 @@ def _multiclass_betting(oracle, spec, cap, counts, a_cls, warmup):
     # largest size, ``_BLOCK``.
     alpha = np.array([spec.lam * spec.alpha, (1.0 - spec.lam) * spec.alpha])
     run = np.zeros(2), np.ones(2)
-    eye = np.eye(oracle.n_classes, dtype=np.int64)
-    others = np.arange(oracle.n_classes) != a_cls
+    label_type = np.min_scalar_type(oracle.n_classes - 1)
 
     def passes(lo, up):
         cert, refute = _verdicts(lo, up, spec)
         return cert | refute
 
-    pending = counts[None, :]  # the warmup step rides in the first block
+    runner_up = np.delete(counts, a_cls).max()
+    pending = np.array([[counts[a_cls]], [runner_up]])  # the warmup step rides in the first block
     t = warmup
     while t < cap:
-        k = min(_BLOCK - len(pending), cap - t)
-        cum = np.concatenate([pending, counts + np.cumsum(eye[oracle.sample(k)], axis=0)])
-        t_arr = np.arange(t + 1 - len(pending), t + k + 1)
-        counts, pending, t = cum[-1], cum[:0], t + k
-        heads = np.stack([cum[:, a_cls], cum[:, others].max(axis=1)])
+        k = min(_BLOCK - pending.shape[1], cap - t)
+        block = _class_heads(oracle.sample(k), counts, a_cls, runner_up, label_type)
+        heads = np.hstack([pending, block])
+        t_arr = np.arange(t + 1 - pending.shape[1], t + k + 1)
+        pending, runner_up, t = pending[:, :0], heads[1, -1], t + k
         col, *run = betting_first_pass(heads, t_arr, alpha, *run, passes)
         if col is not None:
             cert, _ = _verdicts(*run, spec)
             return (Verdict.GREATER if cert else Verdict.LESS), int(t_arr[col])
     return Verdict.UNDECIDED, cap
+
+
+def _class_heads(labels, counts, a_cls, runner_up, label_type):
+    """Class A's count and the runner-up's after each label of a block, in O(block + classes).
+
+    ``counts`` holds every class's count before the block and is advanced
+    past it in place; ``runner_up`` is the largest count of another class
+    before the block.  A label's class count right after it is its count
+    before the block plus its rank among the block's labels of its class,
+    plus one; the runner-up's count is the running max of these over the
+    labels other than A.  One stable sort of the labels, in the smallest
+    unsigned type that holds them (numpy radix-sorts those up to 16 bits),
+    gives the ranks.
+    """
+    per_class = np.bincount(labels, minlength=counts.size)
+    order = np.argsort(labels.astype(label_type), kind="stable")
+    first = np.cumsum(per_class) - per_class  # where each class starts in ``order``
+    rank = np.empty_like(labels)
+    rank[order] = np.arange(labels.size) - np.repeat(first, per_class)
+    is_a = labels == a_cls
+    heads_a = counts[a_cls] + np.cumsum(is_a)
+    own = counts[labels] + rank + 1
+    own[is_a] = 0
+    own[0] = max(own[0], runner_up)
+    counts += per_class
+    return np.stack([heads_a, np.maximum.accumulate(own)])
 
 
 def _multiclass_union(oracle, spec, cap, counts, a_cls, warmup, sched, rng):

@@ -43,12 +43,12 @@ the edges between them, and probes each guess and its neighbour, about
 2.3 log-wealth evaluations per ``t`` where a bisection alone takes 12.
 
 The KT log-mixture of integer counts reads its three log-gammas from two
-tables, ``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` for ``k <= 2**17``,
-built whole on first use (2 MB for both): the same bits as evaluating
-``special.gammaln``, which float counts and counts past the tables still
-do.  The betting decider, :func:`exclusion_edge`, and the multiclass
-certifier and width-target runs (through :func:`betting_first_pass`)
-pass integer counts.
+tables, ``gammaln(k + 1/2)`` and ``gammaln(k + 1)``, which grow by powers
+of two to the largest count asked, up to ``k = 2**17`` (2 MB for both):
+the same bits as evaluating ``special.gammaln``, which float counts and
+counts past the tables still do.  The betting decider,
+:func:`exclusion_edge`, and the multiclass certifier and width-target
+runs (through :func:`betting_first_pass`) pass integer counts.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 from scipy import special
 
-from .binom import HALVINGS, _check_alpha, _check_count, _check_prob, _whole, binom_sf
-from .binom import halve_with_guess
+from .binom import HALVINGS, _boolean, _check_alpha, _check_count, _check_prob, _whole
+from .binom import binom_sf, halve_with_guess
 from .intervals import Interval, rcp_upper_lo, rcp_upper_lo_bound
 
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
@@ -85,8 +85,8 @@ def kt_log_mixture(heads, trials):
     Beta(1/2, 1/2) prior; equivalently the product of the sequential
     predictions ``(H_i + 1/2) / (i + 1)``.  Order-invariant: depends on
     the stream only through the counts.  Accepts arrays; counts that are
-    not integers with ``0 <= heads <= trials`` (NaN too) raise
-    ``ValueError``.  The library's kernels call the unchecked
+    not integers with ``0 <= heads <= trials`` (NaN and booleans too)
+    raise ``ValueError``.  The library's kernels call the unchecked
     :func:`_kt_log_mixture`.
 
     ``log Q = lgamma(heads + 1/2) + lgamma(tails + 1/2) - log pi -
@@ -94,34 +94,52 @@ def kt_log_mixture(heads, trials):
     ``trials`` below ``2**17 + 1`` read the three log-gammas from two
     tables, ``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` built by the same
     ``special.gammaln`` and summed in the same order, so the result is the
-    same bits as evaluating them.  Both tables are built whole on the
-    first such call, 2 MB in all.  Float counts and counts past the
-    tables take ``special.gammaln`` itself.
+    same bits as evaluating them.  The tables grow by powers of two to
+    the largest ``trials`` asked, 2 MB in all at the cap.  Float counts and
+    counts past the tables take ``special.gammaln`` itself.
     """
     return _kt_log_mixture(heads, trials, check=True)
 
 
-_TABLE_CAP = 2**17 + 1  # entries per log-gamma table: trials up to 2**17, 1 MB each
+# entries per log-gamma table at most: trials up to 2**17, 1 MB each.  The
+# tables grow by powers of two to the largest count asked, so runs whose
+# counts stay small build small ones
+_TABLE_CAP = 2**17 + 1
+_tables = (np.empty(0), np.empty(0))  # one pair, shared by every caller
 
 
-@functools.cache
-def _log_gamma_tables() -> tuple[np.ndarray, np.ndarray]:
-    """``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` for every count ``k < _TABLE_CAP``."""
-    k = np.arange(_TABLE_CAP, dtype=float)
-    tables = special.gammaln(k + 0.5), special.gammaln(k + 1.0)
-    for table in tables:
-        table.flags.writeable = False  # one pair, shared by every caller
+def _log_gamma_tables(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gammaln(k + 1/2)`` and ``gammaln(k + 1)`` for every count ``k <= top < _TABLE_CAP``.
+
+    A pair too short for ``top`` is replaced by one of the next power of
+    two entries (at most ``_TABLE_CAP``), each table built in place and
+    the pair swapped in with one assignment, so a caller on another
+    thread reads either pair whole.
+    """
+    global _tables
+    tables = _tables
+    if tables[0].size <= top:
+        size = min(1 << top.bit_length(), _TABLE_CAP)
+        half = np.arange(size, dtype=float)
+        whole = half + 1.0
+        half += 0.5
+        tables = special.gammaln(half, out=half), special.gammaln(whole, out=whole)
+        for table in tables:
+            table.flags.writeable = False
+        _tables = tables
     return tables
 
 
 def _kt_log_mixture(heads, trials, check=False):
     h, t = np.asarray(heads), np.asarray(trials)
+    if check and (_boolean(h) or _boolean(t)):
+        raise ValueError(f"counts must be integers, not booleans; got {heads}, {trials}")
     if h.dtype.kind == t.dtype.kind == "i" and h.size and t.size:
         tails = t - h  # cannot wrap once both are >= 0
         valid = h.min() >= 0 and t.min() >= 0 and tails.min() >= 0
         top = int(t.max())
         if valid and top < _TABLE_CAP:
-            half, whole = _log_gamma_tables()
+            half, whole = _log_gamma_tables(top)
             out = half[h] + half[tails] - 2.0 * _LOG_SQRT_PI - whole[t]
             return float(out) if out.ndim == 0 else out
         check = check and not valid
@@ -453,9 +471,12 @@ def betting_endpoints(heads, trials, alpha):
     from a Newton estimate of each root and checks it with two log-wealth
     evaluations; both sides run as one stacked array.  ``heads = 0`` pins
     the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
-    Counts that are not integers, counts outside ``0 <= heads <= trials``,
-    ``trials < 1`` and ``alpha`` outside (0, 1) raise ``ValueError``.
+    Counts that are not integers (booleans too), counts outside ``0 <=
+    heads <= trials``, ``trials < 1`` and ``alpha`` outside (0, 1) raise
+    ``ValueError``.
     """
+    if _boolean(heads) or _boolean(trials):
+        raise ValueError("betting_endpoints needs integer counts, not booleans")
     if isinstance(alpha, float) or np.ndim(alpha) == 0:  # the per-bit path: keep it lean
         _check_alpha(alpha)
         heads, trials = np.broadcast_arrays(

@@ -416,11 +416,12 @@ def multiclass_betting_scan(sample, n_classes, sigma, radius, alpha, lam, cap, w
 
     Class A is the most frequent label of the first ``warmup`` labels
     from ``sample(k)``; the runner-up is the most frequent other class at
-    each step.  The warmup step is scanned alone, then blocks of
-    ``block`` labels.  Every step's endpoints come from the plain
-    bisection, and the running bounds are ``np.maximum.accumulate`` /
-    ``np.minimum.accumulate`` of them.  The pessimistic pair certifies
-    (``"greater"``), the optimistic pair refutes (``"less"``).
+    each step, counted class by class with a ``cumsum`` of its indicator.
+    The warmup step is scanned alone, then blocks of ``block`` labels.
+    Every step's endpoints come from the plain bisection, and the running
+    bounds are ``np.maximum.accumulate`` / ``np.minimum.accumulate`` of
+    them.  The pessimistic pair certifies (``"greater"``), the optimistic
+    pair refutes (``"less"``).
     """
     if cap <= warmup:
         sample(cap)
@@ -429,11 +430,7 @@ def multiclass_betting_scan(sample, n_classes, sigma, radius, alpha, lam, cap, w
     a_cls = int(np.argmax(counts))
     run = [0.0, 1.0, 0.0, 1.0]  # lo A, up A, lo B, up B
 
-    def scan(cum, t_arr):
-        h_a = cum[:, a_cls].copy()
-        cum = cum.copy()
-        cum[:, a_cls] = -1
-        m_b = cum.max(axis=1)
+    def scan(h_a, m_b, t_arr):
         lo_a, up_a = bisect_betting_endpoints(h_a, t_arr, lam * alpha)
         lo_b, up_b = bisect_betting_endpoints(m_b, t_arr, (1.0 - lam) * alpha)
         la = np.maximum.accumulate(np.concatenate(([run[0]], lo_a)))[1:]
@@ -450,16 +447,23 @@ def multiclass_betting_scan(sample, n_classes, sigma, radius, alpha, lam, cap, w
         return None
 
     t = warmup
-    out = scan(counts[None, :], np.array([t]))
+    runner_up = max(int(c) for i, c in enumerate(counts) if i != a_cls)
+    out = scan(counts[[a_cls]], np.array([runner_up]), np.array([t]))
     if out is not None:
         return out
-    eye = np.eye(n_classes, dtype=np.int64)
     while t < cap:
         k = min(block, cap - t)
-        cum = counts[None, :] + np.cumsum(eye[sample(k)], axis=0)
+        labels = sample(k)
+        m_b = np.zeros(k, dtype=np.int64)
+        for c in range(n_classes):  # one class at a time: O(block) memory
+            cum = counts[c] + np.cumsum(labels == c)
+            if c == a_cls:
+                h_a = cum
+            else:
+                np.maximum(m_b, cum, out=m_b)
+            counts[c] = cum[-1]
         t_arr = t + np.arange(1, k + 1, dtype=np.int64)
-        counts = cum[-1].copy()
-        out = scan(cum, t_arr)
+        out = scan(h_a, m_b, t_arr)
         if out is not None:
             return out
         t += k

@@ -29,7 +29,7 @@ from anytime.mc import bernoulli_matrix, betting_ever_excluded, mc_coverage
 from anytime.mc import union_ever_excluded, union_trace
 from anytime.sampling import BernoulliSource, run_jobs, substream, substream_id
 from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
-from anytime.sequences import Schedule, UnionCS, kt_log_mixture, kt_log_wealth
+from anytime.sequences import BettingCS, Schedule, UnionCS, kt_log_mixture, kt_log_wealth
 from anytime.sequences import betting_first_pass, betting_running, betting_running_at
 from anytime.sequences import ub_cs_width_envelope
 
@@ -99,6 +99,13 @@ REJECTED = {
     "binom_cdf fractional x": lambda: binom_cdf(2.5, 3, 0.5),
     "binom_cdf fractional x array": lambda: binom_cdf(np.array([2.5]), 3, 0.5),
     "log_binom_pmf fractional x": lambda: log_binom_pmf(1.5, 3, 0.5),
+    # a boolean count reads as 0 or 1, as _check_count's entry points refuse
+    "binom_sf boolean n": lambda: binom_sf(3, True, 0.5),
+    "binom_cdf boolean n": lambda: binom_cdf(3, True, 0.5),
+    "log_binom_pmf boolean x array": lambda: log_binom_pmf(np.array([True, False]), 3, 0.5),
+    "kt_log_wealth boolean heads": lambda: kt_log_wealth(True, 3, 0.5),
+    "kt_log_mixture boolean heads array": lambda: kt_log_mixture(np.array([True, False]), 3),
+    "betting_endpoints boolean heads": lambda: betting_endpoints(True, 3, 0.05),
     "betting_endpoints fractional heads": lambda: betting_endpoints(2.5, 3, 0.05),
     "betting_endpoints fractional trials array": lambda: betting_endpoints(
         np.array([1.0, 2.0]), np.array([2.0, 3.5]), 0.05
@@ -213,6 +220,12 @@ REJECTED = {
 def test_rejects_input_outside_the_domain(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("make", [lambda: BettingCS(0.05), lambda: UnionCS(Schedule(0.05))])
+def test_a_boolean_bit_is_still_a_bit(make):
+    # bits are 0 or 1 however they are typed; only counts must be integers
+    assert make().update(True) == make().update(1)
 
 
 def test_an_infinite_eps_is_named_before_any_draw():

@@ -12,6 +12,7 @@ betting mode, an exact per-draw replay for the union mode).
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -817,6 +818,49 @@ class TestMulticlassNearTies:
             )
             wrong += verdict is Verdict.GREATER
         assert wrong <= stats.binom.ppf(0.999, self.TRIALS, self.ALPHA), wrong
+
+
+class TestManyClasses:
+    """2,000 classes, half the mass on class 0: the regime where only multiclass certifies.
+
+    Each block's class counts must cost O(block + classes), not a
+    classes-wide one-hot per label.
+    """
+
+    PROBS = np.concatenate([[0.5], np.full(1999, 0.5 / 1999)])
+
+    def test_betting_matches_the_per_class_scan(self):
+        # caps inside the warmup's block, inside the next one, and two
+        # blocks on; radii that certify, run to the cap, and refute
+        verdicts = set()
+        for radius in (0.5, 1.0, 1.5, 3.0):
+            for cap in (150, 3_000, 9_000):
+                for seed in range(3):
+                    spec = CertSpec(sigma=1.0, radius=radius, alpha=0.01)
+                    oracle = ClassOracle(self.PROBS, substream(43, "many", seed))
+                    verdict, used = certify_multiclass(oracle, spec, "betting", cap)
+                    oracle = ClassOracle(self.PROBS, substream(43, "many", seed))
+                    want = multiclass_betting_scan(
+                        oracle.sample, self.PROBS.size, 1.0, radius, 0.01, 0.5, cap,
+                        DEFAULT_WARMUP,
+                    )
+                    assert (verdict.value, used) == want, (radius, cap, seed)
+                    verdicts.add(want[0])
+        assert verdicts == {"greater", "less", "undecided"}
+
+    def test_a_betting_trial_stays_small(self):
+        # three blocks that cannot certify; a one-hot of each block's
+        # labels alone takes 66 MB
+        spec = CertSpec(sigma=1.0, radius=1.5, alpha=0.01)
+        oracle = ClassOracle(self.PROBS, substream(43, "many", 0))
+        tracemalloc.start()
+        try:
+            verdict, used = certify_multiclass(oracle, spec, "betting", 9_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (verdict, used) == (Verdict.UNDECIDED, 9_000)
+        assert peak < 8e6, peak
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ class TestLogGammaTables:
     def test_only_valid_integer_counts_below_the_cap_read_the_tables(
         self, monkeypatch, heads, trials, gammaln_calls
     ):
-        half, whole = anytime.sequences._log_gamma_tables()  # built before gammaln is counted
+        half, whole = anytime.sequences._log_gamma_tables(2**17)  # built before gammaln is counted
         assert half.size == whole.size == 2**17 + 1
         counting = _CountingSpecial()
         monkeypatch.setattr(anytime.sequences, "special", counting)
@@ -197,6 +197,28 @@ class TestLogGammaTables:
         assert counting.gammaln_calls == gammaln_calls
         want = kt_log_mixture_by_gammaln(heads.astype(float), trials.astype(float))
         assert np.asarray(got).tobytes() == want.tobytes()
+
+    def test_tables_grow_by_powers_of_two_to_the_largest_count_asked(self, monkeypatch):
+        # from no tables, counts on both sides of each growth step, up to
+        # the cap and one past it: every entry read gives gammaln's bits
+        seq = anytime.sequences
+        monkeypatch.setattr(seq, "_tables", (np.empty(0), np.empty(0)))
+        sizes = []
+        for power in range(10, 18):
+            for top in (2**power - 1, 2**power, 2**power + 1):
+                steps = np.arange(top + 1)
+                heads = np.stack([steps, steps // 2])  # every half entry, then every whole one
+                trials = np.stack([np.full_like(steps, top), steps])
+                want = kt_log_mixture_by_gammaln(heads.astype(float), trials.astype(float))
+                assert kt_log_mixture(heads, trials).tobytes() == want.tobytes(), top
+                sizes.append(seq._tables[0].size)
+        cap = 2**17 + 1
+        want_sizes = []
+        for power in range(10, 18):
+            grown = min(2 ** (power + 1), cap)
+            want_sizes += [2**power, grown, grown]  # below the step, at it, past it
+        assert sizes == want_sizes
+        assert seq._tables[1].size == cap
 
     def test_a_betting_trial_past_the_cap_decides_as_gammaln_does(self, monkeypatch):
         # its blocks read the tables up to 2**17 trials and gammaln after
