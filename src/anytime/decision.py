@@ -227,8 +227,13 @@ def sprt_ideal(
     threshold = math.log(1.0 / alpha)
     for_q = Verdict.LESS if q > p else Verdict.GREATER
     for_p = Verdict.GREATER if q > p else Verdict.LESS
+    # {p, q} = {0, 1}: every step is infinite and the first decides; a running
+    # sum past it could add -inf to +inf
+    first_decides = math.isinf(head_step) and math.isinf(tail_step)
     llr, t = 0.0, 0
     for bits in blocks(source, cap):
+        if first_decides:
+            bits = bits[:1]
         steps = np.where(bits == 1, head_step, tail_step)
         # carried into the first step, so the path is one running sum
         # whatever the block sizes (cumsum adds in order)

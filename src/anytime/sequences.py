@@ -27,13 +27,12 @@ only those whose cheap bound clears the carried value;
 fixed ``p`` a union stage can fire only inside a count window per side:
 :func:`union_windows` builds every stage's windows at once, and the union
 decider and the Monte Carlo ever-exclusion read them.
-:func:`betting_running` returns the running betting bounds and solves
-only the endpoints that can move them; :func:`betting_running_at`
-returns them at chosen columns only and solves only the endpoints that
-can be the running bound there.  :func:`betting_first_pass` finds the
-first column whose running bounds pass a caller's monotone test, with one
-pass over each block's shared terms and the same screen, so the
-certifiers and width-target runs are predicates over it.
+:func:`betting_running` returns the running betting bounds at every
+column and solves only the endpoints that can move them;
+:func:`betting_first_pass` finds the first column whose running bounds
+pass a caller's monotone test, with one pass over each block's shared
+terms and the same screen, so the certifiers and width-target runs are
+predicates over it.
 
 Against a fixed ``p`` the betting test is two integer heads edges per
 ``t``, one on each side of ``p t``: :func:`exclusion_edge` finds them
@@ -72,6 +71,8 @@ _KT_NEWTON_TOL = 1e-10  # last Newton step in log p; the next error is ~ its squ
 _BLOCK = 8192  # elements per betting_endpoints block, values of t per exclusion_edge block
 _ANCHOR = 64  # values of t per bisected anchor edge of an exclusion_edge block
 _PROBE_ROUNDS = 3  # probe pairs per guessed edge before the bisection takes over
+_COUNT_CAP = 2**53  # largest betting trials: every count up to it is a float
+_COUNTS = "integers 0 <= heads <= trials with 1 <= trials <= 2**53"
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +240,22 @@ class Schedule:
         """The stage boundaries in increasing order, without end.
 
         The boundary after ``b`` comes from the first exponent ``K`` with
-        ``growth ** K > b``.  Where the next exponent falls short, the walk
-        jumps to a guess from the logarithms and corrects it on the same
-        ``growth ** K`` floats that stepping through every exponent
-        compares, so the boundaries are that walk's however close
-        ``growth`` is to 1.
+        ``growth ** K > b``.  The walk guesses ``K`` from the logarithms and
+        corrects the guess on the same ``growth ** K`` floats that stepping
+        through every exponent compares, so the boundaries are that walk's
+        however close ``growth`` is to 1.
         """
         log_growth = math.log(self.growth)
-        exponent = boundary = 1
+        boundary = 1
         yield boundary  # ceil(growth ** 0)
         while True:
-            value = self.growth**exponent
-            if value <= boundary:
-                exponent = max(exponent + 1, int(math.log(boundary) / log_growth))
-                while self.growth ** (exponent - 1) > boundary:
-                    exponent -= 1
-                value = self.growth**exponent
-                while value <= boundary:
-                    exponent += 1
-                    value = self.growth**exponent
+            exponent = int(math.log(boundary) / log_growth)
+            while self.growth ** (exponent - 1) > boundary:
+                exponent -= 1
+            while (value := self.growth**exponent) <= boundary:
+                exponent += 1
             boundary = math.ceil(value)
             yield boundary
-            exponent += 1
 
     def boundaries(self, limit: int) -> np.ndarray:
         """All stage boundaries ``<= limit``, sorted, distinct, starting at 1."""
@@ -408,26 +403,28 @@ def union_windows(p: float, schedule: Schedule, limit: int) -> tuple[tuple, tupl
     ``S(x* - 2)`` and ``S(x* - 1)``, both above ``b``; the window starts
     past it where the smaller of the two exceeds ``b`` by more than the
     mixture's rounding (at most three roundings on each term), and at it
-    otherwise.  The failures mirror it with ``1 - p``.  Every
-    stage's edges are found at once, one :func:`_bisect_edges` pass per
-    side.  The union decider and :func:`~anytime.mc.union_ever_excluded`
+    otherwise.  The failures mirror it with ``1 - p``.  Every stage's
+    edges on both sides are found at once, in one :func:`_bisect_edges`
+    pass.  The union decider and :func:`~anytime.mc.union_ever_excluded`
     evaluate a tail mixture only inside these windows.
     """
     t = schedule.boundaries(limit)
     half = np.array([schedule.budget(k) / 2.0 for k in range(1, t.size + 1)])
-    less_from = _window_start(t, p, half)
-    greater_to = t - _window_start(t, 1.0 - p, half)
+    starts = _window_start(np.tile(t, 2), np.repeat([p, 1.0 - p], t.size), np.tile(half, 2))
+    less_from, greater_to = starts[: t.size], t - starts[t.size :]
     windows = tuple(zip(less_from.tolist(), greater_to.tolist()))
     return tuple(t.tolist()), tuple(half.tolist()), windows
 
 
-def _window_start(t: np.ndarray, p: float, b: np.ndarray) -> np.ndarray:
+def _window_start(t: np.ndarray, p, b: np.ndarray) -> np.ndarray:
     """Per stage, the first count whose upper tail mixture may reach ``b``.
 
     That is ``x* - 1`` or ``x* - 2``, as :func:`union_windows` sets out.
+    ``p`` is one value or one per stage.
     """
+    p = np.broadcast_to(p, t.shape)
     edge = _tail_edges(t, p, b)
-    below, at = np.split(binom_sf(np.r_[edge - 2, edge - 1], np.tile(t, 2), p), 2)
+    below, at = np.split(binom_sf(np.r_[edge - 2, edge - 1], np.tile(t, 2), np.tile(p, 2)), 2)
     # the computed mixture is at least min(S(x* - 2), S(x* - 1)) (1 - 2^-53)^3;
     # b >= 2^-1000 keeps a subnormal term's absolute rounding far below that margin
     clear = (np.minimum(below, at) * (1.0 - 4.0 * np.finfo(float).eps) > b) & (b >= 2.0**-1000)
@@ -440,14 +437,16 @@ def _doubling_cell(p: float, alpha: float, limit: int) -> tuple[tuple, tuple, tu
     return union_windows(p, Schedule.doubling(alpha), limit)
 
 
-def _tail_edges(t: np.ndarray, p: float, b: np.ndarray) -> np.ndarray:
+def _tail_edges(t: np.ndarray, p, b: np.ndarray) -> np.ndarray:
     """Per element, the smallest ``x`` with ``binom_sf(x, t, p) <= b``, for ``0 <= b < 1``.
 
-    The tail is nonincreasing in ``x``, 1 at ``x = 0`` and 0 at ``t + 1``,
-    so a bisection of ``[0, t + 1]`` finds it.
+    ``p`` is one value or one per element.  The tail is nonincreasing in
+    ``x``, 1 at ``x = 0`` and 0 at ``t + 1``, so a bisection of ``[0, t +
+    1]`` finds it.
     """
+    p = np.broadcast_to(p, t.shape)
     inner, outer = np.zeros_like(t), t + 1
-    _bisect_edges(lambda x, i: binom_sf(x, t[i], p) <= b[i], inner, outer, np.arange(t.size))
+    _bisect_edges(lambda x, i: binom_sf(x, t[i], p[i]) <= b[i], inner, outer, np.arange(t.size))
     return outer
 
 
@@ -472,8 +471,8 @@ def betting_endpoints(heads, trials, alpha):
     evaluations; both sides run as one stacked array.  ``heads = 0`` pins
     the lower endpoint at 0, ``heads = trials`` pins the upper at 1.
     Counts that are not integers (booleans too), counts outside ``0 <=
-    heads <= trials``, ``trials < 1`` and ``alpha`` outside (0, 1) raise
-    ``ValueError``.
+    heads <= trials``, ``trials`` outside ``[1, 2**53]`` and ``alpha``
+    outside (0, 1) raise ``ValueError``.
     """
     if _boolean(heads) or _boolean(trials):
         raise ValueError("betting_endpoints needs integer counts, not booleans")
@@ -492,11 +491,11 @@ def betting_endpoints(heads, trials, alpha):
         threshold = _thresholds(alpha.ravel())
     if heads.ndim == 0:  # one count (every BettingCS.update): plain comparisons
         h, t = float(heads), float(trials)
-        counted = t >= 1.0 and 0.0 <= h <= t and h.is_integer() and t.is_integer()
+        counted = 1.0 <= t <= _COUNT_CAP and 0.0 <= h <= t and h.is_integer() and t.is_integer()
     else:
         counted = _counted(heads, trials)
     if not counted:
-        raise ValueError("betting_endpoints needs integers 0 <= heads <= trials with trials >= 1")
+        raise ValueError(f"betting_endpoints needs {_COUNTS}")
     shape = heads.shape
     heads, trials = heads.ravel(), trials.ravel()
     lo, up = np.empty_like(heads), np.empty_like(heads)
@@ -685,25 +684,10 @@ def betting_running(heads, trials, alpha, lo0, up0):
     ``alpha``, ``lo0`` and ``up0`` hold one value per row.  Returns
     ``(lo, up)`` shaped like ``heads`` and equal, bit for bit, to
     ``np.maximum.accumulate`` / ``np.minimum.accumulate`` along each row of
-    :func:`betting_endpoints`, starting from the carried-in bounds.  This
-    is :func:`betting_running_at` at every column, so a step's endpoints
-    are solved only where they can move the running bound at that step.
-    """
-    heads = np.asarray(heads)
-    cols = np.arange(heads.shape[-1] if heads.ndim else 0)
-    return betting_running_at(heads, trials, alpha, lo0, up0, cols)
-
-
-def betting_running_at(heads, trials, alpha, lo0, up0, cols):
-    """Running betting-CS bounds at the columns ``cols`` only, carried in from ``lo0`` and ``up0``.
-
-    Arguments as for :func:`betting_running`, plus ``cols``: increasing
-    column indices of ``heads``.  Returns ``(lo, up)`` of shape
-    ``(rows, len(cols))``, equal (``==``) to ``betting_running(...)[:, cols]``.
-    Steps after ``cols[-1]`` are not looked at, and each step is solved
-    at most once, in one :func:`betting_endpoints` call per ``_BLOCK``
-    elements.  Counts that are not integers with ``0 <= heads <= trials``
-    and ``trials >= 1``, at any column up to ``cols[-1]``, raise
+    :func:`betting_endpoints`, starting from the carried-in bounds.  Each
+    step is solved at most once, in one :func:`betting_endpoints` call per
+    block of ``_BLOCK`` elements.  Counts that are not integers with ``0
+    <= heads <= trials`` and ``1 <= trials <= 2**53`` raise
     ``ValueError``; integer counts read the log-gamma tables.
 
     The running lower bound at column ``c`` is the largest of ``lo0`` and
@@ -718,16 +702,14 @@ def betting_running_at(heads, trials, alpha, lo0, up0, cols):
       point left of ``y_j`` is outside too, so endpoint ``j`` is at least
       ``L_j = y_j - 2 cell`` (the endpoint is the midpoint of a
       34-halving cell of ``[0, mean]``, ``cell = mean 2^-34`` wide).
-      These are the bounds of :func:`_certified`.  They are
-      computed at the steps :func:`_candidates` expects to hold the
-      running bound (every step when every column is requested); any
-      subset gives valid bounds, a good one gives tight ones.
+      These are the bounds of :func:`_certified`, computed here at every
+      step; any subset gives valid bounds (:func:`betting_first_pass`
+      takes those :func:`_candidates` picks), a good one gives tight ones.
     * ``P_c``, the largest of ``lo0`` and those ``L_j`` with ``j <= c``,
-      is at most the running bound at ``c``.  Step ``j`` is checked
-      against ``P`` of the first requested column at or after it: if
-      ``P - 2 cell`` is at or above the mean, or inside the set at ``j`` by
-      more than its rounding error, endpoint ``j`` is below ``P`` and is
-      not the running bound there or at any later column.
+      is at most the running bound at ``c``.  If ``P_j - 2 cell`` is at
+      or above the mean, or inside the set at ``j`` by more than its
+      rounding error, endpoint ``j`` is below ``P_j`` and is not the
+      running bound at ``j`` or at any later column.
 
     The upper side is the mirror image.  Steps that pass neither screen
     go to :func:`betting_endpoints` (both sides at once); the screened
@@ -736,25 +718,13 @@ def betting_running_at(heads, trials, alpha, lo0, up0, cols):
     """
     heads, trials, budget, run = _running_args(heads, trials, alpha, lo0, up0)
     rows, n = heads.shape
-    cols = np.asarray(cols, dtype=np.intp)
-    if cols.ndim != 1 or (
-        cols.size and (cols[0] < 0 or cols[-1] >= n or (np.diff(cols) <= 0).any())
-    ):
-        raise ValueError("cols must be increasing column indices of heads")
-    lo, up = np.empty((rows, cols.size)), np.empty((rows, cols.size))
+    lo, up = np.empty((rows, n)), np.empty((rows, n))
     width = max(1, _BLOCK // max(rows, 1))
-    start = done = 0
-    while done < cols.size:
-        stop = min(start + width, int(cols[-1]) + 1)
-        upto = int(np.searchsorted(cols, stop))
-        # the block's last column rides along so its bounds can be carried
-        at = cols[done:upto] - start
-        if not at.size or at[-1] != stop - start - 1:
-            at = np.append(at, stop - start - 1)
-        lo_b, up_b = _screen(_betting_terms(heads, trials, budget, start, stop, at), run, 0, at)
-        lo[:, done:upto], up[:, done:upto] = lo_b[:, : upto - done], up_b[:, : upto - done]
-        run = lo_b[:, -1], up_b[:, -1]
-        start, done = stop, upto
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        terms = _betting_terms(heads, trials, budget, start, stop, every=True)
+        lo[:, start:stop], up[:, start:stop] = _screen(terms, run, 0, 0, stop - start - 1)
+        run = lo[:, stop - 1], up[:, stop - 1]
     return lo, up
 
 
@@ -772,27 +742,27 @@ def _running_args(heads, trials, alpha, lo0, up0):
     return heads, trials, (alpha[:, None], _thresholds(alpha)[:, None]), run
 
 
-def _betting_terms(heads, trials, budget, start, stop, at):
+def _betting_terms(heads, trials, budget, start, stop, every):
     """The shared terms of the block ``[start, stop)``, its counts checked once.
 
     Float counts, taken once the log-mixture has read its tables from
-    integer ones, and certified bounds (:func:`_certified`) at the steps
-    :func:`_candidates` picks for runs ending at the columns ``at`` (every
-    step if ``at`` is every column), ``-inf`` / ``+inf`` elsewhere.
+    integer ones, and certified bounds (:func:`_certified`) at every step
+    with ``every``, else at the steps :func:`_candidates` picks, ``-inf`` /
+    ``+inf`` elsewhere.
     """
     heads, trials = heads[:, start:stop], trials[:, start:stop]
     if not _counted(heads, trials):
-        raise ValueError("betting counts must be integers 0 <= heads <= trials with trials >= 1")
+        raise ValueError(f"betting counts must be {_COUNTS}")
     log_mix = _kt_log_mixture(heads, trials)
     heads, trials = np.asarray(heads, dtype=float), np.asarray(trials, dtype=float)
     tails = trials - heads
     mean = heads / trials
     alpha, threshold = (np.broadcast_to(v, heads.shape) for v in budget)
     with np.errstate(all="ignore"):
-        if at.size == heads.shape[1]:  # every column asked: each step is its own run
+        if every:
             bound_lo, bound_up = _certified(heads, tails, mean, log_mix, threshold)
         else:
-            pick = _candidates(mean, trials, threshold, at)
+            pick = _candidates(mean, trials, threshold)
             bound_lo = np.full_like(heads, -np.inf)
             bound_up = np.full_like(heads, np.inf)
             bound_lo[pick], bound_up[pick] = _certified(
@@ -802,10 +772,17 @@ def _betting_terms(heads, trials, budget, start, stop, at):
 
 
 def _counted(heads, trials):
-    """Are all counts integers with ``0 <= heads <= trials`` and ``trials >= 1``?"""
+    """Are all counts integers with ``0 <= heads <= trials`` and ``1 <= trials <= 2**53``?
+
+    Booleans are not counts.  Past ``2**53`` a float ``trials - 1`` rounds
+    to ``trials``, and an all-heads step would look as if it had a tail.
+    """
+    if _boolean(heads) or _boolean(trials):
+        return False
     whole = heads.dtype.kind == trials.dtype.kind == "i" or _whole(heads) and _whole(trials)
     # ``all(in range)`` rather than ``not any(out of range)``, so NaN fails too
-    return bool(whole and (trials >= 1).all() and (heads >= 0).all() and (heads <= trials).all())
+    trials_in = ((trials >= 1) & (trials <= _COUNT_CAP)).all()
+    return bool(whole and trials_in and (heads >= 0).all() and (heads <= trials).all())
 
 
 def _accumulate(lo0, up0, lo, up):
@@ -814,22 +791,19 @@ def _accumulate(lo0, up0, lo, up):
     return lo[:, 1:], np.minimum.accumulate(np.column_stack([up0, up]), axis=1)[:, 1:]
 
 
-def _screen(terms, run, begin, at):
-    """Exact running bounds at block columns ``at``, with ``run`` carried into column ``begin``.
+def _screen(terms, run, begin, first, last):
+    """Exact running bounds at block columns ``first..last``, with ``run`` carried into ``begin``.
 
-    See :func:`betting_running_at` for the screen.
+    Steps from ``begin`` to ``first`` meet ``P`` at ``first``, and later
+    steps meet their own; see :func:`betting_running` for the screen.
     """
-    part = slice(begin, at[-1] + 1)
     heads, trials, tails, mean, log_mix, alpha, threshold, bound_lo, bound_up = (
-        v[:, part] for v in terms
+        v[:, begin : last + 1] for v in terms
     )
-    at = at - begin
+    first -= begin
     with np.errstate(all="ignore"):
         p_lo, p_up = _accumulate(*run, bound_lo, bound_up)
-        if at.size < heads.shape[1]:  # each step meets P of the first asked column at or after it
-            span = np.diff(at, prepend=-1)
-            p_lo = np.repeat(p_lo[:, at], span, axis=1)
-            p_up = np.repeat(p_up[:, at], span, axis=1)
+        p_lo[:, :first], p_up[:, :first] = p_lo[:, first : first + 1], p_up[:, first : first + 1]
         q_lo = p_lo - 2.0 * mean * _CELL
         q_up = p_up + 2.0 * (1.0 - mean) * _CELL
         # steps whose endpoint cannot be the running bound at their column
@@ -845,16 +819,15 @@ def _screen(terms, run, begin, at):
             heads[solve], np.broadcast_to(trials, heads.shape)[solve], alpha[solve]
         )
     lo, up = _accumulate(*run, lo_i, up_i)
-    return (lo, up) if at.size == heads.shape[1] else (lo[:, at], up[:, at])
+    return lo[:, first:], up[:, first:]
 
 
 def betting_first_pass(heads, trials, alpha, lo0, up0, passes):
     """The first column whose running betting bounds pass ``passes``, with those bounds.
 
-    Arguments as for :func:`betting_running`; the counts of every block
-    it reads are checked as by :func:`betting_running_at`.  ``passes(lo,
-    up)`` maps running bounds at some columns (rows x columns) to one bool
-    per column.  It must satisfy:
+    Arguments, and the count check of every block it reads, as for
+    :func:`betting_running`.  ``passes(lo, up)`` maps running bounds at
+    some columns (rows x columns) to one bool per column.  It must satisfy:
 
     * bounds that are looser outward (lower ones lower, upper ones
       higher) pass only where the exact ones pass;
@@ -866,7 +839,7 @@ def betting_first_pass(heads, trials, alpha, lo0, up0, passes):
 
     One pass per block of at most ``_BLOCK`` elements: the carried
     certified bounds of its shared terms (:func:`_betting_terms`) hint at
-    the first pass, and the screen of :func:`betting_running_at` solves,
+    the first pass, and the screen of :func:`betting_running` solves,
     on the same terms, from ``_RUN`` columns before the hinted column, or,
     without a hint or past one the exact bounds refute, from the last.
     """
@@ -875,7 +848,7 @@ def betting_first_pass(heads, trials, alpha, lo0, up0, passes):
     width = max(1, _BLOCK // max(rows, 1))
     for start in range(0, n, width):
         last = min(width, n - start) - 1
-        terms = _betting_terms(heads, trials, budget, start, start + last + 1, np.array([last]))
+        terms = _betting_terms(heads, trials, budget, start, start + last + 1, every=False)
         hinted = _hinted_column(terms, run, passes)
         right = last if hinted is None else hinted
         mark = last if hinted is None else max(hinted - _RUN, 0)
@@ -900,10 +873,10 @@ def _window_pass(terms, run, passes, begin, mark, last):
 
     If ``mark > begin`` already passes, one more screen solves ``[begin, mark]``.
     """
-    lo, up = _screen(terms, run, begin, np.arange(mark, last + 1))
+    lo, up = _screen(terms, run, begin, mark, last)
     hit = passes(lo, up)
     if hit[0] and mark > begin:
-        lo, up = _screen(terms, run, begin, np.arange(begin, mark + 1))
+        lo, up = _screen(terms, run, begin, begin, mark)
         hit, mark = passes(lo, up), begin
     if not hit.any():
         return None, lo[:, -1], up[:, -1]
@@ -911,20 +884,17 @@ def _window_pass(terms, run, passes, begin, mark, last):
     return mark + i, lo[:, i], up[:, i]
 
 
-def _candidates(mean, trials, threshold, at):
+def _candidates(mean, trials, threshold):
     """Steps likely to hold the largest lower (smallest upper) betting endpoint of their run.
 
-    Runs are ``_RUN`` columns long and also end at the columns ``at``.
-    No endpoint is evaluated: each run's steps are ranked by the Gaussian
-    approximation ``mean -/+ sqrt(mean (1 - mean) (2 log(1/alpha) + log t)
-    / t)`` of the endpoints, so certified bounds there
-    (:func:`_certified`) are tight bounds on the running ones; ties
-    are all kept.
+    Runs are ``_RUN`` columns long.  No endpoint is evaluated: each run's
+    steps are ranked by the Gaussian approximation ``mean -/+ sqrt(mean (1
+    - mean) (2 log(1/alpha) + log t) / t)`` of the endpoints, so certified
+    bounds there (:func:`_certified`) are tight bounds on the running
+    ones; ties are all kept.
     """
     n = mean.shape[1]
     starts = np.arange(0, n, _RUN)
-    if at.size > 1:
-        starts = np.union1d(starts, at[:-1] + 1)
     lengths = np.diff(starts, append=n)
     half = np.sqrt(mean * (1.0 - mean) * (2.0 * threshold + np.log(trials)) / trials)
     near_lo, near_up = mean - half, mean + half
@@ -1161,12 +1131,7 @@ def ub_cs_width_envelope(t, alpha: float):
     The rate of the doubling schedule.  ``alpha`` must lie in (0, 1) and
     ``t`` must be finite with ``t >= 3``.
     """
-    _check_alpha(alpha)
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 3) & (t_arr < math.inf)):  # NaN fails too
-        raise ValueError("envelope needs a finite t >= 3")
-    val = np.sqrt((math.log(1.0 / alpha) + np.log(np.log(t_arr))) / t_arr)
-    return float(val) if np.ndim(t) == 0 else val
+    return _width_envelope(t, alpha, 3, lambda t: np.log(np.log(t)))
 
 
 def bet_cs_width_envelope(t, alpha: float):
@@ -1174,9 +1139,14 @@ def bet_cs_width_envelope(t, alpha: float):
 
     ``alpha`` must lie in (0, 1) and ``t`` must be finite with ``t >= 1``.
     """
+    return _width_envelope(t, alpha, 1, np.log)
+
+
+def _width_envelope(t, alpha: float, least: int, log_term):
+    """``sqrt((log(1/alpha) + log_term(t)) / t)`` for a finite ``t >= least``."""
     _check_alpha(alpha)
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 1) & (t_arr < math.inf)):  # NaN fails too
-        raise ValueError("envelope needs a finite t >= 1")
-    val = np.sqrt((math.log(1.0 / alpha) + np.log(t_arr)) / t_arr)
+    if not np.all((t_arr >= least) & (t_arr < math.inf)):  # NaN fails too
+        raise ValueError(f"envelope needs a finite t >= {least}")
+    val = np.sqrt((math.log(1.0 / alpha) + log_term(t_arr)) / t_arr)
     return float(val) if np.ndim(t) == 0 else val

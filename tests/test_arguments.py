@@ -30,7 +30,7 @@ from anytime.mc import union_ever_excluded, union_trace
 from anytime.sampling import BernoulliSource, run_jobs, substream, substream_id
 from anytime.sequences import bet_cs_width_envelope, betting_endpoints, dp_thresholds
 from anytime.sequences import BettingCS, Schedule, UnionCS, kt_log_mixture, kt_log_wealth
-from anytime.sequences import betting_first_pass, betting_running, betting_running_at
+from anytime.sequences import betting_first_pass, betting_running
 from anytime.sequences import ub_cs_width_envelope
 
 SPEC = CertSpec(sigma=1.0, radius=0.1, alpha=0.05)
@@ -177,9 +177,6 @@ REJECTED = {
     "betting_running fractional heads at one step": lambda: betting_running(
         _nudged(_FAIR), _STEPS, 0.05, 0.0, 1.0
     ),
-    "betting_running_at fractional heads at one step": lambda: betting_running_at(
-        _nudged(_FAIR), _STEPS, 0.05, 0.0, 1.0, [2999]
-    ),
     "betting_first_pass fractional heads at one step": lambda: betting_first_pass(
         _nudged(_FAIR), _STEPS, 0.05, 0.0, 1.0, _never
     ),
@@ -194,6 +191,23 @@ REJECTED = {
         _FAIR[0], _STEPS, 0.05, 0.0, 1.0, _never
     ),
     "betting_running 0-d heads": lambda: betting_running(1.0, 1.0, 0.05, 0.0, 1.0),
+    "betting_running boolean heads": lambda: betting_running(
+        np.array([[True, True, False]]), np.array([1, 2, 3]), 0.05, 0.0, 1.0
+    ),
+    "betting_first_pass boolean heads": lambda: betting_first_pass(
+        np.array([[True, True, False]]), np.array([1, 2, 3]), 0.05, 0.0, 1.0, _never
+    ),
+    # past 2**53 a float trials - 1 rounds to trials: an all-heads step had a tail
+    "betting_endpoints trials past 2**53": lambda: betting_endpoints(10**16, 10**16, 0.05),
+    "betting_endpoints trials past 2**53 in an array": lambda: betting_endpoints(
+        np.array([1, 10**16]), np.array([1, 10**16]), 0.05
+    ),
+    "betting_running trials past 2**53": lambda: betting_running(
+        np.array([[10**16]]), np.array([10**16]), 0.05, 0.0, 1.0
+    ),
+    "betting_first_pass trials past 2**53": lambda: betting_first_pass(
+        np.array([[10**16]]), np.array([10**16]), 0.05, 0.0, 1.0, _never
+    ),
     # eps * eps underflows: a division by 0, or a size of inf
     "hoeffding_sample_size eps 1e-300": lambda: hoeffding_sample_size(1e-300, 0.05),
     "hoeffding_sample_size eps 1e-160": lambda: hoeffding_sample_size(1e-160, 0.05),
@@ -233,6 +247,14 @@ def test_an_infinite_eps_is_named_before_any_draw():
     # failed on an n that nonadaptive_hoeffding's caller never passed
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         decision.nonadaptive_hoeffding(0.5, math.inf, 0.05, np.ones(0))
+
+
+def test_betting_counts_up_to_2_53_are_accepted():
+    # all heads: the lower endpoint is the midpoint of the last of 34 halving cells below 1
+    want = [1.0 - 2.0**-35, 1.0]
+    assert [float(v) for v in betting_endpoints(2**53, 2**53, 0.05)] == want
+    got = betting_running(np.array([[2**53]]), np.array([2**53]), 0.05, 0.0, 1.0)
+    assert [float(v[0, 0]) for v in got] == want
 
 
 def test_a_huge_finite_eps_still_draws_one_sample():

@@ -63,6 +63,20 @@ class TestSprt:
         with pytest.raises(ValueError):
             sprt_ideal(0.5, 0.5, 0.05, ones(4), cap=4)
 
+    @pytest.mark.parametrize(
+        "p, q, bits, want",
+        [
+            (0.0, 1.0, [1, 0, 1, 1], Verdict.LESS),
+            (0.0, 1.0, [0, 1, 1], Verdict.GREATER),
+            (1.0, 0.0, [1, 0, 1, 1], Verdict.LESS),
+            (1.0, 0.0, [0, 1, 1], Verdict.GREATER),
+        ],
+    )
+    def test_degenerate_hypotheses_decide_at_the_first_bit(self, p, q, bits, want):
+        # every step is infinite: a running sum past the first would add
+        # -inf to +inf, which the warning filter turns into an error
+        assert sprt_ideal(p, q, 0.5, np.array(bits), len(bits)) == (want, 1)
+
     def test_cap_returns_undecided(self):
         verdict, samples = sprt_ideal(0.5, 0.52, 0.001, ArraySource([1, 0] * 10), cap=20)
         assert verdict is Verdict.UNDECIDED and samples == 20

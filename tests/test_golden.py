@@ -7,8 +7,9 @@ number - fails here.  The configs are small but reach every command and
 every path the benchmark skips: binary certification with all three
 sequences, multiclass certification with both sequences (betting also
 with both budget splits, at radii that certify, refute and reach the
-cap), ``width`` with both sequence kinds, two-sided ``coverage`` and
-``thresholds``.
+cap), ``width`` with both sequence kinds (once at the tables workload's
+horizon, through the betting interval's collapses), two-sided
+``coverage`` and ``thresholds``.
 
 The CSVs round endpoints to ten significant digits, so a last test pins
 the raw float64 bytes of the endpoint solvers and running sequences as
@@ -66,6 +67,13 @@ CASES = {
          "--kinds", "betting,union", "--seed", "14"],
         False,
     ),
+    # a fair stream at alpha 0.5: the betting bounds cross by step 128, and
+    # 130,989 of the 131,072 steps are collapsed points
+    "width-collapse": (
+        ["width", "--horizon", "131072", "--p", "0.5", "--alpha", "0.5",
+         "--kinds", "betting,union", "--seed", "2"],
+        False,
+    ),
     "coverage-two": (
         ["coverage", "--n", "30", "--grid-points", "5", "--trials", "300", "--side", "two",
          "--alpha", "0.05", "--seed", "15"],
@@ -104,6 +112,7 @@ GOLDEN = {
         "dfc0fc952c67fa573e8cbb2035fb7780e6f56655c98237b7915be757d2738cee",
     ),
     "width": ("6e873d0180fd5ea3bbb87cfe0a2a8c36052628567c11430a67ff3fa6c2284bd4",),
+    "width-collapse": ("728203e37729eb5f32066ba7ee13dcd0e066d4acfb4f96d905ec95e213d81d80",),
     "coverage-two": ("53b3cf836140a86d1a02bfef87eb87f7b071b9a114410ba3f1e2525a79e1c17a",),
     "coverage-lower": ("dbb1e4e04eb244eb5b2aa0e30e55f6730b7f2d75cfcca361bfd31d571d072143",),
     "thresholds": ("57346c57e5ffc4e1529f5e821c33a3fb1d0b4e208b3a93d3ca97c3160c64412a",),
@@ -154,3 +163,15 @@ def _raw_endpoint_bytes() -> bytes:
 
 def test_raw_endpoint_bytes():
     assert hashlib.sha256(_raw_endpoint_bytes()).hexdigest() == RAW_GOLDEN
+
+
+COLLAPSE_GOLDEN = "9ccd6fea80222ff2d003cb2ede2598d5e0f2affa77f4a3cadb3557afa0cd4b0b"
+
+
+def test_betting_trace_bytes_through_collapses():
+    # the width-collapse stream: the running bounds, crossings collapsed to
+    # the mean, at every step rather than the printed ten digits of 18 rows
+    bits = (substream(2, "width", "bits").random(131072) < 0.5).astype(np.uint8)
+    lo, up = betting_trace(bits, 0.5)
+    assert np.count_nonzero(lo == up) == 130_989
+    assert hashlib.sha256(lo.tobytes() + up.tobytes()).hexdigest() == COLLAPSE_GOLDEN

@@ -33,7 +33,6 @@ from anytime.sequences import (
     betting_endpoints,
     betting_first_pass,
     betting_running,
-    betting_running_at,
     dp_thresholds,
     exclusion_edge,
     kt_log_mixture,
@@ -435,6 +434,12 @@ FAIR_STREAMS = tuple((seed, 0.5, 300) for seed in (0, *BETTING_CROSSING_SEEDS))
 SKEWED_STREAMS = ((0, 0.02, 3000), (1, 0.3, 3000), (2, 0.97, 3000))
 
 
+PROBS = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53, 1e-12, 1.0 - 1e-12]),
+    st.floats(0.0, 1.0),
+)
+
+
 class TestUnionCells:
     """The union stage windows: count edges of the tail and the cells that cache them."""
 
@@ -447,18 +452,21 @@ class TestUnionCells:
             min_size=1,
             max_size=4,
         ),
-        p=st.one_of(
-            st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53, 1e-12, 1.0 - 1e-12]),
-            st.floats(0.0, 1.0),
-        ),
+        p=st.one_of(PROBS, st.lists(PROBS, min_size=4, max_size=4)),
     )
     @example([(1, 0.25)], 0.5)
     @example([(10**7, 1e-300)], 0.5)
     @example([(524_288, 2.5e-5), (0, 0.1), (1, 0.0)], 0.91)
+    # one p per element, as union_windows bisects p and 1 - p in one pass
+    @example([(524_288, 2.5e-5), (524_288, 2.5e-5)], [0.91, 1.0 - 0.91, 0.5, 0.5])
+    @example([(1000, 1e-3), (1000, 1e-3), (7, 0.0), (7, 0.0)], [0.0, 1.0, 5e-324, 1.0 - 2**-53])
     def test_tail_edges_are_the_plain_bisection(self, edges, p):
         t, b = (np.array(column) for column in zip(*edges))
+        if isinstance(p, list):
+            p = np.array(p[: t.size])
         got = anytime.sequences._tail_edges(t, p, b)
-        assert got.tolist() == [bisect_count_edge(ti, p, bi) for ti, bi in edges]
+        each = np.broadcast_to(p, t.shape).tolist()
+        assert got.tolist() == [bisect_count_edge(ti, pi, bi) for (ti, bi), pi in zip(edges, each)]
 
     def test_cells_of_another_alpha_or_cap_keep_their_own_edges(self):
         anytime.sequences._doubling_cell.cache_clear()
@@ -637,6 +645,7 @@ class TestBettingRunning:
     )
     @example(0, ["zeros", "ones", "random"], 10**9, 1, [1e-12, 1e-12, 0.5], "near")
     @example(1, ["random", "random"], 0, 3000, [1e-12, 0.05, 0.05], "none")
+    @example(2, ["random"], 10**9, 3000, [1e-12, 0.05, 0.05], "any")
     def test_equals_accumulated_endpoints(self, seed, kinds, start, cols, alphas, carry):
         heads = stream_rows(seed, kinds, start, cols)
         trials = start + np.arange(1, cols + 1, dtype=float)
@@ -708,74 +717,6 @@ def carried_bounds(seed, carry, heads, trials, alpha):
         return lo0, up0
     lo0 = rng.uniform(0.0, 1.0, rows)
     return lo0, rng.uniform(lo0, 1.0)
-
-
-class TestBettingRunningAt:
-    """``betting_running_at`` gives the accumulated ``betting_endpoints`` at the asked columns."""
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        kinds=st.lists(STREAMS, min_size=1, max_size=3),
-        start=st.one_of(st.integers(0, 60), st.integers(0, 10**9), st.just(10**9)),
-        cols=st.one_of(st.just(1), st.integers(1, 3000)),
-        picks=st.one_of(st.just(1), st.integers(1, 40)),
-        alphas=st.lists(ALPHAS, min_size=3, max_size=3),
-        carry=st.sampled_from(["none", "near", "any"]),
-    )
-    @example(0, ["zeros", "ones", "random"], 10**9, 1, 1, [1e-12, 1e-12, 0.5], "near")
-    @example(1, ["random", "random"], 0, 3000, 3, [1e-12, 0.05, 0.05], "none")
-    @example(2, ["random"], 10**9, 3000, 1, [1e-12, 0.05, 0.05], "any")
-    def test_equals_accumulated_endpoints(self, seed, kinds, start, cols, picks, alphas, carry):
-        heads = stream_rows(seed, kinds, start, cols)
-        trials = start + np.arange(1, cols + 1, dtype=float)
-        alpha = np.array(alphas[: len(kinds)])
-        lo0, up0 = carried_bounds(seed, carry, heads, trials, alpha)
-        at = np.unique(np.random.default_rng(seed + 2).integers(0, cols, picks))
-        got = betting_running_at(heads, trials, alpha, lo0, up0, at)
-        want = accumulated_endpoints(heads, trials, alpha, lo0, up0)
-        for g, w in zip(got, want):
-            assert g.shape == (len(kinds), at.size) and g.tobytes() == w[:, at].tobytes()
-
-    def test_solves_each_step_at_most_once(self, monkeypatch):
-        # 8 columns asked of a 4,000-step p = 0.4 stream: a few steps are
-        # solved per asked column, none twice, far fewer than the steps that
-        # move a bound (each of which betting_running solves)
-        solved = []
-        real = anytime.sequences.betting_endpoints
-
-        def recording(heads, trials, alpha):
-            solved.extend(zip(np.ravel(heads).tolist(), np.ravel(trials).tolist()))
-            return real(heads, trials, alpha)
-
-        monkeypatch.setattr(anytime.sequences, "betting_endpoints", recording)
-        bits = np.random.default_rng(11).random(4000) < 0.4
-        heads = (40 + np.cumsum(bits))[None, :].astype(float)
-        trials = 100 + np.arange(1, 4001, dtype=float)
-        at = np.array([0, 63, 500, 501, 2047, 3000, 3998, 3999])
-        lo, up = betting_running_at(heads, trials, [0.001], [0.0], [1.0], at)
-        want = accumulated_endpoints(heads, trials, [0.001], [0.0], [1.0])
-        assert lo.tobytes() == want[0][:, at].tobytes() and up.tobytes() == want[1][:, at].tobytes()
-        moves = np.count_nonzero(
-            (np.diff(want[0][0], prepend=0.0) > 0) | (np.diff(want[1][0], prepend=1.0) < 0)
-        )
-        assert len(set(solved)) == len(solved) <= 4 * at.size < moves, (len(solved), moves)
-
-    def test_blocks_carry_the_bounds(self, monkeypatch):
-        # blocks of 2 columns; most asked columns open a block, so the
-        # bounds carried out of it must come from its unasked last column
-        monkeypatch.setattr(anytime.sequences, "_BLOCK", 8)
-        heads = stream_rows(4, ["random", "random", "ones"], 5, 300)
-        trials = 5 + np.arange(1, 301, dtype=float)
-        alpha = np.array([0.01, 0.2, 0.01])
-        at = np.r_[2, 3, 50, 51, np.arange(52, 299, 6), 299]
-        got = betting_running_at(heads, trials, alpha, np.zeros(3), np.ones(3), at)
-        want = accumulated_endpoints(heads, trials, alpha, np.zeros(3), np.ones(3))
-        assert all(g.tobytes() == w[:, at].tobytes() for g, w in zip(got, want))
-
-    @pytest.mark.parametrize("cols", [[3, 2], [1, 1], [-1], [5], [[0, 1]]])
-    def test_rejects_bad_columns(self, cols):
-        with pytest.raises(ValueError):
-            betting_running_at(np.ones((1, 5)), np.arange(1.0, 6.0), 0.05, 0.0, 1.0, cols)
 
 
 class TestBettingFirstPass:
