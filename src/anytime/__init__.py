@@ -5,14 +5,13 @@ The package provides, in dependency order:
 * :mod:`anytime.binom` - numerically stable binomial tails, quantile
   helpers and the argument checks shared by everything else;
 * :mod:`anytime.intervals` - fixed-n confidence intervals: randomized
-  Clopper-Pearson (exact coverage), the deterministic variant, Hoeffding,
-  and exact coverage enumeration;
+  Clopper-Pearson (exact coverage), the deterministic variant, and exact
+  coverage enumeration;
 * :mod:`anytime.sequences` - confidence sequences: the union-bound
   construction over geometric stage schedules and the Krichevsky-
   Trofimov betting construction, plus halting-count tables;
 * :mod:`anytime.decision` - sequential threshold decisions built on the
-  sequences, with SPRT / staged / fixed-sample baselines and a
-  benchmark sweep;
+  sequences, with SPRT and staged baselines and a benchmark sweep;
 * :mod:`anytime.certify` - randomized-smoothing certification drivers
   (binary and multiclass) and the width-target estimation task;
 * :mod:`anytime.mc` - vectorized Monte Carlo harness used by the
@@ -40,19 +39,14 @@ from .decision import (
     Verdict,
     benchmark_sweep,
     decide_with_cs,
-    nonadaptive_hoeffding,
     sprt_ideal,
     staged_adaptive,
 )
 from .intervals import (
     Interval,
-    cp_lower,
     cp_upper,
     enumeration_coverage,
-    hoeffding_interval,
-    hoeffding_sample_size,
     rcp_lower,
-    rcp_two_sided,
     rcp_upper,
 )
 from .sampling import BernoulliSource, substream, substream_id
@@ -88,21 +82,16 @@ __all__ = [
     "binom_sf",
     "certify_binary",
     "certify_multiclass",
-    "cp_lower",
     "cp_upper",
     "decide_with_cs",
     "dp_thresholds",
     "enumeration_coverage",
     "gauss_quantile",
-    "hoeffding_interval",
-    "hoeffding_sample_size",
     "kt_log_mixture",
     "kt_log_wealth",
     "log_binom_pmf",
-    "nonadaptive_hoeffding",
     "radius_gauss_l2",
     "rcp_lower",
-    "rcp_two_sided",
     "rcp_upper",
     "sprt_ideal",
     "staged_adaptive",

@@ -34,7 +34,8 @@ from .binom import _check_alpha, _check_count, _check_prob, gauss_quantile
 from .decision import DEFAULT_CAP, Verdict, _staged, _union_schedule
 from .decision import decide_with_cs
 from .intervals import Interval, rcp_upper_lo_bound
-from .sampling import _BLOCK, ZeroOneSource, as_bit_source, blocks, stage_heads
+from .sampling import _BLOCK, LabelOracle, ZeroOneSource, _CheckedLabels, as_bit_source, blocks
+from .sampling import stage_heads
 # betting_endpoints and rcp_upper_lo stay bound here: perfbench/selftest.py
 # checks that the tracer wraps them in every module that held them
 from .intervals import rcp_upper_lo  # noqa: F401
@@ -110,10 +111,15 @@ def _check_target(target_class: int, n_classes: int) -> None:
         raise ValueError(f"target_class {target_class} out of range")
 
 
+def _checked_labels(oracle) -> LabelOracle:
+    """``oracle``, with each block checked unless it is a :class:`ClassOracle`."""
+    return oracle if isinstance(oracle, ClassOracle) else _CheckedLabels(oracle)
+
+
 class _IndicatorSource(ZeroOneSource):
     """Bit stream "the oracle emitted the target class"."""
 
-    def __init__(self, oracle: ClassOracle, target: int):
+    def __init__(self, oracle: LabelOracle, target: int):
         self._oracle = oracle
         self._target = target
 
@@ -195,7 +201,7 @@ _CERT_FLIP = {
 
 
 def certify_binary(
-    oracle: ClassOracle,
+    oracle: LabelOracle,
     target_class: int,
     spec: CertSpec,
     cs_kind: str = "betting",
@@ -220,6 +226,7 @@ def certify_binary(
     feeds the union kind's randomized CP draws only.  A ``target_class``
     the oracle lacks raises before any sample is drawn.
     """
+    oracle = _checked_labels(oracle)
     _check_target(target_class, oracle.n_classes)
     p_star = binary_threshold(spec.radius, spec.sigma)
     source = _IndicatorSource(oracle, target_class)
@@ -231,7 +238,7 @@ def certify_binary(
 
 
 def certify_multiclass(
-    oracle: ClassOracle,
+    oracle: LabelOracle,
     spec: CertSpec,
     cs_kind: str = "betting",
     cap: int = DEFAULT_CAP,
@@ -255,6 +262,7 @@ def certify_multiclass(
     :class:`~anytime.sequences.UnionCS` and the :mod:`anytime.mc` kernels
     take any :class:`~anytime.sequences.Schedule`.
     """
+    oracle = _checked_labels(oracle)
     if oracle.n_classes < 2:
         raise ValueError("multiclass certification needs >= 2 classes")
     sched = _union_schedule(cs_kind, spec.alpha)

@@ -25,17 +25,12 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .binom import _check_alpha, _check_count, _check_prob, binom_cdf, binom_sf
-from .intervals import (
-    hoeffding_interval,
-    hoeffding_sample_size,
-    lower_tail_mix,
-    upper_tail_mix,
-)
+from .intervals import lower_tail_mix, upper_tail_mix
 from .sampling import (
     BernoulliSource,
     as_bit_source,
@@ -307,40 +302,6 @@ def _staged(p, stream, alpha, cap, sides) -> tuple[Verdict, int]:
     if len(stages) < len(DEFAULT_STAGES):
         return Verdict.UNDECIDED, cap
     return Verdict.ABSTAIN, t
-
-
-# ---------------------------------------------------------------------------
-# Nonadaptive fixed-sample baseline (needs a promised gap)
-
-
-class EqualityOutcome(NamedTuple):
-    verdict: Verdict
-    equal: bool
-    samples: int
-
-
-def nonadaptive_hoeffding(
-    q_hyp: float,
-    eps: float,
-    gamma: float,
-    stream,
-) -> EqualityOutcome:
-    """Fixed-sample equality test under the promise ``|mean - q_hyp|`` is 0 or > eps.
-
-    Draws ``hoeffding_sample_size(eps, gamma)`` bits and checks whether
-    ``q_hyp`` falls inside the two-sided Hoeffding interval at budget
-    ``gamma``.  Inside -> "Equal" (encoded as ``Verdict.UNDECIDED`` with
-    ``equal=True``); outside -> Greater/Less by which side ``q_hyp``
-    lies on.
-    """
-    _check_prob("q_hyp", q_hyp)
-    n = hoeffding_sample_size(eps, gamma)
-    (heads,) = stage_heads(as_bit_source(stream), [n])
-    interval = hoeffding_interval(heads, n, gamma)
-    if interval.contains(q_hyp):
-        return EqualityOutcome(Verdict.UNDECIDED, True, n)
-    verdict = Verdict.GREATER if q_hyp > interval.up else Verdict.LESS
-    return EqualityOutcome(verdict, False, n)
 
 
 # ---------------------------------------------------------------------------

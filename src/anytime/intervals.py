@@ -1,8 +1,7 @@
 """Fixed-sample confidence intervals for a Bernoulli mean.
 
-Implements the classical (deterministic) Clopper-Pearson construction, its
-randomized refinement with exact ``1 - alpha`` coverage, and the Hoeffding
-interval used by the nonadaptive baseline.
+Implements the classical (deterministic) Clopper-Pearson construction and
+its randomized refinement with exact ``1 - alpha`` coverage.
 
 The randomized upper construction, for ``x`` observed successes out of ``n``
 and an external uniform draw ``w``, keeps ``p`` in the interval iff
@@ -23,8 +22,6 @@ cell with two evaluations of the mixture, which gives the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import math
 
 import numpy as np
 from scipy import special
@@ -57,7 +54,7 @@ class Interval:
         return self.lo <= p <= self.up
 
 
-def _check_interval_args(x: int, n: int, alpha: float, w: float = 1.0) -> None:
+def _check_interval_args(x: int, n: int, alpha: float, w: float) -> None:
     _check_count("n", n)
     _check_count("x", x, minimum=0)
     if not x <= n:
@@ -225,49 +222,6 @@ def rcp_lower(x: int, n: int, alpha: float, w: float) -> Interval:
 def cp_upper(x: int, n: int, alpha: float) -> Interval:
     """Deterministic Clopper-Pearson upper interval (``w = 1`` case)."""
     return rcp_upper(x, n, alpha, 1.0)
-
-
-def cp_lower(x: int, n: int, alpha: float) -> Interval:
-    """Deterministic Clopper-Pearson lower interval (``w = 1`` case)."""
-    return rcp_lower(x, n, alpha, 1.0)
-
-
-def rcp_two_sided(x: int, n: int, alpha: float, w_up: float, w_lo: float) -> Interval:
-    """Two-sided randomized interval: both one-sided pieces at ``alpha / 2``.
-
-    With independent draws the two pieces can in principle cross; that event
-    lives inside an already-miscovering event, so the interval collapses to
-    the point at the sample mean (keeps the coverage accounting intact and
-    the return type well-formed).
-    """
-    _check_interval_args(x, n, alpha, 1.0)
-    lo = rcp_upper(x, n, alpha / 2.0, w_up).lo
-    up = rcp_lower(x, n, alpha / 2.0, w_lo).up
-    if lo > up:
-        mean = x / n
-        return Interval(mean, mean)
-    return Interval(lo, up)
-
-
-def hoeffding_interval(heads: int, trials: int, alpha: float) -> Interval:
-    """Two-sided Hoeffding interval ``mean +/- sqrt(ln(2/alpha) / (2 t))``."""
-    _check_interval_args(heads, trials, alpha)
-    mean = heads / trials
-    half = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
-    return Interval(max(0.0, mean - half), min(1.0, mean + half))
-
-
-def hoeffding_sample_size(eps: float, gamma: float) -> int:
-    """Samples for the fixed-width Hoeffding test: ``ceil(2 ln(1/gamma) / eps^2)``, at least 1."""
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    square = eps * eps  # underflows for eps below ~1e-154
-    size = 2.0 * math.log(1.0 / gamma) / square if square > 0.0 else math.inf
-    if not size < math.inf:  # NaN too: an overflowing eps with a subnormal gamma
-        raise ValueError(f"the Hoeffding sample size at eps={eps}, gamma={gamma} is not finite")
-    return max(1, math.ceil(size))
 
 
 def enumeration_coverage(

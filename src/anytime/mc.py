@@ -73,10 +73,10 @@ def union_ever_excluded(
     _check_prob("p", p)
     n_streams, horizon = bits.shape
     bounds, half, windows = union_windows(p, schedule, horizon)
-    heads = np.cumsum(bits, axis=1, dtype=np.float64)
+    edges = (0,) + bounds  # heads at the stage boundaries only: each stage's sum, accumulated
+    heads = np.add.reduceat(bits[:, : edges[-1]], edges[:-1], axis=1, dtype=np.float64)
     ever = np.zeros(n_streams, dtype=bool)
-    for t, per_side, (less_from, greater_to) in zip(bounds, half, windows):
-        x = heads[:, t - 1]
+    for x, t, per_side, (less_from, greater_to) in zip(heads.cumsum(axis=1).T, bounds, half, windows):
         w_lo, w_up = union_draws(rng, 1, (n_streams,))[0]
         less = x >= less_from
         ever[less] |= upper_tail_mix(x[less], t, p, w_lo[less]) <= per_side

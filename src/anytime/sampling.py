@@ -206,6 +206,19 @@ class BitSource(Protocol):
         ...
 
 
+class LabelOracle(Protocol):
+    """A classifier under noise: ``sample(k)`` gives ``k`` labels in ``[0, n_classes)``.
+
+    Each block is a 1-d integer (not boolean) array; ``n_classes`` is an
+    integer >= 1.  The certifiers check each block of a caller's oracle.
+    """
+
+    n_classes: int
+
+    def sample(self, k: int) -> np.ndarray:  # pragma: no cover - protocol
+        ...
+
+
 class ZeroOneSource:
     """Base of sources whose blocks keep the :class:`BitSource` rule by construction.
 
@@ -283,6 +296,21 @@ class _CheckedSource(ZeroOneSource):
         if block.size > k:
             raise ValueError(f"take({k}) returned {block.size} bits")
         return block
+
+
+class _CheckedLabels:
+    """A caller's :class:`LabelOracle` with each block checked, and read as ``int64``."""
+
+    def __init__(self, oracle):
+        _check_count("n_classes", oracle.n_classes)
+        self.n_classes, self._oracle = int(oracle.n_classes), oracle
+
+    def sample(self, k: int) -> np.ndarray:
+        labels, n = self._oracle.sample(k), self.n_classes
+        ok = isinstance(labels, np.ndarray) and labels.dtype.kind in "iu" and labels.shape == (k,)
+        if not (ok and 0 <= labels.min() <= labels.max() < n):
+            raise ValueError(f"sample({k}) must return a 1-d integer array of {k} labels in [0, {n})")
+        return labels.astype(np.int64, copy=False)  # no narrow type for a reader to wrap in
 
 
 def as_bit_source(stream) -> BitSource:

@@ -124,14 +124,6 @@ def brute_halting_heads(t: int, p: Fraction, alpha: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hoeffding bits
-
-
-def exact_hoeffding_halfwidth(t: int, alpha: float) -> float:
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * t))
-
-
-# ---------------------------------------------------------------------------
 # Plain endpoint bisections (bit-exact references for the fast solvers)
 
 ENDPOINT_ITERS = 34  # halvings of [0, 1]: final bracket below 1e-10

@@ -23,8 +23,7 @@ from anytime.certify import CertSpec, ClassOracle, binary_threshold, certify_mul
 from anytime.certify import certify_binary, radius_gauss_l2
 from anytime.config import CertifyConfig, CoverageConfig, DecideConfig, ThresholdsConfig, WidthConfig
 from anytime.decision import benchmark_sweep, decide_with_cs, staged_adaptive
-from anytime.intervals import enumeration_coverage, hoeffding_interval, hoeffding_sample_size
-from anytime.intervals import rcp_two_sided, rcp_upper
+from anytime.intervals import enumeration_coverage, rcp_upper
 from anytime.mc import bernoulli_matrix, betting_ever_excluded, mc_coverage
 from anytime.mc import union_ever_excluded, union_trace
 from anytime.sampling import BernoulliSource, run_jobs, substream, substream_id
@@ -76,8 +75,6 @@ REJECTED = {
     "certify_staged class -1": lambda: certify_binary(_oracle(), -1, SPEC, "adaptive"),
     "rcp_upper fractional x": lambda: rcp_upper(3.5, 10, 0.05, 0.5),
     "rcp_upper fractional n": lambda: rcp_upper(3, 10.5, 0.05, 0.5),
-    "rcp_two_sided fractional x": lambda: rcp_two_sided(1.5, 3, 0.05, 0.5, 0.5),
-    "hoeffding_interval fractional heads": lambda: hoeffding_interval(3.5, 10, 0.05),
     "decide_with_cs boolean cap": lambda: decide_with_cs(
         "betting", 0.5, np.ones(10), 0.05, cap=True
     ),
@@ -110,7 +107,6 @@ REJECTED = {
     "betting_endpoints fractional trials array": lambda: betting_endpoints(
         np.array([1.0, 2.0]), np.array([2.0, 3.5]), 0.05
     ),
-    "hoeffding_sample_size eps inf": lambda: hoeffding_sample_size(math.inf, 0.05),
     "UnionCS NaN draw": lambda: UnionCS(Schedule(0.05), draws=lambda: math.nan).update(1),
     "UnionCS draw -1": lambda: UnionCS(Schedule(0.05), draws=lambda: -1.0).update(1),
     "UnionCS upper draw 1.5": lambda: UnionCS(
@@ -208,16 +204,6 @@ REJECTED = {
     "betting_first_pass trials past 2**53": lambda: betting_first_pass(
         np.array([[10**16]]), np.array([10**16]), 0.05, 0.0, 1.0, _never
     ),
-    # eps * eps underflows: a division by 0, or a size of inf
-    "hoeffding_sample_size eps 1e-300": lambda: hoeffding_sample_size(1e-300, 0.05),
-    "hoeffding_sample_size eps 1e-160": lambda: hoeffding_sample_size(1e-160, 0.05),
-    "hoeffding_sample_size subnormal gamma": lambda: hoeffding_sample_size(0.01, 5e-324),
-    "nonadaptive_hoeffding eps 1e-300": lambda: decision.nonadaptive_hoeffding(
-        0.5, 1e-300, 0.05, np.ones(0)
-    ),
-    "nonadaptive_hoeffding eps 1e-160": lambda: decision.nonadaptive_hoeffding(
-        0.5, 1e-160, 0.05, np.ones(0)
-    ),
     "Schedule budget of stage True": lambda: Schedule(0.05).budget(True),
     "Schedule budget of stage 2.5": lambda: Schedule(0.05).budget(2.5),
     "radius_gauss_l2 infinite sigma": lambda: radius_gauss_l2(0.5, 0.5, math.inf),
@@ -236,17 +222,63 @@ def test_rejects_input_outside_the_domain(call):
         call()
 
 
+class _CallersOracle:
+    """A caller's three-class oracle, not a ClassOracle: ``draw(rng, k)`` makes each block."""
+
+    n_classes = 3
+
+    def __init__(self, draw):
+        self._draw, self._rng = draw, substream(0, "labels")
+
+    def sample(self, k):
+        return self._draw(self._rng, k)
+
+
+def _labels(k, rng, high=3):
+    return rng.integers(0, high, k)
+
+
+# each block breaks the label rule; each used to give a verdict or an
+# error from deep inside a certifier (a numpy broadcast, an index, a type)
+BAD_LABELS = {
+    "labels past n_classes": lambda rng, k: _labels(k, rng, high=5),
+    "half a block": lambda rng, k: _labels(k // 2, rng),
+    "twice a block": lambda rng, k: _labels(2 * k, rng),
+    "a list": lambda rng, k: _labels(k, rng).tolist(),
+    "boolean labels": lambda rng, k: _labels(k, rng) > 0,
+    "float labels": lambda rng, k: _labels(k, rng).astype(float),
+    "a 2-d block": lambda rng, k: _labels(k, rng)[:, None],
+}
+
+
+CERTIFIERS = {
+    "multiclass betting": lambda oracle, spec: certify_multiclass(oracle, spec, "betting", 20_000),
+    "multiclass union": lambda oracle, spec: certify_multiclass(oracle, spec, "union", 20_000),
+    "binary betting": lambda oracle, spec: certify_binary(oracle, 0, spec, "betting", 20_000),
+    "binary union": lambda oracle, spec: certify_binary(oracle, 0, spec, "union", 20_000),
+}
+
+
+@pytest.mark.parametrize("certify", CERTIFIERS.values(), ids=CERTIFIERS.keys())
+@pytest.mark.parametrize("draw", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+def test_a_callers_labels_are_checked_before_a_verdict(draw, certify):
+    rule = r"must return a 1-d integer array of \d+ labels in \[0, 3\)"
+    with pytest.raises(ValueError, match=rule):
+        certify(_CallersOracle(draw), CertSpec(1.0, 0.1, 0.001))
+
+
+@pytest.mark.parametrize("n_classes", [2.5, True, 0])
+def test_a_callers_class_count_is_an_integer_above_zero(n_classes):
+    oracle = _CallersOracle(lambda rng, k: _labels(k, rng))
+    oracle.n_classes = n_classes
+    with pytest.raises(ValueError, match="n_classes must be"):
+        certify_multiclass(oracle, SPEC)
+
+
 @pytest.mark.parametrize("make", [lambda: BettingCS(0.05), lambda: UnionCS(Schedule(0.05))])
 def test_a_boolean_bit_is_still_a_bit(make):
     # bits are 0 or 1 however they are typed; only counts must be integers
     assert make().update(True) == make().update(1)
-
-
-def test_an_infinite_eps_is_named_before_any_draw():
-    # it used to give a sample size of 0, and hoeffding_interval then
-    # failed on an n that nonadaptive_hoeffding's caller never passed
-    with pytest.raises(ValueError, match="eps must be positive and finite"):
-        decision.nonadaptive_hoeffding(0.5, math.inf, 0.05, np.ones(0))
 
 
 def test_betting_counts_up_to_2_53_are_accepted():
@@ -255,17 +287,6 @@ def test_betting_counts_up_to_2_53_are_accepted():
     assert [float(v) for v in betting_endpoints(2**53, 2**53, 0.05)] == want
     got = betting_running(np.array([[2**53]]), np.array([2**53]), 0.05, 0.0, 1.0)
     assert [float(v[0, 0]) for v in got] == want
-
-
-def test_a_huge_finite_eps_still_draws_one_sample():
-    # eps * eps overflows to inf; the sample size stays at least 1
-    assert hoeffding_sample_size(1e200, 0.05) == 1
-    assert hoeffding_sample_size(1.0, 0.05) == 6
-
-
-def test_an_eps_near_the_underflow_keeps_the_size_of_the_expression():
-    eps = 1e-150
-    assert hoeffding_sample_size(eps, 0.05) == math.ceil(2.0 * math.log(1.0 / 0.05) / (eps * eps))
 
 
 def test_a_stage_index_below_one_keeps_its_message():

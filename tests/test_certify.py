@@ -714,6 +714,28 @@ class TestCertifyMulticlass:
             verdicts.add(want[0])
         assert "undecided" in verdicts if cap < 4096 else {"greater", "less"} <= verdicts
 
+    @pytest.mark.parametrize("cs_kind", ["betting", "union"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_a_callers_oracle_gives_the_class_oracles_verdict(self, cs_kind, dtype):
+        # a caller's blocks are checked and read as int64, so a uint8
+        # block's ranks within a class do not wrap past 255
+        class CallersOracle:
+            n_classes = len(self.PROBS)
+
+            def __init__(self, oracle):
+                self._oracle = oracle
+
+            def sample(self, k):
+                return self._oracle.sample(k).astype(dtype)
+
+        def run(wrap):
+            oracle = wrap(ClassOracle(self.PROBS, substream(24, "callers", cs_kind)))
+            draws = substream(24, "callers-w", cs_kind)
+            return certify_multiclass(oracle, self.SPEC, cs_kind, cap=30_000, rng=draws)
+
+        assert run(CallersOracle) == run(lambda oracle: oracle)
+        assert run(CallersOracle)[0] is Verdict.GREATER
+
     def test_validation(self):
         oracle = ClassOracle(self.PROBS, substream(0, "mcv"))
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from anytime.decision import (
     benchmark_sweep,
     decide_with_cs,
     gap_lower_bound_info,
-    nonadaptive_hoeffding,
     run_trial,
     sprt_ideal,
     staged_adaptive,
@@ -343,27 +342,6 @@ class TestStagedAdaptive:
             stream = BernoulliSource(substream(22, "tiny-cs", trial), 0.501)
             verdict, samples = decide_with_cs("betting", 0.5, stream, 0.001, cap=cap)
             assert (verdict, samples) == (Verdict.UNDECIDED, cap)
-
-
-class TestNonadaptiveHoeffding:
-    def test_equal_at_true_hypothesis(self):
-        equal = 0
-        for trial in range(300):
-            stream = BernoulliSource(substream(31, "eq", trial), 0.5)
-            out = nonadaptive_hoeffding(0.5, 0.1, 0.05, stream)
-            assert out.samples == 600
-            equal += out.equal
-        assert equal / 300 >= 0.95
-
-    def test_separated_mean_rejects_equality(self):
-        for trial in range(100):
-            stream = BernoulliSource(substream(32, "sep", trial), 0.7)
-            out = nonadaptive_hoeffding(0.5, 0.1, 0.05, stream)
-            assert not out.equal and out.verdict is Verdict.LESS
-
-    def test_degenerate_eps_always_equal(self):
-        out = nonadaptive_hoeffding(0.5, 1.0, math.exp(-1.0), ArraySource([1, 1]))
-        assert out.equal and out.samples == 2
 
 
 class TestSweep:

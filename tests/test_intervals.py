@@ -19,23 +19,15 @@ from hypothesis import strategies as st
 from anytime.binom import binom_cdf
 from anytime.intervals import (
     Interval,
-    cp_lower,
     cp_upper,
     enumeration_coverage,
-    hoeffding_interval,
-    hoeffding_sample_size,
     lower_tail_mix,
     rcp_lower,
-    rcp_two_sided,
     rcp_upper,
     upper_tail_mix,
 )
 
-from oracles import exact_binom_sf, exact_hoeffding_halfwidth
-
-
-def _pair(iv: Interval) -> tuple[float, float]:
-    return (iv.lo, iv.up)
+from oracles import exact_binom_sf
 
 
 class TestTailMix:
@@ -81,7 +73,7 @@ class TestClopperPearson:
         assert iv.up == 1.0 and 0.0 < iv.lo < 1.0
 
     def test_lower_mirrors_upper(self):
-        up = cp_lower(3, 10, 0.07).up
+        up = rcp_lower(3, 10, 0.07, 1.0).up
         np.testing.assert_allclose(up, 1.0 - cp_upper(7, 10, 0.07).lo, atol=1e-9)
 
     @pytest.mark.parametrize("x,n,alpha", [(2, 2, 0.05), (5, 12, 0.01), (1, 30, 0.001)])
@@ -133,21 +125,6 @@ class TestRandomizedCP:
         np.testing.assert_allclose(lower.up, 1.0 - upper.lo, atol=1e-9)
 
 
-class TestTwoSided:
-    def test_deterministic_n2_values(self):
-        np.testing.assert_allclose(
-            _pair(rcp_two_sided(1, 2, 0.1, 1.0, 1.0)), (0.0253, 0.9747), atol=1e-3
-        )
-        np.testing.assert_allclose(_pair(rcp_two_sided(0, 2, 0.1, 1.0, 1.0)), (0.0, 0.7764), atol=1e-3)
-        np.testing.assert_allclose(_pair(rcp_two_sided(2, 2, 0.1, 1.0, 1.0)), (0.2236, 1.0), atol=1e-3)
-
-    def test_empty_intersection_collapses_to_mean(self):
-        # with a huge budget and tiny w draws both one-sided bounds overshoot
-        # past each other; the documented fallback is the sample-mean point
-        iv = rcp_two_sided(1, 2, 0.9, 1e-9, 1e-9)
-        assert iv.lo == iv.up == 0.5
-
-
 class TestEnumerationCoverage:
     def test_randomized_is_exact_everywhere(self):
         for p in (0.013, 0.2, 0.5, 0.91, 0.987):
@@ -184,27 +161,6 @@ class TestEnumerationCoverage:
     def test_rejects_alpha_outside_the_unit_interval_and_n_below_one(self, n, alpha):
         with pytest.raises(ValueError):
             enumeration_coverage(n, 0.5, alpha)
-
-
-class TestHoeffding:
-    def test_frozen_interval_values(self):
-        iv = hoeffding_interval(50, 100, 2.0 * math.exp(-2.0))
-        np.testing.assert_allclose(_pair(iv), (0.4, 0.6), atol=1e-12)
-        np.testing.assert_allclose(_pair(hoeffding_interval(0, 10, 0.05)), (0.0, 0.4295), atol=1e-3)
-        np.testing.assert_allclose(_pair(hoeffding_interval(10, 10, 0.05)), (0.5705, 1.0), atol=1e-3)
-
-    def test_width_before_clamping(self):
-        iv = hoeffding_interval(30, 60, 0.13)
-        np.testing.assert_allclose(iv.width, 2.0 * exact_hoeffding_halfwidth(60, 0.13), atol=1e-12)
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            hoeffding_interval(0, 0, 0.1)
-
-    def test_sample_sizes(self):
-        assert hoeffding_sample_size(0.1, 0.05) == 600
-        assert hoeffding_sample_size(1.0, math.exp(-1.0)) == 2
-        assert hoeffding_sample_size(0.01, 0.001) == 138156
 
 
 class TestInterval:

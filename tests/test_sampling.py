@@ -98,6 +98,41 @@ class TestSubstream:
             child = substream(42, *path, i, into=rekeyable_generator())
             np.testing.assert_array_equal(child.random(8), ref_child.random(8))
 
+    # Committed known answers: substream_id, the first four raw Philox words
+    # and the first four doubles, for three keys.  test_keys_restate_seed_sequence
+    # compares against numpy, which would move along with a change to it.
+    KNOWN_STREAMS = {
+        (42,): (
+            0x9F1E2E6DCD540AB7,
+            (0x16092F00ECDAB98A, 0x243D19CC24021070, 0x4524D130684EFE02, 0xDFC0F20C3C4B5BCA),
+            ("0x1.6092f00ecdab8p-4", "0x1.21e8ce6120108p-3", "0x1.149344c1a13bep-2", "0x1.bf81e4187896bp-1"),
+        ),
+        (42, "decide", 0, 0): (
+            0xF293571AA8A136F0,
+            (0x87EB2552186D4F57, 0x0038F6D89702C648, 0x89FF45330D7DA467, 0x8D41322CC9F3B8B6),
+            ("0x1.0fd64aa430da9p-1", "0x1.c7b6c4b816000p-11", "0x1.13fe8a661afb4p-1", "0x1.1a82645993e77p-1"),
+        ),
+        (7, "certify", "betting", 1, 2, 0): (
+            0x0D86A138B4CDA544,
+            (0x3A09CA7D18FD3A65, 0xDC01334624B37015, 0x55B0EDE36A9966D6, 0xA0E00BA8B54621F3),
+            ("0x1.d04e53e8c7e9cp-3", "0x1.b802668c4966ep-1", "0x1.56c3b78daa658p-2", "0x1.41c017516a8c4p-1"),
+        ),
+    }
+
+    @pytest.mark.parametrize("key", KNOWN_STREAMS, ids=str)
+    @pytest.mark.parametrize("rekeyed", [False, True])
+    def test_streams_match_committed_known_answers(self, key, rekeyed):
+        def generator():
+            return substream(*key, into=rekeyable_generator() if rekeyed else None)
+
+        sid, raw, doubles = self.KNOWN_STREAMS[key]
+        got = (
+            substream_id(*key),
+            tuple(int(w) for w in generator().bit_generator.random_raw(4)),
+            tuple(float.hex(float(x)) for x in generator().random(4)),
+        )
+        assert got == (sid, raw, doubles), "numpy's stream changed: every digest would move"
+
     def test_rekeying_carries_nothing_between_trials(self):
         gen = rekeyable_generator()
         for drawn in (0, 1, 3, 5, 4096):
