@@ -164,44 +164,35 @@ def run_decide(cfg: DecideConfig) -> tuple[str, str]:
 
 
 def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
-    # one generator per role, re-keyed for each trial to the paths
-    # (..., 0) and (..., 1): the children spawn(2) gives the trial's path
+    # one loop over (cs, radius) cells, then trials, on the calling thread.
+    # One generator per role, re-keyed for each trial to the paths (..., 0)
+    # and (..., 1): the children spawn(2) gives the trial's path
     labels_rng, draws_rng = rekeyable_generator(), rekeyable_generator()
-
-    def cell(job):
-        cs, ri = job
-        radius = cfg.radii[ri]
-        spec = CertSpec(cfg.sigma, radius, cfg.alpha, cfg.lam)
-        out = []
-        for trial in range(cfg.trials):
-            path = ("certify", cs, ri, trial)
-            sid = substream_id(cfg.seed, *path)
-            oracle_rng = substream(cfg.seed, *path, 0, into=labels_rng)
-            w_rng = substream(cfg.seed, *path, 1, into=draws_rng)
-            oracle = ClassOracle(cfg.probs, oracle_rng)
-            if cfg.mode == "binary":
-                verdict, used = certify_binary(
-                    oracle, cfg.target_class, spec, cs, cfg.cap, rng=w_rng
-                )
-            else:
-                verdict, used = certify_multiclass(
-                    oracle, spec, cs, cfg.cap, rng=w_rng, warmup=cfg.warmup
-                )
-            out.append(
-                (cfg.mode, cs, cfg.sigma, radius, cfg.alpha, cfg.lam, verdict.value, used, sid)
+    rows, summary_rows = [], []
+    for cs in cfg.cs:
+        for ri, radius in enumerate(cfg.radii):
+            spec = CertSpec(cfg.sigma, radius, cfg.alpha, cfg.lam)
+            columns = (cfg.mode, cs, cfg.sigma, radius, cfg.alpha, cfg.lam)
+            for trial in range(cfg.trials):
+                path = ("certify", cs, ri, trial)
+                oracle_rng = substream(cfg.seed, *path, 0, into=labels_rng)
+                w_rng = substream(cfg.seed, *path, 1, into=draws_rng)
+                oracle = ClassOracle(cfg.probs, oracle_rng)
+                if cfg.mode == "binary":
+                    verdict, used = certify_binary(
+                        oracle, cfg.target_class, spec, cs, cfg.cap, rng=w_rng
+                    )
+                else:
+                    verdict, used = certify_multiclass(
+                        oracle, spec, cs, cfg.cap, rng=w_rng, warmup=cfg.warmup
+                    )
+                rows.append((*columns, verdict.value, used, substream_id(cfg.seed, *path)))
+            cell_rows = rows[-cfg.trials :]
+            samples = np.array([row[7] for row in cell_rows], dtype=float)
+            rate = sum(row[6] == "greater" for row in cell_rows) / cfg.trials
+            summary_rows.append(
+                (*columns, cfg.trials, rate, float(samples.mean()), float(samples.std()))
             )
-        return out
-
-    jobs = [(cs, ri) for cs in cfg.cs for ri in range(len(cfg.radii))]
-    chunks = [cell(job) for job in jobs]
-    rows = [row for chunk in chunks for row in chunk]
-    summary_rows = []
-    for chunk in chunks:  # a row's first six columns are its cell's
-        samples = np.array([row[7] for row in chunk], dtype=float)
-        rate = sum(row[6] == "greater" for row in chunk) / cfg.trials
-        summary_rows.append(
-            (*chunk[0][:6], cfg.trials, rate, float(samples.mean()), float(samples.std()))
-        )
     return (
         _csv("mode,cs,sigma,radius,alpha,lambda,verdict,samples,seed", rows),
         _csv(

@@ -397,12 +397,15 @@ def benchmark_sweep(
     bit-for-bit whatever the execution order; a union trial reads the
     paths ``(..., 0)`` and ``(..., 1)`` below it.  The sweep re-keys one
     generator per role for each trial (:func:`~anytime.sampling.substream`
-    with ``into``) before the trial's clock starts.  The trials run in
-    order on the calling thread: they are mostly Python, so a thread pool
-    would only add GIL hand-offs to each trial's ``wall_ns``.  The union
-    trials of one threshold share its cached stage cell (see
-    :func:`decide_with_cs`): the first trial builds every stage's count
-    windows at once, and every trial evaluates a tail only near them.
+    with ``into``) before the trial's clock starts.  The sweep is one loop
+    over methods, then thresholds, then trials, on the calling thread: the
+    trials are mostly Python, so a thread pool would only add GIL hand-offs
+    to each trial's ``wall_ns``.  The summaries follow once every cell has
+    run, so each finds its threshold's SPRT mean wherever ``"sprt"`` sits
+    in ``methods``.  The union trials of one threshold share its cached
+    stage cell (see :func:`decide_with_cs`): the first trial builds every
+    stage's count windows at once, and every trial evaluates a tail only
+    near them.
 
     Returns the flat trial records plus per-(method, threshold) summaries
     (mean samples, ratio to the SPRT mean at the same threshold, and the
@@ -414,42 +417,29 @@ def benchmark_sweep(
 
     # one generator per role, re-keyed for each trial
     bits_rng, draws_rng = rekeyable_generator(), rekeyable_generator()
+    records, mean_samples = [], {}
+    for method in methods:
+        for gi, p in enumerate(grid):
+            for trial in range(trials):
+                path = (method, gi, trial)
+                children = None
+                if method == "union":
+                    rng = substream(seed, *path, 0, into=bits_rng)
+                    children = (rng, substream(seed, *path, 1, into=draws_rng))
+                else:
+                    rng = substream(seed, *path, into=bits_rng)
+                start = time.perf_counter_ns()
+                verdict, samples = run_trial(method, p, q, alpha, cap, rng, children)
+                wall = time.perf_counter_ns() - start
+                sid = substream_id(seed, *path)
+                records.append(TrialRecord(method, p, q, alpha, trial, verdict, samples, sid, wall))
+            mean_samples[method, gi] = float(np.mean([r.samples for r in records[-trials:]]))
 
-    def cell(method: str, gi: int) -> list[TrialRecord]:
-        p = grid[gi]
-        records = []
-        for trial in range(trials):
-            path = (method, gi, trial)
-            sid = substream_id(seed, *path)
-            children = None
-            if method == "union":
-                rng = substream(seed, *path, 0, into=bits_rng)
-                children = (rng, substream(seed, *path, 1, into=draws_rng))
-            else:
-                rng = substream(seed, *path, into=bits_rng)
-            start = time.perf_counter_ns()
-            verdict, samples = run_trial(method, p, q, alpha, cap, rng, children)
-            wall = time.perf_counter_ns() - start
-            records.append(
-                TrialRecord(method, p, q, alpha, trial, verdict, samples, sid, wall)
-            )
-        return records
-
-    jobs = [(method, gi) for method in methods for gi in range(len(grid))]
-    chunks = [cell(method, gi) for method, gi in jobs]
-    records = [rec for chunk in chunks for rec in chunk]
-
-    mean_samples = {
-        (method, gi): float(np.mean([r.samples for r in chunk]))
-        for (method, gi), chunk in zip(jobs, chunks)
-    }
+    # every cell has run, so each ratio finds the sprt mean wherever sprt sits in methods
     summaries = []
-    for method, gi in jobs:
-        p = grid[gi]
-        sprt_mean = mean_samples.get(("sprt", gi), math.nan)
-        mean = mean_samples[(method, gi)]
-        ratio = mean / sprt_mean if sprt_mean == sprt_mean and sprt_mean > 0 else math.nan
-        summaries.append(
-            SweepSummary(method, p, mean, ratio, gap_lower_bound_info(abs(p - q)))
-        )
+    for method in methods:
+        for gi, p in enumerate(grid):
+            mean, sprt_mean = mean_samples[method, gi], mean_samples.get(("sprt", gi), math.nan)
+            ratio = mean / sprt_mean if sprt_mean == sprt_mean and sprt_mean > 0 else math.nan
+            summaries.append(SweepSummary(method, p, mean, ratio, gap_lower_bound_info(abs(p - q))))
     return records, summaries

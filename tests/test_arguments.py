@@ -71,8 +71,8 @@ REJECTED = {
         10, 0.5, 0.05, "rcp", "upper", 2.5, substream(0, "mc")
     ),
     "staged_adaptive fractional cap": lambda: staged_adaptive(0.5, np.ones(200), 0.05, 150.5),
-    "certify_staged class 5": lambda: certify_binary(_oracle(), 5, SPEC, "adaptive"),
-    "certify_staged class -1": lambda: certify_binary(_oracle(), -1, SPEC, "adaptive"),
+    "certify_binary adaptive class 5": lambda: certify_binary(_oracle(), 5, SPEC, "adaptive"),
+    "certify_binary adaptive class -1": lambda: certify_binary(_oracle(), -1, SPEC, "adaptive"),
     "rcp_upper fractional x": lambda: rcp_upper(3.5, 10, 0.05, 0.5),
     "rcp_upper fractional n": lambda: rcp_upper(3, 10.5, 0.05, 0.5),
     "decide_with_cs boolean cap": lambda: decide_with_cs(

@@ -229,7 +229,7 @@ class TestBlockSizes:
         assert outcomes[4096][1] in DEFAULT_STAGES
 
     @pytest.mark.parametrize("radius", [0.2, 0.1, 0.25])
-    def test_certify_staged_verdict_independent_of_block(self, monkeypatch, radius):
+    def test_certify_binary_adaptive_verdict_independent_of_block(self, monkeypatch, radius):
         spec = CertSpec(1.0, radius, 0.01)
         outcomes = self.outcomes(
             monkeypatch,
@@ -376,6 +376,17 @@ class TestSweep:
         backwards, _ = benchmark_sweep(trials=4, methods=METHODS[::-1], **kwargs)
         assert strip(first) == strip(r for r in full if r.trial == 0)
         assert strip(backwards) == strip(full)
+
+    def test_summaries_do_not_depend_on_method_order(self):
+        # with sprt run last, every other method's ratio must still read the
+        # sprt mean of its threshold
+        kwargs = dict(q=0.91, alpha=0.01, grid=[0.4, 0.9, 0.96], trials=3, cap=3000, seed=11)
+        values = lambda ss: {(s.method, s.p): (s.mean_samples, s.ratio_vs_sprt) for s in ss}
+        _, default = benchmark_sweep(**kwargs)
+        _, sprt_last = benchmark_sweep(methods=("betting", "union", "adaptive", "sprt"), **kwargs)
+        assert METHODS[0] == "sprt"
+        assert values(sprt_last) == values(default)
+        assert not any(math.isnan(s.ratio_vs_sprt) for s in sprt_last)
 
     def test_summary_ratio_and_lower_bound(self):
         records, summaries = benchmark_sweep(

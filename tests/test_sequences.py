@@ -50,6 +50,7 @@ from oracles import (
     bisect_count_edge,
     bisect_exclusion_edge,
     brute_halting_heads,
+    exact_kt_log_wealth,
     exact_kt_mixture,
     kt_log_mixture_by_gammaln,
     stepping_boundaries,
@@ -90,9 +91,8 @@ class TestKtMixture:
 
     def test_wealth_closed_form(self):
         # logW = logQ - logP at a few exact points
-        p = Fraction(1, 4)
         for h, t in [(2, 2), (5, 9), (0, 6)]:
-            exact = math.log(exact_kt_mixture(h, t) / (p**h * (1 - p) ** (t - h)))
+            exact = exact_kt_log_wealth(h, t, Fraction(1, 4))
             np.testing.assert_allclose(kt_log_wealth(h, t, 0.25), exact, atol=1e-10)
 
     def test_degenerate_p_limits(self):
