@@ -50,7 +50,7 @@ from .config import (
 from .decision import DEFAULT_CAP, DEFAULT_STAGES, METHODS, benchmark_sweep
 from .intervals import enumeration_coverage
 from .mc import betting_trace, mc_coverage, union_trace
-from .sampling import rekeyable_generator, run_jobs, substream, substream_id
+from .sampling import keyed_trials, rekeyable_generator, run_jobs, substream, substream_id
 from .sequences import Schedule, dp_thresholds
 
 _CHUNK_ROWS = 8192  # rows of the thresholds table formatted at a time
@@ -164,35 +164,37 @@ def run_decide(cfg: DecideConfig) -> tuple[str, str]:
 
 
 def run_certify(cfg: CertifyConfig) -> tuple[str, str]:
-    # one loop over (cs, radius) cells, then trials, on the calling thread.
-    # One generator per role, re-keyed for each trial to the paths (..., 0)
-    # and (..., 1): the children spawn(2) gives the trial's path
+    # one loop per sequence over its (radius, trial) pairs, on the calling
+    # thread.  One generator per role, re-keyed for each trial to the paths
+    # (..., 0) and (..., 1), the children spawn(2) gives the trial's path,
+    # from keys keyed_trials mixes a chunk of trials at a time
     labels_rng, draws_rng = rekeyable_generator(), rekeyable_generator()
+    specs = [CertSpec(cfg.sigma, radius, cfg.alpha, cfg.lam) for radius in cfg.radii]
     rows, summary_rows = [], []
     for cs in cfg.cs:
-        for ri, radius in enumerate(cfg.radii):
-            spec = CertSpec(cfg.sigma, radius, cfg.alpha, cfg.lam)
-            columns = (cfg.mode, cs, cfg.sigma, radius, cfg.alpha, cfg.lam)
-            for trial in range(cfg.trials):
-                path = ("certify", cs, ri, trial)
-                oracle_rng = substream(cfg.seed, *path, 0, into=labels_rng)
-                w_rng = substream(cfg.seed, *path, 1, into=draws_rng)
-                oracle = ClassOracle(cfg.probs, oracle_rng)
-                if cfg.mode == "binary":
-                    verdict, used = certify_binary(
-                        oracle, cfg.target_class, spec, cs, cfg.cap, rng=w_rng
-                    )
-                else:
-                    verdict, used = certify_multiclass(
-                        oracle, spec, cs, cfg.cap, rng=w_rng, warmup=cfg.warmup
-                    )
-                rows.append((*columns, verdict.value, used, substream_id(cfg.seed, *path)))
-            cell_rows = rows[-cfg.trials :]
-            samples = np.array([row[7] for row in cell_rows], dtype=float)
-            rate = sum(row[6] == "greater" for row in cell_rows) / cfg.trials
-            summary_rows.append(
-                (*columns, cfg.trials, rate, float(samples.mean()), float(samples.std()))
-            )
+        pairs = keyed_trials(cfg.seed, ("certify", cs), len(cfg.radii), cfg.trials, children=True)
+        for ri, trial in pairs:
+            spec, columns = specs[ri], (cfg.mode, cs, cfg.sigma, cfg.radii[ri], cfg.alpha, cfg.lam)
+            path = ("certify", cs, ri, trial)
+            oracle_rng = substream(cfg.seed, *path, 0, into=labels_rng)
+            w_rng = substream(cfg.seed, *path, 1, into=draws_rng)
+            oracle = ClassOracle(cfg.probs, oracle_rng)
+            if cfg.mode == "binary":
+                verdict, used = certify_binary(
+                    oracle, cfg.target_class, spec, cs, cfg.cap, rng=w_rng
+                )
+            else:
+                verdict, used = certify_multiclass(
+                    oracle, spec, cs, cfg.cap, rng=w_rng, warmup=cfg.warmup
+                )
+            rows.append((*columns, verdict.value, used, substream_id(cfg.seed, *path)))
+            if trial == cfg.trials - 1:
+                cell_rows = rows[-cfg.trials :]
+                samples = np.array([row[7] for row in cell_rows], dtype=float)
+                rate = sum(row[6] == "greater" for row in cell_rows) / cfg.trials
+                summary_rows.append(
+                    (*columns, cfg.trials, rate, float(samples.mean()), float(samples.std()))
+                )
     return (
         _csv("mode,cs,sigma,radius,alpha,lambda,verdict,samples,seed", rows),
         _csv(

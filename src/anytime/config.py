@@ -132,6 +132,8 @@ class CertifyConfig:
             CertSpec(self.sigma, radius, self.alpha, self.lam)
         _nonempty("certification methods", self.cs)
         for cs in self.cs:
+            if self.cs.count(cs) > 1:  # its rows would repeat, seeds and all
+                raise ValueError(f"certification method {cs!r} is listed twice")
             if cs != "adaptive":
                 _union_schedule(cs, self.alpha)
             elif self.mode != "binary":

@@ -35,6 +35,7 @@ from .sampling import (
     BernoulliSource,
     as_bit_source,
     blocks,
+    keyed_trials,
     rekeyable_generator,
     stage_heads,
     substream,
@@ -370,6 +371,8 @@ def _check_sweep(q, alpha, grid, trials, methods, cap, seed) -> None:
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+        if methods.count(method) > 1:  # its rows would repeat, seeds and all
+            raise ValueError(f"method {method!r} is listed twice")
         if method == "sprt" and any(p == q for p in grid):
             raise ValueError("sprt needs p != q at every grid point")
     _check_count("cap", cap)
@@ -391,21 +394,23 @@ def benchmark_sweep(
     schedule and the adaptive method on ``DEFAULT_STAGES``, as ``anytime
     decide`` does.  Every argument is checked before any trial runs, by
     :func:`_check_sweep`: the grid (of probabilities) and the method list
-    must be nonempty, ``trials`` and ``cap`` integers >= 1.  Every
-    (method, grid index, trial index) triple owns an independent
-    counter-based substream of ``seed``, so records are reproducible
-    bit-for-bit whatever the execution order; a union trial reads the
-    paths ``(..., 0)`` and ``(..., 1)`` below it.  The sweep re-keys one
+    must be nonempty, with no method listed twice, ``trials`` and ``cap``
+    integers >= 1.  Every (method, grid index, trial index) triple owns an
+    independent counter-based substream of ``seed``, so records are
+    reproducible bit-for-bit whatever the execution order; a union trial
+    reads the paths ``(..., 0)`` and ``(..., 1)`` below it.  The sweep re-keys one
     generator per role for each trial (:func:`~anytime.sampling.substream`
-    with ``into``) before the trial's clock starts.  The sweep is one loop
-    over methods, then thresholds, then trials, on the calling thread: the
-    trials are mostly Python, so a thread pool would only add GIL hand-offs
-    to each trial's ``wall_ns``.  The summaries follow once every cell has
-    run, so each finds its threshold's SPRT mean wherever ``"sprt"`` sits
-    in ``methods``.  The union trials of one threshold share its cached
-    stage cell (see :func:`decide_with_cs`): the first trial builds every
-    stage's count windows at once, and every trial evaluates a tail only
-    near them.
+    with ``into``) before the trial's clock starts, reading keys that
+    :func:`~anytime.sampling.keyed_trials` mixed for up to 4,096 paths at
+    once, outside every trial's clock.  The sweep is one loop per method
+    over its (threshold, trial) pairs, threshold by threshold, on the
+    calling thread: the trials are mostly Python, so a thread pool would
+    only add GIL hand-offs to each trial's ``wall_ns``.  The summaries
+    follow once every cell has run, so each finds its threshold's SPRT
+    mean wherever ``"sprt"`` sits in ``methods``.  The union trials of one
+    threshold share its cached stage cell (see :func:`decide_with_cs`):
+    the first trial builds every stage's count windows at once, and every
+    trial evaluates a tail only near them.
 
     Returns the flat trial records plus per-(method, threshold) summaries
     (mean samples, ratio to the SPRT mean at the same threshold, and the
@@ -419,21 +424,21 @@ def benchmark_sweep(
     bits_rng, draws_rng = rekeyable_generator(), rekeyable_generator()
     records, mean_samples = [], {}
     for method in methods:
-        for gi, p in enumerate(grid):
-            for trial in range(trials):
-                path = (method, gi, trial)
-                children = None
-                if method == "union":
-                    rng = substream(seed, *path, 0, into=bits_rng)
-                    children = (rng, substream(seed, *path, 1, into=draws_rng))
-                else:
-                    rng = substream(seed, *path, into=bits_rng)
-                start = time.perf_counter_ns()
-                verdict, samples = run_trial(method, p, q, alpha, cap, rng, children)
-                wall = time.perf_counter_ns() - start
-                sid = substream_id(seed, *path)
-                records.append(TrialRecord(method, p, q, alpha, trial, verdict, samples, sid, wall))
-            mean_samples[method, gi] = float(np.mean([r.samples for r in records[-trials:]]))
+        union = method == "union"
+        for gi, trial in keyed_trials(seed, (method,), len(grid), trials, children=union):
+            p, path, children = grid[gi], (method, gi, trial), None
+            if union:
+                rng = substream(seed, *path, 0, into=bits_rng)
+                children = (rng, substream(seed, *path, 1, into=draws_rng))
+            else:
+                rng = substream(seed, *path, into=bits_rng)
+            start = time.perf_counter_ns()
+            verdict, samples = run_trial(method, p, q, alpha, cap, rng, children)
+            wall = time.perf_counter_ns() - start
+            sid = substream_id(seed, *path)
+            records.append(TrialRecord(method, p, q, alpha, trial, verdict, samples, sid, wall))
+            if trial == trials - 1:
+                mean_samples[method, gi] = float(np.mean([r.samples for r in records[-trials:]]))
 
     # every cell has run, so each ratio finds the sprt mean wherever sprt sits in methods
     summaries = []

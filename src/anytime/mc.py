@@ -44,7 +44,7 @@ def betting_ever_excluded(bits: np.ndarray, p: float, alpha: float) -> np.ndarra
     reach an :func:`~anytime.sequences.exclusion_edge` at the float after
     ``log(1/alpha)`` (``>`` is ``>=`` there).
     """
-    bits = _as_bits(bits, ndim=2)
+    bits = _as_bits(bits, ndim=2, copy=False)
     _check_alpha(alpha)
     threshold = math.nextafter(math.log(1.0 / alpha), math.inf)
     up = exclusion_edge(bits.shape[1], p, threshold, upper=True)[1:]
@@ -69,7 +69,7 @@ def union_ever_excluded(
     stream, drawn for every stream); ``None`` runs the deterministic-CP
     variant.
     """
-    bits = _as_bits(bits, ndim=2)
+    bits = _as_bits(bits, ndim=2, copy=False)
     _check_prob("p", p)
     n_streams, horizon = bits.shape
     bounds, half, windows = union_windows(p, schedule, horizon)
@@ -101,7 +101,7 @@ def betting_trace(bits: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarra
     max and min, carried in from the mean, up to the next crossing: one
     more call per collapse.
     """
-    arr = np.atleast_2d(_as_bits(bits))
+    arr = np.atleast_2d(_as_bits(bits, copy=False))
     heads = np.cumsum(arr, axis=1, dtype=np.float64)
     trials = np.arange(1, arr.shape[1] + 1, dtype=np.float64)
     run_lo, run_up = betting_running(heads, trials, alpha, 0.0, 1.0)
@@ -134,7 +134,7 @@ def union_trace(
     The same values as :class:`~anytime.sequences.UnionCS` fed the bits
     one by one, with the same draws.
     """
-    arr = _as_bits(bits, ndim=1)
+    arr = _as_bits(bits, ndim=1, copy=False)
     bounds = schedule.boundaries(arr.size)
     heads = np.cumsum(arr, dtype=np.int64)[bounds - 1]
     budget = [schedule.budget(k) for k in range(1, bounds.size + 1)]

@@ -10,16 +10,19 @@ derivation never depends on Python's randomized ``hash``.
 :func:`substream_id`, the ``seed`` column of the decide and certify
 CSVs, is the key's first 64-bit word.
 
-The keys are derived on Python ints, restating ``SeedSequence``'s
-mixing exactly, and the pool after each ``(seed, *prefix)`` is cached,
-so a trial mixes in only its own words.  A trial that needs two
+A key is derived on Python ints, restating ``SeedSequence``'s mixing
+exactly, and the pool after each ``(seed, *prefix)`` is cached, so a
+path mixes in only the words its prefix lacks.  A trial that needs two
 generators (the union decider's bits and draws, a certify trial's labels
 and draws) reads the paths ``(*path, 0)`` and ``(*path, 1)``, the
 children ``spawn(2)`` gives.  The decide and certify sweeps build one
 generator per role and re-key it for each trial with
 ``substream(seed, *path, into=gen)``; such a generator belongs to one
-sweep on one thread.  ``anytime coverage`` runs its cells on a thread
-pool, so it keeps a fresh generator per cell.
+sweep on one thread.  Their trials' keys come from :func:`keyed_trials`,
+which mixes the same words for a chunk of up to 4,096 paths at once on
+``uint64`` arrays into a table of the sweep's thread; ``substream``
+and ``substream_id`` read that table first.  ``anytime coverage`` runs
+its cells on a thread pool, so it keeps a fresh generator per cell.
 
 Every decider, certifier and width-target run reads its bit stream
 through one reader: :func:`blocks` draws blocks of 64 bits doubling to
@@ -34,6 +37,7 @@ them in job order for any thread count.  The decide and certify sweeps,
 from __future__ import annotations
 
 import hashlib
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import islice
@@ -45,6 +49,7 @@ from .binom import _check_count, _check_prob
 
 _BLOCK = 4096  # the largest block a reader draws at once
 _FIRST_BLOCK = 64  # blocks start here and double up to ``_BLOCK``
+_KEY_CHUNK = 4096  # the most paths a sweep derives at once
 
 
 def _key_int(part) -> int:
@@ -130,10 +135,78 @@ def _mixed(seed, *path) -> tuple[tuple[int, ...], int, tuple[int, int]]:
         for src in range(_POOL_SIZE):  # so late words affect earlier ones
             const = _mix_into(pool, [pool[src]], const, skip=src)
         const = _mix_into(pool, entropy[_POOL_SIZE:], const)
-    # generate_state(2, np.uint64): the hashed pool words, paired little-endian
+    return tuple(pool), const, _philox_key(pool)
+
+
+def _philox_key(pool: list) -> tuple:
+    """``generate_state(2, np.uint64)`` of ``pool``: its hashed words, paired little-endian."""
     out = [(word ^ a) * b & _MASK32 for word, (a, b) in zip(pool, _STATE_CONSTS)]
     out = [value ^ value >> 16 for value in out]
-    return tuple(pool), const, (out[0] | out[1] << 32, out[2] | out[3] << 32)
+    return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+
+class _SweepKeys(threading.local):
+    """This thread's table of ``(seed, *path)`` -> Philox key, empty outside a sweep."""
+
+    keys: dict = {}  # never mutated: a sweep assigns each chunk's table
+
+
+_sweep = _SweepKeys()
+
+
+def _derived_keys(seed, prefix: tuple, columns: Sequence, suffixes: Sequence[tuple]) -> dict:
+    """The keys of the paths ``(*prefix, *parts, *suffix)`` of ``seed``, mixed in one pass.
+
+    ``parts`` takes the k-th entry of each of the equal-length
+    ``columns``, and each of ``suffixes`` follows each such path.  Every
+    column and suffix part must be an int below 2**32, one word: then
+    every path advances the same hash constant, and :func:`_mix_into`
+    mixes a column into the ``(seed, *prefix)`` pool as one ``uint64``
+    array (its products stay below 2**64, and a wrapped difference keeps
+    its low word).  A column with a larger entry gives an empty table, so
+    every path falls back to :func:`_mixed`.
+    """
+    columns = [np.asarray(column, dtype=np.uint64) for column in columns]
+    if any(column.max() > _MASK32 for column in columns):
+        return {}
+    pool, const, _ = _mixed(seed, *prefix)
+    pool = list(pool)
+    for column in columns:
+        const = _mix_into(pool, [column], const)
+    rows = [(seed, *prefix, *parts) for parts in zip(*(column.tolist() for column in columns))]
+    table = {}
+    for suffix in suffixes:
+        child = list(pool)
+        _mix_into(child, suffix, const)
+        first, second = _philox_key(child)
+        table.update(zip([row + suffix for row in rows], zip(first.tolist(), second.tolist())))
+    return table
+
+
+def keyed_trials(
+    seed: int, prefix: tuple, cells: int, trials: int, children: bool = False
+) -> Iterator[tuple[int, int]]:
+    """The ``(cell, trial)`` pairs of a sweep, cell by cell, their keys derived ahead.
+
+    Before the first pair of each chunk of at most ``_KEY_CHUNK`` paths,
+    one :func:`_derived_keys` pass mixes the keys of
+    ``(seed, *prefix, cell, trial)``, and with ``children`` those of its
+    ``(..., 0)`` and ``(..., 1)``, into this thread's table, which
+    :func:`substream` with ``into`` and :func:`substream_id` read before
+    :func:`_mixed`.  An entry is a pure function of its path, so a path
+    the table lacks only costs a :func:`_mixed` call.  The table is
+    emptied when the pairs run out or the loop over them stops.
+    """
+    suffixes = ((), (0,), (1,)) if children else ((),)
+    step, total = max(1, _KEY_CHUNK // len(suffixes)), cells * trials
+    try:
+        for start in range(0, total, step):
+            flat = np.arange(start, min(start + step, total), dtype=np.uint64)
+            cell, trial = np.divmod(flat, trials)
+            _sweep.keys = _derived_keys(seed, prefix, (cell, trial), suffixes)
+            yield from zip(cell.tolist(), trial.tolist())
+    finally:
+        _sweep.keys = {}
 
 
 def substream(seed: int, *path, into: Optional[np.random.Generator] = None) -> np.random.Generator:
@@ -145,7 +218,9 @@ def substream(seed: int, *path, into: Optional[np.random.Generator] = None) -> n
     :func:`rekeyable_generator` (any other raises ``ValueError``), that
     generator is re-keyed instead and returned: the same key, a zero
     counter and an empty buffer, so it draws what a fresh generator
-    would, whatever it drew before.
+    would, whatever it drew before.  Its key comes from this thread's
+    :func:`keyed_trials` table when that holds the path, and from
+    :func:`_mixed` otherwise.
     """
     if into is None:
         _check_count("seed", seed, minimum=0)
@@ -153,9 +228,10 @@ def substream(seed: int, *path, into: Optional[np.random.Generator] = None) -> n
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=spawn_key)))
     if into.bit_generator.seed_seq is not None:
         raise ValueError("into must come from rekeyable_generator(): it would spawn its old path's children")
+    key = _sweep.keys.get((seed, *path)) or _mixed(seed, *path)[2]
     into.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": _mixed(seed, *path)[2]},
+        "state": {"counter": _ZEROS, "key": key},
         "buffer": _ZEROS,
         "buffer_pos": len(_ZEROS),  # an empty buffer
         "has_uint32": 0,
@@ -175,8 +251,11 @@ def rekeyable_generator() -> np.random.Generator:
 
 
 def substream_id(seed: int, *path) -> int:
-    """Stable 64-bit fingerprint of a substream (recorded in output rows): its key's first word."""
-    return _mixed(seed, *path)[2][0]
+    """Stable 64-bit fingerprint of a substream (recorded in output rows): its key's first word.
+
+    The key is read as :func:`substream` with ``into`` reads it.
+    """
+    return (_sweep.keys.get((seed, *path)) or _mixed(seed, *path)[2])[0]
 
 
 def run_jobs(jobs: Sequence, fn: Callable, threads: int) -> list:
@@ -239,20 +318,27 @@ class BernoulliSource(ZeroOneSource):
         return (self._rng.random(k) < self.p).view(np.uint8)
 
 
-def _as_bits(values, ndim: int | None = None) -> np.ndarray:
+def _as_bits(values, ndim: int | None = None, copy: bool = True) -> np.ndarray:
     """``values`` as a uint8 array, checked to be 0/1 *before* the cast.
 
     Casting first would turn 0.9 into 0 and 257 into 1 and hand a
-    silently different stream to the deciders.  With ``ndim``, an array
-    of another number of dimensions raises too: a stream is 1-d, a
-    Monte Carlo stream matrix 2-d (streams x time).
+    silently different stream to the deciders.  A ``bool`` or ``uint8``
+    array is checked by its maximum alone.  With ``ndim``, an array of
+    another number of dimensions raises too: a stream is 1-d, a Monte
+    Carlo stream matrix 2-d (streams x time).  With ``copy=False`` a
+    ``uint8`` array comes back as it is, for a reader that keeps no
+    reference to it.
     """
     arr = np.asarray(values)
-    if not np.all((arr == 0) | (arr == 1)):
+    if arr.dtype in (np.bool_, np.uint8):
+        ok = arr.size == 0 or arr.max() <= 1
+    else:
+        ok = np.all((arr == 0) | (arr == 1))
+    if not ok:
         raise ValueError("bits must be 0 or 1")
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"bits must be a {ndim}-d array of 0/1, got shape {arr.shape}")
-    return arr.astype(np.uint8)
+    return arr.astype(np.uint8, copy=copy)
 
 
 def _nonempty(block: np.ndarray) -> np.ndarray:

@@ -331,9 +331,11 @@ class TestSweepChecksBeforeAnyTrial:
     """``benchmark_sweep`` rejects bad arguments before a trial runs, as ``DecideConfig`` does."""
 
     GOOD = dict(q=0.91, alpha=0.01, grid=(0.5,), trials=1, methods=("betting",), cap=10, seed=0)
+    # argument (the key's last word) -> a bad value of it
     BAD = {
         "grid": (),
         "methods": (),
+        "repeated methods": ("betting", "sprt", "betting"),
         "seed": -1,
         "q": math.nan,
         "alpha": 1.0,
@@ -347,7 +349,7 @@ class TestSweepChecksBeforeAnyTrial:
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(decision, "run_trial", no_trial)
-        args = dict(self.GOOD, **{name: self.BAD[name]})
+        args = dict(self.GOOD, **{name.split()[-1]: self.BAD[name]})
         with pytest.raises(ValueError) as from_sweep:
             benchmark_sweep(**args)
         with pytest.raises(ValueError) as from_config:
@@ -384,6 +386,14 @@ class TestConfigsUseTheLibraryRules:
                 "binary", ("betting",), (math.nan, 1.0), 1.0, (0.1,), 0.05, 0.5, 1, 10, 0, 100, 0, 1
             )
         assert str(from_library.value) == str(from_config.value)
+
+    def test_certify_config_refuses_a_repeated_method(self):
+        # a repeated method would repeat its rows, seeds and all
+        with pytest.raises(ValueError, match="'betting' is listed twice"):
+            CertifyConfig(
+                "binary", ("betting", "union", "betting"), (0.9, 0.1), 1.0, (0.1,), 0.05, 0.5, 1,
+                10, 0, 100, 0, 1,
+            )
 
     def test_thresholds_config_rejects_what_dp_thresholds_rejects(self):
         with pytest.raises(ValueError) as from_library:

@@ -17,7 +17,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from anytime import cli, decision
+from anytime import cli, decision, sampling
 from anytime.cli import _CHUNK_ROWS, main, run_thresholds
 from anytime.config import CERT_CS, CERT_MODES, CertifyConfig, DecideConfig, ThresholdsConfig
 from anytime.decision import METHODS
@@ -149,6 +149,70 @@ class TestDecide:
             summaries.append(path.read_text())
         assert texts[0] == texts[1] == texts[2]
         assert summaries[0] == summaries[1] == summaries[2]
+
+
+class TestSweepStreams:
+    """The decide and certify sweeps key each trial to its path, whatever the key chunk.
+
+    Each sweep derives its trials' keys a chunk at a time into a table
+    that ``substream(..., into=)`` and ``substream_id`` read first; the
+    table must change no byte, and be empty once the sweep returns.
+    """
+
+    DECIDE = DecideConfig(0.6, 0.05, (0.2, 0.5, 0.9), 4, METHODS, 300, 3, 1)
+    CERTIFY = CertifyConfig(
+        "multiclass", ("betting", "union"), (0.5, 0.3, 0.2), 1.0, (0.1, 0.2), 0.05, 0.5, 3, 2000,
+        0, 100, 5, 1,
+    )
+
+    @staticmethod
+    def _fresh_streams(monkeypatch, module) -> list:
+        """Check each generator a sweep re-keys against a fresh ``SeedSequence`` one."""
+        keyed, rekey = [], module.substream
+
+        def substream(seed, *path, into):
+            gen = rekey(seed, *path, into=into)
+            fresh = sampling.substream(seed, *path)
+            np.testing.assert_equal(gen.bit_generator.state, fresh.bit_generator.state)
+            keyed.append(path)
+            return gen
+
+        monkeypatch.setattr(module, "substream", substream)
+        return keyed
+
+    def test_decide_rows_read_their_paths(self, monkeypatch):
+        keyed = self._fresh_streams(monkeypatch, decision)
+        sampling._mixed.cache_clear()
+        cfg = self.DECIDE
+        records, _ = decision.benchmark_sweep(
+            cfg.q, cfg.alpha, cfg.p_grid, cfg.trials, cfg.methods, cfg.cap, cfg.seed
+        )
+        # the table held every trial's keys: only (seed,) and each (seed, method) were mixed alone
+        assert sampling._mixed.cache_info().misses == 1 + len(METHODS)
+        assert sampling._sweep.keys == {}
+        assert len(keyed) == len(records) + cfg.trials * len(cfg.p_grid)  # union trials key two
+        for r in records:
+            path = (r.method, cfg.p_grid.index(r.p), r.trial)
+            assert r.seed == sampling.substream_id(cfg.seed, *path)
+
+    def test_certify_rows_read_their_paths(self, monkeypatch):
+        keyed = self._fresh_streams(monkeypatch, cli)
+        sampling._mixed.cache_clear()
+        cfg = self.CERTIFY
+        rows = validate("certify", cli.run_certify(cfg)[0])
+        assert sampling._mixed.cache_info().misses == 2 + len(cfg.cs)
+        assert sampling._sweep.keys == {}
+        assert len(keyed) == 2 * len(rows)
+        cells = [(cs, ri) for cs in cfg.cs for ri in range(len(cfg.radii))]
+        paths = [("certify", *cell, trial) for cell in cells for trial in range(cfg.trials)]
+        assert [row["seed"] for row in rows] == [sampling.substream_id(cfg.seed, *p) for p in paths]
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_the_key_chunk_changes_no_byte(self, monkeypatch, chunk):
+        want = cli.run_decide(self.DECIDE), cli.run_certify(self.CERTIFY)
+        monkeypatch.setattr(sampling, "_KEY_CHUNK", chunk)
+        assert (cli.run_decide(self.DECIDE), cli.run_certify(self.CERTIFY)) == want
+        assert sampling._sweep.keys == {}
 
 
 class TestCertify:
@@ -313,11 +377,13 @@ class TestFlagsAreReadOrRefused:
         ("decide-grid", "--grid-points", "3", CHANGES, "p"),
         ("decide", "--trials", "3", CHANGES, "trial"),
         ("decide", "--methods", "sprt", CHANGES, "method"),
+        ("decide", "--methods", "sprt,sprt", REFUSED, None),
         ("decide", "--cap", "10", CHANGES, None),
         ("decide", "--seed", "4", CHANGES, "seed"),
         ("decide", "--threads", "2", SAME, None),
         ("certify", "--mode", "multiclass", CHANGES, "mode"),
         ("certify", "--cs", "union", CHANGES, "cs"),
+        ("certify", "--cs", "betting,betting", REFUSED, None),
         ("certify", "--probs", "0.5,0.3,0.2", CHANGES, None),
         ("certify", "--sigma", "0.5", CHANGES, "sigma"),
         ("certify", "--radii", "0.1", CHANGES, "radius"),

@@ -158,6 +158,13 @@ class TestRejectsNonBits:
             self.KERNELS[kernel](bits)
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_rejects_uint8(self, kernel, bad):
+        bits = np.array([1, 0, bad, 1], dtype=np.uint8)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            self.KERNELS[kernel](bits)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
     @pytest.mark.parametrize("form", ["uint8", "bool", "int list"])
     def test_zero_one_input_passes(self, kernel, form):
         bits = substream(2, "bits").random(200) < 0.7

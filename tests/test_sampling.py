@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from anytime import sampling
 from anytime.certify import ClassOracle, _IndicatorSource, width_target_run
 from anytime.decision import Verdict, decide_with_cs, sprt_ideal, staged_adaptive
 from anytime.sampling import (
@@ -22,8 +23,11 @@ from anytime.sampling import (
     BernoulliSource,
     IterSource,
     as_bit_source,
+    _derived_keys,
     _key_int,
+    _mixed,
     blocks,
+    keyed_trials,
     rekeyable_generator,
     run_jobs,
     stage_heads,
@@ -161,6 +165,72 @@ class TestSubstream:
         np.testing.assert_array_equal(block, one_at_a_time)
 
 
+class TestSweepKeys:
+    """A sweep's keys, mixed a chunk at a time on ``uint64`` arrays, are those of ``_mixed``."""
+
+    PARTS = st.integers(0, 2**64) | st.integers(2**32 - 2, 2**32 + 1) | st.text(max_size=6)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        prefix=st.lists(PARTS, max_size=3),
+        column=st.lists(
+            st.integers(0, 2**32 - 1) | st.integers(2**32 - 3, 2**32 - 1), min_size=1, max_size=8
+        ),
+        children=st.booleans(),
+    )
+    @example(seed=2**64 - 1, prefix=["decide", 2**64], column=[0, 2**32 - 1], children=True)
+    def test_one_pass_equals_mixing_each_path(self, seed, prefix, column, children):
+        # seeds of one and two words, string and int prefixes, parts up to the last one-word int
+        suffixes = ((), (0,), (1,)) if children else ((),)
+        table = _derived_keys(seed, tuple(prefix), [column, column[::-1]], suffixes)
+        pairs = zip(column, column[::-1])
+        paths = {(*prefix, a, b, *suffix) for a, b in pairs for suffix in suffixes}
+        assert table == {(seed, *path): _mixed(seed, *path)[2] for path in paths}
+
+    @pytest.mark.parametrize("column", [[2**32], [1, 2**64 - 1]])
+    def test_a_part_of_two_words_leaves_it_to_mixed(self, column):
+        assert _derived_keys(42, ("decide",), [column], ((),)) == {}
+        assert substream_id(42, "decide", *column) == _mixed(42, "decide", *column)[2][0]
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        prefix=st.lists(PARTS, max_size=2),
+        cells=st.integers(1, 4),
+        trials=st.integers(1, 6),
+        chunk=st.integers(1, 10),
+        children=st.booleans(),
+    )
+    def test_each_pair_finds_its_keys_across_chunk_edges(
+        self, seed, prefix, cells, trials, chunk, children
+    ):
+        suffixes = ((), (0,), (1,)) if children else ((),)
+        pairs = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "_KEY_CHUNK", chunk)
+            for cell, trial in keyed_trials(seed, tuple(prefix), cells, trials, children):
+                table = sampling._sweep.keys
+                assert len(table) <= max(chunk, len(suffixes))
+                for suffix in suffixes:
+                    path = (*prefix, cell, trial, *suffix)
+                    assert table[(seed, *path)] == _mixed(seed, *path)[2]
+                pairs.append((cell, trial))
+        assert pairs == [(cell, trial) for cell in range(cells) for trial in range(trials)]
+        assert sampling._sweep.keys == {}
+
+    def test_the_table_is_emptied_when_the_loop_stops_early(self):
+        for _ in keyed_trials(42, ("decide",), 3, 5):
+            assert sampling._sweep.keys
+            break
+        assert sampling._sweep.keys == {}
+
+    def test_the_table_is_this_threads_own(self):
+        # another thread's calls never read a sweep's table
+        seen = []
+        for _ in keyed_trials(42, ("decide",), 1, 2):
+            run_jobs([0], lambda _: seen.append(dict(sampling._sweep.keys)), threads=2)
+        assert seen == [{}, {}]
+
+
 class TestSources:
     def test_bernoulli_source_deterministic(self):
         a = BernoulliSource(substream(5, "s"), 0.3).take(64)
@@ -225,6 +295,17 @@ class TestRejectNonBits:
     def test_array_source_checks_before_cast(self, bits):
         with pytest.raises(ValueError, match="0 or 1"):
             ArraySource(np.array(bits))
+
+    @pytest.mark.parametrize("bad", [2, 255])
+    def test_uint8_arrays_are_checked_too(self, bad):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            ArraySource(np.array([1, bad, 0], dtype=np.uint8))
+
+    def test_array_source_keeps_its_own_copy(self):
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        src = ArraySource(bits)
+        bits[:] = 7
+        np.testing.assert_array_equal(src.take(3), [1, 0, 1])
 
     def test_iter_source_checks_each_chunk(self):
         src = IterSource(iter([1, 0, 2, 1]))
